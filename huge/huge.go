@@ -557,28 +557,34 @@ func (s *System) planKey(sn *snapshot, q *Query, name string) string {
 	return plan.CacheKey(q.Fingerprint(), name, s.opts.Machines, sn.statsFP)
 }
 
-// buildPlan runs the (uncached) planner for one named family.
+// buildPlan runs the (uncached) planner for one named family. Every plan
+// leaves priced by the deployment's cost model, so the families' Costs are
+// comparable (for "optimal" that is the optimiser's own figure).
 func (s *System) buildPlan(sn *snapshot, q *Query, name string) *Plan {
+	cfg := plan.Config{
+		NumMachines: s.opts.Machines,
+		GraphEdges:  float64(sn.g.NumEdges()),
+		Card:        sn.card,
+	}
+	var p *Plan
 	switch name {
 	case "wco":
-		return plan.HugeWcoPlanStats(q, sn.stats)
+		p = plan.HugeWcoPlanStats(q, sn.stats)
 	case "seed":
-		return plan.SEEDPlan(q, sn.card)
+		p = plan.SEEDPlan(q, sn.card)
 	case "rads":
-		return plan.ReconfigurePhysical(plan.RADSPlan(q))
+		p = plan.ReconfigurePhysical(plan.RADSPlan(q))
 	case "benu":
-		return plan.ReconfigurePhysical(plan.BENUPlan(q))
+		p = plan.ReconfigurePhysical(plan.BENUPlan(q))
 	case "emptyheaded":
-		return plan.ReconfigurePhysical(plan.EmptyHeadedPlan(q, sn.card))
+		p = plan.ReconfigurePhysical(plan.EmptyHeadedPlan(q, sn.card))
 	case "graphflow":
-		return plan.ReconfigurePhysical(plan.GraphFlowPlan(q, sn.stats))
+		p = plan.ReconfigurePhysical(plan.GraphFlowPlan(q, sn.stats))
 	default:
-		return plan.Optimize(q, plan.Config{
-			NumMachines: s.opts.Machines,
-			GraphEdges:  float64(sn.g.NumEdges()),
-			Card:        sn.card,
-		})
+		return plan.Optimize(q, cfg)
 	}
+	p.Cost = plan.CostOf(p, cfg)
+	return p
 }
 
 // cachedPlan is the single lookup protocol every plan request goes

@@ -25,6 +25,8 @@ type OrderFilter struct {
 
 // NewFilter constrains the candidate vertex of a PULL-EXTEND against an
 // existing slot: candidate < p[Slot] if NewLess, else candidate > p[Slot].
+// The engine turns an extend's filters into one candidate range per input
+// tuple and narrows the intersection's operands to it up front.
 type NewFilter struct {
 	Slot    int
 	NewLess bool
@@ -82,9 +84,9 @@ type Extend struct {
 	TargetQV   int
 	VerifySlot int
 	// TargetLabel constrains the data label of the newly matched vertex
-	// (-1 = any). Candidates failing it are dropped before injectivity and
-	// order filtering, in both the materialising and the compressed
-	// counting path. Same zero-value caveat as EdgeScan.LabelA.
+	// (-1 = any). Candidates failing it are dropped before the injectivity
+	// check, in both the materialising and the compressed counting path.
+	// Same zero-value caveat as EdgeScan.LabelA.
 	TargetLabel int
 	// EdgeLabels, when non-nil, is parallel to ExtSlots: entry i constrains
 	// the data label of the edge this operator closes via slot i — the edge

@@ -11,9 +11,10 @@ import (
 
 // countExtend is the compressed form of processExtend (the generic
 // compression optimisation [63]): for the final PULL-EXTEND before a
-// counting SINK, each input tuple contributes |C| minus the candidates
-// rejected by injectivity or symmetry-breaking filters — no output rows are
-// built, queued, or re-scanned. The fetch stage and cache protocol are
+// counting SINK, each input tuple contributes |C| — the intersection of the
+// operands narrowed to what the symmetry-breaking orders allow — minus the
+// candidates rejected by injectivity; no output rows are built, queued, or
+// re-scanned. The fetch stage and cache protocol are
 // identical to the materialising path.
 //
 // Grouped counting rides the same path: when the run carries a GroupAgg and
@@ -172,30 +173,23 @@ func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage 
 			return total, nil
 		}
 		row := c.Row(i)
-		sc.sets = sc.sets[:0]
-		empty := false
-		for _, s := range e.ExtSlots {
-			nset, err := r.nbrSetFor(row[s], twoStage, pred.g, hubMin)
-			if err != nil {
-				return 0, err
-			}
-			if len(nset.List) == 0 {
-				empty = true
-				break
-			}
-			sc.sets = append(sc.sets, nset)
+		ok, err := r.gatherOperands(e, row, twoStage, pred.g, hubMin, sc)
+		if err != nil {
+			return 0, err
 		}
-		if empty {
+		if !ok {
 			continue
 		}
 		var n uint64
 		switch {
-		case len(e.NewFilters) == 0 && pred.trivial() && !candKeyed:
-			// Count-only fast path: the candidate set is never materialised —
-			// the adaptive count kernel reduces the all-hub case to a
-			// popcount, and the collision subtraction probes each matched
-			// vertex through every operand (a vertex is a candidate iff every
-			// operand contains it) instead of searching a built list.
+		case pred.trivial() && !candKeyed:
+			// Count-only fast path — injectivity is the only predicate left,
+			// the symmetry-breaking orders having narrowed the operands: the
+			// candidate set is never materialised — the adaptive count kernel
+			// reduces the all-hub case to a popcount, and the collision
+			// subtraction probes each matched vertex through every narrowed
+			// operand (a vertex is a candidate iff every operand contains it)
+			// instead of searching a built list.
 			n = uint64(graph.IntersectCountAdaptive(sc.sets, &sc.isect))
 			if n > 0 {
 				for _, u := range row {
@@ -216,7 +210,7 @@ func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage 
 			cand := graph.IntersectAdaptive(sc.sets, &sc.isect)
 			keys := gt.keys[:0]
 			cand.Range(func(v graph.VertexID) bool {
-				if acceptCandidate(e, pred, row, v) {
+				if acceptCandidate(pred, row, v) {
 					keys = append(keys, keyer.candKey(row, v))
 				}
 				return true
@@ -232,12 +226,12 @@ func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage 
 				gt.counts[k]++
 			}
 		default:
-			// Filtered counting (labels, delta old-edge rejection, symmetry
-			// filters): candidates are only tested, never collected — the
-			// shared candPred runs per set bit when the bitset path wins.
+			// Filtered counting (labels, delta old-edge rejection): candidates
+			// are only tested, never collected — the shared candPred runs per
+			// set bit when the bitset path wins.
 			cand := graph.IntersectAdaptive(sc.sets, &sc.isect)
 			cand.Range(func(v graph.VertexID) bool {
-				if acceptCandidate(e, pred, row, v) {
+				if acceptCandidate(pred, row, v) {
 					n++
 				}
 				return true
@@ -266,24 +260,16 @@ func containsAll(sets []graph.NbrList, u graph.VertexID) bool {
 	return true
 }
 
-// acceptCandidate applies the full per-candidate check of a counting
-// extension: the shared label/delta predicate, injectivity against the
-// matched row, and the symmetry-breaking filters.
-func acceptCandidate(e *dataflow.Extend, pred *candPred, row []graph.VertexID, v graph.VertexID) bool {
+// acceptCandidate applies the per-candidate check of a counting extension:
+// the shared label/delta predicate and injectivity against the matched row.
+// The symmetry-breaking filters were applied to the operands
+// (candidateRange).
+func acceptCandidate(pred *candPred, row []graph.VertexID, v graph.VertexID) bool {
 	if !pred.ok(row, v) {
 		return false
 	}
 	for _, u := range row {
 		if u == v {
-			return false
-		}
-	}
-	for _, f := range e.NewFilters {
-		if f.NewLess {
-			if v >= row[f.Slot] {
-				return false
-			}
-		} else if v <= row[f.Slot] {
 			return false
 		}
 	}

@@ -43,20 +43,27 @@ func (r *machineRun) processExtend(e *dataflow.Extend, b *dataflow.Batch) ([]*da
 }
 
 // fetchStage scans the batch for remote vertices, seals the cached ones and
-// bulk-fetches the rest (lines 1-9 of Algorithm 4).
+// bulk-fetches the rest (lines 1-9 of Algorithm 4). A one-machine run owns
+// every vertex, so there is nothing to scan for.
 func (r *machineRun) fetchStage(e *dataflow.Extend, b *dataflow.Batch) error {
 	eng := r.ex.eng
+	if len(eng.ex.Machines) == 1 {
+		return nil
+	}
 	start := time.Now()
 	defer func() { eng.ex.Metrics.FetchNs.Add(int64(time.Since(start))) }()
 
 	part := r.m.Part
-	seen := map[graph.VertexID]struct{}{}
+	var seen map[graph.VertexID]struct{} // allocated at the first remote vertex
 	for i := 0; i < b.Rows(); i++ {
 		row := b.Row(i)
 		for _, s := range e.ExtSlots {
 			v := row[s]
 			if part.Owns(v) {
 				continue
+			}
+			if seen == nil {
+				seen = map[graph.VertexID]struct{}{}
 			}
 			seen[v] = struct{}{}
 		}
@@ -224,8 +231,9 @@ func closeScratch(sc *extendScratch) []*dataflow.Batch {
 // vertex-label constraint, the per-slot edge-label constraints, and the
 // delta-mode old-edge restriction all evaluate here, so vertex- and
 // edge-label filtering share a single predicate pipeline instead of two
-// bolted-on branches. Injectivity and symmetry-breaking filters stay with
-// the callers (they differ between the extend and verify shapes).
+// bolted-on branches. Injectivity stays with the callers (it differs
+// between the extend and verify shapes); symmetry-breaking orders never
+// reach a per-candidate test — they narrow the operands (candidateRange).
 type candPred struct {
 	e      *dataflow.Extend
 	g      *graph.Graph
@@ -323,27 +331,60 @@ func (r *machineRun) hubMinFor(g *graph.Graph) int {
 	return g.HubMinDegree()
 }
 
-// nbrSetFor resolves one intersection operand: the adjacency list, plus
-// the vertex's packed hub bitset when the list is hub-sized. Hub bitsets
-// are derived index metadata over the pinned snapshot — like vertex
-// labels, they are replicated on every simulated machine, so consulting
-// one for a pulled remote list moves no extra adjacency bytes.
-func (r *machineRun) nbrSetFor(v graph.VertexID, twoStage bool, g *graph.Graph, hubMin int) (graph.NbrList, error) {
-	nb, err := r.neighborsFor(v, twoStage)
-	if err != nil {
-		return graph.NbrList{}, err
+// candidateRange turns an extend's symmetry-breaking filters into the
+// half-open range [lo, hi) its candidates must fall in for this row:
+// NewLess bounds them above by the matched vertex, otherwise below. An
+// extend without filters gets (0, graph.NoBound), the whole universe.
+// Operands are narrowed to the range before they are intersected, so the
+// filters need no per-candidate test afterwards — and the collision
+// subtraction of the counting path sees only in-range vertices.
+func candidateRange(filters []dataflow.NewFilter, row []graph.VertexID) (lo, hi graph.VertexID) {
+	hi = graph.NoBound
+	for _, f := range filters {
+		if x := row[f.Slot]; f.NewLess {
+			hi = min(hi, x)
+		} else {
+			lo = max(lo, x+1) // vertex IDs stay below NoBound, so no wrap
+		}
 	}
-	s := graph.NbrList{List: nb}
-	if hubMin > 0 && len(nb) >= hubMin {
-		s.Bits = g.HubBitset(v)
+	return lo, hi
+}
+
+// gatherOperands resolves the extend's operands for one row into sc.sets:
+// each adjacency list, plus the vertex's packed hub bitset when the list is
+// hub-sized, narrowed to the row's candidate range. ok is false when an
+// operand is empty there — the row has no candidate. Hub bitsets are
+// derived index metadata over the pinned snapshot — like vertex labels,
+// they are replicated on every simulated machine, so consulting one for a
+// pulled remote list moves no extra adjacency bytes.
+func (r *machineRun) gatherOperands(e *dataflow.Extend, row []graph.VertexID, twoStage bool, g *graph.Graph, hubMin int, sc *extendScratch) (ok bool, err error) {
+	lo, hi := candidateRange(e.NewFilters, row)
+	sc.sets = sc.sets[:0]
+	if lo >= hi {
+		return false, nil
 	}
-	return s, nil
+	for _, s := range e.ExtSlots {
+		nb, err := r.neighborsFor(row[s], twoStage)
+		if err != nil {
+			return false, err
+		}
+		nset := graph.NbrList{List: nb}
+		if hubMin > 0 && len(nb) >= hubMin {
+			nset.Bits = g.HubBitset(row[s])
+		}
+		if nset = nset.Within(lo, hi); len(nset.List) == 0 {
+			return false, nil
+		}
+		sc.sets = append(sc.sets, nset)
+	}
+	return true, nil
 }
 
 // extendChunk applies the extend to every row of one chunk, appending
-// results to the worker's scratch batches. The shared candidate predicate
-// (vertex label, edge labels, delta old-edge restriction) drops candidates
-// before the injectivity and symmetry-breaking checks.
+// results to the worker's scratch batches. The symmetry-breaking orders
+// are applied up front, by narrowing the operands (candidateRange); the
+// shared candidate predicate (vertex label, edge labels, delta old-edge
+// restriction) and injectivity are checked per candidate.
 func (r *machineRun) extendChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage bool, sc *extendScratch) {
 	eng := r.ex.eng
 	outWidth := len(e.OutLayout)
@@ -358,19 +399,10 @@ func (r *machineRun) extendChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage
 	hubMin := r.hubMinFor(pred.g)
 	for i := 0; i < c.Rows(); i++ {
 		row := c.Row(i)
-		sc.sets = sc.sets[:0]
-		ok := true
-		for _, s := range e.ExtSlots {
-			nset, err := r.nbrSetFor(row[s], twoStage, pred.g, hubMin)
-			if err != nil {
-				sc.missErr = err
-				return
-			}
-			if len(nset.List) == 0 {
-				ok = false
-				break
-			}
-			sc.sets = append(sc.sets, nset)
+		ok, err := r.gatherOperands(e, row, twoStage, pred.g, hubMin, sc)
+		if err != nil {
+			sc.missErr = err
+			return
 		}
 		if !ok {
 			continue
@@ -406,16 +438,6 @@ func (r *machineRun) extendChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage
 			// Injectivity: the new vertex must differ from every matched one.
 			for _, u := range row {
 				if u == v {
-					continue candidates
-				}
-			}
-			// Symmetry-breaking constraints against matched vertices.
-			for _, f := range e.NewFilters {
-				if f.NewLess {
-					if v >= row[f.Slot] {
-						continue candidates
-					}
-				} else if v <= row[f.Slot] {
 					continue candidates
 				}
 			}

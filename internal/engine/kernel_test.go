@@ -23,11 +23,16 @@ func hubGraph() *graph.Graph {
 	return g
 }
 
-// runKernel executes q on g and returns the count plus the run's kernel
-// dispatch tally.
+// runKernel executes q on g under the left-deep wco plan and returns the
+// count plus the run's kernel dispatch tally.
 func runKernel(t *testing.T, g *graph.Graph, q *query.Query, ecfg Config) (uint64, graph.KernelCounts) {
 	t.Helper()
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	return runKernelPlan(t, g, plan.HugeWcoPlan(q), ecfg)
+}
+
+func runKernelPlan(t *testing.T, g *graph.Graph, p *plan.Plan, ecfg Config) (uint64, graph.KernelCounts) {
+	t.Helper()
+	df, err := plan.Translate(p)
 	if err != nil {
 		t.Fatalf("translate: %v", err)
 	}
@@ -84,27 +89,60 @@ func TestEngineKernelDispatchCounters(t *testing.T) {
 	}
 }
 
-// TestEngineAdaptiveAcrossQueries checks adaptive-vs-oracle counts on every
-// catalog query over the hub graph, so each shape (triangles, squares,
-// cliques, stars) crosses the dispatcher — and asserts that across the
-// catalog the count-only kernels fire (queries whose final extend has no
-// symmetry filters take the count fast path).
+// TestEngineAdaptiveAcrossQueries checks counts against the oracle on every
+// catalog query over the hub graph, under the wco plan and the optimiser's,
+// with the adaptive kernels on and off — so each shape (triangles, squares,
+// cliques, stars) crosses the dispatcher with its symmetry-breaking orders
+// pushed into the operands as bounds, hub bitsets included. Across the
+// catalog the count-only and the bitset kernels must both fire.
 func TestEngineAdaptiveAcrossQueries(t *testing.T) {
 	g := hubGraph()
+	stats := plan.ComputeStats(g)
+	pcfg := plan.Config{NumMachines: 2, GraphEdges: float64(g.NumEdges()), Card: plan.MomentEstimator(stats)}
 	var agg graph.KernelCounts
 	for _, q := range query.Catalog() {
 		want := baseline.GroundTruthCount(g, q)
-		n, kc := runKernel(t, g, q, Config{BatchRows: 64, QueueRows: 256, Compress: true})
-		if n != want {
-			t.Errorf("%s: adaptive count = %d, want %d", q.Name(), n, want)
+		for _, p := range []*plan.Plan{plan.HugeWcoPlan(q), plan.Optimize(q, pcfg)} {
+			for _, noAdaptive := range []bool{false, true} {
+				n, kc := runKernelPlan(t, g, p, Config{BatchRows: 64, QueueRows: 256, Compress: true, NoAdaptive: noAdaptive})
+				if n != want {
+					t.Errorf("%s / %s (NoAdaptive %v): count = %d, want %d", q.Name(), p.Name, noAdaptive, n, want)
+				}
+				if noAdaptive && kc.BitsetProbe+kc.BitsetAnd+kc.CountProbe+kc.CountBitsetAnd != 0 {
+					t.Errorf("%s / %s: NoAdaptive run dispatched bitset kernels: %+v", q.Name(), p.Name, kc)
+				}
+				agg.Add(kc)
+			}
 		}
-		agg.Add(kc)
 	}
 	if agg.CountMerge+agg.CountGallop+agg.CountProbe+agg.CountBitsetAnd == 0 {
 		t.Errorf("no catalog query dispatched a count-only kernel: %+v", agg)
 	}
 	if agg.BitsetProbe+agg.BitsetAnd == 0 {
 		t.Errorf("no catalog query dispatched a bitset kernel: %+v", agg)
+	}
+}
+
+// TestFilteredExtendTakesCountFastPath pins what bounding the operands
+// buys: the triangle's only extend carries symmetry-breaking filters, and
+// with those applied to the operands its compressed count needs no
+// candidate list — every dispatch is a count-only kernel.
+func TestFilteredExtendTakesCountFastPath(t *testing.T) {
+	g := hubGraph()
+	q := query.Triangle()
+	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := df.Stages[0].Extends[len(df.Stages[0].Extends)-1]; len(last.NewFilters) == 0 {
+		t.Fatalf("triangle's extend carries no symmetry-breaking filter:\n%s", df)
+	}
+	n, kc := runKernel(t, g, q, Config{BatchRows: 64, QueueRows: 256, Compress: true})
+	if want := baseline.GroundTruthCount(g, q); n != want {
+		t.Fatalf("count = %d, want %d", n, want)
+	}
+	if kc.Merge+kc.Gallop+kc.BitsetProbe+kc.BitsetAnd != 0 || kc.Total() == 0 {
+		t.Fatalf("filtered counting extend materialised candidates: %+v", kc)
 	}
 }
 

@@ -3,13 +3,13 @@ package engine
 import (
 	"context"
 	"hash/maphash"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
+	"repro/internal/steal"
 )
 
 // stageExec coordinates one stage across all machines: it tracks global
@@ -73,7 +73,7 @@ type machineRun struct {
 	queues [][]*dataflow.Batch
 	qrows  []int64
 
-	rng     *rand.Rand
+	rng     steal.Rand
 	batchNo int
 
 	// curBatch is the adaptive batch-sizing controller's current source
@@ -89,7 +89,7 @@ func newMachineRun(ex *stageExec, m *cluster.MachineExec, src sourceIter) *machi
 		source: src,
 		queues: make([][]*dataflow.Batch, e+1),
 		qrows:  make([]int64, e+1),
-		rng:    rand.New(rand.NewSource(int64(m.ID)*7919 + 13)),
+		rng:    steal.Rand(m.ID*7919 + 13),
 	}
 }
 

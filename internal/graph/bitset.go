@@ -13,9 +13,12 @@ package graph
 import "math/bits"
 
 // Bitset is a fixed-universe bit vector over vertex IDs with a cached
-// population count. The zero value is an empty set over an empty universe.
+// population count. A hub's bitset spans the whole universe; the result of
+// a bounded bitset AND spans only the words of its window (base > 0) and
+// reads as empty outside them. The zero value is an empty set.
 type Bitset struct {
 	words []uint64
+	base  int // index, in the universe, of words[0]
 	n     int // cached population count
 }
 
@@ -29,23 +32,24 @@ func NewBitsetFrom(numV int, vs []VertexID) *Bitset {
 	return b
 }
 
-// Has reports whether v is in the set. v must be within the universe.
+// Has reports whether v is in the set.
 func (b *Bitset) Has(v VertexID) bool {
-	return b.words[v>>6]&(1<<(v&63)) != 0
+	w := int(v>>6) - b.base
+	return uint(w) < uint(len(b.words)) && b.words[w]&(1<<(v&63)) != 0
 }
 
 // Count returns the number of set bits.
 func (b *Bitset) Count() int { return b.n }
 
-// Words returns the number of 64-bit words spanning the universe — the
-// cost unit of the bitset-AND path.
+// Words returns the number of 64-bit words the set spans — the cost unit of
+// the bitset-AND path.
 func (b *Bitset) Words() int { return len(b.words) }
 
 // Range calls f on every set vertex in ascending order until f returns
 // false.
 func (b *Bitset) Range(f func(VertexID) bool) {
 	for wi, w := range b.words {
-		base := VertexID(wi << 6)
+		base := VertexID((b.base + wi) << 6)
 		for w != 0 {
 			if !f(base + VertexID(bits.TrailingZeros64(w))) {
 				return
@@ -61,34 +65,47 @@ func (b *Bitset) AppendTo(dst []VertexID) []VertexID {
 	return dst
 }
 
-// andInto intersects the word arrays of sets into dst (resized to the
-// common universe), returning the population count. All sets must share
-// one universe.
-func andInto(dst *Bitset, sets []*Bitset) {
-	w := len(sets[0].words)
+// andInto intersects sets over the vertex window [lo, hi) into dst, which
+// ends up spanning exactly the window's words: only those are read, so a
+// narrow window costs its own width, not the universe's. All sets must span
+// one whole universe, and 0 <= lo < hi <= 64 * their word count.
+func andInto(dst *Bitset, sets []*Bitset, lo, hi int) {
+	first := lo >> 6
+	w := (hi-1)>>6 - first + 1
 	if cap(dst.words) < w {
 		dst.words = make([]uint64, w)
 	}
-	dst.words = dst.words[:w]
+	dst.words, dst.base = dst.words[:w], first
 	n := 0
 	switch len(sets) {
 	case 2:
-		a, b := sets[0].words, sets[1].words
-		for i := 0; i < w; i++ {
+		a, b := sets[0].words[first:first+w], sets[1].words[first:first+w]
+		for i := range a {
 			x := a[i] & b[i]
 			dst.words[i] = x
 			n += bits.OnesCount64(x)
 		}
 	default:
-		copy(dst.words, sets[0].words)
+		copy(dst.words, sets[0].words[first:])
 		for _, s := range sets[1:] {
-			for i, sw := range s.words[:w] {
+			for i, sw := range s.words[first : first+w] {
 				dst.words[i] &= sw
 			}
 		}
 		for _, x := range dst.words {
 			n += bits.OnesCount64(x)
 		}
+	}
+	// The window's first and last word may reach past it.
+	trim := func(i int, keep uint64) {
+		if out := dst.words[i] &^ keep; out != 0 {
+			dst.words[i] &= keep
+			n -= bits.OnesCount64(out)
+		}
+	}
+	trim(0, ^uint64(0)<<(lo&63))
+	if hi&63 != 0 {
+		trim(w-1, 1<<(hi&63)-1)
 	}
 	dst.n = n
 }

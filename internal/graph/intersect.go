@@ -16,7 +16,10 @@ package graph
 //     word-parallel over the vertex universe
 //
 // plus count-only variants that never materialise a candidate list the
-// caller only needs to count. Every dispatch is tallied in the scratch's
+// caller only needs to count. Operands may be narrowed to a vertex window
+// first (NbrList.Within — the bounds a symmetry-breaking order puts on the
+// candidates); every kernel then works inside it, the unbounded operand
+// being the window [0, NoBound). Every dispatch is tallied in the scratch's
 // KernelCounts so the serving layers can prove each path stays exercised.
 
 // gallopRatio is the size skew at which per-element binary probing beats a
@@ -57,21 +60,65 @@ func (c KernelCounts) Total() uint64 {
 		c.CountMerge + c.CountGallop + c.CountProbe + c.CountBitsetAnd
 }
 
+// NoBound is the upper bound of an operand that has none: Within(0, NoBound)
+// is the unbounded operand itself.
+const NoBound = ^VertexID(0)
+
 // NbrList pairs a sorted adjacency list with the vertex's packed hub
 // bitset, when one exists — the operand form the adaptive kernels dispatch
-// on. Bits must describe exactly the vertices of List.
+// on. Bits must describe exactly the vertices of the full list; Within
+// narrows List and records the window Bits may still be read in.
 type NbrList struct {
 	List []VertexID
 	Bits *Bitset
+	// [lo, hi) is the window Within narrowed List to; Bits keeps spanning
+	// the universe, so every read of it goes through the window. hi == 0
+	// means none was applied (Within never records an empty one: an operand
+	// narrowed to nothing drops its Bits).
+	lo, hi VertexID
+}
+
+// window returns the vertex range [lo, hi) the operand's bitset may be
+// read in: everything, unless Within narrowed it.
+func (n NbrList) window() (lo, hi VertexID) {
+	if n.hi == 0 {
+		return 0, NoBound
+	}
+	return n.lo, n.hi
+}
+
+// Within narrows the operand to the vertices in [lo, hi) — the candidates a
+// symmetry-breaking order leaves — by two binary searches, so the kernels
+// never merge elements the bounds already exclude.
+func (n NbrList) Within(lo, hi VertexID) NbrList {
+	if lo == 0 && hi == NoBound {
+		return n
+	}
+	l := clip(n.List, lo, hi)
+	if len(l) == 0 {
+		return NbrList{}
+	}
+	wlo, whi := n.window()
+	return NbrList{List: l, Bits: n.Bits, lo: max(lo, wlo), hi: min(hi, whi)}
 }
 
 // Contains is the adaptive membership probe: one load+mask when the
-// operand is a hub, galloping binary search otherwise.
+// operand is a hub (inside its window, when it was narrowed), galloping
+// binary search otherwise.
 func (n NbrList) Contains(x VertexID) bool {
 	if n.Bits != nil {
-		return n.Bits.Has(x)
+		lo, hi := n.window()
+		return lo <= x && x < hi && n.Bits.Has(x)
 	}
 	return ContainsSorted(n.List, x)
+}
+
+// probe returns the part of the ascending list cur that may be looked up
+// in the hub operand's bitset directly: cur trimmed to the operand's window
+// (a no-op when the operands of one intersection share their bounds).
+func (n NbrList) probe(cur []VertexID) []VertexID {
+	lo, hi := n.window()
+	return clip(cur, lo, hi)
 }
 
 // Candidates is the result of an adaptive intersection: a sorted list, or
@@ -152,9 +199,9 @@ func (s *IntersectScratch) gatherBits(sets []NbrList, perm []int) []*Bitset {
 	return s.bs
 }
 
-// ContainsSorted reports whether x occurs in the ascending-sorted slice s,
-// using binary search.
-func ContainsSorted(s []VertexID, x VertexID) bool {
+// lowerBound returns the number of elements of the ascending-sorted slice s
+// that are less than x.
+func lowerBound(s []VertexID, x VertexID) int {
 	lo, hi := 0, len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -164,7 +211,26 @@ func ContainsSorted(s []VertexID, x VertexID) bool {
 			hi = mid
 		}
 	}
-	return lo < len(s) && s[lo] == x
+	return lo
+}
+
+// clip returns the sub-slice of the ascending-sorted s that lies in
+// [lo, hi), searching only from an end that actually sticks out.
+func clip(s []VertexID, lo, hi VertexID) []VertexID {
+	if len(s) > 0 && s[0] < lo {
+		s = s[lowerBound(s, lo):]
+	}
+	if n := len(s); n > 0 && s[n-1] >= hi {
+		s = s[:lowerBound(s, hi)]
+	}
+	return s
+}
+
+// ContainsSorted reports whether x occurs in the ascending-sorted slice s,
+// using binary search.
+func ContainsSorted(s []VertexID, x VertexID) bool {
+	i := lowerBound(s, x)
+	return i < len(s) && s[i] == x
 }
 
 // IntersectSorted returns the intersection of two ascending-sorted slices,
@@ -359,17 +425,23 @@ func IntersectMany(lists [][]VertexID, scratch *IntersectScratch) []VertexID {
 	return cur
 }
 
-// bitsetAndApplies reports whether the all-bitset AND path wins: every
-// operand must carry a hub bitset and the smallest list must span at least
-// as many elements as the universe has words — below that, probing the
-// smallest list through the other bitsets touches less memory.
-func bitsetAndApplies(sets []NbrList, perm []int, minLen int) bool {
-	for _, pi := range perm {
-		if sets[pi].Bits == nil {
-			return false
+// andWindow reports whether the all-bitset AND path wins, and over which
+// vertex window [lo, hi) it runs: the intersection of the operands'
+// windows, clamped to the universe. Every operand must carry a hub bitset
+// and the smallest (narrowed) list must span at least as many elements as
+// the window has words — below that, probing the smallest list through the
+// other bitsets touches less memory.
+func andWindow(sets []NbrList, minLen int) (lo, hi int, ok bool) {
+	wlo, whi := VertexID(0), NoBound
+	for _, s := range sets {
+		if s.Bits == nil {
+			return 0, 0, false
 		}
+		slo, shi := s.window()
+		wlo, whi = max(wlo, slo), min(whi, shi)
 	}
-	return minLen >= sets[perm[0]].Bits.Words()
+	lo, hi = int(wlo), int(min(uint64(whi), uint64(sets[0].Bits.Words())<<6))
+	return lo, hi, lo < hi && minLen >= (hi-1)>>6-lo>>6+1
 }
 
 // IntersectAdaptive is the dispatcher behind every materialising wco
@@ -391,9 +463,9 @@ func IntersectAdaptive(sets []NbrList, scratch *IntersectScratch) Candidates {
 	if minLen == 0 {
 		return Candidates{}
 	}
-	if bitsetAndApplies(sets, perm, minLen) {
+	if lo, hi, ok := andWindow(sets, minLen); ok {
 		scratch.Stats.BitsetAnd++
-		andInto(&scratch.res, scratch.gatherBits(sets, perm))
+		andInto(&scratch.res, scratch.gatherBits(sets, perm), lo, hi)
 		return Candidates{Bits: &scratch.res}
 	}
 	cur := sets[perm[0]].List
@@ -409,7 +481,7 @@ func IntersectAdaptive(sets []NbrList, scratch *IntersectScratch) Candidates {
 			// packed neighbourhood, one load+mask per survivor.
 			scratch.Stats.BitsetProbe++
 			next = buf[:0]
-			for _, x := range cur {
+			for _, x := range s.probe(cur) {
 				if s.Bits.Has(x) {
 					next = append(next, x)
 				}
@@ -443,9 +515,9 @@ func IntersectCountAdaptive(sets []NbrList, scratch *IntersectScratch) int {
 	if minLen == 0 {
 		return 0
 	}
-	if bitsetAndApplies(sets, perm, minLen) {
+	if lo, hi, ok := andWindow(sets, minLen); ok {
 		scratch.Stats.CountBitsetAnd++
-		andInto(&scratch.res, scratch.gatherBits(sets, perm))
+		andInto(&scratch.res, scratch.gatherBits(sets, perm), lo, hi)
 		return scratch.res.Count()
 	}
 	// Materialise all but the largest operand (ascending, so intermediates
@@ -462,7 +534,7 @@ func IntersectCountAdaptive(sets []NbrList, scratch *IntersectScratch) int {
 		if s.Bits != nil {
 			scratch.Stats.BitsetProbe++
 			next = buf[:0]
-			for _, x := range cur {
+			for _, x := range s.probe(cur) {
 				if s.Bits.Has(x) {
 					next = append(next, x)
 				}
@@ -481,7 +553,7 @@ func IntersectCountAdaptive(sets []NbrList, scratch *IntersectScratch) int {
 	if final.Bits != nil {
 		scratch.Stats.CountProbe++
 		n := 0
-		for _, x := range cur {
+		for _, x := range final.probe(cur) {
 			if final.Bits.Has(x) {
 				n++
 			}

@@ -142,6 +142,126 @@ func TestIntersectAdaptiveDifferential(t *testing.T) {
 	}
 }
 
+// withinAll narrows every operand to [lo, hi).
+func withinAll(sets []NbrList, lo, hi VertexID) []NbrList {
+	out := make([]NbrList, len(sets))
+	for i, s := range sets {
+		out[i] = s.Within(lo, hi)
+	}
+	return out
+}
+
+// checkBounded differences the kernels on operands narrowed to [lo, hi)
+// against filtering the unbounded reference afterwards — the materialised
+// result, the count, and operand membership, which is what the engine's
+// collision subtraction asks: a vertex outside the bounds is no candidate
+// even when an operand's (universe-wide) hub bitset holds it.
+func checkBounded(t *testing.T, lists [][]VertexID, sets []NbrList, numV int, lo, hi VertexID, sc *IntersectScratch) {
+	t.Helper()
+	want := []VertexID{}
+	for _, v := range intersectNaiveK(lists) {
+		if lo <= v && v < hi {
+			want = append(want, v)
+		}
+	}
+	bounded := withinAll(sets, lo, hi)
+	cand := IntersectAdaptive(bounded, sc)
+	if got := materialize(cand); !reflect.DeepEqual(got, want) {
+		t.Fatalf("bounds [%d,%d): IntersectAdaptive = %v, want %v (lists %v)", lo, hi, got, want, lists)
+	}
+	if cand.Len() != len(want) {
+		t.Fatalf("bounds [%d,%d): Candidates.Len = %d, want %d", lo, hi, cand.Len(), len(want))
+	}
+	for v := VertexID(0); int(v) < numV; v++ {
+		if cand.Contains(v) != ContainsSorted(want, v) {
+			t.Fatalf("bounds [%d,%d): Candidates.Contains(%d) = %v (result %v)", lo, hi, v, cand.Contains(v), want)
+		}
+	}
+	if n := IntersectCountAdaptive(bounded, sc); n != len(want) {
+		t.Fatalf("bounds [%d,%d): IntersectCountAdaptive = %d, want %d (lists %v)", lo, hi, n, len(want), lists)
+	}
+	for v := VertexID(0); int(v) < numV; v++ {
+		inAll := true
+		for _, s := range bounded {
+			inAll = inAll && s.Contains(v)
+		}
+		if inAll != ContainsSorted(want, v) {
+			t.Fatalf("bounds [%d,%d): operands contain %d = %v, want %v", lo, hi, v, inAll, !inAll)
+		}
+	}
+}
+
+// TestIntersectBoundedDifferential is the bounded twin of the differential
+// test above: random operands with every bitset-attachment pattern under
+// random windows — empty, one-sided, inside one word, spanning all.
+func TestIntersectBoundedDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var sc IntersectScratch
+	for trial := 0; trial < 600; trial++ {
+		numV := 64 + rng.Intn(1024)
+		k := 1 + rng.Intn(4)
+		lists := make([][]VertexID, k)
+		for i := range lists {
+			n := rng.Intn(numV)
+			if trial%7 == 0 {
+				n = rng.Intn(8)
+			}
+			lists[i] = randomSorted(rng, n, numV)
+		}
+		mode := trial % 3
+		sets := asSets(lists, numV, func(i int) bool { return mode == 2 || (mode == 1 && i%2 == 0) })
+		lo, hi := VertexID(rng.Intn(numV)), VertexID(rng.Intn(numV+1))
+		switch trial % 5 {
+		case 0:
+			lo = 0
+		case 1:
+			hi = NoBound
+		case 2:
+			hi = lo + VertexID(rng.Intn(64)) // within a word or two
+		}
+		checkBounded(t, lists, sets, numV, lo, hi, &sc)
+		checkBounded(t, lists, sets, numV, 0, NoBound, &sc) // the unbounded case of the same calls
+	}
+}
+
+// TestBoundedHubOperandOutsideBounds pins the collision-subtraction case:
+// u is adjacent to both hubs — their bitsets hold it — but lies below the
+// bounds, so no narrowed operand may report it, and the bitset AND must not
+// count it.
+func TestBoundedHubOperandOutsideBounds(t *testing.T) {
+	const numV = 256
+	a := make([]VertexID, 0, numV)
+	for v := VertexID(0); v < numV; v++ {
+		a = append(a, v)
+	}
+	lists := [][]VertexID{a, a}
+	sets := asSets(lists, numV, func(int) bool { return true })
+	const u, lo = 70, 100
+	var sc IntersectScratch
+	bounded := withinAll(sets, lo, NoBound)
+	for i, s := range bounded {
+		if !sets[i].Contains(u) || s.Contains(u) {
+			t.Fatalf("operand %d: Contains(%d) = %v unbounded / %v narrowed to [%d,inf), want true / false",
+				i, u, sets[i].Contains(u), s.Contains(u), lo)
+		}
+	}
+	if n := IntersectCountAdaptive(bounded, &sc); n != numV-lo {
+		t.Fatalf("bounded count = %d, want %d", n, numV-lo)
+	}
+	if sc.Stats.CountBitsetAnd != 1 {
+		t.Fatalf("all-hub bounded count did not take the bitset AND: %+v", sc.Stats)
+	}
+	// Operands narrowed to different windows intersect over the common one.
+	mixed := []NbrList{sets[0].Within(lo, NoBound), sets[1].Within(0, 150)}
+	if got := materialize(IntersectAdaptive(mixed, &sc)); len(got) != 150-lo || got[0] != lo {
+		t.Fatalf("mixed windows: %d candidates from %v, want %d from %d", len(got), got[:1], 150-lo, lo)
+	}
+	probe := []NbrList{{List: []VertexID{u, 120, 200}}, sets[1].Within(lo, 150)}
+	if got := materialize(IntersectAdaptive(probe, &sc)); !reflect.DeepEqual(got, []VertexID{120}) {
+		t.Fatalf("probe through a narrowed hub = %v, want [120]", got)
+	}
+}
+
 func TestIntersectAdaptiveEdgeCases(t *testing.T) {
 	var sc IntersectScratch
 	if c := IntersectAdaptive(nil, &sc); c.Len() != 0 {
@@ -225,12 +345,17 @@ func TestKernelDispatchCounters(t *testing.T) {
 
 // FuzzIntersectAdaptive decodes arbitrary bytes into 2-4 sorted operand
 // lists with arbitrary bitset attachment and differences the adaptive
-// kernels against the naive reference.
+// kernels against the naive reference, unbounded and narrowed to an
+// arbitrary window.
 func FuzzIntersectAdaptive(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(0))
-	f.Add([]byte{0xff, 0x00, 0x80, 0x41}, uint8(3), uint8(5))
-	f.Add([]byte{}, uint8(4), uint8(0xff))
-	f.Fuzz(func(t *testing.T, data []byte, kRaw, bitsMask uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), uint8(0), uint16(0), uint16(0xffff))
+	f.Add([]byte{0xff, 0x00, 0x80, 0x41}, uint8(3), uint8(5), uint16(0), uint16(0xffff))
+	f.Add([]byte{}, uint8(4), uint8(0xff), uint16(0), uint16(0))
+	// Bounded cases: a one-word window, a lower bound only, an empty window.
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(3), uint16(4), uint16(20))
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60}, uint8(3), uint8(7), uint16(65), uint16(0xffff))
+	f.Add([]byte{9, 9, 9, 9}, uint8(2), uint8(1), uint16(300), uint16(10))
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, bitsMask uint8, loRaw, hiRaw uint16) {
 		const numV = 512
 		k := 2 + int(kRaw)%3
 		lists := make([][]VertexID, k)
@@ -257,6 +382,11 @@ func FuzzIntersectAdaptive(f *testing.F) {
 		if n := IntersectCountAdaptive(sets, &sc); n != len(want) {
 			t.Fatalf("IntersectCountAdaptive = %d, want %d (lists %v)", n, len(want), lists)
 		}
+		hi := VertexID(hiRaw)
+		if hiRaw == 0xffff {
+			hi = NoBound
+		}
+		checkBounded(t, lists, sets, numV, VertexID(loRaw), hi, &sc)
 	})
 }
 

@@ -24,29 +24,94 @@ type Config struct {
 	IgnoreComm bool
 }
 
-func (c *Config) configure(q *query.Query, l, r *Node) (*Node, *Node, JoinAlg, CommMode) {
-	nl, nr, alg, comm := Configure(q, l, r)
+// physical applies the config's overrides to a join's Equation 3 settings.
+func (c *Config) physical(alg JoinAlg, comm CommMode) (JoinAlg, CommMode) {
 	if c.ForceAlg != nil {
 		alg = *c.ForceAlg
 	}
 	if c.ForceComm != nil {
 		comm = *c.ForceComm
 	}
-	return nl, nr, alg, comm
+	return alg, comm
+}
+
+// withDefaults validates the config and fills NumMachines.
+func (c Config) withDefaults() Config {
+	if c.NumMachines < 1 {
+		c.NumMachines = 1
+	}
+	if c.Card == nil {
+		panic("plan: Config.Card is required")
+	}
+	return c
+}
+
+// subPlan is what joinCost needs to know of one join input: the cost of
+// producing it and its cardinality |R(q'_x)|.
+type subPlan struct{ cost, card float64 }
+
+// joinCost prices the two-way join of l and r with output cardinality
+// cardOut — the one formula behind both Optimize and CostOf:
+//
+//	pulling: cost(q'_l) + |R(q')| + k·|E_G|
+//	pushing: cost(q'_l) + cost(q'_r) + |R(q')| + |R(q'_l)| + |R(q'_r)|
+//
+// A pulling join (wco or hash) is translated into PULL-EXTEND / verify
+// operators over the left pipeline (translate.go: pullingWco, pullingHash):
+// its right star is intersected out of pulled adjacency lists and never
+// produced, so neither its cardinality nor a shuffle of it is charged. A
+// pushing join runs both children to completion and shuffles both.
+// IgnoreComm drops the k·|E_G| and shuffle terms.
+func (c *Config) joinCost(comm CommMode, l, r subPlan, cardOut float64) float64 {
+	cost := l.cost + cardOut
+	if comm == Pulling {
+		if !c.IgnoreComm {
+			cost += float64(c.NumMachines) * c.GraphEdges
+		}
+		return cost
+	}
+	cost += r.cost
+	if !c.IgnoreComm {
+		cost += l.card + r.card
+	}
+	return cost
+}
+
+// CostOf prices any plan tree with the optimiser's cost function (joinCost),
+// reading each join's communication mode off the tree and taking its right
+// child as the star side, as Configure and Translate do. It is how a
+// hand-built plan gets a Cost comparable with Optimize's; the Force*
+// overrides in cfg do not apply to a tree that is already configured.
+func CostOf(p *Plan, cfg Config) float64 {
+	cfg = cfg.withDefaults()
+	var rec func(n *Node) subPlan
+	rec = func(n *Node) subPlan {
+		card := cfg.Card(p.Q, n.Edges)
+		if n.IsLeaf() {
+			return subPlan{cost: card, card: card}
+		}
+		var r subPlan // a pulled right star is never run: nothing of it is priced
+		if n.Comm == Pushing {
+			r = rec(n.Right)
+		}
+		return subPlan{cost: cfg.joinCost(n.Comm, rec(n.Left), r, card), card: card}
+	}
+	return rec(p.Root).cost
 }
 
 // Optimize implements Algorithm 1: a dynamic program over connected
-// sub-queries (represented as edge masks) that minimises the sum of
-// computation cost |R(q')| per produced sub-query and communication cost per
-// join — k·|E_G| when the join is configured to pull (Equation 3), or
-// |R(q'_l)| + |R(q'_r)| when it shuffles.
+// sub-queries (represented as edge masks) that minimises the cost of what
+// the translated plan executes. A join unit (star) costs |R(star)|: it is
+// scanned. A join costs joinCost: a pulling join pays for its left input,
+// its output |R(q')| and k·|E_G| of pulled adjacency, but not for its right
+// star, which PULL-EXTEND never materialises; a pushing join pays for both
+// inputs, the output and the shuffle |R(q'_l)| + |R(q'_r)|. Because the two
+// sides of a pulling join are charged differently, every split is priced in
+// both orientations ("edge ⋈ wedge" scans an edge, "wedge ⋈ edge" scans a
+// wedge) and the chosen orientation is kept when the tree is built. Ties go
+// to the split enumerated first, left side holding the lowest edge.
 func Optimize(q *query.Query, cfg Config) *Plan {
-	if cfg.NumMachines < 1 {
-		cfg.NumMachines = 1
-	}
-	if cfg.Card == nil {
-		panic("plan: Config.Card is required")
-	}
+	cfg = cfg.withDefaults()
 	full := q.FullEdgeMask()
 
 	// Enumerate connected edge masks, ordered by size.
@@ -64,46 +129,55 @@ func Optimize(q *query.Query, cfg Config) *Plan {
 	})
 
 	type entry struct {
-		cost float64
-		l, r uint32 // 0,0 for join units
+		subPlan
+		vmask uint32
+		star  []StarOrientation // nil unless the mask is a join unit
+		l, r  uint32            // 0,0 for join units
 	}
 	table := make(map[uint32]entry, len(masks))
-	pullCost := float64(cfg.NumMachines) * cfg.GraphEdges
+	configure := func(l, r entry) (JoinAlg, CommMode) {
+		return cfg.physical(equation3(l.vmask, r.star))
+	}
 
 	for _, em := range masks {
-		if _, _, isStar := q.StarRoot(em); isStar {
-			table[em] = entry{cost: cfg.Card(q, em)}
+		e := entry{vmask: q.VerticesOfEdgeMask(em), star: starOrientations(q, em)}
+		e.card = cfg.Card(q, em)
+		if e.star != nil {
+			e.cost = e.card
+			table[em] = e
 			continue
 		}
-		best := entry{cost: math.Inf(1)}
+		e.cost = math.Inf(1)
 		low := em & -em
-		for sub := em & (em - 1); sub != 0; sub = (sub - 1) & em {
-			if sub&low == 0 {
-				continue // canonical orientation: left side holds the lowest edge
+		for l := em & (em - 1); l != 0; l = (l - 1) & em {
+			if l&low == 0 {
+				continue // each split once: the side holding the lowest edge first
 			}
-			l, r := sub, em&^sub
+			r := em &^ l
 			el, okL := table[l]
 			er, okR := table[r]
 			if !okL || !okR {
 				continue // a side is disconnected
 			}
-			c := el.cost + er.cost + cfg.Card(q, em)
-			if !cfg.IgnoreComm {
-				_, _, _, comm := cfg.configure(q, &Node{Edges: l}, &Node{Edges: r})
-				if comm == Pulling {
-					c += pullCost
-				} else {
-					c += cfg.Card(q, l) + cfg.Card(q, r)
+			// Join is commutative and Equation 3 makes it pull when either
+			// side can be the star; when both can, the cheaper one is.
+			_, commLR := configure(el, er)
+			_, commRL := configure(er, el)
+			if commLR == Pulling || commRL != Pulling {
+				if c := cfg.joinCost(commLR, el.subPlan, er.subPlan, e.card); c < e.cost {
+					e.cost, e.l, e.r = c, l, r
 				}
 			}
-			if c < best.cost {
-				best = entry{cost: c, l: l, r: r}
+			if commRL == Pulling {
+				if c := cfg.joinCost(Pulling, er.subPlan, el.subPlan, e.card); c < e.cost {
+					e.cost, e.l, e.r = c, r, l
+				}
 			}
 		}
-		if math.IsInf(best.cost, 1) {
+		if math.IsInf(e.cost, 1) {
 			panic("plan: no decomposition found for connected sub-query (unreachable)")
 		}
-		table[em] = best
+		table[em] = e
 	}
 
 	var build func(em uint32) *Node
@@ -112,9 +186,8 @@ func Optimize(q *query.Query, cfg Config) *Plan {
 		if e.l == 0 {
 			return &Node{Edges: em}
 		}
-		l, r := build(e.l), build(e.r)
-		nl, nr, alg, comm := cfg.configure(q, l, r)
-		return &Node{Edges: em, Left: nl, Right: nr, Alg: alg, Comm: comm}
+		alg, comm := configure(table[e.l], table[e.r])
+		return &Node{Edges: em, Left: build(e.l), Right: build(e.r), Alg: alg, Comm: comm}
 	}
 	return &Plan{Q: q, Root: build(full), Cost: table[full].cost, Name: "huge-optimal"}
 }

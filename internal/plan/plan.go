@@ -115,53 +115,62 @@ func starOrientations(q *query.Query, em uint32) []StarOrientation {
 	return out
 }
 
-// Configure assigns the physical settings of the join (q', q'_l, q'_r) per
-// Equation 3 of the paper:
+// configureDirected applies Equation 3 of the paper to the join
+// (q', q'_l, q'_r) with q'_r fixed as the candidate star side:
 //
 //	(wco,  pulling) if it is a complete star join,
 //	(hash, pulling) if q'_r is a star (v'_r; L) with v'_r ∈ V_{q'_l},
 //	(hash, pushing) otherwise.
 //
-// Join is commutative, so both sides (and both orientations of a 1-star)
-// are tried; if only the left child qualifies as the star side, the
-// children are swapped so that q'_r is always the star. It returns the
-// (possibly swapped) children and the settings.
+// Both orientations of a 1-star are tried. The two orientations of a split
+// are not equally expensive — a pulling join never materialises its right
+// star — so the optimiser prices each (see Optimize).
+func configureDirected(q *query.Query, left, right uint32) (JoinAlg, CommMode) {
+	return equation3(q.VerticesOfEdgeMask(left), starOrientations(q, right))
+}
+
+// equation3 is configureDirected on a left side's vertex mask and a right
+// side's star readings (nil when it is not a star).
+func equation3(lv uint32, right []StarOrientation) (JoinAlg, CommMode) {
+	rootIn := false
+	for _, o := range right {
+		complete := true
+		for _, leaf := range o.Leaves {
+			if lv&(1<<leaf) == 0 {
+				complete = false
+				break
+			}
+		}
+		if complete {
+			return WcoJoin, Pulling
+		}
+		if lv&(1<<o.Root) != 0 {
+			rootIn = true
+		}
+	}
+	if rootIn {
+		return HashJoin, Pulling
+	}
+	return HashJoin, Pushing
+}
+
+// Configure assigns the physical settings of the join (q', q'_l, q'_r) per
+// Equation 3 (configureDirected). Join is commutative, so both sides are
+// tried — a complete star join on either side wins over a pulling hash join
+// — and if only the left child qualifies as the star side, the children are
+// swapped so that q'_r is always the star. It returns the (possibly
+// swapped) children and the settings.
 func Configure(q *query.Query, left, right *Node) (l, r *Node, alg JoinAlg, comm CommMode) {
-	complete := func(l, r *Node) bool {
-		lv := q.VerticesOfEdgeMask(l.Edges)
-		for _, o := range starOrientations(q, r.Edges) {
-			allIn := true
-			for _, leaf := range o.Leaves {
-				if lv&(1<<leaf) == 0 {
-					allIn = false
-					break
-				}
-			}
-			if allIn {
-				return true
-			}
-		}
-		return false
-	}
-	rootIn := func(l, r *Node) bool {
-		lv := q.VerticesOfEdgeMask(l.Edges)
-		for _, o := range starOrientations(q, r.Edges) {
-			if lv&(1<<o.Root) != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	if complete(left, right) {
+	algLR, commLR := configureDirected(q, left.Edges, right.Edges)
+	algRL, commRL := configureDirected(q, right.Edges, left.Edges)
+	switch {
+	case algLR == WcoJoin:
 		return left, right, WcoJoin, Pulling
-	}
-	if complete(right, left) {
+	case algRL == WcoJoin:
 		return right, left, WcoJoin, Pulling
-	}
-	if rootIn(left, right) {
+	case commLR == Pulling:
 		return left, right, HashJoin, Pulling
-	}
-	if rootIn(right, left) {
+	case commRL == Pulling:
 		return right, left, HashJoin, Pulling
 	}
 	return left, right, HashJoin, Pushing

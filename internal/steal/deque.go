@@ -4,10 +4,7 @@
 // the victim-selection helper used for inter-machine StealWork RPCs.
 package steal
 
-import (
-	"math/rand"
-	"sync"
-)
+import "sync"
 
 // Task is an opaque unit of work (the engine uses batch chunks).
 type Task any
@@ -71,18 +68,32 @@ func (d *Deque) Len() int {
 	return len(d.tasks)
 }
 
+// Rand is a splitmix64 stream for victim selection. Picking a victim needs
+// a cheap, seedable, per-worker sequence; a math/rand source costs a
+// 607-word seeding pass, which a pool built per batch paid per worker.
+type Rand uint64
+
+// Intn returns a pseudo-random int in [0, n); n must be positive.
+func (r *Rand) Intn(n int) int {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int((z ^ (z >> 31)) % uint64(n))
+}
+
 // Pool is a set of deques, one per worker, with victim selection.
 type Pool struct {
 	Deques []*Deque
-	rng    []*rand.Rand // one per worker, avoiding a shared lock
+	rng    []Rand // one per worker, avoiding a shared lock
 }
 
 // NewPool creates n deques.
 func NewPool(n int, seed int64) *Pool {
-	p := &Pool{Deques: make([]*Deque, n), rng: make([]*rand.Rand, n)}
+	p := &Pool{Deques: make([]*Deque, n), rng: make([]Rand, n)}
 	for i := range p.Deques {
 		p.Deques[i] = &Deque{}
-		p.rng[i] = rand.New(rand.NewSource(seed + int64(i)))
+		p.rng[i] = Rand(seed + int64(i))
 	}
 	return p
 }
