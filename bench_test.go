@@ -348,7 +348,7 @@ func BenchmarkLabeledVsUnlabeled(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := sys.Run(c.q)
+				res, err := sys.Exec(context.Background(), c.q, huge.CountOnly()).Wait()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -385,7 +385,7 @@ func BenchmarkEdgeLabeledVsUnlabeled(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := sys.Run(c.q)
+				res, err := sys.Exec(context.Background(), c.q, huge.CountOnly()).Wait()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -422,7 +422,7 @@ func BenchmarkServe_RepeatedQuery(b *testing.B) {
 		t0 := time.Now()
 		p := sys.Plan(query.Q8()) // fresh instance: full fingerprint + lookup path
 		warmPlanNs += time.Since(t0).Nanoseconds()
-		if _, err := sys.RunPlan(q, p); err != nil {
+		if _, err := sys.Exec(context.Background(), q, huge.WithPlan(p), huge.CountOnly()).Wait(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -451,7 +451,7 @@ func BenchmarkServe_ConcurrentSessions(b *testing.B) {
 		sess := sys.NewSession()
 		i := 0
 		for pb.Next() {
-			if _, err := sess.Run(context.Background(), queries[i%len(queries)]); err != nil {
+			if _, err := sess.Exec(context.Background(), queries[i%len(queries)], huge.CountOnly()).Wait(); err != nil {
 				// b.Fatal must not run on a RunParallel worker goroutine.
 				b.Error(err)
 				return
@@ -462,49 +462,6 @@ func BenchmarkServe_ConcurrentSessions(b *testing.B) {
 	hits, misses, _ := sys.PlanCacheStats()
 	b.ReportMetric(float64(hits), "planHits")
 	b.ReportMetric(float64(misses), "planMisses")
-}
-
-// BenchmarkTopK measures engine-side top-k early termination: Exec with
-// Limit(k) on the LJ-scale stand-in versus the full enumeration. The
-// match budget halts the scan-extend pipeline at the batch boundary after
-// the k-th match (and bounded runs schedule as DFS with small batches), so
-// both latency and peak queued tuples should fall by orders of magnitude
-// for small k — the gap that makes first-page / existence queries cheap on
-// a serving deployment.
-func BenchmarkTopK(b *testing.B) {
-	g := huge.Generate("LJ", 1)
-	sys := huge.NewSystem(g, huge.Options{Machines: 4, Workers: 2})
-	q := huge.Q1()
-	run := func(b *testing.B, opts ...huge.Option) {
-		for i := 0; i < b.N; i++ {
-			res, err := sys.Exec(context.Background(), q, opts...).Wait()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Metrics.PeakTuples), "peakTuples")
-			b.ReportMetric(float64(res.Count), "results")
-		}
-	}
-	b.Run("full", func(b *testing.B) { run(b, huge.CountOnly()) })
-	b.Run("k=100", func(b *testing.B) { run(b, huge.CountOnly(), huge.Limit(100)) })
-	b.Run("k=1", func(b *testing.B) { run(b, huge.CountOnly(), huge.Limit(1)) })
-	b.Run("k=100-stream", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			st := sys.Exec(context.Background(), q, huge.Limit(100))
-			var n uint64
-			for range st.Matches() {
-				n++
-			}
-			res, err := st.Wait()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n != 100 || res.Count != 100 {
-				b.Fatalf("streamed %d, counted %d, want 100", n, res.Count)
-			}
-			b.ReportMetric(float64(res.Metrics.PeakTuples), "peakTuples")
-		}
-	})
 }
 
 // BenchmarkDeltaVsFull measures incremental match maintenance: after a
@@ -527,7 +484,7 @@ func BenchmarkDeltaVsFull(b *testing.B) {
 	sys.Apply(d)
 	b.Run("FullRecount", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := sys.Run(q)
+			res, err := sys.Exec(context.Background(), q, huge.CountOnly()).Wait()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -537,7 +494,7 @@ func BenchmarkDeltaVsFull(b *testing.B) {
 	b.Run("DeltaMaintain", func(b *testing.B) {
 		dq := q.Delta()
 		for i := 0; i < b.N; i++ {
-			res, err := sys.Run(dq)
+			res, err := sys.Exec(context.Background(), dq, huge.CountOnly()).Wait()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -587,8 +544,7 @@ func fanoutDeltas(g *huge.Graph, ops int, seed int64) [2]huge.Delta {
 // standalone delta runs per Apply (what the shared maintenance should
 // roughly cost regardless of population), shared fan-out at 1K and 100K
 // subscribers, and a naive per-subscriber re-run at 64 subscribers (the
-// quadratic baseline, measured small and extrapolated by cmd/hugebench
-// into BENCH_6.json). Allocations per op are reported to track the
+// quadratic baseline). Allocations per op are reported to track the
 // delta-path scratch pooling.
 func BenchmarkSubscribeFanout(b *testing.B) {
 	patterns := fanoutPatterns()
@@ -669,9 +625,8 @@ func BenchmarkSubscribeFanout(b *testing.B) {
 	})
 }
 
-// BenchmarkGroupByVsEnumerate: engine-side aggregation (the BENCH_7
-// experiment at benchmark scale) — grouped counting inside the compressed
-// counting path against the two brackets that define it: CountOnly (the
+// BenchmarkGroupByVsEnumerate: engine-side aggregation — grouped counting
+// inside the compressed counting path against its two brackets: CountOnly (the
 // floor it must stay within ~2x of on peak tuples) and a client-side
 // OnMatch enumeration loop building the same per-community map (the
 // ceiling it should undercut by >=10x, since enumeration materialises
@@ -734,10 +689,9 @@ func BenchmarkGroupByVsEnumerate(b *testing.B) {
 	})
 }
 
-// BenchmarkIntersectKernels: the degree-adaptive intersection kernels (the
-// BENCH_8.json experiment) — legacy merge/gallop list kernels vs the
-// hub-bitset dispatcher, on operand sets sampled from the hubs of a
-// power-law graph, plus the engine-level A/B on CountOnly triangles.
+// BenchmarkIntersectKernels: the degree-adaptive intersection kernels —
+// legacy merge/gallop list kernels vs the hub-bitset dispatcher, on operand
+// sets sampled from the hubs of a power-law graph.
 func BenchmarkIntersectKernels(b *testing.B) {
 	g := gen.PowerLaw(3000, 16, 31)
 	var hubs []graph.VertexID
@@ -786,65 +740,4 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		}
 	})
 	_ = sink
-
-	ctx := context.Background()
-	q := huge.NewQuery("tri", [][2]int{{0, 1}, {0, 2}, {1, 2}})
-	engineRun := func(b *testing.B, hubMin int) {
-		sys := huge.NewSystem(g, huge.Options{Machines: 4, Workers: 2, HubMinDegree: hubMin})
-		for i := 0; i < b.N; i++ {
-			res, err := sys.Exec(ctx, q, huge.CountOnly()).Wait()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Count), "results")
-		}
-	}
-	b.Run("EngineLegacy", func(b *testing.B) { engineRun(b, -1) })
-	b.Run("EngineAdaptive", func(b *testing.B) { engineRun(b, 0) })
-}
-
-// BenchmarkGovernedMixedLoad runs the bench9 saturation experiment at
-// miniature scale: three open-loop client classes (interactive top-k,
-// heavy enumeration, grouped counts) plus Apply churn offered at several
-// times capacity, governed versus ungoverned. The CI smoke runs it once
-// (-benchtime=1x); `hugebench -exp bench9` writes the full-size
-// BENCH_9.json.
-func BenchmarkGovernedMixedLoad(b *testing.B) {
-	cfg := exp.DefaultBench9Config()
-	cfg.Duration = 200 * time.Millisecond
-	cfg.HeavyEvery = 15 * time.Millisecond
-	for i := 0; i < b.N; i++ {
-		rep := exp.Bench9(cfg)
-		if rep.Claims.CollapsedRuns != 0 {
-			b.Fatalf("%d runs collapsed outside the typed taxonomy", rep.Claims.CollapsedRuns)
-		}
-		b.ReportMetric(rep.Claims.InteractiveP95Ratio, "p95Ratio")
-		b.ReportMetric(rep.Claims.ThroughputFactor, "tputFactor")
-		b.ReportMetric(float64(rep.Claims.GovernedSheds), "sheds")
-	}
-}
-
-// BenchmarkRecoverVsReingest runs the bench10 persistence experiment at
-// miniature scale: cold-starting a System from the durable store (snapshot
-// + full epoch-log replay) versus re-ingesting the final graph's edge
-// list, plus the AsOf time-travel overhead — with the count and
-// stats-fingerprint oracles enforced. The CI smoke runs it once
-// (-benchtime=1x); `hugebench -exp bench10` writes the full-size
-// BENCH_10.json.
-func BenchmarkRecoverVsReingest(b *testing.B) {
-	cfg := exp.DefaultBench10Config()
-	cfg.Scales = []int{1}
-	cfg.Iters = 2
-	cfg.Updates = 500
-	for i := 0; i < b.N; i++ {
-		rep := exp.Bench10(cfg)
-		if !rep.Claims.CountsEqual {
-			b.Fatal("recovered/re-ingested/AsOf counts diverged from the live oracle")
-		}
-		if !rep.Claims.StatsFPEqual {
-			b.Fatal("recovered statistics fingerprint differs from the live system's")
-		}
-		b.ReportMetric(rep.Claims.RecoverySpeedupMin, "recoverX")
-		b.ReportMetric(rep.Claims.AsOfOverheadMax, "asofRatio")
-	}
 }

@@ -240,8 +240,6 @@ func main() {
 	var res huge.Result
 	var err error
 	for i := 0; i < *repeat; i++ {
-		// Everything routes through the unified Exec API; the deprecated
-		// Run/RunPlan wrappers are just this with fewer options.
 		var opts []huge.Option
 		if p != nil {
 			opts = append(opts, huge.WithPlan(p))

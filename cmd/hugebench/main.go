@@ -8,14 +8,7 @@
 //	hugebench -exp fig6 -queries q1,q2 -datasets EU,LJ
 //
 // Experiments: table1 fig5 fig6 table4 fig7 fig8 table5 fig9 fig10 table6
-// fig11 all — plus bench5 (engine-side top-k early termination), bench6
-// (the standing-query fan-out benchmark), bench7 (engine-side GROUP BY vs
-// client-side enumeration), bench8 (the degree-adaptive intersection
-// kernels, legacy vs hub-bitset dispatch), bench9 (resource
-// governance: governed vs ungoverned mixed load under saturation) and
-// bench10 (the persistent store: cold-start recovery vs edge-list
-// re-ingest, plus AsOf time-travel overhead), which also write their
-// machine-readable results to -out (default BENCH_<n>.json).
+// fig11 all. The serving benchmark lives in bench/ (go run -C bench .).
 package main
 
 import (
@@ -23,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/exp"
 )
@@ -38,8 +30,6 @@ func main() {
 		latency  = flag.Bool("latency", false, "inject modelled network latency")
 		queries  = flag.String("queries", "", "fig6: comma-separated queries (default q1..q6)")
 		datasets = flag.String("datasets", "", "fig6: comma-separated datasets (default EU,LJ,OR,UK,FS)")
-		subs     = flag.Int("subs", 100_000, "bench6: shared-mode subscriber population")
-		out      = flag.String("out", "", "bench6/bench7: output JSON path (default BENCH_<n>.json)")
 	)
 	flag.Parse()
 
@@ -86,89 +76,14 @@ func main() {
 		tables = []exp.Table{e.Table6()}
 	case "fig11":
 		tables = []exp.Table{e.Fig11()}
-	case "bench5":
-		cfg := exp.DefaultBench5Config()
-		if *tiny {
-			cfg.Scales = []int{1}
-			cfg.Iters = 2
-		}
-		rep := exp.Bench5(cfg)
-		tables = []exp.Table{rep.Table()}
-		writeReport(orDefault(*out, "BENCH_5.json"), rep)
-	case "bench6":
-		cfg := exp.DefaultBench6Config()
-		cfg.Subscribers = *subs
-		if *tiny {
-			cfg.Scales = []int{1}
-			cfg.Iters = 2
-		}
-		rep := exp.Bench6(cfg)
-		tables = []exp.Table{rep.Table()}
-		writeReport(orDefault(*out, "BENCH_6.json"), rep)
-	case "bench7":
-		cfg := exp.DefaultBench7Config()
-		if *tiny {
-			cfg.Scales = []int{1}
-			cfg.Iters = 2
-		}
-		rep := exp.Bench7(cfg)
-		tables = []exp.Table{rep.Table()}
-		writeReport(orDefault(*out, "BENCH_7.json"), rep)
-	case "bench8":
-		cfg := exp.DefaultBench8Config()
-		if *tiny {
-			cfg.Scales = []int{1}
-			cfg.Iters = 2
-			cfg.HubPairs = 64
-			cfg.KernelRep = 2
-		}
-		rep := exp.Bench8(cfg)
-		tables = []exp.Table{rep.Table()}
-		writeReport(orDefault(*out, "BENCH_8.json"), rep)
-	case "bench9":
-		cfg := exp.DefaultBench9Config()
-		if *tiny {
-			cfg.Duration = 300 * time.Millisecond
-			cfg.HeavyEvery = 15 * time.Millisecond
-		}
-		rep := exp.Bench9(cfg)
-		tables = []exp.Table{rep.Table()}
-		writeReport(orDefault(*out, "BENCH_9.json"), rep)
-	case "bench10":
-		cfg := exp.DefaultBench10Config()
-		if *tiny {
-			cfg.Scales = []int{1}
-			cfg.Iters = 2
-			cfg.Updates = 500
-		}
-		rep := exp.Bench10(cfg)
-		tables = []exp.Table{rep.Table()}
-		writeReport(orDefault(*out, "BENCH_10.json"), rep)
 	case "all":
 		e.All(qs, ds, func(t exp.Table) { fmt.Println(t.String()) })
 		return
 	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *expName)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (the serving benchmark is `go run -C bench .`)\n", *expName)
 		os.Exit(2)
 	}
 	for _, t := range tables {
 		fmt.Println(t.String())
 	}
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
-
-// writeReport serialises a benchmark report through the shared exp JSON
-// writer, so every BENCH_*.json artifact encodes identically.
-func writeReport(path string, rep any) {
-	if err := exp.WriteJSON(path, rep); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", path)
 }

@@ -14,9 +14,8 @@
 // with composable options (Limit for engine-side top-k early termination
 // via a shared atomic match budget, CountOnly for the compressed counting
 // path, WithPlan, Timeout, OnMatch) and a Stream that is both a pull
-// iterator and the Result carrier; the historical Run/Enumerate method
-// variants survive as thin deprecated wrappers. The service serves both
-// unlabelled and label-constrained patterns — vertex AND edge labels
+// iterator and the Result carrier. The service serves both unlabelled
+// and label-constrained patterns — vertex AND edge labels
 // thread through the whole stack (labelled graphs with a per-label vertex
 // index and a (srcLabel, edgeLabel) triple index, label-aware
 // automorphisms and canonical fingerprints, triple-statistics-driven
@@ -34,13 +33,11 @@
 // per operand pair between merge, galloping, bitset-probe and
 // word-parallel bitset-AND — with count-only variants so the compressed
 // counting path never materialises a candidate set it only needs to
-// count (measured in BENCH_8.json: ~19x on hub-heavy intersections,
-// <=1.02x overhead where no hubs exist). The benchmark harness that
-// regenerates every
-// table and figure of the paper's evaluation lives in repro/internal/exp
-// and is timed by the benchmarks in bench_test.go (BenchmarkTopK covers
-// Limit(k) early termination, BenchmarkDeltaVsFull incremental
-// maintenance, BenchmarkEdgeLabeledVsUnlabeled edge-label selectivity).
+// count. The harness that regenerates every table and figure of the
+// paper's evaluation lives in repro/internal/exp and is timed by the
+// benchmarks in bench_test.go; the serving benchmark that is tracked from
+// PR to PR (five workloads, declared in BENCHMARK.json) is the nested
+// module in bench/.
 // See README.md for the architecture overview, including the Exec/Stream
 // query API, the session/plan-cache layering, the labelled and
 // edge-labelled matching workloads and the streaming-updates model.

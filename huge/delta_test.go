@@ -57,15 +57,15 @@ func randomDelta(g *huge.Graph, ops int, labelChanges int, numLabels int, seed i
 func checkDifferential(t *testing.T, sys *huge.System, oldSess, newSess *huge.Session, oldG, newG *huge.Graph, q *huge.Query) {
 	t.Helper()
 	ctx := context.Background()
-	oldRes, err := oldSess.Run(ctx, q)
+	oldRes, err := oldSess.Exec(ctx, q, huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatalf("%s: old run: %v", q.Name(), err)
 	}
-	newRes, err := newSess.Run(ctx, q)
+	newRes, err := newSess.Exec(ctx, q, huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatalf("%s: new run: %v", q.Name(), err)
 	}
-	deltaRes, err := newSess.Run(ctx, q.Delta())
+	deltaRes, err := newSess.Exec(ctx, q.Delta(), huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatalf("%s: delta run: %v", q.Name(), err)
 	}
@@ -169,7 +169,7 @@ func TestDeltaConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := oldSess.Run(context.Background(), q)
+			res, err := oldSess.Exec(context.Background(), q, huge.CountOnly()).Wait()
 			if err != nil || res.Count != wantOld {
 				errs <- "old session drifted"
 			}
@@ -178,11 +178,11 @@ func TestDeltaConcurrentSessions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			sess := sys.NewSession()
-			res, err := sess.Run(context.Background(), q)
+			res, err := sess.Exec(context.Background(), q, huge.CountOnly()).Wait()
 			if err != nil || res.Count != wantNew {
 				errs <- "new session drifted"
 			}
-			dres, err := sess.Run(context.Background(), q.Delta())
+			dres, err := sess.Exec(context.Background(), q.Delta(), huge.CountOnly()).Wait()
 			if err != nil || dres.Delta != wantDelta {
 				errs <- "delta run drifted"
 			}
@@ -205,20 +205,20 @@ func TestSessionPinningAndRefresh(t *testing.T) {
 	if sess.Epoch() != 0 {
 		t.Fatalf("fresh session epoch %d", sess.Epoch())
 	}
-	res, _ := sess.Run(context.Background(), q)
+	res, _ := sess.Exec(context.Background(), q, huge.CountOnly()).Wait()
 	if res.Count != 1 {
 		t.Fatalf("base triangle count %d", res.Count)
 	}
 	// Inserting (0,3) and (1,3) completes three new triangles: 023, 123, 013.
 	sys.Apply(huge.Delta{Insert: [][2]huge.VertexID{{0, 3}, {1, 3}}})
-	res, _ = sess.Run(context.Background(), q)
+	res, _ = sess.Exec(context.Background(), q, huge.CountOnly()).Wait()
 	if res.Count != 1 {
 		t.Fatalf("pinned session saw the update: count %d", res.Count)
 	}
 	if e := sess.Refresh(); e != 1 {
 		t.Fatalf("Refresh returned epoch %d", e)
 	}
-	res, _ = sess.Run(context.Background(), q)
+	res, _ = sess.Exec(context.Background(), q, huge.CountOnly()).Wait()
 	if res.Count != 4 {
 		t.Fatalf("refreshed session count %d, want 4", res.Count)
 	}
@@ -232,10 +232,10 @@ func TestPlanCacheAcrossEpochs(t *testing.T) {
 	sys := huge.NewSystem(g, huge.Options{Machines: 2})
 	q := huge.Q1()
 	ctx := context.Background()
-	if res, err := sys.RunConcurrent(ctx, q); err != nil || res.PlanCached {
+	if res, err := sys.Exec(ctx, q, huge.CountOnly()).Wait(); err != nil || res.PlanCached {
 		t.Fatalf("first run: err=%v cached=%v", err, res.PlanCached)
 	}
-	if res, err := sys.RunConcurrent(ctx, q); err != nil || !res.PlanCached {
+	if res, err := sys.Exec(ctx, q, huge.CountOnly()).Wait(); err != nil || !res.PlanCached {
 		t.Fatalf("second run should hit the plan cache (err=%v)", err)
 	}
 	_, _, size := sys.PlanCacheStats()
@@ -243,27 +243,27 @@ func TestPlanCacheAcrossEpochs(t *testing.T) {
 	if _, _, sizeAfter := sys.PlanCacheStats(); sizeAfter >= size && size > 0 {
 		t.Fatalf("stale plans not evicted: size %d -> %d", size, sizeAfter)
 	}
-	if res, err := sys.RunConcurrent(ctx, q); err != nil || res.PlanCached {
+	if res, err := sys.Exec(ctx, q, huge.CountOnly()).Wait(); err != nil || res.PlanCached {
 		t.Fatalf("post-update run must re-optimise: err=%v cached=%v", err, res.PlanCached)
 	}
-	if res, err := sys.RunConcurrent(ctx, q); err != nil || !res.PlanCached {
+	if res, err := sys.Exec(ctx, q, huge.CountOnly()).Wait(); err != nil || !res.PlanCached {
 		t.Fatalf("repeat post-update run should cache again (err=%v)", err)
 	}
 }
 
 // TestRunPlanRejectsDeltaQueries: a hand-picked plan cannot serve a delta
 // view (it would report Delta == 0 and corrupt maintained counts), so
-// RunPlan must fail loudly instead of silently running the full plan.
+// WithPlan must fail loudly instead of silently running the full plan.
 func TestRunPlanRejectsDeltaQueries(t *testing.T) {
 	g := huge.FromEdges([][2]huge.VertexID{{0, 1}, {1, 2}, {2, 0}})
 	sys := huge.NewSystem(g, huge.Options{})
 	q := huge.Triangle()
 	sys.Apply(huge.Delta{Insert: [][2]huge.VertexID{{0, 3}}})
-	if _, err := sys.RunPlan(q.Delta(), sys.Plan(q)); err == nil {
-		t.Fatal("RunPlan accepted a delta-mode query")
+	if _, err := sys.Exec(context.Background(), q.Delta(), huge.WithPlan(sys.Plan(q)), huge.CountOnly()).Wait(); err == nil {
+		t.Fatal("WithPlan accepted a delta-mode query")
 	}
-	if _, err := sys.NewSession().RunPlan(context.Background(), q.Delta(), sys.Plan(q)); err == nil {
-		t.Fatal("Session.RunPlan accepted a delta-mode query")
+	if _, err := sys.NewSession().Exec(context.Background(), q.Delta(), huge.WithPlan(sys.Plan(q)), huge.CountOnly()).Wait(); err == nil {
+		t.Fatal("Session WithPlan accepted a delta-mode query")
 	}
 }
 
@@ -274,7 +274,7 @@ func TestApplyLabelOnlyGrowthServes(t *testing.T) {
 	g := huge.FromEdges([][2]huge.VertexID{{0, 1}, {1, 2}, {2, 0}})
 	sys := huge.NewSystem(g, huge.Options{Machines: 2})
 	sys.Apply(huge.Delta{Labels: []huge.VertexLabel{{V: 9, L: 1}}})
-	res, err := sys.Run(huge.Triangle())
+	res, err := sys.Exec(context.Background(), huge.Triangle(), huge.CountOnly()).Wait()
 	if err != nil || res.Count != 1 {
 		t.Fatalf("post-growth run: count %d err %v", res.Count, err)
 	}
@@ -294,11 +294,11 @@ func TestDeltaEnumerateStreamsNewMatches(t *testing.T) {
 	q := huge.Triangle()
 	var mu sync.Mutex
 	got := map[[3]huge.VertexID]int{}
-	res, err := sys.Enumerate(q.Delta(), func(m []huge.VertexID) {
+	res, err := sys.Exec(context.Background(), q.Delta(), huge.OnMatch(func(m []huge.VertexID) {
 		mu.Lock()
 		got[[3]huge.VertexID{m[0], m[1], m[2]}]++
 		mu.Unlock()
-	})
+	})).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package huge_test
 
 import (
+	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/gpm"
@@ -53,11 +55,11 @@ func TestEdgeLabeledUniformMatchesUnlabeled(t *testing.T) {
 			if got := baseline.GroundTruthCount(eg, lq); got != want {
 				t.Fatalf("%s/%s: edge-labelled oracle %d, unlabelled oracle %d", tc.name, q.Name(), got, want)
 			}
-			resU, err := sysU.Run(q)
+			resU, err := sysU.Exec(context.Background(), q, huge.CountOnly()).Wait()
 			if err != nil {
 				t.Fatalf("%s/%s unlabelled: %v", tc.name, q.Name(), err)
 			}
-			resE, err := sysE.Run(lq)
+			resE, err := sysE.Exec(context.Background(), lq, huge.CountOnly()).Wait()
 			if err != nil {
 				t.Fatalf("%s/%s edge-labelled: %v", tc.name, q.Name(), err)
 			}
@@ -76,7 +78,7 @@ func TestEdgeLabeledEngineMatchesOracle(t *testing.T) {
 	lg := gen.ZipfEdgeLabels(gen.ZipfLabels(gen.PowerLaw(500, 3, 31), 6, 1.7, 13), 5, 1.7, 14)
 	rng := rand.New(rand.NewSource(47))
 	sys := huge.NewSystem(lg, huge.Options{Machines: 3, Workers: 2})
-	sysNC := huge.NewSystem(lg, huge.Options{Machines: 2, Workers: 2, NoCompress: true})
+	sysNC := huge.NewSystem(lg, huge.Options{Machines: 2, Workers: 2})
 	for _, q := range append(query.Catalog(), query.Triangle()) {
 		vlabels := make([]int, q.NumVertices())
 		for v := range vlabels {
@@ -99,19 +101,23 @@ func TestEdgeLabeledEngineMatchesOracle(t *testing.T) {
 		}
 		lq := q.WithVertexLabels(vlabels).WithEdgeLabels(elabels)
 		want := baseline.GroundTruthCount(lg, lq)
-		res, err := sys.Run(lq)
+		res, err := sys.Exec(context.Background(), lq, huge.CountOnly()).Wait()
 		if err != nil {
 			t.Fatalf("%s: %v", lq, err)
 		}
 		if res.Count != want {
 			t.Errorf("%s: engine %d, oracle %d", lq, res.Count, want)
 		}
-		resNC, err := sysNC.Run(lq)
+		// OnMatch delivery materialises every match, so the final extension
+		// runs uncompressed.
+		var delivered atomic.Uint64
+		resNC, err := sysNC.Exec(context.Background(), lq,
+			huge.OnMatch(func([]huge.VertexID) { delivered.Add(1) })).Wait()
 		if err != nil {
 			t.Fatalf("%s (no compress): %v", lq, err)
 		}
-		if resNC.Count != want {
-			t.Errorf("%s (no compress): engine %d, oracle %d", lq, resNC.Count, want)
+		if resNC.Count != want || delivered.Load() != want {
+			t.Errorf("%s (no compress): engine %d, delivered %d, oracle %d", lq, resNC.Count, delivered.Load(), want)
 		}
 	}
 }
@@ -148,11 +154,11 @@ func TestEdgeLabeledPlanCacheSeparation(t *testing.T) {
 	if q.Fingerprint() == lq.Fingerprint() {
 		t.Fatal("edge-labelled twin shares the unlabelled fingerprint")
 	}
-	r1, err := sys.Run(q)
+	r1, err := sys.Exec(context.Background(), q, huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := sys.Run(lq)
+	r2, err := sys.Exec(context.Background(), lq, huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +168,7 @@ func TestEdgeLabeledPlanCacheSeparation(t *testing.T) {
 	if r1.Count != r2.Count {
 		t.Errorf("uniform label-0 constraint changed the count: %d vs %d", r1.Count, r2.Count)
 	}
-	r3, err := sys.Run(lq)
+	r3, err := sys.Exec(context.Background(), lq, huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +205,7 @@ func TestEdgeLabelChurnDeltaIdentity(t *testing.T) {
 	}
 	counts := make([]uint64, len(queries))
 	for i, q := range queries {
-		res, err := sys.Run(q)
+		res, err := sys.Exec(context.Background(), q, huge.CountOnly()).Wait()
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -221,11 +227,11 @@ func TestEdgeLabelChurnDeltaIdentity(t *testing.T) {
 		}
 		sys.Apply(d)
 		for i, q := range queries {
-			dres, err := sys.Run(q.Delta())
+			dres, err := sys.Exec(context.Background(), q.Delta(), huge.CountOnly()).Wait()
 			if err != nil {
 				t.Fatalf("%s delta: %v", q, err)
 			}
-			full, err := sys.Run(q)
+			full, err := sys.Exec(context.Background(), q, huge.CountOnly()).Wait()
 			if err != nil {
 				t.Fatalf("%s full: %v", q, err)
 			}

@@ -2,9 +2,7 @@ package huge
 
 // Exec is the one core query entry point of the serving layer. Every public
 // way of running a query — counting, enumerating, a hand-picked plan, a
-// delta view, top-k — is Exec plus options; the historical method variants
-// (Run, RunConcurrent, RunPlan, RunPlanContext, Enumerate, EnumerateContext
-// and their Session twins) survive as thin deprecated wrappers.
+// delta view, top-k — is Exec plus options.
 //
 //	st := sys.Exec(ctx, q, huge.Limit(10))   // engine-side top-k
 //	for m := range st.Matches() {            // pull-based match stream
@@ -117,9 +115,8 @@ func Timeout(d time.Duration) Option {
 // iterator: fn receives every match (indexed by query vertex), is called
 // concurrently from the engine's workers, and must be cheap and
 // goroutine-safe; the slice is only valid during the call. Use it when
-// callback dispatch is preferable to channel hand-off (it is how the
-// deprecated Enumerate wrappers are implemented). Mutually exclusive with
-// CountOnly.
+// callback dispatch is preferable to channel hand-off. Mutually exclusive
+// with CountOnly.
 func OnMatch(fn func(match []VertexID)) Option {
 	return func(o *execOptions) {
 		if fn == nil {
@@ -373,23 +370,24 @@ func (s *System) exec(ctx context.Context, sn *snapshot, q *Query, onDone func(R
 	go func() {
 		var res Result
 		var err error
+		r := run{fn: fn, budget: budget, h: h}
 		// Admission runs inside the goroutine so Exec returns the Stream
 		// immediately: a queued (or shed) run surfaces through Wait, like
 		// every other outcome.
 		if gov := s.gov; gov != nil {
 			if err = gov.admit(runCtx, h); err == nil {
 				gov.register(h)
-				res, err = s.execRun(runCtx, sn, q, &eo, fn, budget, h)
+				res, err = s.execRun(runCtx, sn, q, &eo, r)
 				gov.release(h)
 				err = gov.mapErr(runCtx, err)
 			}
 		} else {
-			res, err = s.execRun(runCtx, sn, q, &eo, fn, budget, h)
+			res, err = s.execRun(runCtx, sn, q, &eo, r)
 		}
 		cancel() // release the context/timer; senders are already done
 		// The completion hook (session stats) fires before done is closed,
 		// so a caller that Waits and then reads Session.Stats observes the
-		// run — the same ordering the old synchronous wrappers gave.
+		// run.
 		if onDone != nil {
 			onDone(res, err)
 		}
@@ -402,12 +400,11 @@ func (s *System) exec(ctx context.Context, sn *snapshot, q *Query, onDone func(R
 	return st
 }
 
-// execRun resolves the plan (cache-backed unless WithPlan) and executes:
-// the single run path behind every public entry point.
-func (s *System) execRun(ctx context.Context, sn *snapshot, q *Query, eo *execOptions, fn func([]VertexID), budget *engine.Budget, h *govRun) (Result, error) {
-	var gr *groupRun
+// execRun resolves the plan (the WithPlan one, else cache-backed) and
+// executes: the single run path behind Exec.
+func (s *System) execRun(ctx context.Context, sn *snapshot, q *Query, eo *execOptions, r run) (Result, error) {
 	if eo.group != nil {
-		gr = newGroupRun(eo, q.IsDelta())
+		r.gr = newGroupRun(eo, q.IsDelta())
 	}
 	if q.IsDelta() {
 		if eo.plan != nil {
@@ -417,7 +414,7 @@ func (s *System) execRun(ctx context.Context, sn *snapshot, q *Query, eo *execOp
 			// difference rewriting.
 			return Result{}, fmt.Errorf("%w: delta-mode queries use the difference rewriting; Exec them without WithPlan", ErrInvalidOption)
 		}
-		return s.runDelta(ctx, sn, q, fn, budget, gr, h)
+		return s.runDelta(ctx, sn, q, r)
 	}
 	p := eo.plan
 	var cached bool
@@ -437,10 +434,10 @@ func (s *System) execRun(ctx context.Context, sn *snapshot, q *Query, eo *execOp
 		// the sink, so the compressed counting path — where grouped counts
 		// accumulate without materialising matches — always applies.
 		family := "optimal"
-		if budget != nil || gr != nil {
+		if r.budget != nil || r.gr != nil {
 			family = "wco"
 		}
-		if fn == nil && gr == nil {
+		if r.fn == nil && r.gr == nil {
 			// Counting: any isomorphic cached plan serves.
 			p, cached = s.planFor(sn, q, family)
 		} else {
@@ -457,9 +454,7 @@ func (s *System) execRun(ctx context.Context, sn *snapshot, q *Query, eo *execOp
 				func() *Plan { return s.buildPlan(sn, q, family) })
 		}
 	}
-	res, err := s.runPlan(ctx, sn, p, fn, budget, gr, h)
-	if eo.plan == nil {
-		res.PlanCached = cached
-	}
+	res, err := s.runPlan(ctx, sn, p, r)
+	res.PlanCached = cached
 	return res, err
 }

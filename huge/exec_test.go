@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -136,6 +137,11 @@ func TestExecLimitDeltaMode(t *testing.T) {
 			baseline.GroundTruthCount(g, q) {
 			t.Fatalf("%s: differential identity broken: delta %+d", q.Name(), full.Delta)
 		}
+		// A hand-picked plan enumerates the full result, so a delta view
+		// must reject it instead of reporting Delta == 0.
+		if _, err := sys.Exec(ctx, dq, huge.WithPlan(sys.Plan(q)), huge.CountOnly()).Wait(); !errors.Is(err, huge.ErrInvalidOption) {
+			t.Errorf("%s: delta view with WithPlan: err %v, want ErrInvalidOption", q.Name(), err)
+		}
 		for _, k := range []uint64{0, 1, newTotal, newTotal + 4} {
 			wantK := min(k, newTotal)
 			res, err := sys.Exec(ctx, dq, huge.CountOnly(), huge.Limit(int(k))).Wait()
@@ -209,7 +215,7 @@ func TestExecTimeout(t *testing.T) {
 }
 
 // TestExecOnMatchDelivery: the OnMatch option delivers every match through
-// the callback, with the count agreeing (the deprecated Enumerate shape).
+// the callback, with the count agreeing.
 func TestExecOnMatchDelivery(t *testing.T) {
 	g := gen.PowerLaw(300, 3, 7)
 	sys := huge.NewSystem(g, huge.Options{Machines: 3, Workers: 2})
@@ -303,4 +309,88 @@ func TestExecAbandonViaContextCancel(t *testing.T) {
 	if _, err := st.Wait(); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want nil or Canceled", err)
 	}
+}
+
+// TestExecConcurrentSessionsWithApply exercises the whole surface under
+// -race: four sessions mixing counting Execs, limited streams, abandoned
+// streams and delta views, interleaved with System.Apply and
+// Session.Refresh on the shared deployment.
+func TestExecConcurrentSessionsWithApply(t *testing.T) {
+	g := gen.PowerLaw(400, 3, 31)
+	sys := huge.NewSystem(g, huge.Options{Machines: 3, Workers: 2})
+	queries := []*huge.Query{huge.Triangle(), huge.Q1(), huge.Q2(), huge.Q4()}
+	updates := gen.UpdateStream(g, 120, 9)
+
+	var wg sync.WaitGroup
+	// Updater: a stream of small Applies racing the sessions below.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for lo := 0; lo+10 <= len(updates); lo += 10 {
+			var d huge.Delta
+			for _, u := range updates[lo : lo+10] {
+				if u.Del {
+					d.Delete = append(d.Delete, [2]huge.VertexID{u.U, u.V})
+				} else {
+					d.Insert = append(d.Insert, [2]huge.VertexID{u.U, u.V})
+				}
+			}
+			sys.Apply(d)
+		}
+	}()
+
+	ctx := context.Background()
+	for s := 0; s < 4; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			sess := sys.NewSession()
+			for i := 0; i < 10; i++ {
+				q := queries[(s+i)%len(queries)]
+				switch i % 4 {
+				case 0:
+					// Repeatable reads: two runs on the session's pinned snapshot
+					// agree whatever the updater installs in between.
+					r1, err1 := sess.Exec(ctx, q, huge.CountOnly()).Wait()
+					r2, err2 := sess.Exec(ctx, q, huge.CountOnly()).Wait()
+					if err1 != nil || err2 != nil {
+						t.Errorf("s%d/%s: run errs %v / %v", s, q.Name(), err1, err2)
+						return
+					}
+					if r1.Count != r2.Count {
+						t.Errorf("s%d/%s: pinned counts %d != %d", s, q.Name(), r1.Count, r2.Count)
+					}
+				case 1:
+					// Engine-side limit under concurrency.
+					st := sess.Exec(ctx, q, huge.Limit(3))
+					var n uint64
+					for range st.Matches() {
+						n++
+					}
+					res, err := st.Wait()
+					if err != nil {
+						t.Errorf("s%d/%s: limited: %v", s, q.Name(), err)
+						return
+					}
+					if n > 3 || res.Count != n {
+						t.Errorf("s%d/%s: limited stream %d matches, counted %d", s, q.Name(), n, res.Count)
+					}
+				case 2:
+					// Abandoned stream: break after one match.
+					st := sess.Exec(ctx, q)
+					for range st.Matches() {
+						break
+					}
+				case 3:
+					// Delta view on the pinned epoch.
+					if _, err := sess.Exec(ctx, q.Delta(), huge.CountOnly()).Wait(); err != nil {
+						t.Errorf("s%d/%s: delta: %v", s, q.Name(), err)
+						return
+					}
+					sess.Refresh()
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
 }

@@ -300,22 +300,16 @@ func TestTopGroupsAndHistogram(t *testing.T) {
 }
 
 // TestGroupedMaterialisedSinkPaths: grouping must also be exact when the
-// compressed counting path does NOT apply — under NoCompress, and under a
-// hand-picked non-wco plan whose final operator materialises at the sink.
+// compressed counting path does NOT apply — under a hand-picked plan whose
+// final operator materialises at the sink: a join terminal ("seed") or a
+// pipeline ending in a verify extend ("rads").
 func TestGroupedMaterialisedSinkPaths(t *testing.T) {
 	g := gen.ZipfLabels(gen.PowerLaw(200, 3, 41), 5, 1.5, 42)
 	queries := []*huge.Query{huge.Triangle(), huge.Q4()}
 
-	sysNC := huge.NewSystem(g, huge.Options{Machines: 2, Workers: 2, NoCompress: true})
-	for _, q := range queries {
-		for _, gc := range groupCasesFor(q) {
-			checkGrouped(t, sysNC, g, q, gc)
-		}
-	}
-
 	sys := huge.NewSystem(g, huge.Options{Machines: 2, Workers: 2})
 	for _, q := range queries {
-		for _, family := range []string{"seed", "optimal"} {
+		for _, family := range []string{"seed", "rads", "optimal"} {
 			p := sys.PlanFor(q, family)
 			if p == nil {
 				t.Fatalf("%s: no %s plan", q.Name(), family)

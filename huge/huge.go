@@ -16,9 +16,7 @@
 // OnMatch for callback delivery, GroupBy/Histogram/TopGroups for
 // engine-side aggregation — and returns a *Stream that is both a pull
 // iterator over the matches (Next / Matches) and the carrier of the
-// run's Result (Wait). The historical entry points (Run, RunConcurrent,
-// RunPlan, RunPlanContext, Enumerate, EnumerateContext) remain as thin
-// deprecated wrappers over Exec.
+// run's Result (Wait).
 //
 // GroupBy(key) turns a run into a grouped counting run: matches are
 // tallied per group key — a query vertex's matched data vertex
@@ -97,7 +95,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/engine"
@@ -243,31 +240,11 @@ type Options struct {
 	//	        adaptive middle ground used by the paper's experiments,
 	//	 other  an explicit adaptive capacity.
 	QueueRows int64
-	// CacheBytes is the LRBU capacity per machine (default: 30% of the
-	// graph, the paper's setting).
-	CacheBytes uint64
-	// CacheKind selects the Exp-6 cache variant (default LRBU).
-	CacheKind cache.Kind
-	// LoadBalance selects the Exp-8 strategy (default two-layer stealing).
-	LoadBalance engine.LoadBalance
-	// Latency optionally injects simulated network cost.
-	Latency cluster.LatencyModel
 	// JoinBufferRows is the PUSH-JOIN spill threshold.
 	JoinBufferRows int
-	// NoCompress disables the generic compression optimisation [63]
-	// (counting the final extension from candidate sets); it is enabled by
-	// default, as in the paper's implementations.
-	NoCompress bool
 	// PlanCachePlans bounds the fingerprint-keyed plan cache (number of
 	// plans; 0 = plan.DefaultCacheCapacity, negative = cache disabled).
 	PlanCachePlans int
-	// HubMinDegree tunes the degree-adaptive intersection kernels: the
-	// degree at which a vertex's neighbourhood also gets a packed hub
-	// bitset (built lazily, once per snapshot). 0 uses the auto threshold
-	// max(64, numV/32); a positive value forces that threshold; a negative
-	// value disables adaptive dispatch entirely (legacy merge/gallop
-	// kernels — the bench8 A/B baseline).
-	HubMinDegree int
 	// Governor enables resource governance: a weighted-priority admission
 	// gate over concurrent Exec runs, per-run and global memory budgets,
 	// adaptive batch sizing, and load shedding with typed fast-fail
@@ -359,8 +336,10 @@ type System struct {
 
 	// st is the durable store backing this System (persist.go); nil for a
 	// purely in-memory System (NewSystem). When set, Apply writes through
-	// the store's epoch log before installing the new snapshot.
-	st *store.Store
+	// the store's epoch log before installing the new snapshot. closed
+	// (guarded by applyMu) makes Close idempotent.
+	st     *store.Store
+	closed bool
 }
 
 // snapshot returns the current version; runs capture it once and use it
@@ -402,47 +381,33 @@ func (s *System) unlockPlanKey(key string, kl *keyLock) {
 	s.planMu.Unlock()
 }
 
-// clusterConfig maps the options onto a cluster deployment; every
-// snapshot (initial and post-Apply) goes through it so the configuration
-// can never diverge between graph versions.
-func (o Options) clusterConfig() cluster.Config {
-	return cluster.Config{
-		NumMachines: o.Machines,
-		Workers:     o.Workers,
-		CacheKind:   o.CacheKind,
-		CacheBytes:  o.CacheBytes,
-		Latency:     o.Latency,
-	}
-}
-
-// newSnapshot deploys one graph version: partitions, statistics, estimator.
-func newSnapshot(g *Graph, opts Options) *snapshot {
-	if opts.HubMinDegree > 0 {
-		// Every deployed snapshot (initial and per-Apply) carries the
-		// configured hub threshold, so the lazy bitset index of each version
-		// builds at the same degree cut.
-		g.SetHubMinDegree(opts.HubMinDegree)
-	}
-	cl := cluster.New(g, opts.clusterConfig())
-	stats := plan.ComputeStats(g)
+// newSnapshot deploys one graph version: its partitioning across the
+// configured machines and the estimator over stats. It is the only place a
+// snapshot is assembled (initial, recovered, AsOf and post-Apply alike), so
+// the deployment can never diverge between graph versions; Apply adds the
+// delta fields to what it returns.
+func newSnapshot(g *Graph, stats plan.GraphStats, opts Options) *snapshot {
 	return &snapshot{
 		g:       g,
-		cl:      cl,
+		cl:      cluster.New(g, cluster.Config{NumMachines: opts.Machines, Workers: opts.Workers}),
 		stats:   stats,
 		statsFP: stats.Fingerprint(),
 		card:    plan.MomentEstimator(stats),
 	}
 }
 
-// NewSystem partitions g across the configured machines.
-func NewSystem(g *Graph, opts Options) *System {
+// newSystem is the one System constructor behind NewSystem, Create and
+// Open: g deployed with the given statistics, the plan cache, the governor
+// and (for a durable System) the store.
+func newSystem(g *Graph, stats plan.GraphStats, opts Options, st *store.Store) *System {
 	opts = opts.normalise()
 	s := &System{
-		snap:     newSnapshot(g, opts),
+		snap:     newSnapshot(g, stats, opts),
 		opts:     opts,
 		inflight: map[string]*keyLock{},
 		subs:     plan.NewRegistry[*Subscription](),
 		groups:   map[string]*subGroup{},
+		st:       st,
 	}
 	if opts.PlanCachePlans >= 0 {
 		s.plans = plan.NewCache(opts.PlanCachePlans)
@@ -451,6 +416,11 @@ func NewSystem(g *Graph, opts Options) *System {
 		s.gov = newGovernor(*opts.Governor)
 	}
 	return s
+}
+
+// NewSystem partitions g across the configured machines.
+func NewSystem(g *Graph, opts Options) *System {
+	return newSystem(g, plan.ComputeStats(g), opts, nil)
 }
 
 // Graph returns the current snapshot's data graph.
@@ -494,8 +464,6 @@ func (s *System) Apply(d Delta) uint64 {
 			panic(fmt.Sprintf("huge: epoch log write failed, durability lost: %v", err))
 		}
 	}
-	stats := plan.UpdateStats(cur.stats, cur.g, ng, applied)
-	cl := cluster.New(ng, s.opts.clusterConfig())
 	inserted, deleted := applied.Inserted, applied.Deleted
 	if len(applied.Relabeled) > 0 {
 		// A label change alters which embeddings match a label-constrained
@@ -520,16 +488,8 @@ func (s *System) Apply(d Delta) uint64 {
 		}
 		inserted, deleted = graph.NewEdgeSet(insE), graph.NewEdgeSet(delE)
 	}
-	next := &snapshot{
-		g:        ng,
-		cl:       cl,
-		stats:    stats,
-		statsFP:  stats.Fingerprint(),
-		card:     plan.MomentEstimator(stats),
-		inserted: inserted,
-		deleted:  deleted,
-		prevCl:   cur.cl,
-	}
+	next := newSnapshot(ng, plan.UpdateStats(cur.stats, cur.g, ng, applied), s.opts)
+	next.inserted, next.deleted, next.prevCl = inserted, deleted, cur.cl
 	s.mu.Lock()
 	s.snap = next
 	s.mu.Unlock()
@@ -678,78 +638,35 @@ type Result struct {
 	Hist []uint64
 }
 
-// Run counts q's matches with the optimal plan. Safe for concurrent use;
-// equal patterns (even under vertex relabelling) share one cached plan.
-//
-// Deprecated: Use Exec — sys.Exec(ctx, q, huge.CountOnly()).Wait().
-func (s *System) Run(q *Query) (Result, error) {
-	return s.Exec(context.Background(), q, CountOnly()).Wait()
+// run is what one execution carries through the run path besides its
+// snapshot and plan. It is passed by value: four words, no allocation.
+type run struct {
+	fn     func([]VertexID) // match consumer, indexed by query vertex (nil = count only)
+	budget *engine.Budget   // Limit(k) match budget (nil = unlimited)
+	gr     *groupRun        // GroupBy state (nil = plain run)
+	h      *govRun          // per-run memory budget + adaptive batch sizing (nil = none)
 }
 
-// RunConcurrent is Run with a context: cancelling ctx aborts the engine
-// run and returns the context's error. A Query.Delta() view enumerates
-// only this epoch's match delta.
-//
-// Deprecated: Use Exec — sys.Exec(ctx, q, huge.CountOnly()).Wait().
-func (s *System) RunConcurrent(ctx context.Context, q *Query) (Result, error) {
-	return s.Exec(ctx, q, CountOnly()).Wait()
-}
-
-// RunPlan counts q's matches with a specific plan.
-//
-// Deprecated: Use Exec — sys.Exec(ctx, q, huge.WithPlan(p), huge.CountOnly()).Wait().
-func (s *System) RunPlan(q *Query, p *Plan) (Result, error) {
-	return s.Exec(context.Background(), q, WithPlan(p), CountOnly()).Wait()
-}
-
-// RunPlanContext is RunPlan with cancellation.
-//
-// Deprecated: Use Exec — sys.Exec(ctx, q, huge.WithPlan(p), huge.CountOnly()).Wait().
-func (s *System) RunPlanContext(ctx context.Context, q *Query, p *Plan) (Result, error) {
-	return s.Exec(ctx, q, WithPlan(p), CountOnly()).Wait()
-}
-
-// Enumerate streams every match to fn (indexed by query vertex; the slice
-// is only valid during the call; fn must be safe for concurrent calls).
-//
-// Deprecated: Use Exec — range over sys.Exec(ctx, q).Matches(), or pass
-// huge.OnMatch(fn) for callback delivery.
-func (s *System) Enumerate(q *Query, fn func(match []VertexID)) (Result, error) {
-	return s.Exec(context.Background(), q, OnMatch(fn)).Wait()
-}
-
-// EnumerateContext is Enumerate with cancellation. For a Query.Delta()
-// view, fn receives the NEW matches (those containing an inserted edge);
-// vanished matches are only counted, in Result.DeltaDead.
-//
-// Deprecated: Use Exec — range over sys.Exec(ctx, q).Matches(), or pass
-// huge.OnMatch(fn) for callback delivery.
-func (s *System) EnumerateContext(ctx context.Context, q *Query, fn func(match []VertexID)) (Result, error) {
-	return s.Exec(ctx, q, OnMatch(fn)).Wait()
-}
-
-// engineConfig assembles the per-run engine configuration from the
-// system's options, the run's match consumer, its top-k budget and its
-// governance handle (per-run memory budget + adaptive batch sizing).
-func (s *System) engineConfig(onResult func([]VertexID), budget *engine.Budget, h *govRun) engine.Config {
+// engineConfig assembles the engine configuration of one dataflow of a
+// run: the system's options, the run's match consumer re-indexed for df,
+// its top-k budget and its governance handle.
+func (s *System) engineConfig(df *dataflow.Dataflow, r run) engine.Config {
 	cfg := engine.Config{
 		BatchRows:      s.opts.BatchRows,
 		QueueRows:      s.opts.QueueRows,
-		LoadBalance:    s.opts.LoadBalance,
 		JoinBufferRows: s.opts.JoinBufferRows,
-		OnResult:       onResult,
-		Compress:       !s.opts.NoCompress,
-		NoAdaptive:     s.opts.HubMinDegree < 0,
-		Budget:         budget,
+		OnResult:       reindexed(df, r.fn),
+		Compress:       true,
+		Budget:         r.budget,
 	}
-	if h != nil {
-		cfg.MemBudgetRows = h.memRows
+	if r.h != nil {
+		cfg.MemBudgetRows = r.h.memRows
 		// Adaptive sizing applies to throughput runs only: a Limit(k) run
 		// already forces the small fixed DFS batch below, which is the
 		// right size for it unconditionally.
-		cfg.AdaptiveBatch = h.adaptive && budget == nil
+		cfg.AdaptiveBatch = r.h.adaptive && r.budget == nil
 	}
-	if budget != nil {
+	if r.budget != nil {
 		// A bounded run schedules as pure DFS (one batch in flight per
 		// operator): wide queues would let every operator bulk-produce a
 		// full level before the sink claims its first budget slot, doing
@@ -787,12 +704,13 @@ func reindexed(df *dataflow.Dataflow, fn func([]VertexID)) func([]VertexID) {
 	}
 }
 
-func (s *System) runPlan(ctx context.Context, sn *snapshot, p *Plan, fn func([]VertexID), budget *engine.Budget, gr *groupRun, h *govRun) (Result, error) {
+func (s *System) runPlan(ctx context.Context, sn *snapshot, p *Plan, r run) (Result, error) {
 	df, err := plan.Translate(p)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := s.engineConfig(reindexed(df, fn), budget, h)
+	cfg := s.engineConfig(df, r)
+	gr := r.gr
 	if gr != nil {
 		// Translate built df fresh for this run, so marking its sink for
 		// grouped counting never leaks into the shared (cached) plan.
@@ -805,7 +723,7 @@ func (s *System) runPlan(ctx context.Context, sn *snapshot, p *Plan, fn func([]V
 	// this query, so concurrent runs never observe each other. A governed
 	// run additionally feeds the system-wide live-tuple gauge.
 	ex := sn.cl.NewExec()
-	h.attach(ex.Metrics)
+	r.h.attach(ex.Metrics)
 	start := time.Now()
 	count, err := engine.Run(ctx, ex, df, cfg)
 	if err != nil {
@@ -838,12 +756,12 @@ func (s *System) runPlan(ctx context.Context, sn *snapshot, p *Plan, fn func([]V
 // The vanished-match side is skipped under a limit — it enumerates the
 // previous snapshot in full, which is precisely the work a top-k caller
 // asked to avoid — so DeltaDead and Delta stay zero then.
-func (s *System) runDelta(ctx context.Context, sn *snapshot, q *Query, fn func([]VertexID), budget *engine.Budget, gr *groupRun, h *govRun) (Result, error) {
+func (s *System) runDelta(ctx context.Context, sn *snapshot, q *Query, r run) (Result, error) {
 	flows, err := plan.TranslateDelta(q)
 	if err != nil {
 		return Result{}, err
 	}
-	if gr != nil {
+	if gr := r.gr; gr != nil {
 		// The flows were translated for this run only, so the group spec can
 		// ride on their sinks; both delta sides share the specs, differing
 		// only in which aggregate the engine config points at.
@@ -853,20 +771,21 @@ func (s *System) runDelta(ctx context.Context, sn *snapshot, q *Query, fn func([
 			}
 		}
 	}
-	return s.runDeltaFlows(ctx, sn, flows, fn, nil, budget, gr, h)
+	return s.runDeltaFlows(ctx, sn, flows, r, nil)
 }
 
 // runDeltaFlows is the delta-run core shared by runDelta and the
 // standing-query maintenance path: it executes already-translated delta
-// flows against one snapshot's inserted/deleted sets. newFn receives every
+// flows against one snapshot's inserted/deleted sets. r.fn receives every
 // created match, deadFn (when the dead side runs at all — see runDelta on
 // budgets) every destroyed one; either may be nil to count only.
 // Separating translation from execution lets subscription groups cache
 // their flows once and pay only the enumeration on every Apply.
-func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataflow.Dataflow, newFn, deadFn func([]VertexID), budget *engine.Budget, gr *groupRun, h *govRun) (Result, error) {
+func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataflow.Dataflow, r run, deadFn func([]VertexID)) (Result, error) {
 	start := time.Now()
 	var res Result
-	runSide := func(cl *cluster.Cluster, set *graph.EdgeSet, fn func([]VertexID), agg *engine.GroupAgg) (uint64, error) {
+	budget, gr := r.budget, r.gr
+	runSide := func(cl *cluster.Cluster, set *graph.EdgeSet, side run, agg *engine.GroupAgg) (uint64, error) {
 		if cl == nil || set.Len() == 0 {
 			return 0, nil
 		}
@@ -876,8 +795,8 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 				break
 			}
 			ex := cl.NewExec()
-			h.attach(ex.Metrics)
-			cfg := s.engineConfig(reindexed(df, fn), budget, h)
+			side.h.attach(ex.Metrics)
+			cfg := s.engineConfig(df, side)
 			cfg.DeltaEdges = set
 			cfg.Groups = agg
 			n, err := engine.Run(ctx, ex, df, cfg)
@@ -896,14 +815,16 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 		// graph (via prevCl's machines), so its keys reflect labels as of t.
 		newAgg, deadAgg = gr.agg, gr.dead
 	}
-	newCount, err := runSide(sn.cl, sn.inserted, newFn, newAgg)
+	newCount, err := runSide(sn.cl, sn.inserted, r, newAgg)
 	if err != nil {
 		return Result{}, err
 	}
 	res.Count = newCount
 	res.DeltaNew = newCount
 	if budget == nil {
-		deadCount, err := runSide(sn.prevCl, sn.deleted, deadFn, deadAgg)
+		dead := r
+		dead.fn = deadFn
+		deadCount, err := runSide(sn.prevCl, sn.deleted, dead, deadAgg)
 		if err != nil {
 			return Result{}, err
 		}

@@ -1,6 +1,7 @@
 package huge
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -14,7 +15,7 @@ func TestSystemRunMatchesGroundTruth(t *testing.T) {
 	sys := NewSystem(g, Options{Machines: 3, Workers: 2})
 	for _, q := range []*Query{Triangle(), Q1(), Q2()} {
 		want := baseline.GroundTruthCount(g, q)
-		res, err := sys.Run(q)
+		res, err := sys.Exec(context.Background(), q, CountOnly()).Wait()
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name(), err)
 		}
@@ -34,7 +35,7 @@ func TestSystemPlanFor(t *testing.T) {
 	want := baseline.GroundTruthCount(g, q)
 	for _, name := range []string{"optimal", "wco", "seed", "rads", "benu", "emptyheaded", "graphflow"} {
 		p := sys.PlanFor(q, name)
-		res, err := sys.RunPlan(q, p)
+		res, err := sys.Exec(context.Background(), q, WithPlan(p), CountOnly()).Wait()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -52,11 +53,11 @@ func TestEnumerateIndexesByQueryVertex(t *testing.T) {
 	sys := NewSystem(g, Options{})
 	var mu sync.Mutex
 	var got [][]VertexID
-	res, err := sys.Enumerate(q, func(m []VertexID) {
+	res, err := sys.Exec(context.Background(), q, OnMatch(func(m []VertexID) {
 		mu.Lock()
 		got = append(got, append([]VertexID(nil), m...))
 		mu.Unlock()
-	})
+	})).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestLoadEdgeList(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := NewSystem(g, Options{})
-	res, err := sys.Run(Triangle())
+	res, err := sys.Exec(context.Background(), Triangle(), CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestQueryByName(t *testing.T) {
 func TestMetricsExposed(t *testing.T) {
 	g := Generate("GO", 1)
 	sys := NewSystem(g, Options{Machines: 4, Workers: 2})
-	res, err := sys.Run(Q1())
+	res, err := sys.Exec(context.Background(), Q1(), CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestResultsDeterministicAcrossRuns(t *testing.T) {
 	sys := NewSystem(g, Options{Machines: 2, Workers: 2})
 	var counts []uint64
 	for i := 0; i < 3; i++ {
-		res, err := sys.Run(Triangle())
+		res, err := sys.Exec(context.Background(), Triangle(), CountOnly()).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package huge_test
 
 import (
+	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -31,11 +32,11 @@ func TestLabeledUniformMatchesUnlabeled(t *testing.T) {
 		if got := baseline.GroundTruthCount(uniform, lq); got != want {
 			t.Fatalf("%s: labelled oracle %d, unlabelled oracle %d", q.Name(), got, want)
 		}
-		resU, err := sysU.Run(q)
+		resU, err := sysU.Exec(context.Background(), q, huge.CountOnly()).Wait()
 		if err != nil {
 			t.Fatalf("%s unlabelled: %v", q.Name(), err)
 		}
-		resL, err := sysL.Run(lq)
+		resL, err := sysL.Exec(context.Background(), lq, huge.CountOnly()).Wait()
 		if err != nil {
 			t.Fatalf("%s labelled: %v", q.Name(), err)
 		}
@@ -52,7 +53,7 @@ func TestLabeledEngineMatchesOracle(t *testing.T) {
 	lg := gen.ZipfLabels(gen.PowerLaw(600, 3, 29), 8, 1.7, 13)
 	rng := rand.New(rand.NewSource(41))
 	sys := huge.NewSystem(lg, huge.Options{Machines: 3, Workers: 2})
-	sysNC := huge.NewSystem(lg, huge.Options{Machines: 2, Workers: 2, NoCompress: true})
+	sysNC := huge.NewSystem(lg, huge.Options{Machines: 2, Workers: 2})
 	for _, q := range query.Catalog() {
 		labels := make([]int, q.NumVertices())
 		for v := range labels {
@@ -67,19 +68,23 @@ func TestLabeledEngineMatchesOracle(t *testing.T) {
 		}
 		lq := q.WithVertexLabels(labels)
 		want := baseline.GroundTruthCount(lg, lq)
-		res, err := sys.Run(lq)
+		res, err := sys.Exec(context.Background(), lq, huge.CountOnly()).Wait()
 		if err != nil {
 			t.Fatalf("%s: %v", lq, err)
 		}
 		if res.Count != want {
 			t.Errorf("%s: engine %d, oracle %d", lq, res.Count, want)
 		}
-		resNC, err := sysNC.Run(lq)
+		// OnMatch delivery materialises every match, so the final extension
+		// runs uncompressed.
+		var delivered atomic.Uint64
+		resNC, err := sysNC.Exec(context.Background(), lq,
+			huge.OnMatch(func([]huge.VertexID) { delivered.Add(1) })).Wait()
 		if err != nil {
 			t.Fatalf("%s (no compress): %v", lq, err)
 		}
-		if resNC.Count != want {
-			t.Errorf("%s (no compress): engine %d, oracle %d", lq, resNC.Count, want)
+		if resNC.Count != want || delivered.Load() != want {
+			t.Errorf("%s (no compress): engine %d, delivered %d, oracle %d", lq, resNC.Count, delivered.Load(), want)
 		}
 	}
 }
@@ -105,11 +110,11 @@ func TestSelectiveLabelShrinksExecution(t *testing.T) {
 	qU := huge.Triangle()
 	qL := qU.WithVertexLabels([]int{rare, rare, rare})
 
-	resU, err := sys.Run(qU)
+	resU, err := sys.Exec(context.Background(), qU, huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resL, err := sys.Run(qL)
+	resL, err := sys.Exec(context.Background(), qL, huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func TestPlanCacheLabelSignatures(t *testing.T) {
 		huge.NewLabeledQuery("tri-mixed", edges, []int{1, huge.AnyLabel, 0}),
 	}
 	for _, q := range variants {
-		res, err := sys.Run(q)
+		res, err := sys.Exec(context.Background(), q, huge.CountOnly()).Wait()
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name(), err)
 		}
@@ -161,7 +166,7 @@ func TestPlanCacheLabelSignatures(t *testing.T) {
 	// An isomorphic labelled twin (vertices permuted, labels carried along)
 	// reuses the cached plan.
 	twin := huge.NewLabeledQuery("tri-mixed-twin", [][2]int{{2, 1}, {1, 0}, {0, 2}}, []int{0, huge.AnyLabel, 1})
-	res, err := sys.Run(twin)
+	res, err := sys.Exec(context.Background(), twin, huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +188,13 @@ func TestLabeledEnumerateAndPattern(t *testing.T) {
 		t.Fatalf("parsed labels wrong: %s", q)
 	}
 	var bad atomic.Int64
-	res, err := sys.Enumerate(q, func(m []huge.VertexID) {
+	res, err := sys.Exec(context.Background(), q, huge.OnMatch(func(m []huge.VertexID) {
 		for v, c := range m {
 			if l := q.Label(v); l >= 0 && int(lg.Label(c)) != l {
 				bad.Add(1)
 			}
 		}
-	})
+	})).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,11 @@ package huge
 // the persisted query specs.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
-	"repro/internal/cluster"
-	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -86,7 +85,6 @@ func Create(dir string, g *Graph, opts Options) (*System, error) {
 // view right after Open reports an empty delta (epoch transitions are not
 // replayed as pinned edge sets), exactly like a freshly built System.
 func Open(dir string, opts Options) (*System, error) {
-	opts = opts.normalise()
 	st, err := store.Open(dir, opts.Persist.storeOptions())
 	if err != nil {
 		return nil, err
@@ -96,40 +94,12 @@ func Open(dir string, opts Options) (*System, error) {
 		st.Close()
 		return nil, err
 	}
-	s := &System{
-		snap:     recoveredSnapshot(rec, opts),
-		opts:     opts,
-		inflight: map[string]*keyLock{},
-		subs:     plan.NewRegistry[*Subscription](),
-		groups:   map[string]*subGroup{},
-		st:       st,
-	}
-	if opts.PlanCachePlans >= 0 {
-		s.plans = plan.NewCache(opts.PlanCachePlans)
-	}
-	if opts.Governor != nil {
-		s.gov = newGovernor(*opts.Governor)
-	}
+	// The recovered statistics are deployed verbatim — NOT recomputed — so
+	// the stats fingerprint (and with it every plan-cache key) matches the
+	// pre-restart system bit for bit.
+	s := newSystem(rec.Graph, rec.Stats, opts, st)
 	s.rewarmPlans(rec.Plans)
 	return s, nil
-}
-
-// recoveredSnapshot deploys recovered state as a snapshot, using the
-// recovered statistics verbatim — NOT recomputing them — so the stats
-// fingerprint (and with it every plan-cache key) matches the pre-restart
-// system bit for bit.
-func recoveredSnapshot(rec store.Recovered, opts Options) *snapshot {
-	g := rec.Graph
-	if opts.HubMinDegree > 0 {
-		g.SetHubMinDegree(opts.HubMinDegree)
-	}
-	return &snapshot{
-		g:       g,
-		cl:      cluster.New(g, opts.clusterConfig()),
-		stats:   rec.Stats,
-		statsFP: rec.Stats.Fingerprint(),
-		card:    plan.MomentEstimator(rec.Stats),
-	}
 }
 
 // rewarmPlans re-optimises every persisted plan spec against the
@@ -245,7 +215,7 @@ func (s *System) AsOf(epoch uint64) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{sys: s, snap: recoveredSnapshot(rec, s.opts)}, nil
+	return &Session{sys: s, snap: newSnapshot(rec.Graph, rec.Stats, s.opts)}, nil
 }
 
 // Close releases the persistent store (log handle and any snapshot
@@ -253,7 +223,8 @@ func (s *System) AsOf(epoch uint64) (*Session, error) {
 // epoch, carrying the plan specs worth re-warming, so the next Open
 // replays zero log records and starts with a warm plan cache — unless
 // automatic compaction was disabled (negative CompactEvery), which pins
-// the log for recovery-path measurement. Checkpoint failure is swallowed:
+// the log for recovery-path measurement. A failed checkpoint is reported
+// (joined with the store's own close error) but does not stop the release:
 // the log already holds every epoch, so recovery stays exact, just slower.
 // Apply panics after Close; queries keep working on in-memory snapshots,
 // but graphs obtained via AsOf under PersistConfig.Mmap must not be used
@@ -261,13 +232,17 @@ func (s *System) AsOf(epoch uint64) (*Session, error) {
 func (s *System) Close() error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	if s.st == nil {
+	if s.st == nil || s.closed {
 		return nil
 	}
+	s.closed = true
+	var ckErr error
 	if s.opts.Persist == nil || s.opts.Persist.CompactEvery >= 0 {
-		_ = s.st.Compact(s.snapshotData(s.snapshot()))
+		if err := s.st.Compact(s.snapshotData(s.snapshot())); err != nil {
+			ckErr = fmt.Errorf("huge: clean-shutdown checkpoint: %w", err)
+		}
 	}
-	return s.st.Close()
+	return errors.Join(ckErr, s.st.Close())
 }
 
 // StatsFingerprint returns the FNV fingerprint of the current snapshot's

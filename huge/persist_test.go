@@ -9,6 +9,7 @@ package huge_test
 
 import (
 	"context"
+	"os"
 	"testing"
 
 	"repro/huge"
@@ -228,5 +229,26 @@ func TestPersistGuards(t *testing.T) {
 	}
 	if huge.StoreExists(t.TempDir()) {
 		t.Fatal("StoreExists true for an empty dir")
+	}
+}
+
+// TestCloseReportsCheckpointFailure: a clean shutdown whose checkpoint
+// cannot be written (the store directory is gone) must say so — the error
+// used to be discarded — and a second Close stays a no-op.
+func TestCloseReportsCheckpointFailure(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := huge.Create(dir, gen.PowerLaw(100, 4, 43), persistOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Apply(huge.Delta{Insert: [][2]huge.VertexID{{0, 99}}})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err == nil {
+		t.Fatal("Close returned nil after its checkpoint failed")
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("second Close: %v, want nil (idempotent)", err)
 	}
 }

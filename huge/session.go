@@ -120,32 +120,6 @@ func (se *Session) record(res Result, err error) {
 	se.elapsed += res.Elapsed
 }
 
-// Run counts q's matches with the (plan-cache-backed) optimal plan,
-// against the session's pinned snapshot. A Query.Delta() view enumerates
-// the match delta of the pinned snapshot's epoch.
-//
-// Deprecated: Use Exec — sess.Exec(ctx, q, huge.CountOnly()).Wait().
-func (se *Session) Run(ctx context.Context, q *Query) (Result, error) {
-	return se.Exec(ctx, q, CountOnly()).Wait()
-}
-
-// RunPlan counts q's matches with a specific plan against the pinned
-// snapshot.
-//
-// Deprecated: Use Exec — sess.Exec(ctx, q, huge.WithPlan(p), huge.CountOnly()).Wait().
-func (se *Session) RunPlan(ctx context.Context, q *Query, p *Plan) (Result, error) {
-	return se.Exec(ctx, q, WithPlan(p), CountOnly()).Wait()
-}
-
-// Enumerate streams every match to fn (see System.Enumerate), against the
-// session's pinned snapshot.
-//
-// Deprecated: Use Exec — range over sess.Exec(ctx, q).Matches(), or pass
-// huge.OnMatch(fn) for callback delivery.
-func (se *Session) Enumerate(ctx context.Context, q *Query, fn func(match []VertexID)) (Result, error) {
-	return se.Exec(ctx, q, OnMatch(fn)).Wait()
-}
-
 // MatchPattern parses a Cypher-flavoured pattern and counts its matches.
 func (se *Session) MatchPattern(ctx context.Context, name, pattern string) (Result, map[string]int, error) {
 	q, names, err := ParsePattern(name, pattern)

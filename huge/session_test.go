@@ -36,7 +36,7 @@ func TestConcurrentRunsShareOneSystem(t *testing.T) {
 			wg.Add(1)
 			go func(r, i int, q *Query) {
 				defer wg.Done()
-				results[r][i], errs[r][i] = sys.RunConcurrent(context.Background(), q)
+				results[r][i], errs[r][i] = sys.Exec(context.Background(), q, CountOnly()).Wait()
 			}(r, i, q)
 		}
 	}
@@ -67,7 +67,7 @@ func TestPlanCacheAmortisesRepeatedQueries(t *testing.T) {
 	g := Generate("GO", 1)
 	sys := NewSystem(g, Options{Machines: 2, Workers: 1})
 
-	res1, err := sys.Run(Q1())
+	res1, err := sys.Exec(context.Background(), Q1(), CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPlanCacheAmortisesRepeatedQueries(t *testing.T) {
 	}
 
 	// Re-running the same pattern — and a relabelled copy — must hit.
-	res2, err := sys.Run(Q1())
+	res2, err := sys.Exec(context.Background(), Q1(), CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPlanCacheAmortisesRepeatedQueries(t *testing.T) {
 		t.Error("repeat run did not reuse the cached plan")
 	}
 	relabelled := NewQuery("square-relabelled", [][2]int{{2, 0}, {0, 3}, {3, 1}, {1, 2}})
-	res3, err := sys.Run(relabelled)
+	res3, err := sys.Exec(context.Background(), relabelled, CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPlanCacheAmortisesRepeatedQueries(t *testing.T) {
 	}
 
 	// A different pattern is a fresh miss.
-	if _, err := sys.Run(Q2()); err != nil {
+	if _, err := sys.Exec(context.Background(), Q2(), CountOnly()).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	_, misses, _ = sys.PlanCacheStats()
@@ -117,7 +117,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	g := Generate("GO", 1)
 	sys := NewSystem(g, Options{PlanCachePlans: -1})
 	for i := 0; i < 2; i++ {
-		res, err := sys.Run(Triangle())
+		res, err := sys.Exec(context.Background(), Triangle(), CountOnly()).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,17 +137,17 @@ func TestEnumerateRejectsForeignNumberingPlan(t *testing.T) {
 	g := FromEdges([][2]VertexID{{0, 1}, {1, 2}})
 	sys := NewSystem(g, Options{})
 	warm := NewQuery("2path-relabelled", [][2]int{{1, 0}, {0, 2}}) // centre is vertex 0
-	if _, err := sys.Run(warm); err != nil {
+	if _, err := sys.Exec(context.Background(), warm, CountOnly()).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	q := NewQuery("2path", [][2]int{{0, 1}, {1, 2}}) // centre is vertex 1
 	var mu sync.Mutex
 	var got [][]VertexID
-	res, err := sys.Enumerate(q, func(m []VertexID) {
+	res, err := sys.Exec(context.Background(), q, OnMatch(func(m []VertexID) {
 		mu.Lock()
 		got = append(got, append([]VertexID(nil), m...))
 		mu.Unlock()
-	})
+	})).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestEnumerateRejectsForeignNumberingPlan(t *testing.T) {
 
 	// A repeat enumeration of the same numbering must amortise via the
 	// numbering-exact cache slot (not re-run the optimiser forever).
-	res2, err := sys.Enumerate(q, func([]VertexID) {})
+	res2, err := sys.Exec(context.Background(), q, OnMatch(func([]VertexID) {})).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRunConcurrentCancellation(t *testing.T) {
 	sys := NewSystem(g, Options{Machines: 2, Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the run starts: must abort promptly
-	_, err := sys.RunConcurrent(ctx, Q6())
+	_, err := sys.Exec(ctx, Q6(), CountOnly()).Wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -186,16 +186,16 @@ func TestSessionStats(t *testing.T) {
 	se := sys.NewSession()
 	ctx := context.Background()
 
-	r1, err := se.Run(ctx, Q1())
+	r1, err := se.Exec(ctx, Q1(), CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.Run(ctx, Q1()); err != nil {
+	if _, err := se.Exec(ctx, Q1(), CountOnly()).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := se.Run(cancelled, Q2()); err == nil {
+	if _, err := se.Exec(cancelled, Q2(), CountOnly()).Wait(); err == nil {
 		t.Fatal("cancelled session run succeeded")
 	}
 	st := se.Stats()
@@ -214,7 +214,7 @@ func TestSessionStats(t *testing.T) {
 	if got := se2.Stats(); got.Queries != 0 {
 		t.Fatalf("fresh session has stats %+v", got)
 	}
-	res, err := se2.Run(ctx, Q1())
+	res, err := se2.Exec(ctx, Q1(), CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestPlanCacheInvalidatedBySetOrders(t *testing.T) {
 	g := Generate("GO", 1)
 	sys := NewSystem(g, Options{Machines: 2})
 	q := Triangle()
-	res1, err := sys.Run(q) // caches the auto-orders plan with Plan.Q == q
+	res1, err := sys.Exec(context.Background(), q, CountOnly()).Wait() // caches the auto-orders plan with Plan.Q == q
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestPlanCacheInvalidatedBySetOrders(t *testing.T) {
 	// A fresh auto-orders triangle maps to the original fingerprint; it
 	// must NOT be served the mutated plan.
 	q2 := Triangle()
-	res2, err := sys.Run(q2)
+	res2, err := sys.Exec(context.Background(), q2, CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestPlanCacheInvalidatedBySetOrders(t *testing.T) {
 		t.Fatalf("stale plan served after SetOrders: count %d, want %d", res2.Count, res1.Count)
 	}
 	// And the mutated query itself now fingerprints (and runs) separately.
-	res3, err := sys.Run(q)
+	res3, err := sys.Exec(context.Background(), q, CountOnly()).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := sys.Run(Q8()); err != nil {
+			if _, err := sys.Exec(context.Background(), Q8(), CountOnly()).Wait(); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -401,7 +401,7 @@ func (s *System) maintainGroup(sn *snapshot, epoch uint64, flows []*dataflow.Dat
 	// Maintenance runs stay ungoverned (nil handle): they execute under
 	// applyMu as part of Apply, and queueing them behind client admission
 	// would stall every Apply on the system.
-	_, err := s.runDeltaFlows(context.Background(), sn, flows, collect(&newM), collect(&deadM), budget, nil, nil)
+	_, err := s.runDeltaFlows(context.Background(), sn, flows, run{fn: collect(&newM), budget: budget}, collect(&deadM))
 	s.maint.SharedRuns.Add(1)
 	s.maint.ServedSubscribers.Add(uint64(len(live)))
 	s.maint.DedupedRuns.Add(uint64(len(live) - 1))

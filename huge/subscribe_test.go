@@ -59,7 +59,7 @@ func TestSubscribeOracle(t *testing.T) {
 	}
 	defer sub.Close()
 
-	res, err := sys.Run(q)
+	res, err := sys.Exec(context.Background(), q, huge.CountOnly()).Wait()
 	if err != nil {
 		t.Fatalf("full run: %v", err)
 	}
@@ -69,9 +69,12 @@ func TestSubscribeOracle(t *testing.T) {
 		sys.Apply(randomDelta(sys.Graph(), 40, 0, 0, int64(100+epoch)))
 
 		// Standalone oracle on the snapshot Apply installed.
+		var mu sync.Mutex // OnMatch is called from the engine's workers
 		var wantNew [][]huge.VertexID
 		dres, err := sys.Exec(ctx, q.Delta(), huge.OnMatch(func(m []huge.VertexID) {
+			mu.Lock()
 			wantNew = append(wantNew, append([]huge.VertexID(nil), m...))
+			mu.Unlock()
 		})).Wait()
 		if err != nil {
 			t.Fatalf("epoch %d: delta run: %v", epoch, err)
@@ -112,7 +115,7 @@ func TestSubscribeOracle(t *testing.T) {
 		// Telescope: the subscriber's incrementally-maintained count must
 		// land exactly on the new snapshot's full count.
 		running += int64(len(ev.New)) - int64(len(ev.Dead))
-		full, err := sys.Run(q)
+		full, err := sys.Exec(context.Background(), q, huge.CountOnly()).Wait()
 		if err != nil {
 			t.Fatalf("epoch %d: full run: %v", epoch, err)
 		}

@@ -152,10 +152,11 @@ type HugeOpts struct {
 	Machines    int // 0 = Env.K
 }
 
-// RunHUGE executes q on g through the huge.System service layer (so the
-// harness exercises the same per-run execution contexts production code
-// uses). Compression is disabled to keep the measurements comparable with
-// the materialising baselines, as before the serving-layer refactor.
+// RunHUGE executes q on g with the plan huge.System picks for the named
+// family, on a cluster deployed with the experiment's ablation settings —
+// cache variant and capacity, load-balancing strategy, modelled latency —
+// which only this rig flips. Compression is off to keep the measurements
+// comparable with the materialising baselines.
 func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 	k := o.Machines
 	if k == 0 {
@@ -178,23 +179,28 @@ func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 	if queue == 0 {
 		queue = 1 << 16
 	}
-	sys := huge.NewSystem(g, huge.Options{
-		Machines:    k,
-		Workers:     e.Workers,
-		BatchRows:   o.BatchRows,
-		QueueRows:   queue,
-		CacheKind:   o.CacheKind,
-		CacheBytes:  o.CacheBytes,
-		LoadBalance: o.LoadBalance,
-		Latency:     e.latency(),
-		NoCompress:  true,
-	})
-	res, err := sys.Exec(context.Background(), q,
-		huge.WithPlan(sys.PlanFor(q, planName)), huge.CountOnly()).Wait()
+	sys := huge.NewSystem(g, huge.Options{Machines: k, Workers: e.Workers})
+	df, err := plan.Translate(sys.PlanFor(q, planName))
 	if err != nil {
 		return RunResult{Name: name, Err: err}
 	}
-	return RunResult{Name: name, Count: res.Count, Elapsed: res.Elapsed, Summary: res.Metrics}
+	ex := cluster.New(g, cluster.Config{
+		NumMachines: k,
+		Workers:     e.Workers,
+		CacheKind:   o.CacheKind,
+		CacheBytes:  o.CacheBytes,
+		Latency:     e.latency(),
+	}).NewExec()
+	start := time.Now()
+	count, err := engine.Run(context.Background(), ex, df, engine.Config{
+		BatchRows:   o.BatchRows,
+		QueueRows:   queue,
+		LoadBalance: o.LoadBalance,
+	})
+	if err != nil {
+		return RunResult{Name: name, Err: err}
+	}
+	return RunResult{Name: name, Count: count, Elapsed: time.Since(start), Summary: ex.Metrics.Snapshot()}
 }
 
 // RunBaseline executes one of the paper's competitor systems.

@@ -4,6 +4,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/cache"
+	"repro/internal/engine"
+	"repro/internal/query"
 )
 
 func tinyEnv() *Env { return TinyEnv() }
@@ -109,5 +114,29 @@ func TestFig9MemoryShape(t *testing.T) {
 	}
 	if d >= b {
 		t.Fatalf("DFS peak %d not below BFS peak %d", d, b)
+	}
+}
+
+// TestRunHUGEMatchesGroundTruth: the rig path (System.PlanFor, then
+// cluster + engine driven directly with the ablation settings) must count
+// exactly what the oracle counts, for every plan family under every cache
+// variant and load-balancing strategy the experiments flip.
+func TestRunHUGEMatchesGroundTruth(t *testing.T) {
+	e := tinyEnv()
+	g := e.Dataset("GO")
+	q := query.Q1()
+	want := baseline.GroundTruthCount(g, q)
+	for _, family := range []string{"optimal", "wco", "seed", "rads", "benu", "emptyheaded", "graphflow"} {
+		for _, kind := range []cache.Kind{cache.LRBU, cache.LRBUCopy, cache.LRBULock, cache.LRUInf, cache.CncrLRU} {
+			for _, lb := range []engine.LoadBalance{engine.LBSteal, engine.LBStatic, engine.LBPivot} {
+				r := e.RunHUGE(g, q, HugeOpts{PlanName: family, CacheKind: kind, CacheBytes: g.SizeBytes() / 10, LoadBalance: lb, BatchRows: 256})
+				if r.Err != nil {
+					t.Fatalf("%s/%v/%v: %v", family, kind, lb, r.Err)
+				}
+				if r.Count != want {
+					t.Errorf("%s/%v/%v: count %d, oracle %d", family, kind, lb, r.Count, want)
+				}
+			}
+		}
 	}
 }
