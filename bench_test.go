@@ -10,7 +10,9 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -740,4 +742,80 @@ func BenchmarkIntersectKernels(b *testing.B) {
 		}
 	})
 	_ = sink
+}
+
+// BenchmarkPushJoin: the PUSH-JOIN data path on its own (Section 4.3) —
+// `relation` is one join buffer's life (Add 10^6 rows, Finalize, drain),
+// `q7_count` and `q7_rows` are EU q7 (3-path ⋈ 2-path, the catalog's one
+// optimal plan with a pushing join) at Machines:2, counted and delivered
+// through OnMatch. Every leg fails on a wrong count.
+func BenchmarkPushJoin(b *testing.B) {
+	b.Run("relation", func(b *testing.B) {
+		const n = 1_000_000
+		rows := make([]graph.VertexID, 4*n)
+		rng := rand.New(rand.NewSource(7))
+		for i := range rows {
+			rows[i] = graph.VertexID(rng.Intn(1 << 16))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rel := engine.NewRelation(4, []int{1, 2}, 0, nil)
+			for r := 0; r < n; r++ {
+				if err := rel.Add(rows[4*r : 4*r+4]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			it, err := rel.Finalize()
+			if err != nil {
+				b.Fatal(err)
+			}
+			drained := 0
+			for {
+				_, ok, err := it.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				drained++
+			}
+			if err := it.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if drained != n {
+				b.Fatalf("drained %d rows, want %d", drained, n)
+			}
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
+
+	sys := huge.NewSystem(gen.ByName("EU", 1), huge.Options{Machines: 2, Workers: 1})
+	q := query.Q7()
+	ctx := context.Background()
+	ref, err := sys.Exec(ctx, q, huge.WithPlan(sys.PlanFor(q, "wco")), huge.CountOnly()).Wait()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var delivered atomic.Uint64
+	q7 := func(opt huge.Option, wantDelivered uint64) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				delivered.Store(0)
+				res, err := sys.Exec(ctx, q, opt).Wait()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Count != ref.Count || delivered.Load() != wantDelivered || res.Metrics.BytesPushed == 0 {
+					b.Fatalf("count = %d, delivered %d, pushed %d B; want %d matches through a pushing join",
+						res.Count, delivered.Load(), res.Metrics.BytesPushed, ref.Count)
+				}
+			}
+			b.ReportMetric(float64(ref.Count)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		}
+	}
+	b.Run("q7_count", q7(huge.CountOnly(), 0))
+	b.Run("q7_rows", q7(huge.OnMatch(func([]huge.VertexID) { delivered.Add(1) }), ref.Count))
 }

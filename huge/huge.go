@@ -240,7 +240,10 @@ type Options struct {
 	//	        adaptive middle ground used by the paper's experiments,
 	//	 other  an explicit adaptive capacity.
 	QueueRows int64
-	// JoinBufferRows is the PUSH-JOIN spill threshold.
+	// JoinBufferRows is the in-memory threshold, in rows, of each PUSH-JOIN
+	// buffer (one per join, side and machine): a buffer that reaches it is
+	// sorted and spilled to a temporary file as one run. 0 means 1<<20.
+	// Result.Metrics.JoinSpillRuns/JoinSpillBytes report what a run spilled.
 	JoinBufferRows int
 	// PlanCachePlans bounds the fingerprint-keyed plan cache (number of
 	// plans; 0 = plan.DefaultCacheCapacity, negative = cache disabled).
@@ -856,5 +859,7 @@ func addSummaries(a, b Summary) Summary {
 	}
 	a.StealsIntra += b.StealsIntra
 	a.StealsInter += b.StealsInter
+	a.JoinSpillRuns += b.JoinSpillRuns
+	a.JoinSpillBytes += b.JoinSpillBytes
 	return a
 }

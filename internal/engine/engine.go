@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"sync"
 
 	"repro/internal/cluster"
@@ -51,8 +50,12 @@ type Config struct {
 	// LoadBalance picks the Exp-8 strategy. Inter-machine stealing is on
 	// only for LBSteal.
 	LoadBalance LoadBalance
-	// JoinBufferRows is the in-memory threshold of each PUSH-JOIN buffer
-	// before spilling to disk.
+	// JoinBufferRows is the in-memory threshold, in rows, of each PUSH-JOIN
+	// buffer — there is one per (join, side, machine): a buffer that
+	// reaches it is sorted and written to disk as one run, and the join
+	// merges the runs back. 0 or less means 1<<20 rows (16 MB of 4-slot
+	// tuples), below which a join input is sorted and joined in memory.
+	// Metrics.JoinSpillRuns / JoinSpillBytes report what was spilled.
 	JoinBufferRows int
 	// OnResult, when set, receives every result row (must be cheap and
 	// safe for concurrent calls). Used by tests and the path examples.
@@ -125,7 +128,6 @@ type Engine struct {
 	df    *dataflow.Dataflow
 	cfg   Config
 	joins map[int]*joinBuffers
-	seed  maphash.Seed
 }
 
 // joinBuffers holds the shuffled inputs of one PUSH-JOIN: one Relation per
@@ -151,7 +153,7 @@ func Run(ctx context.Context, ex *cluster.Exec, df *dataflow.Dataflow, cfg Confi
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := &Engine{ex: ex, df: df, cfg: cfg.withDefaults(), joins: map[int]*joinBuffers{}, seed: maphash.MakeSeed()}
+	e := &Engine{ex: ex, df: df, cfg: cfg.withDefaults(), joins: map[int]*joinBuffers{}}
 	k := len(ex.Machines)
 	for _, st := range df.Stages {
 		if st.JoinSrc == nil {
@@ -167,8 +169,10 @@ func Run(ctx context.Context, ex *cluster.Exec, df *dataflow.Dataflow, cfg Confi
 			}
 			width := len(df.Stages[feeder].OutputLayout())
 			for m := 0; m < k; m++ {
-				jb.sides[side] = append(jb.sides[side], NewRelation(width, keys, e.cfg.JoinBufferRows,
-					func(rows int) { ex.Metrics.AddLiveTuples(-int64(rows)) }))
+				rel := NewRelation(width, keys, e.cfg.JoinBufferRows,
+					func(rows int) { ex.Metrics.AddLiveTuples(-int64(rows)) })
+				rel.metrics = ex.Metrics
+				jb.sides[side] = append(jb.sides[side], rel)
 			}
 		}
 		e.joins[st.ID] = jb
@@ -212,10 +216,17 @@ func (e *Engine) runStage(ctx context.Context, st *dataflow.Stage) error {
 	k := len(e.ex.Machines)
 	ex.sourcesActive.Store(int64(k))
 
+	// A PUSH-JOIN feeding a counting SINK directly is counted, not
+	// materialised — the condition under which runOp counts a final
+	// PULL-EXTEND (countExtend), minus what only an extend can do: group.
+	countJoin := st.JoinSrc != nil && len(st.Extends) == 0 && st.Terminal.Sink &&
+		e.cfg.Compress && e.cfg.OnResult == nil && e.cfg.Groups == nil
+
 	var iterCleanup []RowIter
 	var bufferedRows int64
 	for _, m := range e.ex.Machines {
 		var src sourceIter
+		var join *joinIter
 		if st.Scan != nil {
 			src = newScanIter(m, st.Scan)
 		} else if st.DeltaSrc != nil {
@@ -232,9 +243,14 @@ func (e *Engine) runStage(ctx context.Context, st *dataflow.Stage) error {
 				return err
 			}
 			iterCleanup = append(iterCleanup, li, ri)
-			src = newJoinIter(st.JoinSrc, li, ri)
+			join = newJoinIter(st.JoinSrc, li, ri)
+			src = join
 		}
-		ex.runs = append(ex.runs, newMachineRun(ex, m, src))
+		run := newMachineRun(ex, m, src)
+		if countJoin {
+			run.countJoin = join
+		}
+		ex.runs = append(ex.runs, run)
 	}
 
 	var wg sync.WaitGroup

@@ -2,13 +2,14 @@ package engine
 
 import (
 	"context"
-	"hash/maphash"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
+	"repro/internal/graph"
 	"repro/internal/steal"
 )
 
@@ -68,6 +69,10 @@ type machineRun struct {
 	m          *cluster.MachineExec
 	source     sourceIter
 	sourceDone bool
+	// countJoin is set (to the same iterator as source) when the stage is a
+	// PUSH-JOIN feeding a counting SINK directly: operator 0 then counts
+	// the join's output instead of materialising and queueing it.
+	countJoin *joinIter
 
 	mu     sync.Mutex // guards queues/qrows (scheduler vs inter-machine thieves)
 	queues [][]*dataflow.Batch
@@ -79,6 +84,10 @@ type machineRun struct {
 	// curBatch is the adaptive batch-sizing controller's current source
 	// batch size (govern.go); 0 until the first sizing decision.
 	curBatch int
+
+	// slabs are the per-destination staging buffers of a join-feed
+	// terminal, reused from batch to batch.
+	slabs [][]graph.VertexID
 }
 
 func newMachineRun(ex *stageExec, m *cluster.MachineExec, src sourceIter) *machineRun {
@@ -269,6 +278,27 @@ func (r *machineRun) runOp(op int) error {
 				return ErrMemoryBudget
 			}
 			rows := r.ex.eng.cfg.BatchRows
+			if r.countJoin != nil {
+				// Nothing is queued, so outFull never sends control back to
+				// run's cancellation check: make it here, once per batch of
+				// work like every other boundary check.
+				if r.ex.firstErrFast() != nil {
+					return nil
+				}
+				n, more, err := r.countJoin.scan(nil, rows)
+				if err != nil {
+					return err
+				}
+				if b := r.ex.eng.cfg.Budget; b != nil {
+					n = b.Take(n)
+				}
+				r.ex.eng.ex.Metrics.Results.Add(n)
+				if !more {
+					r.sourceDone = true
+					r.ex.sourcesActive.Add(-1)
+				}
+				continue
+			}
 			if r.ex.eng.cfg.AdaptiveBatch {
 				rows = r.adaptiveBatchRows()
 			}
@@ -381,35 +411,47 @@ func (r *machineRun) terminal(b *dataflow.Batch) error {
 		}
 		return nil
 	}
-	jb := eng.joins[t.ConsumerStage]
-	k := len(eng.ex.Machines)
+	// Scatter the batch into one slab per destination machine, then hand
+	// each slab over whole: one lock per (batch, relation) and one push
+	// message per (batch, remote destination).
+	sides := eng.joins[t.ConsumerStage].sides[t.Side]
+	if r.slabs == nil {
+		r.slabs = make([][]graph.VertexID, len(sides))
+	}
 	eng.ex.Metrics.AddLiveTuples(int64(b.Rows()))
-	remoteBytes := make([]uint64, k)
-	var h maphash.Hash
-	for i := 0; i < b.Rows(); i++ {
-		row := b.Row(i)
-		h.SetSeed(eng.seed)
-		for _, ks := range t.KeySlots {
-			v := row[ks]
-			h.WriteByte(byte(v))
-			h.WriteByte(byte(v >> 8))
-			h.WriteByte(byte(v >> 16))
-			h.WriteByte(byte(v >> 24))
+	for off := 0; off < len(b.Data); off += b.Width {
+		row := b.Data[off : off+b.Width]
+		dest := shuffleDest(row, t.KeySlots, len(sides))
+		r.slabs[dest] = append(r.slabs[dest], row...)
+	}
+	for dest, slab := range r.slabs {
+		if len(slab) == 0 {
+			continue
 		}
-		dest := int(h.Sum64() % uint64(k))
-		if err := jb.sides[t.Side][dest].Add(row); err != nil {
+		r.slabs[dest] = slab[:0]
+		if err := sides[dest].AddRows(slab); err != nil {
 			return err
 		}
 		if dest != r.m.ID {
-			remoteBytes[dest] += uint64(len(row)) * 4
-		}
-	}
-	for _, bytes := range remoteBytes {
-		if bytes > 0 {
-			eng.ex.PushBytes(bytes)
+			eng.ex.PushBytes(uint64(len(slab)) * 4)
 		}
 	}
 	return nil
+}
+
+// shuffleDest routes a row to one of k machines by a fixed 64-bit mix
+// (splitmix64's finaliser, chained over the key slots) of its join key, so
+// equal keys of both join sides meet on the same machine.
+func shuffleDest(row []graph.VertexID, keySlots []int, k int) int {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, s := range keySlots {
+		h ^= uint64(row[s])
+		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+		h = (h ^ h>>27) * 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	dest, _ := bits.Mul64(h, uint64(k))
+	return int(dest)
 }
 
 // stealOnce implements the StealWork RPC: pick a random victim with work

@@ -200,52 +200,82 @@ func passOrderFilters(row []graph.VertexID, fs []dataflow.OrderFilter) bool {
 	return true
 }
 
-// joinIter streams the locally-computed PUSH-JOIN output: a sort-merge join
-// over the two buffered (possibly spilled) relations, reading back in key
-// order (Section 4.3).
+// joinIter is the locally-computed PUSH-JOIN: a sort-merge join over the
+// two buffered (possibly spilled) relations, read back in key order
+// (Section 4.3). Rows of both sides are read in place. For every left row
+// whose key has a right group it either streams the combined rows
+// (nextBatch) or only counts them (scan without a batch: the join's form
+// of the compression optimisation when a counting SINK follows directly);
+// the cross predicates are evaluated on the two input rows, not on a built
+// output row.
 type joinIter struct {
 	j           *dataflow.Join
 	left, right RowIter
 
-	leftRow, rightRow []graph.VertexID
+	leftRow, rightRow []graph.VertexID // in place: valid until the side's next Next
 	leftOK, rightOK   bool
 	started           bool
 
 	groupKey   []graph.VertexID
-	rightGroup []graph.VertexID // row-major buffer of the current key group
+	rightGroup []graph.VertexID // row-major copy of the current key group
 	rightWidth int
-	gi         int // next right-group row for the current left row
-	inGroup    bool
+	inGroup    bool // leftRow's key is groupKey
+	gi         int  // offset in rightGroup of the next row to test against leftRow
 
-	out []graph.VertexID // scratch output row
+	// CrossFilters and CrossDistinct resolved to (left slot, right slot)
+	// operand pairs: the first nLt must have left < right, the next nGt
+	// left > right, the rest left != right — the order filters first, since
+	// a symmetry-breaking order rejects about half of the pairs. lv[i] is
+	// the left operand of preds[i] in the current left row.
+	preds    [][2]int
+	nLt, nGt int
+	lv       []graph.VertexID
+
+	out []graph.VertexID // scratch output row; the left tuple is copied once per left row
 }
 
 func newJoinIter(j *dataflow.Join, left, right RowIter) *joinIter {
-	return &joinIter{j: j, left: left, right: right, out: make([]graph.VertexID, len(j.OutLayout))}
+	it := &joinIter{j: j, left: left, right: right, out: make([]graph.VertexID, len(j.OutLayout))}
+	leftWidth := len(j.OutLayout) - len(j.RightCopy)
+	// operands maps a pair of output slots to (left slot, right slot);
+	// flipped says the pair's first slot was the right one.
+	operands := func(a, b int) (pair [2]int, flipped bool) {
+		if flipped = a >= leftWidth; flipped {
+			a, b = b, a
+		}
+		if a >= leftWidth || b < leftWidth {
+			// plan.Translate only emits predicates spanning the two sides;
+			// one side's own predicates were applied by its feeder stage.
+			panic("engine: join cross predicate does not span both inputs")
+		}
+		return [2]int{a, j.RightCopy[b-leftWidth]}, flipped
+	}
+	var gt [][2]int
+	for _, f := range j.CrossFilters {
+		if pair, flipped := operands(f.SlotA, f.SlotB); flipped {
+			gt = append(gt, pair)
+		} else {
+			it.preds = append(it.preds, pair)
+		}
+	}
+	it.nLt, it.nGt = len(it.preds), len(gt)
+	it.preds = append(it.preds, gt...)
+	for _, d := range j.CrossDistinct {
+		pair, _ := operands(d[0], d[1])
+		it.preds = append(it.preds, pair)
+	}
+	it.lv = make([]graph.VertexID, len(it.preds))
+	return it
 }
 
-func (it *joinIter) advanceLeft() error {
-	row, ok, err := it.left.Next()
-	if err != nil {
-		return err
-	}
-	if ok {
-		it.leftRow = append(it.leftRow[:0], row...)
-	}
-	it.leftOK = ok
-	return nil
+func (it *joinIter) advanceLeft() (err error) {
+	it.leftRow, it.leftOK, err = it.left.Next()
+	return err
 }
 
-func (it *joinIter) advanceRight() error {
-	row, ok, err := it.right.Next()
-	if err != nil {
-		return err
-	}
-	if ok {
-		it.rightRow = append(it.rightRow[:0], row...)
-	}
-	it.rightOK = ok
-	return nil
+func (it *joinIter) advanceRight() (err error) {
+	it.rightRow, it.rightOK, err = it.right.Next()
+	return err
 }
 
 func (it *joinIter) cmpKeys() int {
@@ -270,103 +300,128 @@ func (it *joinIter) leftMatchesGroup() bool {
 	return true
 }
 
-// combine builds the output row for leftRow x rightGroup[gi]; reports
-// whether it passes the join's cross filters and distinctness checks.
-func (it *joinIter) combine(gi int) bool {
-	n := copy(it.out, it.leftRow)
-	g := it.rightGroup[gi*it.rightWidth : (gi+1)*it.rightWidth]
-	for _, s := range it.j.RightCopy {
-		it.out[n] = g[s]
-		n++
-	}
-	for _, d := range it.j.CrossDistinct {
-		if it.out[d[0]] == it.out[d[1]] {
-			return false
-		}
-	}
-	return passOrderFilters(it.out, it.j.CrossFilters)
-}
-
-func (it *joinIter) nextBatch(maxRows int) (*dataflow.Batch, bool, error) {
+// nextLeft moves to the next left row whose key has a right group, leaving
+// the group in rightGroup and the row's predicate operands in lv; ok=false
+// when either input is exhausted.
+func (it *joinIter) nextLeft() (ok bool, err error) {
 	if !it.started {
 		it.started = true
 		if err := it.advanceLeft(); err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if err := it.advanceRight(); err != nil {
-			return nil, false, err
+			return false, err
 		}
+	} else if it.inGroup {
+		if err := it.advanceLeft(); err != nil {
+			return false, err
+		}
+		it.inGroup = it.leftOK && it.leftMatchesGroup()
 	}
-	b := dataflow.GetBatch(len(it.j.OutLayout), maxRows)
-	for b.Rows() < maxRows {
-		if it.inGroup {
-			if it.gi*it.rightWidth < len(it.rightGroup) {
-				gi := it.gi
-				it.gi++
-				if it.combine(gi) {
-					b.Append(it.out)
-				}
-				continue
-			}
-			// Current left row exhausted the group; next left row.
-			if err := it.advanceLeft(); err != nil {
-				return nil, false, err
-			}
-			if it.leftOK && it.leftMatchesGroup() {
-				it.gi = 0
-				continue
-			}
-			it.inGroup = false
-			continue
-		}
+	for !it.inGroup {
 		if !it.leftOK || !it.rightOK {
-			break
+			return false, nil
 		}
 		switch c := it.cmpKeys(); {
 		case c < 0:
-			if err := it.advanceLeft(); err != nil {
-				return nil, false, err
-			}
+			err = it.advanceLeft()
 		case c > 0:
-			if err := it.advanceRight(); err != nil {
-				return nil, false, err
-			}
+			err = it.advanceRight()
 		default:
-			// Collect the full right group for this key.
-			it.rightWidth = len(it.rightRow)
-			it.groupKey = it.groupKey[:0]
-			for _, k := range it.j.LeftKey {
-				it.groupKey = append(it.groupKey, it.leftRow[k])
-			}
-			it.rightGroup = it.rightGroup[:0]
-			for {
-				it.rightGroup = append(it.rightGroup, it.rightRow...)
-				if err := it.advanceRight(); err != nil {
-					return nil, false, err
-				}
-				if !it.rightOK {
-					break
-				}
-				same := true
-				for i, k := range it.j.RightKey {
-					if it.rightRow[k] != it.groupKey[i] {
-						same = false
-						break
-					}
-				}
-				if !same {
-					break
-				}
-			}
-			it.gi = 0
-			it.inGroup = true
+			err = it.collectGroup()
+		}
+		if err != nil {
+			return false, err
 		}
 	}
-	if b.Rows() == 0 {
-		// The loop only exits with zero rows when both inputs are exhausted
-		// (the in-group branch always continues), so this is the end.
+	for i, p := range it.preds {
+		it.lv[i] = it.leftRow[p[0]]
+	}
+	return true, nil
+}
+
+// collectGroup copies every right row with leftRow's key into rightGroup.
+func (it *joinIter) collectGroup() error {
+	it.rightWidth = len(it.rightRow)
+	it.groupKey = it.groupKey[:0]
+	for _, k := range it.j.LeftKey {
+		it.groupKey = append(it.groupKey, it.leftRow[k])
+	}
+	it.rightGroup = it.rightGroup[:0]
+	for same := true; same; {
+		it.rightGroup = append(it.rightGroup, it.rightRow...)
+		if err := it.advanceRight(); err != nil {
+			return err
+		}
+		same = it.rightOK
+		for i, k := range it.j.RightKey {
+			same = same && it.rightRow[k] == it.groupKey[i]
+		}
+	}
+	it.inGroup = true
+	return nil
+}
+
+// nextBatch streams the join's output rows, up to maxRows at a time.
+func (it *joinIter) nextBatch(maxRows int) (*dataflow.Batch, bool, error) {
+	b := dataflow.GetBatch(len(it.j.OutLayout), maxRows)
+	if _, _, err := it.scan(b, maxRows); err != nil || len(b.Data) == 0 {
 		b.Recycle()
-		return nil, false, nil
+		return nil, false, err
 	}
 	return b, true, nil
+}
+
+// scan is the join loop: for every left row with a right group it tests
+// the row against each row of the group — the cross predicates read the
+// two input rows directly. With a batch it appends the combined rows,
+// until limit were emitted. Without one it only counts the matches, for a
+// consumer that wants nothing else, until limit pairs were tested: no row
+// is built. more=false once the join is exhausted; it resumes mid-group.
+func (it *joinIter) scan(b *dataflow.Batch, limit int) (matched uint64, more bool, err error) {
+	lt, gt, ne := it.preds[:it.nLt], it.preds[it.nLt:][:it.nGt], it.preds[it.nLt+it.nGt:]
+	lvLt, lvGt, lvNe := it.lv[:it.nLt], it.lv[it.nLt:][:it.nGt], it.lv[it.nLt+it.nGt:]
+	for limit > 0 {
+		if !it.inGroup || it.gi == len(it.rightGroup) {
+			ok, err := it.nextLeft()
+			if err != nil || !ok {
+				return matched, false, err
+			}
+			it.gi = 0
+			copy(it.out, it.leftRow)
+		}
+		w, grp := it.rightWidth, it.rightGroup[it.gi:]
+	pairs:
+		for ; len(grp) >= w && limit > 0; grp = grp[w:] {
+			g := grp[:w:w]
+			if b == nil {
+				limit--
+			}
+			for i, v := range lvLt {
+				if v >= g[lt[i][1]] {
+					continue pairs
+				}
+			}
+			for i, v := range lvGt {
+				if v <= g[gt[i][1]] {
+					continue pairs
+				}
+			}
+			for i, v := range lvNe {
+				if v == g[ne[i][1]] {
+					continue pairs
+				}
+			}
+			matched++
+			if b != nil {
+				for i, s := range it.j.RightCopy {
+					it.out[len(it.leftRow)+i] = g[s]
+				}
+				b.Append(it.out)
+				limit--
+			}
+		}
+		it.gi = len(it.rightGroup) - len(grp)
+	}
+	return matched, true, nil
 }

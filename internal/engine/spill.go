@@ -1,34 +1,47 @@
 package engine
 
 import (
-	"bufio"
-	"container/heap"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/metrics"
 )
 
 // Relation is the buffered input of one side of a PUSH-JOIN on one machine
-// (Section 4.3): rows are appended by the router; once the in-memory buffer
-// exceeds its threshold, the buffer is sorted by join key and spilled to a
-// temporary file as a sorted run. Finalize sorts the remainder and returns
-// a streaming iterator that merges all runs, so join processing reads the
-// data back in key order with constant memory.
+// (Section 4.3). The router hands it whole slabs of rows (AddRows); they
+// live row-major in fixed-size chunks, so the buffer grows without ever
+// copying what it already holds. Once limitRows rows are buffered they are
+// ordered by (join key, whole row) with one LSD radix sort over
+// (key, row index) pairs and written to a temporary file as a sorted run —
+// in index order, a block at a time, without a sorted copy — and the chunks
+// are reused for the next run. Finalize orders the remainder the same way
+// and returns an iterator that merges all runs, so the join reads the data
+// back in key order with constant memory.
 type Relation struct {
 	mu        sync.Mutex
 	width     int
 	keySlots  []int
-	mem       []graph.VertexID // row-major
-	limitRows int              // spill threshold; <= 0 means never spill
-	file      *os.File         // all sorted runs, appended back to back
+	sortSlots []int              // keySlots, then every other slot: the (key, row) order
+	chunks    [][]graph.VertexID // row-major; row i is in chunks[i>>chunkShift]
+	rows      int                // rows buffered in chunks
+	limitRows int                // spill threshold; <= 0 means never spill
+	file      *os.File           // all sorted runs, appended back to back
 	runs      []runSpan
-	onSpill   func(rows int) // memory-accounting hook
+	onSpill   func(rows int)   // memory-accounting hook
+	metrics   *metrics.Metrics // spill counters of the run; nil outside one
 }
+
+const (
+	chunkShift = 12 // 4096 rows per chunk
+	chunkMask  = 1<<chunkShift - 1
+	// spillBlockBytes is the unit a run is written and read back in.
+	spillBlockBytes = 1 << 16
+)
 
 // runSpan is one sorted run inside the shared spill file.
 type runSpan struct{ off, length int64 }
@@ -36,16 +49,51 @@ type runSpan struct{ off, length int64 }
 // NewRelation creates a buffered relation. limitRows is the in-memory
 // buffer threshold in rows (the paper's constant buffer size).
 func NewRelation(width int, keySlots []int, limitRows int, onSpill func(rows int)) *Relation {
-	return &Relation{width: width, keySlots: keySlots, limitRows: limitRows, onSpill: onSpill}
+	r := &Relation{width: width, keySlots: keySlots, limitRows: limitRows, onSpill: onSpill}
+	isKey := make([]bool, width)
+	for _, k := range keySlots {
+		isKey[k] = true
+		r.sortSlots = append(r.sortSlots, k)
+	}
+	for s := 0; s < width; s++ {
+		if !isKey[s] {
+			r.sortSlots = append(r.sortSlots, s)
+		}
+	}
+	return r
 }
 
-// Add appends one row. Safe for concurrent callers (the router's feeders).
-func (r *Relation) Add(row []graph.VertexID) error {
+// Add appends one row. Safe for concurrent callers.
+func (r *Relation) Add(row []graph.VertexID) error { return r.AddRows(row) }
+
+// AddRows appends len(rows)/width rows, stored row-major, under one lock,
+// spilling a sorted run each time the buffer reaches limitRows — the same
+// runs row-at-a-time Adds would produce. Safe for concurrent callers (the
+// router's feeders).
+func (r *Relation) AddRows(rows []graph.VertexID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.mem = append(r.mem, row...)
-	if r.limitRows > 0 && len(r.mem)/r.width >= r.limitRows {
-		return r.spillLocked()
+	for len(rows) > 0 {
+		ci, off := r.rows>>chunkShift, (r.rows&chunkMask)*r.width
+		if ci == len(r.chunks) {
+			chunk := 1 << chunkShift
+			if r.limitRows > 0 && r.limitRows < chunk {
+				chunk = r.limitRows
+			}
+			r.chunks = append(r.chunks, make([]graph.VertexID, chunk*r.width))
+		}
+		take := len(rows)
+		if r.limitRows > 0 {
+			take = min(take, (r.limitRows-r.rows)*r.width)
+		}
+		n := copy(r.chunks[ci][off:], rows[:take])
+		rows = rows[n:]
+		r.rows += n / r.width
+		if r.limitRows > 0 && r.rows >= r.limitRows {
+			if err := r.spillLocked(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -54,24 +102,19 @@ func (r *Relation) Add(row []graph.VertexID) error {
 func (r *Relation) Rows() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.width == 0 {
-		return 0
-	}
-	return len(r.mem) / r.width
+	return r.rows
+}
+
+// row returns buffered row i, aliasing the chunk storage.
+func (r *Relation) row(i uint32) []graph.VertexID {
+	off := int(i&chunkMask) * r.width
+	return r.chunks[i>>chunkShift][off : off+r.width : off+r.width]
 }
 
 func (r *Relation) compare(a, b []graph.VertexID) int {
-	for _, k := range r.keySlots {
-		if a[k] != b[k] {
-			if a[k] < b[k] {
-				return -1
-			}
-			return 1
-		}
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
+	for _, s := range r.sortSlots {
+		if a[s] != b[s] {
+			if a[s] < b[s] {
 				return -1
 			}
 			return 1
@@ -80,27 +123,81 @@ func (r *Relation) compare(a, b []graph.VertexID) int {
 	return 0
 }
 
-func (r *Relation) sortMem() {
-	rows := len(r.mem) / r.width
-	idx := make([]int, rows)
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(i, j int) int {
-		return r.compare(r.mem[i*r.width:(i+1)*r.width], r.mem[j*r.width:(j+1)*r.width])
-	})
-	sorted := make([]graph.VertexID, 0, len(r.mem))
-	for _, i := range idx {
-		sorted = append(sorted, r.mem[i*r.width:(i+1)*r.width]...)
-	}
-	r.mem = sorted
+// sortScratch is the working memory of one run sort: the (key, row index)
+// pairs and their radix double-buffer, plus the block a run is encoded
+// into. It is 24 bytes per buffered row, so it is pooled across relations
+// and handed back as soon as the order (or the written run) exists rather
+// than kept per Relation.
+type sortScratch struct {
+	keys, keys2 []uint64
+	idx, idx2   []uint32
+	block       []byte
 }
 
+var sortPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// sortRows orders the buffered rows by (key slots, whole row) and returns
+// the permutation, which aliases sc. The order is lexicographic over
+// sortSlots, so it is built least-significant first: each round packs up to
+// two slots of every row into a uint64 and stable-sorts the (key, index)
+// pairs on the bytes of it that vary, one counting pass per byte.
+func (r *Relation) sortRows(sc *sortScratch) []uint32 {
+	n := r.rows
+	if cap(sc.idx) < n {
+		sc.keys, sc.keys2 = make([]uint64, n), make([]uint64, n)
+		sc.idx, sc.idx2 = make([]uint32, n), make([]uint32, n)
+	}
+	keys, keys2, idx, idx2 := sc.keys[:n], sc.keys2[:n], sc.idx[:n], sc.idx2[:n]
+	for i := range idx {
+		idx[i] = uint32(i)
+	}
+	if n < 2 {
+		return idx
+	}
+	for hi := len(r.sortSlots); hi > 0; hi -= 2 {
+		var varying uint64
+		if hi == 1 {
+			a := r.sortSlots[0]
+			for i, x := range idx {
+				keys[i] = uint64(r.row(x)[a])
+				varying |= keys[i] ^ keys[0]
+			}
+		} else {
+			a, b := r.sortSlots[hi-2], r.sortSlots[hi-1]
+			for i, x := range idx {
+				row := r.row(x)
+				keys[i] = uint64(row[a])<<32 | uint64(row[b])
+				varying |= keys[i] ^ keys[0]
+			}
+		}
+		for shift := 0; shift < 64; shift += 8 {
+			if varying>>shift&0xff == 0 {
+				continue
+			}
+			var next [256]uint32
+			for _, k := range keys {
+				next[byte(k>>shift)]++
+			}
+			sum := uint32(0)
+			for d, c := range next {
+				next[d], sum = sum, sum+c
+			}
+			for i, k := range keys {
+				d := byte(k >> shift)
+				keys2[next[d]], idx2[next[d]] = k, idx[i]
+				next[d]++
+			}
+			keys, keys2, idx, idx2 = keys2, keys, idx2, idx
+		}
+	}
+	return idx
+}
+
+// spillLocked sorts the buffer and appends it to the spill file as one run.
 func (r *Relation) spillLocked() error {
-	if len(r.mem) == 0 {
+	if r.rows == 0 {
 		return nil
 	}
-	r.sortMem()
 	if r.file == nil {
 		f, err := os.CreateTemp("", "huge-join-spill-*")
 		if err != nil {
@@ -108,34 +205,50 @@ func (r *Relation) spillLocked() error {
 		}
 		r.file = f
 	}
-	off, err := r.file.Seek(0, 2)
+	off, err := r.file.Seek(0, io.SeekEnd)
 	if err != nil {
 		return fmt.Errorf("engine: seeking spill file: %w", err)
 	}
-	w := bufio.NewWriterSize(r.file, 1<<16)
-	buf := make([]byte, 4)
-	for _, x := range r.mem {
-		binary.LittleEndian.PutUint32(buf, x)
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("engine: writing spill run: %w", err)
+	sc := sortPool.Get().(*sortScratch)
+	defer sortPool.Put(sc)
+	if sc.block == nil {
+		sc.block = make([]byte, 0, spillBlockBytes)
+	}
+	block := sc.block[:0]
+	for _, i := range r.sortRows(sc) {
+		for _, x := range r.row(i) {
+			block = binary.LittleEndian.AppendUint32(block, x)
+		}
+		if len(block)+4*r.width > cap(block) {
+			if _, err := r.file.Write(block); err != nil {
+				return fmt.Errorf("engine: writing spill run: %w", err)
+			}
+			block = block[:0]
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("engine: flushing spill run: %w", err)
+	if _, err := r.file.Write(block); err != nil {
+		return fmt.Errorf("engine: writing spill run: %w", err)
+	}
+	length := int64(r.rows) * int64(r.width) * 4
+	r.runs = append(r.runs, runSpan{off: off, length: length})
+	if r.metrics != nil {
+		r.metrics.JoinSpillRuns.Add(1)
+		r.metrics.JoinSpillBytes.Add(uint64(length))
 	}
 	if r.onSpill != nil {
-		r.onSpill(len(r.mem) / r.width)
+		r.onSpill(r.rows)
 	}
-	r.runs = append(r.runs, runSpan{off: off, length: int64(len(r.mem)) * 4})
-	r.mem = r.mem[:0]
+	r.rows = 0
 	return nil
 }
 
-// RowIter streams rows in key order.
+// RowIter streams rows in (key, row) order.
 type RowIter interface {
 	// Next returns the next row (aliasing internal storage, valid until the
 	// following call) or ok=false at the end.
 	Next() (row []graph.VertexID, ok bool, err error)
+	// Close releases the relation's buffer and removes its spill file; a
+	// failure to close or remove the file is returned.
 	Close() error
 }
 
@@ -144,27 +257,25 @@ type RowIter interface {
 func (r *Relation) Finalize() (RowIter, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sortMem()
+	sc := sortPool.Get().(*sortScratch)
+	mem := &memRun{rel: r, order: append([]uint32(nil), r.sortRows(sc)...)}
+	sortPool.Put(sc)
 	if len(r.runs) == 0 {
-		return &memIter{rel: r, mem: r.mem, width: r.width}, nil
+		return mem, nil
 	}
-	its := make([]rowSource, 0, len(r.runs)+1)
+	m := &mergeIter{rel: r}
 	for _, span := range r.runs {
-		sr := io.NewSectionReader(r.file, span.off, span.length)
-		its = append(its, &fileSource{r: bufio.NewReaderSize(sr, 1<<16), width: r.width})
-	}
-	its = append(its, &memSource{mem: r.mem, width: r.width})
-	m := &mergeIter{rel: r, cmp: r.compare}
-	for _, src := range its {
-		row, ok, err := src.next()
-		if err != nil {
+		src := newFileRun(io.NewSectionReader(r.file, span.off, span.length), r.width, span)
+		if err := m.push(src); err != nil {
 			return nil, err
 		}
-		if ok {
-			m.h = append(m.h, mergeItem{row: append([]graph.VertexID(nil), row...), src: src})
-		}
 	}
-	heap.Init(&heapAdapter{items: &m.h, cmp: m.cmp})
+	if err := m.push(mem); err != nil {
+		return nil, err
+	}
+	for i := len(m.heads)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
 	return m, nil
 }
 
@@ -182,155 +293,167 @@ func (r *Relation) SpilledRuns() int {
 // place that owns "rows released" semantics); then the buffer is dropped
 // and any spill file removed. It is a no-op after the relation's iterator
 // was closed. Callers must have quiesced all feeders first.
+//
+// Discard has no error to return on purpose: it runs deferred on every
+// exit path of Run, after the run's outcome is decided, and a relation that
+// was consumed already reported its clean-up failure through the
+// iterator's Close. What it could fail at is removing a temporary file of
+// a run that is being abandoned anyway.
 func (r *Relation) Discard() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.onSpill != nil && r.width > 0 && len(r.mem) > 0 {
-		r.onSpill(len(r.mem) / r.width)
+	if r.onSpill != nil && r.rows > 0 {
+		r.onSpill(r.rows)
 	}
-	r.cleanup()
+	_ = r.cleanup()
 }
 
-func (r *Relation) cleanup() {
+// cleanup drops the buffer and removes the spill file, reporting what
+// closing and removing it failed at.
+func (r *Relation) cleanup() error {
+	var err error
 	if r.file != nil {
 		name := r.file.Name()
-		r.file.Close()
-		os.Remove(name)
+		err = errors.Join(r.file.Close(), os.Remove(name))
 		r.file = nil
 	}
 	r.runs = nil
-	r.mem = nil
-}
-
-type memIter struct {
-	rel   *Relation
-	mem   []graph.VertexID
-	width int
-	pos   int
-}
-
-func (it *memIter) Next() ([]graph.VertexID, bool, error) {
-	if it.pos*it.width >= len(it.mem) {
-		return nil, false, nil
-	}
-	row := it.mem[it.pos*it.width : (it.pos+1)*it.width]
-	it.pos++
-	return row, true, nil
-}
-
-func (it *memIter) Close() error {
-	it.rel.cleanup()
-	return nil
+	r.chunks = nil
+	r.rows = 0
+	return err
 }
 
 // rowSource is one sorted run (file or memory) feeding the merge.
 type rowSource interface {
-	next() ([]graph.VertexID, bool, error)
+	Next() ([]graph.VertexID, bool, error)
 }
 
-type memSource struct {
-	mem   []graph.VertexID
-	width int
+// memRun iterates the sorted in-memory buffer in index order; it is the
+// whole iterator of a relation that never spilled.
+type memRun struct {
+	rel   *Relation
+	order []uint32
 	pos   int
 }
 
-func (s *memSource) next() ([]graph.VertexID, bool, error) {
-	if s.pos*s.width >= len(s.mem) {
+func (m *memRun) Next() ([]graph.VertexID, bool, error) {
+	if m.pos == len(m.order) {
 		return nil, false, nil
 	}
-	row := s.mem[s.pos*s.width : (s.pos+1)*s.width]
-	s.pos++
+	row := m.rel.row(m.order[m.pos])
+	m.pos++
 	return row, true, nil
 }
 
-type fileSource struct {
-	r     *bufio.Reader
-	width int
-	buf   []byte
-	row   []graph.VertexID
+func (m *memRun) Close() error { return m.rel.cleanup() }
+
+// fileRun reads one spilled run back a block at a time; rows alias the
+// decoded block.
+type fileRun struct {
+	src       io.Reader
+	off       int64 // spill-file offset of the next unread byte
+	remaining int64 // bytes of the run not read yet
+	width     int
+	buf       []byte
+	vals      []graph.VertexID
+	pos       int
 }
 
-func (s *fileSource) next() ([]graph.VertexID, bool, error) {
-	if s.buf == nil {
-		s.buf = make([]byte, 4*s.width)
-		s.row = make([]graph.VertexID, s.width)
-	}
-	n, err := readFull(s.r, s.buf)
-	if n == 0 {
-		return nil, false, nil
-	}
-	if err != nil || n != len(s.buf) {
-		return nil, false, fmt.Errorf("engine: short read (%d of %d bytes) from spill run", n, len(s.buf))
-	}
-	for i := 0; i < s.width; i++ {
-		s.row[i] = binary.LittleEndian.Uint32(s.buf[4*i:])
-	}
-	return s.row, true, nil
+func newFileRun(src io.Reader, width int, span runSpan) *fileRun {
+	block := max(spillBlockBytes/(4*width), 1) * 4 * width
+	return &fileRun{src: src, off: span.off, remaining: span.length, width: width,
+		buf: make([]byte, min(int64(block), span.length))}
 }
 
-// readFull reads exactly len(buf) bytes or whatever remains before EOF.
-func readFull(r io.Reader, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, nil // EOF: caller checks length
+func (f *fileRun) Next() ([]graph.VertexID, bool, error) {
+	if f.pos == len(f.vals) {
+		if f.remaining == 0 {
+			return nil, false, nil
 		}
+		// The run's length is known, so nothing but its last byte ends it:
+		// a reader that runs dry or fails before that — even on a row
+		// boundary — would silently shorten the join's input.
+		buf := f.buf[:min(int64(len(f.buf)), f.remaining)]
+		n, err := io.ReadFull(f.src, buf)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, false, fmt.Errorf("engine: reading spill run at offset %d: %w", f.off+int64(n), err)
+		}
+		f.off += int64(n)
+		f.remaining -= int64(n)
+		f.vals = f.vals[:0]
+		for ; len(buf) > 0; buf = buf[4:] {
+			f.vals = append(f.vals, binary.LittleEndian.Uint32(buf))
+		}
+		f.pos = 0
 	}
-	return total, nil
+	row := f.vals[f.pos : f.pos+f.width]
+	f.pos += f.width
+	return row, true, nil
 }
 
-type mergeItem struct {
-	row []graph.VertexID // owned copy of the source's current row
+// mergeIter is a k-way merge over sorted runs: a binary min-heap of the
+// runs' current rows, read in place.
+type mergeIter struct {
+	rel     *Relation
+	heads   []mergeHead
+	started bool // heads[0].row went out: step its run before the next row
+}
+
+type mergeHead struct {
+	row []graph.VertexID // the run's current row, aliasing its storage
 	src rowSource
 }
 
-// mergeIter is a k-way merge over sorted runs.
-type mergeIter struct {
-	rel *Relation
-	h   []mergeItem
-	cmp func(a, b []graph.VertexID) int
-	out []graph.VertexID
+// push adds a run at its first row; the caller heapifies afterwards.
+func (it *mergeIter) push(src rowSource) error {
+	row, ok, err := src.Next()
+	if ok {
+		it.heads = append(it.heads, mergeHead{row: row, src: src})
+	}
+	return err
+}
+
+func (it *mergeIter) siftDown(i int) {
+	h := it.heads
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && it.rel.compare(h[c+1].row, h[c].row) < 0 {
+			c++
+		}
+		if it.rel.compare(h[i].row, h[c].row) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func (it *mergeIter) Next() ([]graph.VertexID, bool, error) {
-	if len(it.h) == 0 {
+	if it.started && len(it.heads) > 0 {
+		row, ok, err := it.heads[0].src.Next()
+		if err != nil {
+			return nil, false, err
+		}
+		if ok {
+			it.heads[0].row = row
+		} else {
+			last := len(it.heads) - 1
+			it.heads[0] = it.heads[last]
+			it.heads = it.heads[:last]
+		}
+		it.siftDown(0)
+	}
+	if len(it.heads) == 0 {
 		return nil, false, nil
 	}
-	hw := &heapAdapter{items: &it.h, cmp: it.cmp}
-	it.out = append(it.out[:0], it.h[0].row...)
-	row, ok, err := it.h[0].src.next()
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		it.h[0].row = append(it.h[0].row[:0], row...)
-		heap.Fix(hw, 0)
-	} else {
-		heap.Pop(hw)
-	}
-	return it.out, true, nil
+	it.started = true
+	return it.heads[0].row, true, nil
 }
 
-func (it *mergeIter) Close() error {
-	it.rel.cleanup()
-	return nil
-}
-
-type heapAdapter struct {
-	items *[]mergeItem
-	cmp   func(a, b []graph.VertexID) int
-}
-
-func (h *heapAdapter) Len() int           { return len(*h.items) }
-func (h *heapAdapter) Less(i, j int) bool { return h.cmp((*h.items)[i].row, (*h.items)[j].row) < 0 }
-func (h *heapAdapter) Swap(i, j int)      { (*h.items)[i], (*h.items)[j] = (*h.items)[j], (*h.items)[i] }
-func (h *heapAdapter) Push(x any)         { *h.items = append(*h.items, x.(mergeItem)) }
-func (h *heapAdapter) Pop() any {
-	old := *h.items
-	n := len(old)
-	it := old[n-1]
-	*h.items = old[:n-1]
-	return it
-}
+func (it *mergeIter) Close() error { return it.rel.cleanup() }

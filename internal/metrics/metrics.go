@@ -48,6 +48,12 @@ type Metrics struct {
 	StealsIntra atomic.Uint64
 	StealsInter atomic.Uint64
 
+	// PUSH-JOIN buffers that outgrew their in-memory threshold: sorted runs
+	// written to disk and their size. Zero means every join input of the
+	// run was sorted and joined in memory.
+	JoinSpillRuns  atomic.Uint64
+	JoinSpillBytes atomic.Uint64
+
 	// Kernels tallies which intersection kernel the adaptive dispatcher
 	// picked (merge / gallop / bitset-probe / bitset-AND, materialising
 	// and count-only) — how tests assert that no dispatch path silently
@@ -187,6 +193,9 @@ type Summary struct {
 	StealsIntra, StealsInter uint64
 	Kernels                  graph.KernelCounts
 
+	// PUSH-JOIN sorted runs spilled to disk, and their bytes.
+	JoinSpillRuns, JoinSpillBytes uint64
+
 	// Adaptive batch sizing: decisions taken and the final size (0 when
 	// the run used a fixed batch size).
 	BatchGrows, BatchShrinks uint64
@@ -196,21 +205,23 @@ type Summary struct {
 // Snapshot copies the counters.
 func (m *Metrics) Snapshot() Summary {
 	return Summary{
-		BytesPushed: m.BytesPushed.Load(),
-		BytesPulled: m.BytesPulled.Load(),
-		RPCCalls:    m.RPCCalls.Load(),
-		PushMsgs:    m.PushMsgs.Load(),
-		CommTime:    time.Duration(m.CommTimeNs.Load()),
-		FetchTime:   time.Duration(m.FetchNs.Load()),
-		Results:     m.Results.Load(),
-		CacheHits:   m.CacheHits.Load(),
-		CacheMisses: m.CacheMisses.Load(),
-		PeakTuples:  m.PeakTuples(),
-		StealsIntra:   m.StealsIntra.Load(),
-		StealsInter:   m.StealsInter.Load(),
-		Kernels:       m.Kernels.Snapshot(),
-		BatchGrows:    m.BatchGrows.Load(),
-		BatchShrinks:  m.BatchShrinks.Load(),
-		BatchRowsLast: m.BatchRowsLast.Load(),
+		BytesPushed:    m.BytesPushed.Load(),
+		BytesPulled:    m.BytesPulled.Load(),
+		RPCCalls:       m.RPCCalls.Load(),
+		PushMsgs:       m.PushMsgs.Load(),
+		CommTime:       time.Duration(m.CommTimeNs.Load()),
+		FetchTime:      time.Duration(m.FetchNs.Load()),
+		Results:        m.Results.Load(),
+		CacheHits:      m.CacheHits.Load(),
+		CacheMisses:    m.CacheMisses.Load(),
+		PeakTuples:     m.PeakTuples(),
+		StealsIntra:    m.StealsIntra.Load(),
+		StealsInter:    m.StealsInter.Load(),
+		Kernels:        m.Kernels.Snapshot(),
+		BatchGrows:     m.BatchGrows.Load(),
+		BatchShrinks:   m.BatchShrinks.Load(),
+		BatchRowsLast:  m.BatchRowsLast.Load(),
+		JoinSpillRuns:  m.JoinSpillRuns.Load(),
+		JoinSpillBytes: m.JoinSpillBytes.Load(),
 	}
 }
