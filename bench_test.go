@@ -542,7 +542,7 @@ func fanoutDeltas(g *huge.Graph, ops int, seed int64) [2]huge.Delta {
 // BenchmarkSubscribeFanout measures the standing-query serving claim: a
 // large subscriber population over ~8 patterns costs per Apply about the
 // 8 shared delta runs plus one channel operation per subscriber — NOT one
-// delta run per subscriber. Variants: Apply alone (repartition floor), 8
+// delta run per subscriber. Variants: Apply alone (the floor), 8
 // standalone delta runs per Apply (what the shared maintenance should
 // roughly cost regardless of population), shared fan-out at 1K and 100K
 // subscribers, and a naive per-subscriber re-run at 64 subscribers (the

@@ -1,0 +1,48 @@
+package repro
+
+import (
+	"os/exec"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// goList runs `go list` with the given arguments and returns the words of
+// its output.
+func goList(t *testing.T, args ...string) []string {
+	t.Helper()
+	out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
+	if err != nil {
+		t.Fatalf("go list %v: %v", args, err)
+	}
+	return strings.Fields(strings.NewReplacer("[", " ", "]", " ").Replace(string(out)))
+}
+
+// TestServingDependencyBoundary fences the serving path off from the
+// reproduction rig, and the engine off from the machine's internals — the
+// seams a real-RPC machine would be built on: repro/huge reaches neither
+// the baseline systems nor the experiment harness; the engine talks to a
+// machine through cluster.MachineExec and never to its cache; the graph
+// package depends on nothing in the module.
+func TestServingDependencyBoundary(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	for _, dep := range goList(t, "-deps", "repro/huge") {
+		if dep == "repro/internal/baseline" || dep == "repro/internal/exp" {
+			t.Errorf("repro/huge depends on %s", dep)
+		}
+	}
+	engine := goList(t, "-f", "{{.Imports}}", "repro/internal/engine")
+	if slices.Contains(engine, "repro/internal/cache") {
+		t.Error("repro/internal/engine imports repro/internal/cache: the cache protocol belongs to cluster.MachineExec")
+	}
+	if !slices.Contains(engine, "repro/internal/cluster") {
+		t.Errorf("repro/internal/engine does not import repro/internal/cluster (go list printed %v)", engine)
+	}
+	for _, imp := range goList(t, "-f", "{{.Imports}}", "repro/internal/graph") {
+		if strings.HasPrefix(imp, "repro/") {
+			t.Errorf("repro/internal/graph imports %s", imp)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package huge_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -280,6 +281,31 @@ func TestApplyLabelOnlyGrowthServes(t *testing.T) {
 	}
 	if got := sys.Graph().NumVertices(); got != 10 {
 		t.Fatalf("NumVertices %d, want 10", got)
+	}
+}
+
+// TestApplyCostDoesNotScaleWithGraph: what an Apply allocates depends on
+// the update, not on the graph it lands in — 50 single-edge Applies on
+// fresh graphs of equal average degree cost the same bytes at 8K and at
+// 64K vertices. (When every snapshot was partitioned into per-machine
+// vertex lists, the larger graph cost 8x.) Under the race detector the
+// runtime's own allocations blur the count, hence the 2x allowance.
+func TestApplyCostDoesNotScaleWithGraph(t *testing.T) {
+	applyBytes := func(v int) uint64 {
+		sys := huge.NewSystem(gen.PowerLaw(v, 4, 11), huge.Options{})
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 50; i++ {
+			u := huge.VertexID(i * 37)
+			sys.Apply(huge.Delta{Insert: [][2]huge.VertexID{{u, u + huge.VertexID(v/2)}}})
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := applyBytes(8<<10), applyBytes(64<<10)
+	if large >= 2*small {
+		t.Fatalf("50 single-edge Applies allocate %d KB on 8K vertices but %d KB on 64K", small>>10, large>>10)
 	}
 }
 

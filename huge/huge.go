@@ -279,23 +279,24 @@ func (o Options) normalise() Options {
 	return o
 }
 
-// snapshot is one immutable version of the deployed data graph: the
-// epoch-stamped graph, its cluster partitioning, the statistics (and their
-// fingerprint, which seasons every plan-cache key), and — for epochs > 0 —
-// the effective edge delta that produced this snapshot plus the previous
-// epoch's cluster, which delta-mode runs enumerate vanished matches on.
-// Snapshots are never mutated after construction: System.Apply swaps in a
-// new one, and Sessions stay pinned to the snapshot they opened on.
+// snapshot is one immutable version of the data graph: the epoch-stamped
+// graph, the statistics (and their fingerprint, which seasons every
+// plan-cache key), and — for epochs > 0 — the effective edge delta that
+// produced this snapshot plus the previous epoch's graph, which delta-mode
+// runs enumerate vanished matches on. A snapshot holds graphs only: how a
+// graph is spread over machines is a pure function of Options, decided
+// when a run starts (newExec), so nothing is deployed per epoch. Snapshots
+// are never mutated after construction: System.Apply swaps in a new one,
+// and Sessions stay pinned to the snapshot they opened on.
 type snapshot struct {
 	g       *Graph
-	cl      *cluster.Cluster
 	stats   plan.GraphStats
 	statsFP uint64
 	card    plan.CardFunc
 
-	inserted *graph.EdgeSet   // edges this epoch added (nil at epoch 0)
-	deleted  *graph.EdgeSet   // edges this epoch removed (nil at epoch 0)
-	prevCl   *cluster.Cluster // previous epoch's cluster (nil at epoch 0)
+	inserted *graph.EdgeSet // edges this epoch added (nil at epoch 0)
+	deleted  *graph.EdgeSet // edges this epoch removed (nil at epoch 0)
+	prev     *Graph         // previous epoch's graph (nil at epoch 0)
 }
 
 func (sn *snapshot) epoch() uint64 { return sn.g.Epoch() }
@@ -384,15 +385,13 @@ func (s *System) unlockPlanKey(key string, kl *keyLock) {
 	s.planMu.Unlock()
 }
 
-// newSnapshot deploys one graph version: its partitioning across the
-// configured machines and the estimator over stats. It is the only place a
-// snapshot is assembled (initial, recovered, AsOf and post-Apply alike), so
-// the deployment can never diverge between graph versions; Apply adds the
-// delta fields to what it returns.
-func newSnapshot(g *Graph, stats plan.GraphStats, opts Options) *snapshot {
+// newSnapshot wraps one graph version with its statistics and the
+// estimator over them. It is the only place a snapshot is assembled
+// (initial, recovered, AsOf and post-Apply alike); Apply adds the delta
+// fields to what it returns.
+func newSnapshot(g *Graph, stats plan.GraphStats) *snapshot {
 	return &snapshot{
 		g:       g,
-		cl:      cluster.New(g, cluster.Config{NumMachines: opts.Machines, Workers: opts.Workers}),
 		stats:   stats,
 		statsFP: stats.Fingerprint(),
 		card:    plan.MomentEstimator(stats),
@@ -400,12 +399,12 @@ func newSnapshot(g *Graph, stats plan.GraphStats, opts Options) *snapshot {
 }
 
 // newSystem is the one System constructor behind NewSystem, Create and
-// Open: g deployed with the given statistics, the plan cache, the governor
-// and (for a durable System) the store.
+// Open: g with the given statistics, the plan cache, the governor and (for
+// a durable System) the store.
 func newSystem(g *Graph, stats plan.GraphStats, opts Options, st *store.Store) *System {
 	opts = opts.normalise()
 	s := &System{
-		snap:     newSnapshot(g, stats, opts),
+		snap:     newSnapshot(g, stats),
 		opts:     opts,
 		inflight: map[string]*keyLock{},
 		subs:     plan.NewRegistry[*Subscription](),
@@ -421,7 +420,9 @@ func newSystem(g *Graph, stats plan.GraphStats, opts Options, st *store.Store) *
 	return s
 }
 
-// NewSystem partitions g across the configured machines.
+// NewSystem serves g on the configured machines and workers. Apart from
+// the statistics it computes, construction costs nothing proportional to
+// the graph: vertices are assigned to machines by a hash, on demand.
 func NewSystem(g *Graph, opts Options) *System {
 	return newSystem(g, plan.ComputeStats(g), opts, nil)
 }
@@ -441,8 +442,10 @@ func (s *System) Epoch() uint64 { return s.snapshot().epoch() }
 // optimised against the superseded statistics is evicted from the plan
 // cache — its keys could never be served again (the epoch participates in
 // the statistics fingerprint), so keeping them would only crowd out live
-// plans. Applies are serialised; each call costs one repartition of the
-// graph plus work proportional to the delta, not to the graph.
+// plans. Applies are serialised. Nothing is repartitioned or redeployed:
+// what a call still pays beyond work proportional to the delta is the
+// graph layer's copy of its adjacency overlay and whatever the standing
+// queries' maintenance runs enumerate.
 //
 // Edge relabels (Delta.Relabel) are delete-and-reinsert churn at the graph
 // layer: the edge lands in both pinned sets, so delta-mode runs count
@@ -491,8 +494,8 @@ func (s *System) Apply(d Delta) uint64 {
 		}
 		inserted, deleted = graph.NewEdgeSet(insE), graph.NewEdgeSet(delE)
 	}
-	next := newSnapshot(ng, plan.UpdateStats(cur.stats, cur.g, ng, applied), s.opts)
-	next.inserted, next.deleted, next.prevCl = inserted, deleted, cur.cl
+	next := newSnapshot(ng, plan.UpdateStats(cur.stats, cur.g, ng, applied))
+	next.inserted, next.deleted, next.prev = inserted, deleted, cur.g
 	s.mu.Lock()
 	s.snap = next
 	s.mu.Unlock()
@@ -707,6 +710,12 @@ func reindexed(df *dataflow.Dataflow, fn func([]VertexID)) func([]VertexID) {
 	}
 }
 
+// newExec builds the execution context of one engine run on g: the
+// configured machines and workers, fresh metrics, cold adjacency caches.
+func (s *System) newExec(g *Graph) *cluster.Exec {
+	return cluster.New(g, cluster.Config{NumMachines: s.opts.Machines, Workers: s.opts.Workers}).NewExec()
+}
+
 func (s *System) runPlan(ctx context.Context, sn *snapshot, p *Plan, r run) (Result, error) {
 	df, err := plan.Translate(p)
 	if err != nil {
@@ -725,7 +734,7 @@ func (s *System) runPlan(ctx context.Context, sn *snapshot, p *Plan, r run) (Res
 	// Per-run execution context: metrics and adjacency caches private to
 	// this query, so concurrent runs never observe each other. A governed
 	// run additionally feeds the system-wide live-tuple gauge.
-	ex := sn.cl.NewExec()
+	ex := s.newExec(sn.g)
 	r.h.attach(ex.Metrics)
 	start := time.Now()
 	count, err := engine.Run(ctx, ex, df, cfg)
@@ -747,7 +756,7 @@ func (s *System) runPlan(ctx context.Context, sn *snapshot, p *Plan, r run) (Res
 // runDelta executes a Query.Delta() view on one snapshot: the difference
 // rewriting of plan.TranslateDelta pins each query edge in turn on the
 // snapshot's inserted set (counting the matches this epoch created) and,
-// against the previous epoch's cluster, on the deleted set (counting the
+// against the previous epoch's graph, on the deleted set (counting the
 // matches it destroyed). The signed difference maintains the full count:
 // full(t) + Delta == full(t+1). At epoch 0 there is no delta and the
 // result is zero. Plans are not cached — the rewriting is linear in the
@@ -788,8 +797,8 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 	start := time.Now()
 	var res Result
 	budget, gr := r.budget, r.gr
-	runSide := func(cl *cluster.Cluster, set *graph.EdgeSet, side run, agg *engine.GroupAgg) (uint64, error) {
-		if cl == nil || set.Len() == 0 {
+	runSide := func(g *Graph, set *graph.EdgeSet, side run, agg *engine.GroupAgg) (uint64, error) {
+		if g == nil || set.Len() == 0 {
 			return 0, nil
 		}
 		var total uint64
@@ -797,7 +806,7 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 			if budget != nil && budget.Exhausted() {
 				break
 			}
-			ex := cl.NewExec()
+			ex := s.newExec(g)
 			side.h.attach(ex.Metrics)
 			cfg := s.engineConfig(df, side)
 			cfg.DeltaEdges = set
@@ -815,10 +824,10 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 	if gr != nil {
 		// The per-pinned-edge flows of each side merge additively into one
 		// aggregate per side — the dead side reads the previous snapshot's
-		// graph (via prevCl's machines), so its keys reflect labels as of t.
+		// graph, so its keys reflect labels as of t.
 		newAgg, deadAgg = gr.agg, gr.dead
 	}
-	newCount, err := runSide(sn.cl, sn.inserted, r, newAgg)
+	newCount, err := runSide(sn.g, sn.inserted, r, newAgg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -827,7 +836,7 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 	if budget == nil {
 		dead := r
 		dead.fn = deadFn
-		deadCount, err := runSide(sn.prevCl, sn.deleted, dead, deadAgg)
+		deadCount, err := runSide(sn.prev, sn.deleted, dead, deadAgg)
 		if err != nil {
 			return Result{}, err
 		}

@@ -215,7 +215,7 @@ func (s *System) AsOf(epoch uint64) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{sys: s, snap: newSnapshot(rec.Graph, rec.Stats, s.opts)}, nil
+	return &Session{sys: s, snap: newSnapshot(rec.Graph, rec.Stats)}, nil
 }
 
 // Close releases the persistent store (log handle and any snapshot

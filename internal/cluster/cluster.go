@@ -3,20 +3,25 @@
 // two layers so that many queries can execute concurrently on one
 // deployment:
 //
-//   - Cluster is the immutable topology: the data graph, its hash
-//     partitions, and the configuration. It is safe for concurrent use and
-//     holds no per-query state.
+//   - Cluster is the immutable topology: the data graph, the hash
+//     partitioner (ownership is a pure function of the vertex ID, so
+//     nothing is built per graph), and the configuration. It is safe for
+//     concurrent use and holds no per-query state.
 //   - Exec is one query's isolated execution context: a fresh metrics sink
 //     and a fresh per-machine adjacency cache. Every engine run creates its
 //     own Exec via NewExec, so N concurrent runs never share mutable state.
 //
-// Machines communicate only through the accounted RPC layer (GetNbrs,
-// StealWork) and the router (pushed shuffles), so communication volume —
+// MachineExec is the one contract between the engine and a machine (Graph,
+// Owns, Fetch, Neighbors, Release): the adjacency-cache protocol of
+// Algorithm 4 lives behind it, not in the engine. Machines communicate
+// only through the accounted RPC layer (GetNbrs, StealWork) and the router
+// (pushed shuffles), so communication volume —
 // the paper's C column — is measured exactly, and an optional latency
 // model reproduces communication time.
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/cache"
@@ -45,16 +50,17 @@ type Config struct {
 	Latency     LatencyModel
 }
 
-// Cluster is the simulated deployment: immutable after New, safe to share
-// between any number of concurrent Execs.
+// Cluster is the simulated deployment: a graph, the hash partitioner that
+// says which machine owns which vertex, and the configuration. It is built
+// in O(1) — nothing is derived from the graph — immutable after New, and
+// safe to share between any number of concurrent Execs.
 type Cluster struct {
 	Graph *graph.Graph
-	Parts []*graph.Partition // one hash partition per machine
+	P     graph.Partitioner
 	Cfg   Config
-	Stats struct{ EdgeBytes uint64 }
 }
 
-// New partitions g across cfg.NumMachines machines.
+// New deploys g on cfg.NumMachines machines.
 func New(g *graph.Graph, cfg Config) *Cluster {
 	if cfg.NumMachines < 1 {
 		cfg.NumMachines = 1
@@ -65,17 +71,14 @@ func New(g *graph.Graph, cfg Config) *Cluster {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = g.SizeBytes() * 3 / 10 // paper default: 30% of the graph
 	}
-	c := &Cluster{Graph: g, Cfg: cfg}
-	c.Stats.EdgeBytes = g.SizeBytes()
-	c.Parts = graph.Split(g, cfg.NumMachines)
-	return c
+	return &Cluster{Graph: g, P: graph.NewPartitioner(cfg.NumMachines), Cfg: cfg}
 }
 
 // NumMachines returns the deployment size.
-func (c *Cluster) NumMachines() int { return len(c.Parts) }
+func (c *Cluster) NumMachines() int { return c.Cfg.NumMachines }
 
 // Owner returns the machine owning v.
-func (c *Cluster) Owner(v graph.VertexID) int { return c.Parts[0].P.Owner(v) }
+func (c *Cluster) Owner(v graph.VertexID) int { return c.P.Owner(v) }
 
 // Exec is the per-run execution context: everything one query execution
 // mutates lives here (metrics, adjacency caches), so concurrent runs on the
@@ -86,66 +89,44 @@ type Exec struct {
 	c        *Cluster
 }
 
-// MachineExec is one machine's runtime state for one query execution: the
-// machine's (shared, immutable) partition plus the run-private adjacency
-// cache. The LRBU cache's single-writer contract is therefore scoped to one
-// run, which is what makes concurrent queries race-free.
+// MachineExec is one machine's view of the data graph for one query
+// execution, and the whole contract between the engine and a machine:
+// Graph and Owns for what is replicated or local, Fetch / Neighbors /
+// Release for adjacency (Algorithm 4's protocol over the run-private
+// cache), GetNbrs for the accounted RPC underneath. The cache's
+// single-writer contract is scoped to one run, which is what makes
+// concurrent queries race-free: Fetch and Release are called by one
+// goroutine with no Neighbors call in flight.
 type MachineExec struct {
-	ID    int
-	Part  *graph.Partition
-	Cache cache.Cache
-	exec  *Exec
+	ID int
+	// g, p and twoStage are copied out of the Cluster: Neighbors runs once
+	// per operand of every intersected row and must not chase exec.c.
+	g        *graph.Graph
+	p        graph.Partitioner
+	twoStage bool
+	cache    cache.Cache
+	exec     *Exec
 }
 
 // NewExec creates a fresh execution context with zeroed metrics and cold
 // per-machine caches.
 func (c *Cluster) NewExec() *Exec {
-	x := &Exec{Metrics: &metrics.Metrics{}, c: c}
-	for i, part := range c.Parts {
-		x.Machines = append(x.Machines, &MachineExec{
-			ID:    i,
-			Part:  part,
-			Cache: cache.New(c.Cfg.CacheKind, c.Cfg.CacheBytes),
-			exec:  x,
-		})
+	x := &Exec{Metrics: &metrics.Metrics{}, c: c, Machines: make([]*MachineExec, c.Cfg.NumMachines)}
+	for i := range x.Machines {
+		x.Machines[i] = &MachineExec{
+			ID:       i,
+			g:        c.Graph,
+			p:        c.P,
+			twoStage: c.Cfg.CacheKind.TwoStage(),
+			cache:    cache.New(c.Cfg.CacheKind, c.Cfg.CacheBytes),
+			exec:     x,
+		}
 	}
 	return x
 }
 
-// Cluster returns the shared topology this context runs on.
-func (x *Exec) Cluster() *Cluster { return x.c }
-
 // Cfg returns the deployment configuration.
 func (x *Exec) Cfg() Config { return x.c.Cfg }
-
-// Owner returns the machine owning v.
-func (x *Exec) Owner(v graph.VertexID) int { return x.c.Owner(v) }
-
-// GetNbrs is the pulling RPC (Section 4.1): machine m requests the
-// adjacency lists of vertices owned by remote machines. vids must all
-// reside on the target machine. The response slices alias the target's CSR
-// storage (the in-process analogue of a received buffer); byte and time
-// accounting covers both directions.
-func (m *MachineExec) GetNbrs(target int, vids []graph.VertexID) [][]graph.VertexID {
-	x := m.exec
-	tp := x.c.Parts[target]
-	out := make([][]graph.VertexID, len(vids))
-	respBytes := uint64(0)
-	for i, v := range vids {
-		nb := tp.Neighbors(v)
-		out[i] = nb
-		respBytes += uint64(len(nb)) * 4
-	}
-	reqBytes := uint64(len(vids)) * 4
-	x.Metrics.RPCCalls.Add(1)
-	x.Metrics.BytesPulled.Add(reqBytes + respBytes)
-	if d := x.c.Cfg.Latency.cost(reqBytes + respBytes); d > 0 {
-		start := time.Now()
-		time.Sleep(d)
-		x.Metrics.CommTimeNs.Add(int64(time.Since(start)))
-	}
-	return out
-}
 
 // PushBytes accounts for a pushed (shuffled) message of the given size —
 // used by the router when feeding PUSH-JOIN inputs and when shipping
@@ -153,6 +134,11 @@ func (m *MachineExec) GetNbrs(target int, vids []graph.VertexID) [][]graph.Verte
 func (x *Exec) PushBytes(bytes uint64) {
 	x.Metrics.PushMsgs.Add(1)
 	x.Metrics.BytesPushed.Add(bytes)
+	x.sleep(bytes)
+}
+
+// sleep injects the latency model's cost of a message of the given size.
+func (x *Exec) sleep(bytes uint64) {
 	if d := x.c.Cfg.Latency.cost(bytes); d > 0 {
 		start := time.Now()
 		time.Sleep(d)
@@ -160,31 +146,105 @@ func (x *Exec) PushBytes(bytes uint64) {
 	}
 }
 
-// NeighborsOf resolves adjacency for machine m during the intersect stage:
-// local partition, else the run's cache (which the fetch stage must have
-// populated). The bool is false only on a cache miss, which the two-stage
-// protocol should make impossible; callers treat it as a bug. Hit/miss
-// accounting happens in the fetch stage, not here.
-func (m *MachineExec) NeighborsOf(v graph.VertexID) ([]graph.VertexID, bool) {
-	if m.Part.Owns(v) {
-		return m.Part.Neighbors(v), true
+// Graph returns the data graph. The engine reads from it what every
+// machine holds a replica of (labels, the hub-bitset index, edge labels of
+// adjacency it already pulled) and the adjacency of vertices m Owns;
+// remote adjacency goes through Fetch and Neighbors so that communication
+// is accounted for.
+func (m *MachineExec) Graph() *graph.Graph { return m.g }
+
+// Owns reports whether v, with its adjacency list, resides on m.
+func (m *MachineExec) Owns(v graph.VertexID) bool { return m.p.Owner(v) == m.ID }
+
+// maxRPCBatch caps the number of vertices per GetNbrs call; Fetch
+// aggregates requests up to this size (the paper's "merged RPCs sent in
+// bulk", Remark 4.1).
+const maxRPCBatch = 8192
+
+// GetNbrs is the pulling RPC (Section 4.1): machine m requests the
+// adjacency lists of vertices owned by machine target. It panics for a
+// vertex target does not own — adjacency is stored on exactly one machine,
+// and a read that bypasses the owner would go unaccounted. The response
+// slices alias the target's CSR storage (the in-process analogue of a
+// received buffer); byte and time accounting covers both directions.
+func (m *MachineExec) GetNbrs(target int, vids []graph.VertexID) [][]graph.VertexID {
+	out := make([][]graph.VertexID, len(vids))
+	respBytes := uint64(0)
+	for i, v := range vids {
+		if m.p.Owner(v) != target {
+			panic(fmt.Sprintf("cluster: GetNbrs(%d) for vertex %d, which machine %d owns", target, v, m.p.Owner(v)))
+		}
+		nb := m.g.Neighbors(v)
+		out[i] = nb
+		respBytes += uint64(len(nb)) * 4
 	}
-	return m.Cache.Get(v)
+	reqBytes := uint64(len(vids)) * 4
+	x := m.exec
+	x.Metrics.RPCCalls.Add(1)
+	x.Metrics.BytesPulled.Add(reqBytes + respBytes)
+	x.sleep(reqBytes + respBytes)
+	return out
 }
 
-// FetchDirect pulls a single vertex's adjacency on demand (the Cncr-LRU
-// ablation path, bypassing the two-stage protocol): cache lookup under the
-// cache's own lock, RPC on miss, insert.
-func (m *MachineExec) FetchDirect(v graph.VertexID) []graph.VertexID {
-	if m.Part.Owns(v) {
-		return m.Part.Neighbors(v)
+// Fetch is the fetch stage of PULL-EXTEND (lines 1-9 of Algorithm 4) for
+// one batch: remote holds the batch's remote vertices, each once, in
+// ascending order. Cached ones are sealed (a hit); the rest (misses) are
+// grouped by owner, pulled in bulk — owners and vertices in ascending
+// order — and inserted. Under a cache kind that skips the two-stage
+// protocol (Cncr-LRU) Fetch does nothing and Neighbors pulls on demand.
+// Fetch writes the cache: no Neighbors call may run concurrently.
+func (m *MachineExec) Fetch(remote []graph.VertexID) {
+	if !m.twoStage || len(remote) == 0 {
+		return
 	}
-	if nb, ok := m.Cache.Get(v); ok {
+	x := m.exec
+	byOwner := make([][]graph.VertexID, m.p.NumMachines())
+	for _, v := range remote {
+		if m.cache.Contains(v) {
+			x.Metrics.CacheHits.Add(1)
+			m.cache.Seal(v)
+		} else {
+			x.Metrics.CacheMisses.Add(1)
+			o := m.p.Owner(v)
+			byOwner[o] = append(byOwner[o], v)
+		}
+	}
+	for owner, vids := range byOwner {
+		for len(vids) > 0 {
+			chunk := vids[:min(len(vids), maxRPCBatch)]
+			vids = vids[len(chunk):]
+			for i, nb := range m.GetNbrs(owner, chunk) {
+				m.cache.Insert(chunk[i], nb)
+			}
+		}
+	}
+}
+
+// Neighbors resolves the adjacency of v during the intersect stage: the
+// local graph when m owns v, else the sealed cache entry Fetch left —
+// ok=false then means v was never fetched, which the two-stage protocol
+// makes impossible, so callers treat it as a bug. Hits and misses were
+// counted by Fetch, not here. Under Cncr-LRU (the Exp-6 ablation) a remote
+// vertex is instead looked up under the cache's own lock, pulled by a
+// one-vertex RPC on a miss and inserted, and ok is always true.
+func (m *MachineExec) Neighbors(v graph.VertexID) (nbrs []graph.VertexID, ok bool) {
+	owner := m.p.Owner(v)
+	if owner == m.ID {
+		return m.g.Neighbors(v), true
+	}
+	if m.twoStage {
+		return m.cache.Get(v)
+	}
+	if nb, ok := m.cache.Get(v); ok {
 		m.exec.Metrics.CacheHits.Add(1)
-		return nb
+		return nb, true
 	}
 	m.exec.Metrics.CacheMisses.Add(1)
-	nb := m.GetNbrs(m.exec.Owner(v), []graph.VertexID{v})[0]
-	m.Cache.Insert(v, nb)
-	return nb
+	nb := m.GetNbrs(owner, []graph.VertexID{v})[0]
+	m.cache.Insert(v, nb)
+	return nb, true
 }
+
+// Release unseals what Fetch sealed or inserted for the batch. It is a
+// cache write: it runs after the intersect stage's barrier.
+func (m *MachineExec) Release() { m.cache.Release() }

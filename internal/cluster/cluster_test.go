@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -90,62 +91,166 @@ func TestPushBytes(t *testing.T) {
 	}
 }
 
-func TestFetchDirectCaches(t *testing.T) {
-	c := testCluster(t, 2, LatencyModel{})
-	x := c.NewExec()
-	m0 := x.Machines[0]
-	var remote graph.VertexID
+// remoteOf returns a vertex with neighbours that machine m does not own.
+func remoteOf(t *testing.T, c *Cluster, m *MachineExec) graph.VertexID {
+	t.Helper()
 	for u := 0; u < c.Graph.NumVertices(); u++ {
-		if !m0.Part.Owns(graph.VertexID(u)) && c.Graph.Degree(graph.VertexID(u)) > 0 {
-			remote = graph.VertexID(u)
-			break
+		if v := graph.VertexID(u); !m.Owns(v) && c.Graph.Degree(v) > 0 {
+			return v
 		}
 	}
-	nb1 := m0.FetchDirect(remote)
-	calls := x.Metrics.RPCCalls.Load()
-	nb2 := m0.FetchDirect(remote) // served from cache
-	if x.Metrics.RPCCalls.Load() != calls {
-		t.Fatal("second FetchDirect issued an RPC")
-	}
-	if len(nb1) != len(nb2) {
-		t.Fatalf("cached adjacency differs: %v vs %v", nb1, nb2)
-	}
-	if x.Metrics.CacheHits.Load() == 0 || x.Metrics.CacheMisses.Load() == 0 {
-		t.Fatal("hit/miss accounting missing")
-	}
-	// Local vertices bypass everything.
-	var local graph.VertexID
-	for _, v := range m0.Part.LocalVertices() {
-		local = v
-		break
-	}
-	m0.FetchDirect(local)
-	if x.Metrics.RPCCalls.Load() != calls {
-		t.Fatal("local FetchDirect issued an RPC")
+	t.Fatal("machine owns every vertex")
+	return 0
+}
+
+// TestOwnsDisjointCover pins the partitioning a Cluster no longer
+// materialises: over all vertices the machines' Owns sets are pairwise
+// disjoint and together cover the graph.
+func TestOwnsDisjointCover(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 5} {
+		c := testCluster(t, k, LatencyModel{})
+		x := c.NewExec()
+		owned := make([]int, k)
+		for u := 0; u < c.Graph.NumVertices(); u++ {
+			v, owners := graph.VertexID(u), 0
+			for _, m := range x.Machines {
+				if m.Owns(v) {
+					owners++
+					owned[m.ID]++
+					if c.Owner(v) != m.ID {
+						t.Fatalf("k=%d: machine %d Owns %d but Owner says %d", k, m.ID, v, c.Owner(v))
+					}
+				}
+			}
+			if owners != 1 {
+				t.Fatalf("k=%d: vertex %d owned by %d machines", k, v, owners)
+			}
+		}
+		for id, n := range owned {
+			if n == 0 {
+				t.Fatalf("k=%d: machine %d owns nothing: %v", k, id, owned)
+			}
+		}
 	}
 }
 
-func TestNeighborsOfLocalAndCached(t *testing.T) {
+// TestGetNbrsRemoteVertexPanics: adjacency is stored on exactly one
+// machine, so asking a machine for a vertex it does not own is a bug that
+// must not be served (and go unaccounted) from the shared graph.
+func TestGetNbrsRemoteVertexPanics(t *testing.T) {
 	c := testCluster(t, 2, LatencyModel{})
 	x := c.NewExec()
 	m0 := x.Machines[0]
-	local := m0.Part.LocalVertices()[0]
-	if _, ok := m0.NeighborsOf(local); !ok {
-		t.Fatal("local NeighborsOf failed")
-	}
-	var remote graph.VertexID
+	v := remoteOf(t, c, m0) // owned by machine 1
+	defer func() {
+		if recover() == nil {
+			t.Fatal("GetNbrs served a vertex the target does not own")
+		}
+		if x.Metrics.RPCCalls.Load() != 0 {
+			t.Fatal("the refused request was accounted as an RPC")
+		}
+	}()
+	x.Machines[1].GetNbrs(0, []graph.VertexID{v})
+}
+
+// TestNeighborsTwoStage: under a two-stage cache kind a remote vertex is
+// readable only between Fetch and the eviction that may follow Release,
+// and its traffic is counted once, by Fetch.
+func TestNeighborsTwoStage(t *testing.T) {
+	c := testCluster(t, 2, LatencyModel{})
+	x := c.NewExec()
+	m0 := x.Machines[0]
 	for u := 0; u < c.Graph.NumVertices(); u++ {
-		if !m0.Part.Owns(graph.VertexID(u)) {
-			remote = graph.VertexID(u)
+		if v := graph.VertexID(u); m0.Owns(v) {
+			nb, ok := m0.Neighbors(v)
+			if !ok || !slices.Equal(nb, c.Graph.Neighbors(v)) {
+				t.Fatalf("local Neighbors(%d) = %v %v", v, nb, ok)
+			}
 			break
 		}
 	}
-	if _, ok := m0.NeighborsOf(remote); ok {
-		t.Fatal("remote NeighborsOf succeeded without a fetch")
+	remote := remoteOf(t, c, m0)
+	if _, ok := m0.Neighbors(remote); ok {
+		t.Fatal("remote Neighbors succeeded without a Fetch")
 	}
-	m0.Cache.Insert(remote, []graph.VertexID{1, 2})
-	if nb, ok := m0.NeighborsOf(remote); !ok || len(nb) != 2 {
-		t.Fatalf("cached NeighborsOf = %v %v", nb, ok)
+	if s := x.Metrics.Snapshot(); s.RPCCalls+s.CacheHits+s.CacheMisses != 0 {
+		t.Fatalf("un-fetched read was accounted: %+v", s)
+	}
+	m0.Fetch([]graph.VertexID{remote})
+	nb, ok := m0.Neighbors(remote)
+	if !ok || !slices.Equal(nb, c.Graph.Neighbors(remote)) {
+		t.Fatalf("fetched Neighbors(%d) = %v %v, want the owner's list", remote, nb, ok)
+	}
+	m0.Release()
+	if s := x.Metrics.Snapshot(); s.RPCCalls != 1 || s.CacheMisses != 1 || s.CacheHits != 0 {
+		t.Fatalf("first fetch: %+v, want one RPC and one miss", s)
+	}
+	// The next batch finds it cached: a hit, sealed, no RPC.
+	m0.Fetch([]graph.VertexID{remote})
+	if _, ok := m0.Neighbors(remote); !ok {
+		t.Fatal("cached vertex unreadable after the second Fetch")
+	}
+	m0.Release()
+	if s := x.Metrics.Snapshot(); s.RPCCalls != 1 || s.CacheMisses != 1 || s.CacheHits != 1 {
+		t.Fatalf("second fetch: %+v, want one hit and no further RPC", s)
+	}
+}
+
+// TestFetchGroupsByOwner: one bulk request per owner, however many
+// vertices the batch needs from it.
+func TestFetchGroupsByOwner(t *testing.T) {
+	c := testCluster(t, 3, LatencyModel{})
+	x := c.NewExec()
+	m0 := x.Machines[0]
+	var remote []graph.VertexID
+	owners := map[int]bool{}
+	for u := 0; u < c.Graph.NumVertices(); u++ {
+		if v := graph.VertexID(u); !m0.Owns(v) {
+			remote = append(remote, v)
+			owners[c.Owner(v)] = true
+		}
+	}
+	m0.Fetch(remote)
+	if s := x.Metrics.Snapshot(); int(s.RPCCalls) != len(owners) || int(s.CacheMisses) != len(remote) {
+		t.Fatalf("%d remote vertices of %d owners: %+v", len(remote), len(owners), s)
+	}
+	for _, v := range remote {
+		if nb, ok := m0.Neighbors(v); !ok || !slices.Equal(nb, c.Graph.Neighbors(v)) {
+			t.Fatalf("Neighbors(%d) = %v %v after Fetch", v, nb, ok)
+		}
+	}
+}
+
+// TestNeighborsPullsOnDemandCncrLRU: the Exp-6 ablation skips the
+// two-stage protocol — Fetch does nothing, Neighbors pulls a missing
+// vertex itself and the second read is a hit.
+func TestNeighborsPullsOnDemandCncrLRU(t *testing.T) {
+	g := gen.PowerLaw(200, 3, 1)
+	c := New(g, Config{NumMachines: 2, Workers: 1, CacheKind: cache.CncrLRU})
+	x := c.NewExec()
+	m0 := x.Machines[0]
+	remote := remoteOf(t, c, m0)
+	m0.Fetch([]graph.VertexID{remote})
+	if s := x.Metrics.Snapshot(); s.RPCCalls+s.CacheHits+s.CacheMisses != 0 {
+		t.Fatalf("Fetch is not a no-op under Cncr-LRU: %+v", s)
+	}
+	nb1, ok1 := m0.Neighbors(remote)
+	nb2, ok2 := m0.Neighbors(remote) // served from cache
+	if !ok1 || !ok2 || !slices.Equal(nb1, g.Neighbors(remote)) || !slices.Equal(nb2, nb1) {
+		t.Fatalf("Neighbors(%d) = %v %v, then %v %v", remote, nb1, ok1, nb2, ok2)
+	}
+	if s := x.Metrics.Snapshot(); s.RPCCalls != 1 || s.CacheMisses != 1 || s.CacheHits != 1 {
+		t.Fatalf("two reads: %+v, want one RPC, one miss, one hit", s)
+	}
+	// Local vertices bypass everything.
+	for u := 0; u < g.NumVertices(); u++ {
+		if v := graph.VertexID(u); m0.Owns(v) {
+			m0.Neighbors(v)
+			break
+		}
+	}
+	if s := x.Metrics.Snapshot(); s.RPCCalls != 1 || s.CacheHits != 1 {
+		t.Fatalf("local read was accounted: %+v", s)
 	}
 }
 
@@ -157,7 +262,7 @@ func TestExecIsolation(t *testing.T) {
 	if x1.Metrics == x2.Metrics {
 		t.Fatal("execs share a metrics sink")
 	}
-	if x1.Machines[0].Cache == x2.Machines[0].Cache {
+	if x1.Machines[0].cache == x2.Machines[0].cache {
 		t.Fatal("execs share a cache")
 	}
 	x1.PushBytes(100)
@@ -165,15 +270,19 @@ func TestExecIsolation(t *testing.T) {
 		t.Fatal("metrics leaked across execs")
 	}
 	// Concurrent traffic on independent execs must be race-free (validated
-	// under -race): hammer GetNbrs/FetchDirect from many execs at once.
+	// under -race): hammer Fetch/Neighbors from many execs at once.
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			x := c.NewExec()
+			m := c.NewExec().Machines[0]
 			for u := 0; u < c.Graph.NumVertices(); u++ {
-				x.Machines[0].FetchDirect(graph.VertexID(u))
+				if v := graph.VertexID(u); !m.Owns(v) {
+					m.Fetch([]graph.VertexID{v})
+					m.Neighbors(v)
+					m.Release()
+				}
 			}
 		}()
 	}

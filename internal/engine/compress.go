@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dataflow"
 	"repro/internal/graph"
-	"repro/internal/steal"
 )
 
 // countExtend is the compressed form of processExtend (the generic
@@ -22,143 +20,41 @@ import (
 // a pooled worker-local table that merges into the shared aggregate — the
 // additive analogue of how every chunk claims from the shared match Budget.
 func (r *machineRun) countExtend(e *dataflow.Extend, b *dataflow.Batch) (uint64, error) {
-	eng := r.ex.eng
-	twoStage := eng.ex.Cfg().CacheKind.TwoStage()
-	if twoStage {
-		if err := r.fetchStage(e, b); err != nil {
+	r.fetch(e, b)
+	defer r.m.Release()
+	// The candidate predicate is built once per batch and shared by every
+	// chunk and worker (it is read-only after construction).
+	pred := r.newCandPred(e)
+	if pred.impossible {
+		return 0, nil
+	}
+	var keyer *groupKeyer
+	if spec := r.ex.st.Terminal.Group; spec != nil && r.ex.eng.cfg.Groups != nil {
+		// Row slots of the input tuple are OutLayout minus the extension
+		// target; keys that read the target resolve per candidate.
+		rowLayout := e.OutLayout[:len(e.OutLayout)-1]
+		var err error
+		if keyer, err = newGroupKeyer(*spec, rowLayout, e.TargetQV, r.m.Graph()); err != nil {
 			return 0, err
 		}
 	}
-	// The candidate predicate is hoisted here — one per batch, shared by
-	// every chunk and worker (it is read-only after construction) — instead
-	// of being rebuilt per chunk.
-	pred := r.newCandPred(e)
-	var n uint64
-	var err error
-	if !pred.impossible {
-		var keyer *groupKeyer
-		if eng.cfg.Groups != nil && r.ex.st.Terminal.Group != nil {
-			// Row slots of the input tuple are OutLayout minus the extension
-			// target; keys that read the target resolve per candidate.
-			rowLayout := e.OutLayout[:len(e.OutLayout)-1]
-			keyer, err = newGroupKeyer(*r.ex.st.Terminal.Group, rowLayout, e.TargetQV, r.m.Part.Graph())
-		}
-		if err == nil {
-			n, err = r.countIntersect(e, b, twoStage, &pred, keyer)
-		}
-	}
-	if twoStage {
-		r.m.Cache.Release()
-	}
-	return n, err
-}
-
-func (r *machineRun) countIntersect(e *dataflow.Extend, b *dataflow.Batch, twoStage bool, pred *candPred, keyer *groupKeyer) (uint64, error) {
-	eng := r.ex.eng
-	workers := eng.ex.Cfg().Workers
-	chunks := b.SplitRows(workers * 4)
-	if len(chunks) == 0 {
-		return 0, nil
-	}
-	// Worker-local group tables avoid contention on the shared aggregate
-	// under work stealing; each flushes (merges + returns to the pool) once
-	// its worker runs out of chunks.
-	newTable := func() *groupTable {
-		if keyer == nil {
-			return nil
-		}
-		return getGroupTable()
-	}
-	flush := func(gt *groupTable) {
-		if gt != nil {
-			gt.flush(eng.cfg.Groups)
-		}
-	}
-	if workers == 1 || len(chunks) == 1 {
-		gt := newTable()
-		var total uint64
-		for _, c := range chunks {
-			n, err := r.countChunk(e, c, twoStage, pred, keyer, gt)
-			if err != nil {
-				flush(gt)
-				return 0, err
-			}
-			total += n
-		}
-		flush(gt)
-		return total, nil
-	}
+	// Worker-local group tables (one per scratch) avoid contention on the
+	// shared aggregate under work stealing.
 	var total atomic.Uint64
-	var firstErr atomic.Value
-	var wg sync.WaitGroup
-	switch eng.cfg.LoadBalance {
-	case LBSteal:
-		r.batchNo++
-		pool := steal.NewPool(workers, int64(r.m.ID)<<21|int64(r.batchNo))
-		for i, c := range chunks {
-			pool.Deques[i%workers].Push(c)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				gt := newTable()
-				defer flush(gt)
-				for {
-					task, ok, stole := pool.Next(w)
-					if !ok {
-						return
-					}
-					if stole {
-						eng.ex.Metrics.StealsIntra.Add(1)
-					}
-					n, err := r.countChunk(e, task.(*dataflow.Batch), twoStage, pred, keyer, gt)
-					if err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-					total.Add(n)
-				}
-			}(w)
-		}
-	default:
-		assign := make([][]*dataflow.Batch, workers)
-		for i, c := range chunks {
-			w := i % workers
-			if eng.cfg.LoadBalance == LBPivot && c.Rows() > 0 {
-				w = int(c.Row(0)[0]) % workers
-			}
-			assign[w] = append(assign[w], c)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				gt := newTable()
-				defer flush(gt)
-				for _, c := range assign[w] {
-					n, err := r.countChunk(e, c, twoStage, pred, keyer, gt)
-					if err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-					total.Add(n)
-				}
-			}(w)
-		}
-	}
-	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
+	_, err := r.forChunks(b, keyer != nil, func(sc *extendScratch, c *dataflow.Batch) error {
+		n, err := r.countChunk(e, c, &pred, keyer, sc)
+		total.Add(n)
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
 	return total.Load(), nil
 }
 
-func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage bool, pred *candPred, keyer *groupKeyer, gt *groupTable) (uint64, error) {
-	eng := r.ex.eng
-	bud := eng.cfg.Budget
-	sc := scratchPool.Get().(*extendScratch)
-	defer sc.release(&eng.ex.Metrics.Kernels)
+func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, pred *candPred, keyer *groupKeyer, sc *extendScratch) (uint64, error) {
+	bud := r.ex.eng.cfg.Budget
+	gt := sc.gt
 	// A row-determined key (it reads only matched slots) keeps the count
 	// fast path: the whole surviving candidate set lands in one group. A
 	// target-dependent key (it reads the vertex this extension matches)
@@ -173,7 +69,7 @@ func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage 
 			return total, nil
 		}
 		row := c.Row(i)
-		ok, err := r.gatherOperands(e, row, twoStage, pred.g, hubMin, sc)
+		ok, err := r.gatherOperands(e, row, pred.g, hubMin, sc)
 		if err != nil {
 			return 0, err
 		}

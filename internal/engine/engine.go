@@ -9,8 +9,11 @@
 //   - two-layer intra-/inter-machine work stealing (Section 5.3).
 //
 // Every run executes against a cluster.Exec — the per-run execution
-// context that owns the metrics sink and the per-machine adjacency caches
-// — so any number of runs may proceed concurrently on one cluster.Cluster.
+// context that owns the metrics sink and one cluster.MachineExec per
+// machine — so any number of runs may proceed concurrently on one
+// cluster.Cluster. A MachineExec is all the engine knows of a machine:
+// which vertices it owns, the graph, and Fetch / Neighbors / Release for
+// adjacency; the cache and its protocol are the machine's business.
 package engine
 
 import (
@@ -22,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 )
 
 // LoadBalance selects the load-balancing strategy (Exp-8 ablation).
@@ -84,8 +86,8 @@ type Config struct {
 	// NoAdaptive disables the degree-adaptive intersection kernels: extends
 	// then run the legacy merge/gallop list kernels only, never consulting
 	// or building the snapshot's hub-bitset index. Adaptive dispatch is the
-	// default; this switch exists for A/B measurement (bench8) and as an
-	// escape hatch.
+	// default; this switch exists for A/B measurement and as an escape
+	// hatch.
 	NoAdaptive bool
 	// MemBudgetRows, when positive, is the run's live intermediate-tuple
 	// ceiling: operators compare Metrics.LiveTuples against it at batch
@@ -286,6 +288,3 @@ func (e *Engine) runStage(ctx context.Context, st *dataflow.Stage) error {
 	}
 	return nil
 }
-
-// Metrics exposes the run's metrics (for reports after Run).
-func (e *Engine) Metrics() *metrics.Metrics { return e.ex.Metrics }

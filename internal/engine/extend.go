@@ -8,96 +8,58 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/steal"
 )
 
-// maxRPCBatch caps the number of vertices per GetNbrs call; the fetch stage
-// aggregates requests up to this size (the paper's "merged RPCs sent in
-// bulk", Remark 4.1).
-const maxRPCBatch = 8192
-
 // processExtend runs one PULL-EXTEND over one batch, following Algorithm 4:
-// a fetch stage that collects, deduplicates and bulk-pulls the batch's
-// remote vertices into the cache (sealing them), then a parallel intersect
-// stage with lock-free zero-copy cache reads, and a final Release.
-//
-// With a cache kind whose TwoStage() is false (Cncr-LRU, the Exp-6
-// ablation), the fetch stage is skipped and workers pull on demand during
-// intersection through the locked cache.
+// a fetch stage that bulk-pulls the batch's remote vertices into the
+// machine's cache, then a parallel intersect stage reading it lock-free
+// and zero-copy, and a final Release.
 func (r *machineRun) processExtend(e *dataflow.Extend, b *dataflow.Batch) ([]*dataflow.Batch, error) {
-	eng := r.ex.eng
-	twoStage := eng.ex.Cfg().CacheKind.TwoStage()
-	if twoStage {
-		if err := r.fetchStage(e, b); err != nil {
-			return nil, err
-		}
+	r.fetch(e, b)
+	// Release is a cache write; forChunks has joined its workers by then,
+	// so the single-writer invariant holds.
+	defer r.m.Release()
+	pred := r.newCandPred(e)
+	if pred.impossible {
+		return nil, nil // a constrained label cannot occur in this graph
 	}
-	outs, err := r.intersectStage(e, b, twoStage)
-	if twoStage {
-		// Release is a cache write; it runs after the intersect barrier, so
-		// the single-writer invariant holds.
-		r.m.Cache.Release()
-	}
-	return outs, err
+	return r.forChunks(b, false, func(sc *extendScratch, c *dataflow.Batch) error {
+		return r.extendChunk(e, c, &pred, sc)
+	})
 }
 
-// fetchStage scans the batch for remote vertices, seals the cached ones and
-// bulk-fetches the rest (lines 1-9 of Algorithm 4). A one-machine run owns
-// every vertex, so there is nothing to scan for.
-func (r *machineRun) fetchStage(e *dataflow.Extend, b *dataflow.Batch) error {
+// fetch is the engine's half of the fetch stage: it collects the batch's
+// remote vertices — each once, ascending, so the machine's requests are
+// reproducible — and hands them to the machine, which owns the cache
+// protocol. A one-machine run owns every vertex: there is nothing to scan
+// for.
+func (r *machineRun) fetch(e *dataflow.Extend, b *dataflow.Batch) {
 	eng := r.ex.eng
 	if len(eng.ex.Machines) == 1 {
-		return nil
+		return
 	}
 	start := time.Now()
-	defer func() { eng.ex.Metrics.FetchNs.Add(int64(time.Since(start))) }()
-
-	part := r.m.Part
-	var seen map[graph.VertexID]struct{} // allocated at the first remote vertex
+	if r.seen == nil {
+		r.seen = map[graph.VertexID]struct{}{}
+	}
+	clear(r.seen)
+	remote := r.remote[:0]
 	for i := 0; i < b.Rows(); i++ {
 		row := b.Row(i)
 		for _, s := range e.ExtSlots {
-			v := row[s]
-			if part.Owns(v) {
-				continue
-			}
-			if seen == nil {
-				seen = map[graph.VertexID]struct{}{}
-			}
-			seen[v] = struct{}{}
-		}
-	}
-	if len(seen) == 0 {
-		return nil
-	}
-	byOwner := map[int][]graph.VertexID{}
-	for v := range seen {
-		if r.m.Cache.Contains(v) {
-			eng.ex.Metrics.CacheHits.Add(1)
-			r.m.Cache.Seal(v)
-		} else {
-			eng.ex.Metrics.CacheMisses.Add(1)
-			o := eng.ex.Owner(v)
-			byOwner[o] = append(byOwner[o], v)
-		}
-	}
-	// Deterministic request order helps tests; sort each owner's list.
-	for owner, vids := range byOwner {
-		slices.Sort(vids)
-		for lo := 0; lo < len(vids); lo += maxRPCBatch {
-			hi := lo + maxRPCBatch
-			if hi > len(vids) {
-				hi = len(vids)
-			}
-			chunk := vids[lo:hi]
-			nbrs := r.m.GetNbrs(owner, chunk)
-			for i, v := range chunk {
-				r.m.Cache.Insert(v, nbrs[i])
+			if v := row[s]; !r.m.Owns(v) {
+				// One hash per occurrence: the set grew iff v is new.
+				if r.seen[v] = struct{}{}; len(r.seen) > len(remote) {
+					remote = append(remote, v)
+				}
 			}
 		}
 	}
-	return nil
+	slices.Sort(remote)
+	r.m.Fetch(remote)
+	r.remote = remote
+	eng.ex.Metrics.FetchNs.Add(int64(time.Since(start)))
 }
 
 // extendScratch is per-worker reusable state for the intersect stage.
@@ -108,7 +70,7 @@ type extendScratch struct {
 	out     *dataflow.Batch
 	outs    []*dataflow.Batch
 	rowBuf  []graph.VertexID
-	missErr error
+	gt      *groupTable // worker-local group counts of a grouped counting run
 }
 
 // scratchPool recycles extend scratch between batches and runs: the
@@ -118,112 +80,135 @@ type extendScratch struct {
 // per-batch scratch allocations entirely.
 var scratchPool = sync.Pool{New: func() any { return new(extendScratch) }}
 
-// release returns a drained scratch to the pool, flushing its per-worker
-// kernel-dispatch tally into the run's shared metrics sink. The adjacency
-// and hub-bitset references in sets are cleared so the pool never pins a
-// superseded graph snapshot; a leftover empty output batch (closeScratch
-// moves out the non-empty ones) goes back to the batch pool rather than
-// leaking.
-func (sc *extendScratch) release(k *metrics.Kernels) {
-	k.AddCounts(sc.isect.Stats)
+// release hands back what a worker produced on sc — its output batches —
+// and returns the drained scratch to the pool: the worker-local group
+// table is merged into the run's aggregate, the kernel-dispatch tally into
+// the run's metrics. The adjacency and hub-bitset references in sets are
+// cleared so the pool never pins a superseded graph snapshot; a leftover
+// empty output batch goes back to the batch pool rather than leaking.
+func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
+	outs := sc.outs
+	if sc.out != nil && sc.out.Rows() > 0 {
+		outs = append(outs, sc.out)
+		sc.out = nil
+	}
+	if sc.gt != nil {
+		sc.gt.flush(r.ex.eng.cfg.Groups)
+	}
+	r.ex.eng.ex.Metrics.Kernels.AddCounts(sc.isect.Stats)
 	sc.isect.Stats = graph.KernelCounts{}
 	sc.isect.DropRefs()
 	clear(sc.sets)
 	sc.sets = sc.sets[:0]
 	sc.out.Recycle()
-	sc.out, sc.outs, sc.missErr = nil, nil, nil
+	sc.out, sc.outs, sc.gt = nil, nil, nil
 	scratchPool.Put(sc)
+	return outs
 }
 
-// intersectStage performs the multiway intersections (lines 10-21 of
-// Algorithm 4) in parallel across the machine's workers, with chunk-level
-// intra-machine work stealing per Section 5.3.
-func (r *machineRun) intersectStage(e *dataflow.Extend, b *dataflow.Batch, twoStage bool) ([]*dataflow.Batch, error) {
+// chunkWorker is one worker's share of a forChunks fan-out: the chunks
+// bound to it up front, and what it hands back. The slots live on the
+// machineRun and are reused from batch to batch — a counting query
+// allocates so little that per-batch fan-out state would show in its
+// bytes per request.
+type chunkWorker struct {
+	own  []*dataflow.Batch
+	outs []*dataflow.Batch
+	err  error
+}
+
+// forChunks is the intersect stage's fan-out (lines 10-21 of Algorithm 4,
+// with the chunk-level intra-machine work stealing of Section 5.3): it
+// splits b into chunks and applies fn to each exactly once, across the
+// machine's workers under the run's LoadBalance strategy. Every worker
+// that gets a chunk works on one pooled scratch — carrying a group table
+// when grouped — which is released when the worker runs dry. It returns
+// the output batches the workers left on their scratches and the first
+// error; a worker stops at its first error. All workers have returned
+// when forChunks does.
+func (r *machineRun) forChunks(b *dataflow.Batch, grouped bool, fn func(sc *extendScratch, c *dataflow.Batch) error) ([]*dataflow.Batch, error) {
 	eng := r.ex.eng
 	workers := eng.ex.Cfg().Workers
 	chunks := b.SplitRows(workers * 4)
-	if len(chunks) == 0 {
-		return nil, nil
+	if workers == 1 || len(chunks) <= 1 {
+		cw := chunkWorker{own: chunks}
+		r.drain(0, &cw, nil, grouped, fn)
+		return cw.outs, cw.err
 	}
-	if workers == 1 || len(chunks) == 1 {
-		sc := scratchPool.Get().(*extendScratch)
-		for _, c := range chunks {
-			r.extendChunk(e, c, twoStage, sc)
-		}
-		outs, err := closeScratch(sc), sc.missErr
-		sc.release(&eng.ex.Metrics.Kernels)
-		return outs, err
+	if r.fan == nil {
+		r.fan = make([]chunkWorker, workers)
 	}
-
-	scratches := make([]*extendScratch, workers)
-	for i := range scratches {
-		scratches[i] = scratchPool.Get().(*extendScratch)
-	}
-	var wg sync.WaitGroup
-	switch eng.cfg.LoadBalance {
-	case LBSteal:
+	var pool *steal.Pool
+	if eng.cfg.LoadBalance == LBSteal {
 		r.batchNo++
-		pool := steal.NewPool(workers, int64(r.m.ID)<<20|int64(r.batchNo))
+		pool = steal.NewPool(workers, int64(r.m.ID)<<20|int64(r.batchNo))
 		for i, c := range chunks {
 			pool.Deques[i%workers].Push(c)
 		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					task, ok, stole := pool.Next(w)
-					if !ok {
-						return
-					}
-					if stole {
-						eng.ex.Metrics.StealsIntra.Add(1)
-					}
-					r.extendChunk(e, task.(*dataflow.Batch), twoStage, scratches[w])
-				}
-			}(w)
-		}
-	default:
+	} else {
 		// Static round-robin (HUGE-NOSTL) or pivot-vertex placement
 		// (HUGE-RGP): chunks are bound to workers up front; skew on hub
 		// vertices goes unbalanced, which is what Exp-8 measures.
-		assign := make([][]*dataflow.Batch, workers)
 		for i, c := range chunks {
 			w := i % workers
-			if eng.cfg.LoadBalance == LBPivot && c.Rows() > 0 {
+			if eng.cfg.LoadBalance == LBPivot {
 				w = int(c.Row(0)[0]) % workers
 			}
-			assign[w] = append(assign[w], c)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for _, c := range assign[w] {
-					r.extendChunk(e, c, twoStage, scratches[w])
-				}
-			}(w)
+			r.fan[w].own = append(r.fan[w].own, c)
 		}
 	}
-	wg.Wait()
+	r.fanWG.Add(workers)
+	for w := range r.fan {
+		go func() {
+			defer r.fanWG.Done()
+			r.drain(w, &r.fan[w], pool, grouped, fn)
+		}()
+	}
+	r.fanWG.Wait()
 	var outs []*dataflow.Batch
 	var err error
-	for _, sc := range scratches {
-		outs = append(outs, closeScratch(sc)...)
-		if sc.missErr != nil && err == nil {
-			err = sc.missErr
+	for w := range r.fan {
+		cw := &r.fan[w]
+		outs = append(outs, cw.outs...)
+		if err == nil {
+			err = cw.err
 		}
-		sc.release(&eng.ex.Metrics.Kernels)
+		clear(cw.own)
+		*cw = chunkWorker{own: cw.own[:0]}
 	}
 	return outs, err
 }
 
-func closeScratch(sc *extendScratch) []*dataflow.Batch {
-	if sc.out != nil && sc.out.Rows() > 0 {
-		sc.outs = append(sc.outs, sc.out)
-		sc.out = nil
+// drain is worker w of forChunks: it applies fn to the chunks bound to it,
+// then to whatever the steal pool (nil without stealing) yields, on one
+// scratch taken at its first chunk.
+func (r *machineRun) drain(w int, cw *chunkWorker, pool *steal.Pool, grouped bool, fn func(sc *extendScratch, c *dataflow.Batch) error) {
+	var sc *extendScratch
+	for i := 0; cw.err == nil; i++ {
+		var c *dataflow.Batch
+		if i < len(cw.own) {
+			c = cw.own[i]
+		} else if pool == nil {
+			break
+		} else if task, ok, stole := pool.Next(w); ok {
+			if stole {
+				r.ex.eng.ex.Metrics.StealsIntra.Add(1)
+			}
+			c = task.(*dataflow.Batch)
+		} else {
+			break
+		}
+		if sc == nil {
+			sc = scratchPool.Get().(*extendScratch)
+			if grouped {
+				sc.gt = getGroupTable()
+			}
+		}
+		cw.err = fn(sc, c)
 	}
-	return sc.outs
+	if sc != nil {
+		cw.outs = r.release(sc)
+	}
 }
 
 // candPred is the one candidate predicate shared by every PULL-EXTEND
@@ -249,7 +234,7 @@ type candPred struct {
 }
 
 func (r *machineRun) newCandPred(e *dataflow.Extend) candPred {
-	p := candPred{e: e, g: r.m.Part.Graph(), delta: r.ex.eng.cfg.DeltaEdges}
+	p := candPred{e: e, g: r.m.Graph(), delta: r.ex.eng.cfg.DeltaEdges}
 	if e.TargetLabel >= 0 {
 		if p.g.Labeled() {
 			p.labels = p.g.Labels()
@@ -304,22 +289,9 @@ func (p *candPred) ok(row []graph.VertexID, v graph.VertexID) bool {
 	return true
 }
 
-// neighborsFor resolves adjacency during intersection: local partition,
-// sealed cache entry (two-stage), or an on-demand locked fetch (Cncr-LRU).
-func (r *machineRun) neighborsFor(v graph.VertexID, twoStage bool) ([]graph.VertexID, error) {
-	if twoStage {
-		nb, ok := r.m.NeighborsOf(v)
-		if !ok {
-			return nil, fmt.Errorf("engine: vertex %d missing from cache during intersect (two-stage protocol violated)", v)
-		}
-		return nb, nil
-	}
-	return r.m.FetchDirect(v), nil
-}
-
 // hubMinFor resolves the hub-bitset threshold of the current run: 0 when
 // adaptive intersection is disabled (Config.NoAdaptive — the legacy
-// merge/gallop kernels, kept as the bench8 baseline), otherwise the
+// merge/gallop kernels, kept as an A/B baseline), otherwise the
 // snapshot's threshold. The length check `len(nb) >= hubMin` is exact —
 // only vertices at or above the threshold carry bitsets — so non-hub
 // resolutions never pay even a map lookup, and graphs without hub-sized
@@ -357,16 +329,16 @@ func candidateRange(filters []dataflow.NewFilter, row []graph.VertexID) (lo, hi 
 // derived index metadata over the pinned snapshot — like vertex labels,
 // they are replicated on every simulated machine, so consulting one for a
 // pulled remote list moves no extra adjacency bytes.
-func (r *machineRun) gatherOperands(e *dataflow.Extend, row []graph.VertexID, twoStage bool, g *graph.Graph, hubMin int, sc *extendScratch) (ok bool, err error) {
+func (r *machineRun) gatherOperands(e *dataflow.Extend, row []graph.VertexID, g *graph.Graph, hubMin int, sc *extendScratch) (ok bool, err error) {
 	lo, hi := candidateRange(e.NewFilters, row)
 	sc.sets = sc.sets[:0]
 	if lo >= hi {
 		return false, nil
 	}
 	for _, s := range e.ExtSlots {
-		nb, err := r.neighborsFor(row[s], twoStage)
-		if err != nil {
-			return false, err
+		nb, fetched := r.m.Neighbors(row[s])
+		if !fetched {
+			return false, fmt.Errorf("engine: vertex %d missing from cache during intersect (two-stage protocol violated)", row[s])
 		}
 		nset := graph.NbrList{List: nb}
 		if hubMin > 0 && len(nb) >= hubMin {
@@ -385,24 +357,18 @@ func (r *machineRun) gatherOperands(e *dataflow.Extend, row []graph.VertexID, tw
 // are applied up front, by narrowing the operands (candidateRange); the
 // shared candidate predicate (vertex label, edge labels, delta old-edge
 // restriction) and injectivity are checked per candidate.
-func (r *machineRun) extendChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage bool, sc *extendScratch) {
-	eng := r.ex.eng
+func (r *machineRun) extendChunk(e *dataflow.Extend, c *dataflow.Batch, pred *candPred, sc *extendScratch) error {
 	outWidth := len(e.OutLayout)
-	maxRows := eng.cfg.BatchRows
+	maxRows := r.ex.eng.cfg.BatchRows
 	if sc.out == nil {
 		sc.out = dataflow.GetBatch(outWidth, maxRows)
-	}
-	pred := r.newCandPred(e)
-	if pred.impossible {
-		return // a constrained label cannot occur in this graph
 	}
 	hubMin := r.hubMinFor(pred.g)
 	for i := 0; i < c.Rows(); i++ {
 		row := c.Row(i)
-		ok, err := r.gatherOperands(e, row, twoStage, pred.g, hubMin, sc)
+		ok, err := r.gatherOperands(e, row, pred.g, hubMin, sc)
 		if err != nil {
-			sc.missErr = err
-			return
+			return err
 		}
 		if !ok {
 			continue
@@ -450,4 +416,5 @@ func (r *machineRun) extendChunk(e *dataflow.Extend, c *dataflow.Batch, twoStage
 			sc.out.Append(sc.rowBuf)
 		}
 	}
+	return nil
 }

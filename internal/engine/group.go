@@ -96,7 +96,7 @@ func (t *groupTable) flush(agg *GroupAgg) {
 // the materialised-sink counterpart of the compressed path's grouped
 // countChunk, used when the final operator is a verify extend or PUSH-JOIN.
 func (r *machineRun) groupRows(spec dataflow.GroupSpec, b *dataflow.Batch, n int) error {
-	keyer, err := newGroupKeyer(spec, r.ex.st.OutputLayout(), -1, r.m.Part.Graph())
+	keyer, err := newGroupKeyer(spec, r.ex.st.OutputLayout(), -1, r.m.Graph())
 	if err != nil {
 		return err
 	}

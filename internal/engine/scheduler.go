@@ -88,6 +88,15 @@ type machineRun struct {
 	// slabs are the per-destination staging buffers of a join-feed
 	// terminal, reused from batch to batch.
 	slabs [][]graph.VertexID
+
+	// seen and remote are the fetch stage's set and sorted list of a
+	// batch's remote vertices, reused from batch to batch.
+	seen   map[graph.VertexID]struct{}
+	remote []graph.VertexID
+
+	// fan and fanWG are forChunks' per-worker slots and its barrier.
+	fan   []chunkWorker
+	fanWG sync.WaitGroup
 }
 
 func newMachineRun(ex *stageExec, m *cluster.MachineExec, src sourceIter) *machineRun {

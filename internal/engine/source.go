@@ -7,45 +7,43 @@ import (
 )
 
 // sourceIter produces the batches that drive a stage: either a SCAN over
-// the machine's local partition, or the streaming output of a PUSH-JOIN.
+// the vertices the machine owns, or the streaming output of a PUSH-JOIN.
 type sourceIter interface {
 	// nextBatch returns up to maxRows rows; ok=false when exhausted.
 	nextBatch(maxRows int) (b *dataflow.Batch, ok bool, err error)
 }
 
 // scanIter implements SCAN(edge): it emits one tuple (u, w) per ordered
-// local edge, with u a local vertex — so the scan output is partitioned
-// exactly like the graph, as Section 4.2 describes. A label constraint on
-// the scanned vertex seeds the iteration from the graph's per-label vertex
-// index (restricted to locally-owned vertices) instead of the machine's
-// full vertex range; an edge-label constraint seeds from the
+// edge whose u the machine owns — so the scan output is partitioned
+// exactly like the graph, as Section 4.2 describes. It walks the vertex
+// IDs in ascending order and skips those another machine owns; no
+// per-machine vertex list exists. A label constraint on the scanned vertex
+// seeds the walk from the graph's per-label vertex index instead of the
+// full ID range; an edge-label constraint seeds from the
 // (srcLabel, edgeLabel) triple index — only vertices with a qualifying
 // incident edge are walked — and filters the walked edges; a constraint on
 // the neighbour side filters emitted tuples. Labels are replicated (or
 // ride along the local adjacency), so none of the checks communicate.
 type scanIter struct {
-	m          *cluster.MachineExec
-	scan       *dataflow.EdgeScan
-	verts      []graph.VertexID
-	vi, ni     int
-	current    []graph.VertexID // neighbours of verts[vi]
+	m    *cluster.MachineExec
+	g    *graph.Graph
+	scan *dataflow.EdgeScan
+	// The walk covers seed[vi:end] when a label index seeds it, the vertex
+	// IDs vi..end-1 otherwise; end = 0 when no vertex can qualify.
+	seed       []graph.VertexID
+	vi, end    int
+	u          graph.VertexID   // the vertex whose edges are being emitted
+	ni         int              // next position in current
+	current    []graph.VertexID // neighbours of u; nil between vertices
 	curELabels []graph.LabelID  // edge labels parallel to current (edge-constrained scans)
 	labels     []graph.LabelID  // nil when the neighbour side is unconstrained
 	edgeFilter bool             // check curELabels against scan.EdgeLabel
 }
 
 func newScanIter(m *cluster.MachineExec, scan *dataflow.EdgeScan) *scanIter {
-	s := &scanIter{m: m, scan: scan, verts: m.Part.LocalVertices()}
-	g := m.Part.Graph()
-	localOf := func(indexed []graph.VertexID) []graph.VertexID {
-		local := make([]graph.VertexID, 0, len(indexed)/m.Part.P.NumMachines()+1)
-		for _, v := range indexed {
-			if m.Part.Owns(v) {
-				local = append(local, v)
-			}
-		}
-		return local
-	}
+	g := m.Graph()
+	s := &scanIter{m: m, g: g, scan: scan, end: g.NumVertices()}
+	seedFrom := func(indexed []graph.VertexID) { s.seed, s.end = indexed, len(indexed) }
 	switch {
 	case scan.EdgeLabel >= 0 && g.EdgeLabeled():
 		// Triple-index seeding: only vertices with at least one incident
@@ -53,49 +51,62 @@ func newScanIter(m *cluster.MachineExec, scan *dataflow.EdgeScan) *scanIter {
 		// constrained) are walked; the walked edges are then filtered to
 		// exactly the labelled ones.
 		if scan.LabelA > 0 && !g.Labeled() {
-			s.verts = nil // unlabelled graph holds only the implicit label 0
+			s.end = 0 // unlabelled graph holds only the implicit label 0
 		} else {
 			srcLabel := scan.LabelA
 			if !g.Labeled() {
 				srcLabel = 0 // the index keys every vertex under label 0
 			}
-			s.verts = localOf(g.VerticesWithLabeledEdge(srcLabel, graph.LabelID(scan.EdgeLabel)))
+			seedFrom(g.VerticesWithLabeledEdge(srcLabel, graph.LabelID(scan.EdgeLabel)))
 		}
 		s.edgeFilter = true
 	case scan.EdgeLabel > 0:
-		s.verts = nil // edge-unlabelled graph holds only the implicit label 0
+		s.end = 0 // edge-unlabelled graph holds only the implicit label 0
 	case scan.LabelA >= 0 && g.Labeled():
 		// Per-label index seeding: walk only the vertices carrying the
-		// label, keeping the locally-owned ones. For a selective label this
-		// is a small fraction of the partition.
-		s.verts = localOf(g.VerticesWithLabel(graph.LabelID(scan.LabelA)))
+		// label. For a selective label this is a small fraction of the graph.
+		seedFrom(g.VerticesWithLabel(graph.LabelID(scan.LabelA)))
 	case scan.LabelA > 0:
-		s.verts = nil // unlabelled graph holds only the implicit label 0
+		s.end = 0 // unlabelled graph holds only the implicit label 0
 	}
 	if scan.LabelB >= 0 && g.Labeled() {
 		s.labels = g.Labels()
 	} else if scan.LabelB > 0 {
-		s.verts = nil
+		s.end = 0
 	}
 	return s
 }
 
+// nextVertex advances the walk to the next vertex the machine owns.
+func (s *scanIter) nextVertex() bool {
+	for s.vi < s.end {
+		v := graph.VertexID(s.vi)
+		if s.seed != nil {
+			v = s.seed[s.vi]
+		}
+		s.vi++
+		if s.m.Owns(v) {
+			s.u = v
+			return true
+		}
+	}
+	return false
+}
+
 func (s *scanIter) nextBatch(maxRows int) (*dataflow.Batch, bool, error) {
 	b := dataflow.GetBatch(2, maxRows)
-	row := make([]graph.VertexID, 2)
-	g := s.m.Part.Graph()
+	var row [2]graph.VertexID
 	for b.Rows() < maxRows {
 		if s.current == nil {
-			if s.vi >= len(s.verts) {
+			if !s.nextVertex() {
 				break
 			}
-			s.current = s.m.Part.Neighbors(s.verts[s.vi])
+			s.current = s.g.Neighbors(s.u)
 			if s.edgeFilter {
-				s.curELabels = g.NeighborEdgeLabels(s.verts[s.vi])
+				s.curELabels = s.g.NeighborEdgeLabels(s.u)
 			}
 			s.ni = 0
 		}
-		u := s.verts[s.vi]
 		for s.ni < len(s.current) && b.Rows() < maxRows {
 			w := s.current[s.ni]
 			if s.edgeFilter && int(s.curELabels[s.ni]) != s.scan.EdgeLabel {
@@ -106,14 +117,13 @@ func (s *scanIter) nextBatch(maxRows int) (*dataflow.Batch, bool, error) {
 			if s.labels != nil && int(s.labels[w]) != s.scan.LabelB {
 				continue
 			}
-			row[0], row[1] = u, w
-			if passOrderFilters(row, s.scan.Filters) {
-				b.Append(row)
+			row[0], row[1] = s.u, w
+			if passOrderFilters(row[:], s.scan.Filters) {
+				b.Append(row[:])
 			}
 		}
 		if s.ni >= len(s.current) {
 			s.current = nil
-			s.vi++
 		}
 	}
 	if b.Rows() == 0 {
@@ -140,7 +150,7 @@ type deltaScanIter struct {
 
 func newDeltaScanIter(m *cluster.MachineExec, scan *dataflow.DeltaScan, delta *graph.EdgeSet) *deltaScanIter {
 	s := &deltaScanIter{m: m, scan: scan}
-	g := m.Part.Graph()
+	g := m.Graph()
 	labelOK := func(v graph.VertexID, want int) bool {
 		if want < 0 {
 			return true
@@ -164,7 +174,7 @@ func newDeltaScanIter(m *cluster.MachineExec, scan *dataflow.DeltaScan, delta *g
 			continue
 		}
 		for _, row := range [2][2]graph.VertexID{{e[0], e[1]}, {e[1], e[0]}} {
-			if !m.Part.Owns(row[0]) {
+			if !m.Owns(row[0]) {
 				continue
 			}
 			if !labelOK(row[0], scan.LabelA) || !labelOK(row[1], scan.LabelB) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -84,6 +85,74 @@ func TestScanIterBatchBoundary(t *testing.T) {
 	}
 	if rows != 2*int(g.NumEdges()) {
 		t.Fatalf("resumed scan rows = %d, want %d", rows, 2*g.NumEdges())
+	}
+}
+
+// TestScanItersPartitionTheEdgeList is the differential that replaced the
+// materialised per-machine vertex lists: whatever the machine count and
+// however the walk is seeded, the machines' scans together emit the
+// oracle's ordered edge list — every qualifying (u, w) exactly once, in
+// ascending order per machine, by the machine that owns u.
+func TestScanItersPartitionTheEdgeList(t *testing.T) {
+	g := gen.ZipfEdgeLabels(gen.ZipfLabels(gen.PowerLaw(300, 3, 5), 4, 1.2, 7), 3, 1.2, 9)
+	scans := []struct {
+		name string
+		scan dataflow.EdgeScan
+	}{
+		{"unseeded", dataflow.EdgeScan{QA: 0, QB: 1, LabelA: -1, LabelB: -1, EdgeLabel: -1}},
+		{"LabelA-seeded", dataflow.EdgeScan{QA: 0, QB: 1, LabelA: 1, LabelB: -1, EdgeLabel: -1}},
+		{"edge-label-seeded", dataflow.EdgeScan{QA: 0, QB: 1, LabelA: -1, LabelB: -1, EdgeLabel: 1}},
+		{"triple-seeded", dataflow.EdgeScan{QA: 0, QB: 1, LabelA: 0, LabelB: -1, EdgeLabel: 2}},
+		{"LabelB-filtered", dataflow.EdgeScan{QA: 0, QB: 1, LabelA: -1, LabelB: 2, EdgeLabel: -1}},
+	}
+	wants := func(want int, got graph.LabelID) bool { return want < 0 || want == int(got) }
+	for _, sc := range scans {
+		var oracle [][2]graph.VertexID
+		for u := 0; u < g.NumVertices(); u++ {
+			u := graph.VertexID(u)
+			for _, w := range g.Neighbors(u) {
+				if wants(sc.scan.LabelA, g.Label(u)) && wants(sc.scan.LabelB, g.Label(w)) && wants(sc.scan.EdgeLabel, g.EdgeLabel(u, w)) {
+					oracle = append(oracle, [2]graph.VertexID{u, w})
+				}
+			}
+		}
+		if len(oracle) == 0 || len(oracle) == 2*int(g.NumEdges()) && sc.name != "unseeded" {
+			t.Fatalf("%s: constraint selects %d of %d rows; the case tests nothing", sc.name, len(oracle), 2*g.NumEdges())
+		}
+		for _, k := range []int{1, 2, 3} {
+			ex := cluster.New(g, cluster.Config{NumMachines: k, Workers: 1}).NewExec()
+			var got [][2]graph.VertexID
+			for _, m := range ex.Machines {
+				it := newScanIter(m, &sc.scan)
+				first := len(got)
+				for {
+					b, ok, err := it.nextBatch(7) // suspends mid-adjacency-list
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					for i := 0; i < b.Rows(); i++ {
+						row := [2]graph.VertexID(b.Row(i))
+						if !m.Owns(row[0]) {
+							t.Fatalf("%s k=%d: machine %d emitted %v, whose first vertex it does not own", sc.name, k, m.ID, row)
+						}
+						got = append(got, row)
+					}
+				}
+				if !slices.IsSortedFunc(got[first:], func(a, b [2]graph.VertexID) int { return slices.Compare(a[:], b[:]) }) {
+					t.Fatalf("%s k=%d: machine %d's rows are not in edge-list order", sc.name, k, m.ID)
+				}
+				if k > 1 && len(got)-first == len(oracle) {
+					t.Fatalf("%s k=%d: machine %d emitted every row", sc.name, k, m.ID)
+				}
+			}
+			slices.SortFunc(got, func(a, b [2]graph.VertexID) int { return slices.Compare(a[:], b[:]) })
+			if !slices.Equal(got, oracle) {
+				t.Fatalf("%s k=%d: %d rows, oracle has %d (or they differ)", sc.name, k, len(got), len(oracle))
+			}
+		}
 	}
 }
 

@@ -258,53 +258,6 @@ func TestIntersectManyProperty(t *testing.T) {
 	}
 }
 
-func TestPartitionSplit(t *testing.T) {
-	g := FromEdges([][2]VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	const k = 3
-	parts := Split(g, k)
-	if len(parts) != k {
-		t.Fatalf("Split returned %d parts", len(parts))
-	}
-	owned := map[VertexID]int{}
-	for _, pt := range parts {
-		for _, v := range pt.LocalVertices() {
-			if prev, dup := owned[v]; dup {
-				t.Fatalf("vertex %d owned by both %d and %d", v, prev, pt.Machine)
-			}
-			owned[v] = pt.Machine
-			if !pt.Owns(v) {
-				t.Fatalf("partition %d does not Own its local vertex %d", pt.Machine, v)
-			}
-		}
-	}
-	if len(owned) != g.NumVertices() {
-		t.Fatalf("only %d of %d vertices owned", len(owned), g.NumVertices())
-	}
-}
-
-func TestPartitionRemoteAccessPanics(t *testing.T) {
-	g := FromEdges([][2]VertexID{{0, 1}, {1, 2}})
-	parts := Split(g, 2)
-	// Find a vertex not owned by parts[0].
-	var remote VertexID
-	found := false
-	for v := 0; v < g.NumVertices(); v++ {
-		if !parts[0].Owns(VertexID(v)) {
-			remote, found = VertexID(v), true
-			break
-		}
-	}
-	if !found {
-		t.Skip("all vertices landed on machine 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic accessing remote vertex")
-		}
-	}()
-	parts[0].Neighbors(remote)
-}
-
 func TestPartitionerSingleMachine(t *testing.T) {
 	p := NewPartitioner(1)
 	for v := VertexID(0); v < 100; v++ {

@@ -2,9 +2,11 @@ package graph
 
 // Partitioning follows the paper's Section 2: the data graph is randomly
 // (hash-)partitioned across k machines; each vertex is stored with its full
-// adjacency list on exactly one machine. A vertex residing in the local
-// partition is a "local vertex"; anything else is a "remote vertex" whose
-// neighbours must be pulled via the GetNbrs RPC.
+// adjacency list on exactly one machine. Ownership is a pure function of
+// the vertex ID, so a partitioning holds no per-graph state: nothing is
+// built, copied or patched when the graph changes. A vertex a machine owns
+// is its "local vertex"; anything else is a "remote vertex" whose
+// neighbours must be pulled via the GetNbrs RPC (internal/cluster).
 
 // Partitioner maps vertices to machine IDs.
 type Partitioner struct {
@@ -24,60 +26,11 @@ func (p Partitioner) NumMachines() int { return p.k }
 
 // Owner returns the machine that stores v with its adjacency list.
 func (p Partitioner) Owner(v VertexID) int {
+	if p.k == 1 {
+		return 0
+	}
 	// Multiplicative hash so that consecutive IDs (which are degree-correlated
 	// in generated graphs) spread across machines — this is the paper's
 	// "random partition".
 	return int((uint64(v) * 0x9E3779B97F4A7C15 >> 32) % uint64(p.k))
 }
-
-// Partition is one machine's shard of the data graph: the vertices it owns
-// plus their adjacency lists, in CSR form over local indices.
-type Partition struct {
-	Machine int
-	P       Partitioner
-	g       *Graph
-	local   []VertexID // owned vertices, ascending
-}
-
-// Split shards g across k machines.
-func Split(g *Graph, k int) []*Partition {
-	p := NewPartitioner(k)
-	parts := make([]*Partition, k)
-	for i := range parts {
-		parts[i] = &Partition{Machine: i, P: p, g: g}
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		o := p.Owner(VertexID(v))
-		parts[o].local = append(parts[o].local, VertexID(v))
-	}
-	return parts
-}
-
-// Owns reports whether v resides in this partition.
-func (pt *Partition) Owns(v VertexID) bool { return pt.P.Owner(v) == pt.Machine }
-
-// LocalVertices returns the vertices owned by this partition, ascending.
-func (pt *Partition) LocalVertices() []VertexID { return pt.local }
-
-// Neighbors returns the adjacency list of a local vertex. It panics if v is
-// not owned by this partition: remote adjacency must go through the RPC /
-// cache layer so that communication is accounted for.
-func (pt *Partition) Neighbors(v VertexID) []VertexID {
-	if !pt.Owns(v) {
-		panic("graph: Partition.Neighbors called for a remote vertex")
-	}
-	return pt.g.Neighbors(v)
-}
-
-// Degree returns the degree of a local vertex.
-func (pt *Partition) Degree(v VertexID) int {
-	if !pt.Owns(v) {
-		panic("graph: Partition.Degree called for a remote vertex")
-	}
-	return pt.g.Degree(v)
-}
-
-// Graph returns the underlying full graph. It exists for the ground-truth
-// enumerator and metrics (|E_G| in the optimiser); engines must not use it
-// to bypass communication accounting.
-func (pt *Partition) Graph() *Graph { return pt.g }
