@@ -1,7 +1,10 @@
 package repro
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -23,7 +26,8 @@ func goList(t *testing.T, args ...string) []string {
 // seams a real-RPC machine would be built on: repro/huge reaches neither
 // the baseline systems nor the experiment harness; the engine talks to a
 // machine through cluster.MachineExec and never to its cache; the graph
-// package depends on nothing in the module.
+// package depends on nothing in the module; standing queries are one table
+// in repro/huge, not a registry type in the planner.
 func TestServingDependencyBoundary(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
@@ -44,5 +48,16 @@ func TestServingDependencyBoundary(t *testing.T) {
 		if strings.HasPrefix(imp, "repro/") {
 			t.Errorf("repro/internal/graph imports %s", imp)
 		}
+	}
+	files, _ := filepath.Glob("internal/plan/*.go")
+	for _, f := range files {
+		if src, err := os.ReadFile(f); err != nil {
+			t.Error(err)
+		} else if decl := regexp.MustCompile(`(?m)^(type|func) (New)?Registry\b`).Find(src); decl != nil {
+			t.Errorf("%s declares %q: subscribers are huge's subscriptions table, not a planner concept", f, decl)
+		}
+	}
+	if len(files) == 0 {
+		t.Error("no Go files found under internal/plan: the Registry check looked at nothing")
 	}
 }

@@ -356,3 +356,27 @@ func TestDeltaEnumerateStreamsNewMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaRunMetricsFoldEveryFlow: a delta run executes one engine run per
+// pinned query edge and side, and its Result.Metrics is their fold — the
+// kernel mix included, which used to be dropped (every delta and
+// maintenance run reported zero dispatches).
+func TestDeltaRunMetricsFoldEveryFlow(t *testing.T) {
+	g := testGraph(200, 3, 0, 88)
+	sys := huge.NewSystem(g, huge.Options{Machines: 2})
+	sys.Apply(randomDelta(g, 16, 0, 1, 99))
+	res, err := sys.Exec(context.Background(), huge.Triangle().Delta(), huge.CountOnly()).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DeltaNew == 0 || res.DeltaDead == 0 {
+		t.Fatalf("delta touched no triangle on one side (new %d, dead %d): the test needs both", res.DeltaNew, res.DeltaDead)
+	}
+	if res.Metrics.Kernels.Total() == 0 {
+		t.Errorf("delta run found %d matches through intersections but reports no kernel dispatch: %+v",
+			res.DeltaNew+res.DeltaDead, res.Metrics.Kernels)
+	}
+	if got, want := res.Metrics.Results, res.DeltaNew+res.DeltaDead; got != want {
+		t.Errorf("Metrics.Results = %d, want DeltaNew + DeltaDead = %d", got, want)
+	}
+}

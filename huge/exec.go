@@ -362,9 +362,6 @@ func (s *System) exec(ctx context.Context, sn *snapshot, q *Query, onDone func(R
 	var h *govRun
 	if s.gov != nil || memRows > 0 {
 		h = &govRun{gov: s.gov, prio: eo.prio, memRows: memRows, cancel: cancelCause}
-		if s.gov != nil {
-			h.adaptive = !s.gov.cfg.NoAdaptiveBatch
-		}
 	}
 
 	go func() {
@@ -437,22 +434,12 @@ func (s *System) execRun(ctx context.Context, sn *snapshot, q *Query, eo *execOp
 		if r.budget != nil || r.gr != nil {
 			family = "wco"
 		}
-		if r.fn == nil && r.gr == nil {
-			// Counting: any isomorphic cached plan serves.
-			p, cached = s.planFor(sn, q, family)
-		} else {
-			// Match delivery demands a plan whose vertex numbering matches q
-			// verbatim (matches are indexed by query vertex): a cached
-			// relabelled twin is rejected and replaced by a plan built from
-			// q — which still serves every counting caller, since the
-			// fingerprint is unchanged. A grouped run demands the same: its
-			// key references q's vertex numbering, so a relabelled twin
-			// would group by the wrong vertex.
-			qfp := q.Fingerprint()
-			p, cached = s.cachedPlan(s.planKey(sn, q, family),
-				func(p *Plan) bool { return p.Q.Fingerprint() == qfp && p.Q.SameNumbering(q) },
-				func() *Plan { return s.buildPlan(sn, q, family) })
-		}
+		// Counting: any isomorphic cached plan serves. Match delivery demands
+		// a plan whose vertex numbering matches q verbatim (matches are
+		// indexed by query vertex), and so does a grouped run: its key
+		// references q's vertex numbering, so a relabelled twin would group
+		// by the wrong vertex.
+		p, cached = s.planFor(sn, q, family, r.fn != nil || r.gr != nil)
 	}
 	res, err := s.runPlan(ctx, sn, p, r)
 	res.PlanCached = cached

@@ -94,11 +94,6 @@ type GovernorConfig struct {
 	// that run fails with ErrMemoryBudget). 0 = unbudgeted by default;
 	// the MemoryBudget Exec option overrides per run either way.
 	RunMemoryRows int64
-	// NoAdaptiveBatch disables the adaptive batch-sizing controller that
-	// governed systems otherwise run: sources start at 64 rows and grow
-	// towards Options.BatchRows while queues stay shallow, shrinking
-	// under pressure.
-	NoAdaptiveBatch bool
 }
 
 func (c GovernorConfig) normalise() GovernorConfig {
@@ -137,12 +132,11 @@ type govWaiter struct {
 // its engine runs. gov is nil for a run on an ungoverned System that still
 // carries a MemoryBudget option — per-run budgets work without a governor.
 type govRun struct {
-	gov      *governor
-	prio     int
-	express  bool  // admitted through the reserved express lane
-	memRows  int64 // per-run budget (0 = none)
-	adaptive bool  // enable the engine's adaptive batch sizing
-	cancel   context.CancelCauseFunc
+	gov     *governor
+	prio    int
+	express bool  // admitted through the reserved express lane
+	memRows int64 // per-run budget (0 = none)
+	cancel  context.CancelCauseFunc
 	// cur is the run's current execution context's metrics — delta runs go
 	// through several — so the victim picker can rank by live footprint.
 	cur atomic.Pointer[metrics.Metrics]

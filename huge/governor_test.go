@@ -253,7 +253,7 @@ func TestErrInvalidOptionTaxonomy(t *testing.T) {
 
 // TestGovernedAdaptiveBatchCounters: a governed run on shallow queues must
 // record grow decisions both in its own Summary and in the system-wide
-// GovernorStats; NoAdaptiveBatch must suppress them.
+// GovernorStats.
 func TestGovernedAdaptiveBatchCounters(t *testing.T) {
 	g := gen.PowerLaw(2000, 6, 13)
 	sys := governedSystem(g, &huge.GovernorConfig{MaxConcurrent: 4})
@@ -266,16 +266,6 @@ func TestGovernedAdaptiveBatchCounters(t *testing.T) {
 	}
 	if s := sys.GovernorStats(); s.BatchGrows == 0 {
 		t.Errorf("GovernorStats.BatchGrows = 0, stats %+v", s)
-	}
-
-	fixed := governedSystem(g, &huge.GovernorConfig{MaxConcurrent: 4, NoAdaptiveBatch: true})
-	res, err = fixed.Exec(context.Background(), huge.Q1(), huge.CountOnly()).Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.BatchGrows != 0 || res.Metrics.BatchShrinks != 0 {
-		t.Errorf("NoAdaptiveBatch run still recorded sizing decisions (%d grows, %d shrinks)",
-			res.Metrics.BatchGrows, res.Metrics.BatchShrinks)
 	}
 
 	// Priority on an ungoverned system is accepted and ignored.

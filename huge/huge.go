@@ -92,7 +92,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -245,9 +247,6 @@ type Options struct {
 	// sorted and spilled to a temporary file as one run. 0 means 1<<20.
 	// Result.Metrics.JoinSpillRuns/JoinSpillBytes report what a run spilled.
 	JoinBufferRows int
-	// PlanCachePlans bounds the fingerprint-keyed plan cache (number of
-	// plans; 0 = plan.DefaultCacheCapacity, negative = cache disabled).
-	PlanCachePlans int
 	// Governor enables resource governance: a weighted-priority admission
 	// gate over concurrent Exec runs, per-run and global memory budgets,
 	// adaptive batch sizing, and load shedding with typed fast-fail
@@ -303,8 +302,12 @@ func (sn *snapshot) epoch() uint64 { return sn.g.Epoch() }
 
 // System is a data graph deployed on a simulated HUGE cluster. All methods
 // are safe for concurrent use: per-run mutable state (metrics, adjacency
-// caches, join buffers) lives in a per-run execution context, and the plan
-// cache is thread-safe.
+// caches, join buffers) lives in a per-run execution context, and each
+// piece of shared state has one owner with one guard — the current snapshot
+// is an atomic pointer, plans and in-flight builds belong to the plan
+// cache, standing queries to the subscriptions table, admission to the
+// governor. applyMu orders Apply, Save and Close and is the outermost lock:
+// the others are taken under it, and none of them inside another.
 //
 // The graph is versioned: Apply merges a Delta into a new snapshot and
 // atomically makes it current. Runs started before an Apply finish on the
@@ -313,26 +316,17 @@ func (sn *snapshot) epoch() uint64 { return sn.g.Epoch() }
 // statistics fingerprint — which includes the epoch — so a plan optimised
 // for one version is never served for another.
 type System struct {
-	mu   sync.RWMutex // guards snap (swapped by Apply)
-	snap *snapshot
+	snap atomic.Pointer[snapshot] // current version, swapped by Apply
 
-	applyMu sync.Mutex // serialises Apply calls
+	applyMu sync.Mutex // serialises Apply, Save and Close
 
 	opts  Options
-	plans *plan.Cache // nil when disabled
+	plans *plan.Cache
 
-	// Per-plan-key single-flight: N concurrent cold requests for one
-	// pattern pay the exponential optimiser once, not N times.
-	planMu   sync.Mutex
-	inflight map[string]*keyLock
-
-	// Standing-query subscriptions (subscribe.go): subscribers grouped by
-	// canonical query fingerprint, per-group cached delta flows and
-	// numbering variants, and lifetime maintenance counters.
-	subs    *plan.Registry[*Subscription]
-	groupMu sync.Mutex // guards groups and orders registration vs group deletion
-	groups  map[string]*subGroup
-	maint   metrics.Maintenance
+	// Standing queries (subscribe.go) and their lifetime maintenance
+	// counters.
+	subs  subscriptions
+	maint metrics.Maintenance
 
 	// gov is the resource governor (admission, budgets, shedding); nil
 	// when Options.Governor is nil — the ungoverned historical behaviour.
@@ -341,49 +335,16 @@ type System struct {
 	// st is the durable store backing this System (persist.go); nil for a
 	// purely in-memory System (NewSystem). When set, Apply writes through
 	// the store's epoch log before installing the new snapshot. closed
-	// (guarded by applyMu) makes Close idempotent.
-	st     *store.Store
-	closed bool
+	// makes Close idempotent; compactErr is the failure of the last
+	// automatic compaction, nil once one succeeds (both guarded by applyMu).
+	st         *store.Store
+	closed     bool
+	compactErr error
 }
 
 // snapshot returns the current version; runs capture it once and use it
 // throughout, so an Apply mid-run is invisible to them.
-func (s *System) snapshot() *snapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snap
-}
-
-// keyLock serialises planning per cache key; refs counts holders and
-// waiters so the entry can be removed when the last one leaves.
-type keyLock struct {
-	mu   sync.Mutex
-	refs int
-}
-
-// lockPlanKey blocks until this goroutine owns planning for key.
-func (s *System) lockPlanKey(key string) *keyLock {
-	s.planMu.Lock()
-	kl := s.inflight[key]
-	if kl == nil {
-		kl = &keyLock{}
-		s.inflight[key] = kl
-	}
-	kl.refs++
-	s.planMu.Unlock()
-	kl.mu.Lock()
-	return kl
-}
-
-func (s *System) unlockPlanKey(key string, kl *keyLock) {
-	kl.mu.Unlock()
-	s.planMu.Lock()
-	kl.refs--
-	if kl.refs == 0 {
-		delete(s.inflight, key)
-	}
-	s.planMu.Unlock()
-}
+func (s *System) snapshot() *snapshot { return s.snap.Load() }
 
 // newSnapshot wraps one graph version with its statistics and the
 // estimator over them. It is the only place a snapshot is assembled
@@ -404,16 +365,12 @@ func newSnapshot(g *Graph, stats plan.GraphStats) *snapshot {
 func newSystem(g *Graph, stats plan.GraphStats, opts Options, st *store.Store) *System {
 	opts = opts.normalise()
 	s := &System{
-		snap:     newSnapshot(g, stats),
-		opts:     opts,
-		inflight: map[string]*keyLock{},
-		subs:     plan.NewRegistry[*Subscription](),
-		groups:   map[string]*subGroup{},
-		st:       st,
+		opts:  opts,
+		plans: plan.NewCache(plan.DefaultCacheCapacity),
+		subs:  subscriptions{groups: map[string]*subGroup{}},
+		st:    st,
 	}
-	if opts.PlanCachePlans >= 0 {
-		s.plans = plan.NewCache(opts.PlanCachePlans)
-	}
+	s.snap.Store(newSnapshot(g, stats))
 	if opts.Governor != nil {
 		s.gov = newGovernor(*opts.Governor)
 	}
@@ -496,12 +453,8 @@ func (s *System) Apply(d Delta) uint64 {
 	}
 	next := newSnapshot(ng, plan.UpdateStats(cur.stats, cur.g, ng, applied))
 	next.inserted, next.deleted, next.prev = inserted, deleted, cur.g
-	s.mu.Lock()
-	s.snap = next
-	s.mu.Unlock()
-	if s.plans != nil {
-		s.plans.InvalidateGraph(cur.statsFP)
-	}
+	s.snap.Store(next)
+	s.plans.InvalidateGraph(cur.statsFP)
 	// Serve standing queries before returning: one shared delta run per
 	// live pattern group on the snapshot just installed (subscribe.go).
 	// Running under applyMu keeps per-epoch event order per subscriber.
@@ -509,18 +462,13 @@ func (s *System) Apply(d Delta) uint64 {
 	if s.st != nil && s.st.ShouldCompact() {
 		// The log outgrew its snapshot: persist the state just installed so
 		// recovery replays (almost) nothing. Failure is not fatal — the log
-		// still covers everything — so compaction just retries next Apply.
-		_ = s.st.Compact(s.snapshotData(next))
+		// still covers everything — so compaction just retries next Apply;
+		// it is logged, and remembered for Save and Close to report.
+		if s.compactErr = s.st.Compact(s.snapshotData(next)); s.compactErr != nil {
+			slog.Warn("huge: automatic compaction failed", "epoch", ng.Epoch(), "err", s.compactErr)
+		}
 	}
 	return ng.Epoch()
-}
-
-// planKey builds the composite plan-cache key: the query's canonical
-// (relabelling-invariant) fingerprint, the logical-plan family, the
-// deployment size the optimiser costs against, and the graph-statistics
-// version the estimates were derived from.
-func (s *System) planKey(sn *snapshot, q *Query, name string) string {
-	return plan.CacheKey(q.Fingerprint(), name, s.opts.Machines, sn.statsFP)
 }
 
 // buildPlan runs the (uncached) planner for one named family. Every plan
@@ -553,36 +501,20 @@ func (s *System) buildPlan(sn *snapshot, q *Query, name string) *Plan {
 	return p
 }
 
-// cachedPlan is the single lookup protocol every plan request goes
-// through: single-flight per key (N concurrent cold requests build once),
-// a validity check on hits, and rebuild-and-overwrite on a miss or a
-// rejected entry. An entry is rejected — counted as a miss and replaced —
-// when valid returns false: either its query was mutated via SetOrders
-// after caching (the fingerprint no longer matches the key, and serving it
-// would apply the wrong symmetry-breaking orders), or an enumerating
-// caller needs the exact vertex numbering and the entry is a relabelled
-// twin. The replacement is built from the caller's query, so it satisfies
-// every future lookup the old entry satisfied.
-func (s *System) cachedPlan(key string, valid func(*Plan) bool, build func() *Plan) (p *Plan, cached bool) {
-	if s.plans == nil {
-		return build(), false
-	}
-	kl := s.lockPlanKey(key)
-	defer s.unlockPlanKey(key, kl)
-	if p, ok := s.plans.GetIf(key, valid); ok {
-		return p, true
-	}
-	p = build()
-	s.plans.Put(key, p)
-	return p, false
-}
-
-// planFor returns the plan for (q, name) against one snapshot, serving
-// from the plan cache when possible; cached reports whether it was a hit.
-func (s *System) planFor(sn *snapshot, q *Query, name string) (*Plan, bool) {
+// planFor returns the plan for (q, name) against one snapshot through the
+// plan cache (plan.Cache.GetOrBuild); cached reports whether it was a hit.
+// A cached plan serves when its query still fingerprints like q — one
+// mutated via SetOrders after caching would apply the wrong
+// symmetry-breaking orders — and, for a caller that needs q's exact vertex
+// numbering (sameNumbering), when it is not a relabelled twin. Anything
+// else is rebuilt from q, which still serves every counting caller.
+func (s *System) planFor(sn *snapshot, q *Query, name string, sameNumbering bool) (p *Plan, cached bool) {
 	qfp := q.Fingerprint()
-	return s.cachedPlan(s.planKey(sn, q, name),
-		func(p *Plan) bool { return p.Q.Fingerprint() == qfp },
+	return s.plans.GetOrBuild(
+		plan.Key{QueryFP: qfp, Family: name, Machines: s.opts.Machines, StatsFP: sn.statsFP},
+		func(p *Plan) bool {
+			return p.Q.Fingerprint() == qfp && (!sameNumbering || p.Q.SameNumbering(q))
+		},
 		func() *Plan { return s.buildPlan(sn, q, name) })
 }
 
@@ -590,7 +522,7 @@ func (s *System) planFor(sn *snapshot, q *Query, name string) (*Plan, bool) {
 // in the plan cache. The returned plan is shared with the cache and with
 // every other caller of the same pattern — treat it as immutable.
 func (s *System) Plan(q *Query) *Plan {
-	p, _ := s.planFor(s.snapshot(), q, "optimal")
+	p, _ := s.planFor(s.snapshot(), q, "optimal", false)
 	return p
 }
 
@@ -599,18 +531,13 @@ func (s *System) Plan(q *Query) *Plan {
 // or "optimal". Like Plan, results are memoised in the plan cache and
 // shared — treat the returned plan as immutable.
 func (s *System) PlanFor(q *Query, name string) *Plan {
-	p, _ := s.planFor(s.snapshot(), q, name)
+	p, _ := s.planFor(s.snapshot(), q, name, false)
 	return p
 }
 
 // PlanCacheStats reports the plan cache's cumulative hits and misses and
-// its current size (all zero when the cache is disabled).
-func (s *System) PlanCacheStats() (hits, misses uint64, size int) {
-	if s.plans == nil {
-		return 0, 0, 0
-	}
-	return s.plans.Stats()
-}
+// its current size.
+func (s *System) PlanCacheStats() (hits, misses uint64, size int) { return s.plans.Stats() }
 
 // Result reports one query execution.
 type Result struct {
@@ -667,10 +594,10 @@ func (s *System) engineConfig(df *dataflow.Dataflow, r run) engine.Config {
 	}
 	if r.h != nil {
 		cfg.MemBudgetRows = r.h.memRows
-		// Adaptive sizing applies to throughput runs only: a Limit(k) run
-		// already forces the small fixed DFS batch below, which is the
+		// Governed throughput runs size their batches adaptively; a Limit(k)
+		// run already forces the small fixed DFS batch below, which is the
 		// right size for it unconditionally.
-		cfg.AdaptiveBatch = r.h.adaptive && r.budget == nil
+		cfg.AdaptiveBatch = r.h.gov != nil && r.budget == nil
 	}
 	if r.budget != nil {
 		// A bounded run schedules as pure DFS (one batch in flight per
@@ -816,7 +743,7 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 				return 0, err
 			}
 			total += n
-			res.Metrics = addSummaries(res.Metrics, ex.Metrics.Snapshot())
+			res.Metrics = res.Metrics.Add(ex.Metrics.Snapshot())
 		}
 		return total, nil
 	}
@@ -848,27 +775,4 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// addSummaries folds the metric summaries of the sequential per-edge delta
-// runs into one report: counters add, the memory high-water mark is the
-// maximum across runs.
-func addSummaries(a, b Summary) Summary {
-	a.BytesPushed += b.BytesPushed
-	a.BytesPulled += b.BytesPulled
-	a.RPCCalls += b.RPCCalls
-	a.PushMsgs += b.PushMsgs
-	a.CommTime += b.CommTime
-	a.FetchTime += b.FetchTime
-	a.Results += b.Results
-	a.CacheHits += b.CacheHits
-	a.CacheMisses += b.CacheMisses
-	if b.PeakTuples > a.PeakTuples {
-		a.PeakTuples = b.PeakTuples
-	}
-	a.StealsIntra += b.StealsIntra
-	a.StealsInter += b.StealsInter
-	a.JoinSpillRuns += b.JoinSpillRuns
-	a.JoinSpillBytes += b.JoinSpillBytes
-	return a
 }

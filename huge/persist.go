@@ -13,8 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
+	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/store"
 )
@@ -108,13 +108,10 @@ func Open(dir string, opts Options) (*System, error) {
 // a plan can never outlive the statistics and configuration it was built
 // for.
 func (s *System) rewarmPlans(specs []store.PlanSpec) {
-	if s.plans == nil {
-		return
-	}
 	sn := s.snapshot()
 	for _, spec := range specs {
 		q := query.NewEdgeLabeled(spec.Name, spec.Edges, spec.VLabels, spec.ELabels)
-		s.planFor(sn, q, spec.Family)
+		s.planFor(sn, q, spec.Family, false)
 	}
 }
 
@@ -133,31 +130,21 @@ func (s *System) snapshotData(sn *snapshot) store.SnapshotData {
 // Delta-view twins are skipped (they are derived per-run), and duplicates
 // collapse; order is deterministic for reproducible snapshot bytes.
 func (s *System) planSpecs() []store.PlanSpec {
-	if s.plans == nil {
-		return nil
-	}
-	seen := map[string]bool{}
+	type specID struct{ family, queryFP string }
+	seen := map[specID]bool{}
 	var specs []store.PlanSpec
-	s.plans.Each(func(key string, p *Plan) {
+	s.plans.Each(func(key plan.Key, p *Plan) {
 		q := p.Q
 		if q == nil || q.IsDelta() {
 			return
 		}
-		// The key is "<queryFP>|<family>|k=..|stats=..": the fingerprint may
-		// contain any byte, but the three suffix fields never contain '|',
-		// so the family parses unambiguously from the right.
-		parts := strings.Split(key, "|")
-		if len(parts) < 4 {
-			return
-		}
-		family := parts[len(parts)-3]
-		id := family + "\x00" + q.Fingerprint()
+		id := specID{key.Family, q.Fingerprint()}
 		if seen[id] {
 			return
 		}
 		seen[id] = true
 		spec := store.PlanSpec{
-			Family:  family,
+			Family:  key.Family,
 			Name:    q.Name(),
 			NumV:    q.NumVertices(),
 			Edges:   q.Edges(),
@@ -192,10 +179,19 @@ func (s *System) Save() (uint64, error) {
 	if s.st == nil {
 		return sn.epoch(), nil
 	}
+	return sn.epoch(), s.compact(sn)
+}
+
+// compact writes sn as the store's newest snapshot (applyMu held). Success
+// clears the memory of a failed automatic compaction; a failure is returned
+// joined with it, so the caller learns the store has been failing since
+// before this attempt.
+func (s *System) compact(sn *snapshot) error {
 	if err := s.st.Compact(s.snapshotData(sn)); err != nil {
-		return sn.epoch(), err
+		return errors.Join(err, s.compactErr)
 	}
-	return sn.epoch(), nil
+	s.compactErr = nil
+	return nil
 }
 
 // AsOf materialises the historical graph version at epoch from the store
@@ -238,7 +234,7 @@ func (s *System) Close() error {
 	s.closed = true
 	var ckErr error
 	if s.opts.Persist == nil || s.opts.Persist.CompactEvery >= 0 {
-		if err := s.st.Compact(s.snapshotData(s.snapshot())); err != nil {
+		if err := s.compact(s.snapshot()); err != nil {
 			ckErr = fmt.Errorf("huge: clean-shutdown checkpoint: %w", err)
 		}
 	}

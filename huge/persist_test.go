@@ -9,7 +9,11 @@ package huge_test
 
 import (
 	"context"
+	"fmt"
+	"log/slog"
 	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/huge"
@@ -250,5 +254,121 @@ func TestCloseReportsCheckpointFailure(t *testing.T) {
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatalf("second Close: %v, want nil (idempotent)", err)
+	}
+}
+
+// warnings is a slog.Handler that keeps every record at Warn or above.
+type warnings struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (w *warnings) Enabled(_ context.Context, l slog.Level) bool { return l >= slog.LevelWarn }
+func (w *warnings) WithAttrs([]slog.Attr) slog.Handler           { return w }
+func (w *warnings) WithGroup(string) slog.Handler                { return w }
+func (w *warnings) Handle(_ context.Context, r slog.Record) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.recs = append(w.recs, r)
+	return nil
+}
+
+func (w *warnings) count() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.recs)
+}
+
+// obstruct puts a non-empty directory where the store would write the
+// snapshot of epoch: the log append of that epoch still succeeds, but no
+// compaction at it can rename its file into place.
+func obstruct(t *testing.T, dir string, epoch uint64) {
+	t.Helper()
+	path := filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", epoch))
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "in-the-way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// joinedErrors is how many errors err joins (1 for a plain error).
+func joinedErrors(err error) int {
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		return len(j.Unwrap())
+	}
+	return 1
+}
+
+// TestAutoCompactionFailureIsReported: a failed automatic compaction used
+// to vanish (`_ = s.st.Compact(...)`). The Apply must still return its
+// epoch, the failure is logged once, Save joins it to its own failure until
+// a compaction succeeds, and recovery still reaches the last applied epoch
+// through the log.
+func TestAutoCompactionFailureIsReported(t *testing.T) {
+	var logged warnings
+	prev := slog.Default()
+	slog.SetDefault(slog.New(&logged))
+	defer slog.SetDefault(prev)
+
+	dir := t.TempDir()
+	sys, err := huge.Create(dir, gen.PowerLaw(100, 4, 44), persistOpts(&huge.PersistConfig{CompactEvery: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(want uint64) {
+		t.Helper()
+		if got := sys.Apply(huge.Delta{Insert: [][2]huge.VertexID{{0, huge.VertexID(90 + want)}}}); got != want {
+			t.Fatalf("Apply returned epoch %d, want %d", got, want)
+		}
+	}
+	obstruct(t, dir, 2)
+	apply(1) // below CompactEvery: no compaction yet
+	if n := logged.count(); n != 0 {
+		t.Fatalf("%d warnings before any compaction", n)
+	}
+	apply(2) // appended, then compaction at epoch 2 fails
+	if n := logged.count(); n != 1 {
+		t.Fatalf("%d warnings after one failed compaction, want 1", n)
+	}
+	var epoch any
+	logged.recs[0].Attrs(func(a slog.Attr) bool {
+		if a.Key == "epoch" {
+			epoch = a.Value.Any()
+		}
+		return true
+	})
+	if epoch != uint64(2) {
+		t.Errorf("warning carries epoch %v, want 2", epoch)
+	}
+	// Save hits the same obstacle and reports both failures.
+	if _, err := sys.Save(); err == nil || joinedErrors(err) != 2 {
+		t.Fatalf("Save after a failed automatic compaction: %v; want its own failure joined with the remembered one", err)
+	}
+
+	apply(3) // compaction at epoch 3 succeeds and clears the memory
+	if n := logged.count(); n != 1 {
+		t.Fatalf("%d warnings after a successful compaction, want still 1", n)
+	}
+	obstruct(t, dir, 3)
+	if _, err := sys.Save(); err == nil || joinedErrors(err) != 1 {
+		t.Fatalf("Save after a successful automatic compaction: %v; want only its own failure", err)
+	}
+
+	want := countTri(t, sys.NewSession())
+	if err := sys.Close(); err == nil {
+		t.Error("Close returned nil although its checkpoint is obstructed")
+	}
+	re, err := huge.Open(dir, persistOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Epoch() != 3 {
+		t.Fatalf("recovered epoch %d, want 3 (the last applied)", re.Epoch())
+	}
+	if got := countTri(t, re.NewSession()); got != want {
+		t.Fatalf("recovered count %d, want %d", got, want)
 	}
 }

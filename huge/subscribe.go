@@ -104,15 +104,13 @@ type Subscription struct {
 	sys     *System
 	q       *Query
 	fp      string
-	id      uint64
 	variant int // index into the group's numbering variants (0 = representative's)
 	limit   int
 	policy  OverflowPolicy
 
 	// since is the epoch the subscriber is current as of: it joined
 	// observing that snapshot, so maintenance only delivers epochs strictly
-	// after it. Written once inside the registry Add critical section,
-	// which orders it against every maintenance pass (Registry.Add).
+	// after it. Written once, while Subscribe write-holds the table.
 	since uint64
 
 	// pendingMissed accumulates shed events until the next delivery; only
@@ -120,9 +118,9 @@ type Subscription struct {
 	pendingMissed uint64
 	shed          atomic.Uint64
 
-	mu     sync.Mutex // guards closed/err and the close itself
-	closed bool
-	err    error
+	// err is why the channel closed; written (before the close) and read
+	// under the table's lock.
+	err error
 
 	ch chan Event
 }
@@ -141,17 +139,18 @@ func (sub *Subscription) Missed() uint64 { return sub.shed.Load() }
 // Err returns why the channel closed: nil while live or after a caller
 // Close, ErrSlowConsumer after a SubDisconnect overflow.
 func (sub *Subscription) Err() error {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
+	t := &sub.sys.subs
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return sub.err
 }
 
 // Close unsubscribes and closes the event channel. It blocks until any
-// in-flight maintenance pass over this pattern group finishes, so no send
-// can race the close; events already buffered remain readable. Close is
-// idempotent and safe to call concurrently with everything else.
+// in-flight maintenance pass finishes, so no send can race the close;
+// events already buffered remain readable. Close is idempotent and safe to
+// call concurrently with everything else.
 func (sub *Subscription) Close() error {
-	sub.sys.dropSub(sub, nil)
+	sub.sys.subs.drop(sub, nil)
 	return nil
 }
 
@@ -162,11 +161,28 @@ func (sub *Subscription) Close() error {
 // nil, the representative's own numbering; each other entry is the
 // isomorphism from the representative's vertices onto that variant's
 // (match re-indexing is computed once per variant per event, not per
-// subscriber).
+// subscriber) — and the live members. A group exists exactly while it has
+// members.
 type subGroup struct {
 	rep      *Query
 	flows    []*dataflow.Dataflow
 	variants [][]int
+	members  map[*Subscription]struct{}
+}
+
+// subscriptions is the one table of a System's standing queries: every
+// subscriber, grouped by its query's canonical fingerprint, with each
+// group's shared maintenance state beside its members. One RWMutex guards
+// all of it. A maintenance pass read-holds it from its survey of the
+// groups to the last delivery; Subscribe, Close and a slow-consumer
+// disconnect write-hold it. So a registration or a removal never overlaps
+// a pass — which is what orders a subscriber's since epoch against every
+// pass, and what makes "never send on a closed channel" structural rather
+// than a per-send check.
+type subscriptions struct {
+	mu     sync.RWMutex
+	groups map[string]*subGroup
+	count  int // live subscribers over all groups
 }
 
 // Subscribe registers q as a standing query: every subsequent Apply
@@ -201,82 +217,82 @@ func (s *System) Subscribe(q *Query, opts ...SubOption) (*Subscription, error) {
 		ch:     make(chan Event, o.buffer),
 	}
 
-	// Group state and registry membership update under groupMu, so a
-	// concurrent last-member Close cannot delete the group between our
-	// lookup and our registration (dropSub re-checks membership under the
-	// same lock).
-	s.groupMu.Lock()
-	g := s.groups[fp]
+	// Group state and membership change together under the table's write
+	// lock; no maintenance pass is in flight meanwhile. Reading the epoch
+	// inside it orders since against every pass: one that ran entirely
+	// before this registration installed its snapshot first, so the epoch
+	// read here already reflects it and its event is correctly skipped; one
+	// that starts afterwards sees a fully-initialised subscriber.
+	t := &s.subs
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	g := t.groups[fp]
 	if g == nil {
 		flows, err := plan.TranslateDelta(q)
 		if err != nil {
-			s.groupMu.Unlock()
 			return nil, err
 		}
-		g = &subGroup{rep: q, flows: flows, variants: [][]int{nil}}
-		s.groups[fp] = g
+		g = &subGroup{rep: q, flows: flows, variants: [][]int{nil}, members: map[*Subscription]struct{}{}}
 	}
 	if !g.rep.SameNumbering(q) {
 		m, ok := g.rep.IsomorphismTo(q)
 		if !ok {
 			// Equal fingerprints guarantee an isomorphism; this is unreachable.
-			s.groupMu.Unlock()
 			return nil, errors.New("huge: Subscribe: fingerprint collision")
 		}
-		sub.variant = -1
-		for i, v := range g.variants {
-			if slices.Equal(v, m) {
-				sub.variant = i
-				break
-			}
-		}
+		sub.variant = slices.IndexFunc(g.variants, func(v []int) bool { return slices.Equal(v, m) })
 		if sub.variant < 0 {
 			g.variants = append(g.variants, m)
 			sub.variant = len(g.variants) - 1
 		}
 	}
-	// Registering inside groupMu also orders the variant append above
-	// before any maintenance pass that can observe this subscriber.
-	s.subs.Add(fp, sub, func(id uint64) {
-		sub.id = id
-		// Read the epoch while holding the registry write lock: a
-		// maintenance pass (which holds the read lock end to end) either
-		// ran entirely before this registration — then the epoch read here
-		// already reflects that pass's snapshot, so its event is correctly
-		// skipped — or starts after it and sees a fully-pinned subscriber.
-		sub.since = s.Epoch()
-	})
-	s.groupMu.Unlock()
+	sub.since = s.Epoch()
+	g.members[sub] = struct{}{}
+	t.groups[fp] = g
+	t.count++
 	return sub, nil
 }
 
-// dropSub unregisters sub (idempotently) and closes its channel with err
-// as the terminal Err. Registry removal takes the write lock, so it blocks
-// until any in-flight maintenance View over the group returns — after
-// removal no maintenance pass can see the subscriber, making the close
-// race-free by construction rather than by per-send checking.
-func (s *System) dropSub(sub *Subscription, err error) {
-	s.groupMu.Lock()
-	if existed, remaining := s.subs.Remove(sub.fp, sub.id); existed && remaining == 0 {
-		delete(s.groups, sub.fp)
+// drop unregisters sub and closes its channel with err as the terminal
+// Err, reporting whether this call was the one that did. Holding the write
+// lock means no maintenance pass is in flight, and after the removal none
+// can see the subscriber, so the close cannot race a send; membership
+// makes it idempotent.
+func (t *subscriptions) drop(sub *Subscription, err error) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	g := t.groups[sub.fp]
+	if g == nil {
+		return false
 	}
-	s.groupMu.Unlock()
-	sub.mu.Lock()
-	if !sub.closed {
-		sub.closed = true
-		sub.err = err
-		close(sub.ch)
+	if _, live := g.members[sub]; !live {
+		return false
 	}
-	sub.mu.Unlock()
+	delete(g.members, sub)
+	if len(g.members) == 0 {
+		delete(t.groups, sub.fp)
+	}
+	t.count--
+	sub.err = err
+	close(sub.ch)
+	return true
 }
 
 // Subscriptions returns the number of live subscriptions.
-func (s *System) Subscriptions() int { return s.subs.Len() }
+func (s *System) Subscriptions() int {
+	s.subs.mu.RLock()
+	defer s.subs.mu.RUnlock()
+	return s.subs.count
+}
 
 // SubscriptionGroups returns the number of distinct patterns (canonical
 // fingerprints) with live subscriptions — the number of shared delta runs
 // each Apply pays.
-func (s *System) SubscriptionGroups() int { return s.subs.NumGroups() }
+func (s *System) SubscriptionGroups() int {
+	s.subs.mu.RLock()
+	defer s.subs.mu.RUnlock()
+	return len(s.subs.groups)
+}
 
 // MaintenanceStats returns the cumulative standing-query maintenance
 // counters: shared runs vs served subscribers is the amortisation, shed
@@ -285,34 +301,58 @@ func (s *System) MaintenanceStats() MaintenanceSummary { return s.maint.Snapshot
 
 // maintainSubscriptions runs after every Apply (under applyMu, so passes
 // are serialised): one shared delta enumeration per live pattern group on
-// the freshly-installed snapshot, fanned out to the group's subscribers.
+// the freshly-installed snapshot, fanned out to the group's subscribers,
+// all while read-holding the table.
 func (s *System) maintainSubscriptions(next *snapshot) {
-	if s.subs.Len() == 0 {
+	t := &s.subs
+	t.mu.RLock()
+	if t.count == 0 {
+		t.mu.RUnlock()
 		return
 	}
 	s.maint.Applies.Add(1)
-	epoch := next.epoch()
-	fps := s.subs.Fingerprints()
-	// Distinct pattern groups are independent — separate registry groups,
-	// separate flows, disjoint subscribers — so they maintain concurrently:
-	// with the usual many-subscribers-few-patterns population the wall
-	// clock per Apply is the slowest group's run, not the sum.
-	workers := min(len(fps), maxGroupWorkers)
+	groups := make([]*subGroup, 0, len(t.groups))
+	for _, g := range t.groups {
+		groups = append(groups, g)
+	}
+	// Distinct pattern groups are independent — separate flows, disjoint
+	// subscribers — so they maintain concurrently: with the usual
+	// many-subscribers-few-patterns population the wall clock per Apply is
+	// the slowest group's run, not the sum.
+	drops := make([][]*Subscription, len(groups))
+	parallel(len(groups), maxGroupWorkers, func(i int) {
+		drops[i] = s.maintainGroup(next, groups[i])
+	})
+	t.mu.RUnlock()
+	// Disconnects write-hold the table; the pass must be over.
+	for _, sub := range slices.Concat(drops...) {
+		if t.drop(sub, ErrSlowConsumer) {
+			s.maint.Disconnected.Add(1)
+		}
+	}
+}
+
+// parallel runs fn(0) … fn(n-1) on up to workers goroutines, each taking
+// the next index as it finishes one, and returns once all have run. When
+// one worker suffices it is the caller.
+func parallel(n, workers int, fn func(i int)) {
+	if workers = min(n, workers); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	work := make(chan string)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for fp := range work {
-				s.maintainFingerprint(next, epoch, fp)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
-	for _, fp := range fps {
-		work <- fp
-	}
-	close(work)
 	wg.Wait()
 }
 
@@ -321,46 +361,17 @@ func (s *System) maintainSubscriptions(next *snapshot) {
 // machines/workers, so a small factor suffices to hide group skew.
 const maxGroupWorkers = 4
 
-// maintainFingerprint serves one pattern group for one epoch.
-func (s *System) maintainFingerprint(next *snapshot, epoch uint64, fp string) {
-	// Snapshot the group state before entering the registry read section:
-	// groupMu must never be acquired inside View (a Subscribe holding
-	// groupMu while waiting on the registry write lock would deadlock
-	// against it). Copying the variant headers is enough — existing
-	// entries are immutable; variants appended after this point belong to
-	// subscribers pinned at this epoch, which the since-check skips.
-	s.groupMu.Lock()
-	g := s.groups[fp]
-	var flows []*dataflow.Dataflow
-	var vars [][]int
-	if g != nil {
-		flows = g.flows
-		vars = append([][]int(nil), g.variants...)
-	}
-	s.groupMu.Unlock()
-	if g == nil {
-		return
-	}
-	var drops []*Subscription
-	s.subs.View(fp, func(members map[uint64]*Subscription) {
-		drops = s.maintainGroup(next, epoch, flows, vars, members)
-	})
-	// Disconnects take the registry write lock; View must be over.
-	for _, sub := range drops {
-		s.maint.Disconnected.Add(1)
-		s.dropSub(sub, ErrSlowConsumer)
-	}
-}
-
 // maintainGroup serves one pattern group for one epoch: survey the
 // eligible members, run the group's cached delta flows ONCE, re-index the
 // payload per numbering variant, and deliver without blocking. Returns the
-// subscribers to disconnect (SubDisconnect policy with a full buffer).
-func (s *System) maintainGroup(sn *snapshot, epoch uint64, flows []*dataflow.Dataflow, vars [][]int, members map[uint64]*Subscription) (drops []*Subscription) {
-	live := make([]*Subscription, 0, len(members))
+// subscribers to disconnect (SubDisconnect policy with a full buffer). The
+// caller read-holds the table, so g does not change underneath it.
+func (s *System) maintainGroup(sn *snapshot, g *subGroup) (drops []*Subscription) {
+	epoch := sn.epoch()
+	live := make([]*Subscription, 0, len(g.members))
 	bounded := true
 	maxLimit := 0
-	for _, sub := range members {
+	for sub := range g.members {
 		if sub.since >= epoch {
 			continue // joined at (or after) this snapshot; its view already includes the delta
 		}
@@ -401,7 +412,7 @@ func (s *System) maintainGroup(sn *snapshot, epoch uint64, flows []*dataflow.Dat
 	// Maintenance runs stay ungoverned (nil handle): they execute under
 	// applyMu as part of Apply, and queueing them behind client admission
 	// would stall every Apply on the system.
-	_, err := s.runDeltaFlows(context.Background(), sn, flows, run{fn: collect(&newM), budget: budget}, collect(&deadM))
+	_, err := s.runDeltaFlows(context.Background(), sn, g.flows, run{fn: collect(&newM), budget: budget}, collect(&deadM))
 	s.maint.SharedRuns.Add(1)
 	s.maint.ServedSubscribers.Add(uint64(len(live)))
 	s.maint.DedupedRuns.Add(uint64(len(live) - 1))
@@ -415,26 +426,27 @@ func (s *System) maintainGroup(sn *snapshot, epoch uint64, flows []*dataflow.Dat
 	// Re-index once per numbering variant — up front, because the parallel
 	// fan-out below must not race on lazy initialisation. Groups where
 	// everyone shares the representative's numbering never pay a copy.
-	newByVar := make([][][]VertexID, len(vars))
-	deadByVar := make([][][]VertexID, len(vars))
+	newByVar := make([][][]VertexID, len(g.variants))
+	deadByVar := make([][][]VertexID, len(g.variants))
 	for _, sub := range live {
-		if v := sub.variant; v < len(vars) && (v == 0 || newByVar[v] == nil) {
-			newByVar[v] = remapMatches(vars[v], newM)
-			deadByVar[v] = remapMatches(vars[v], deadM)
+		if v := sub.variant; v == 0 || newByVar[v] == nil {
+			newByVar[v] = remapMatches(g.variants[v], newM)
+			deadByVar[v] = remapMatches(g.variants[v], deadM)
 		}
 	}
 
 	// Fan out in chunks across workers: delivery is one non-blocking send
 	// per subscriber, so at 100K subscribers the loop is bound by channel
 	// ops and Subscription cache misses, not by anything shared — chunking
-	// it keeps per-Apply fan-out latency flat as populations grow. Each
-	// subscriber belongs to exactly one chunk, so pendingMissed stays
-	// single-writer; the counters are atomic.
-	deliver := func(lo, hi int, drops *[]*Subscription) {
-		for _, sub := range live[lo:hi] {
-			if sub.variant >= len(vars) {
-				continue // defensive: a this-epoch joiner is already excluded by since
-			}
+	// it keeps per-Apply fan-out latency flat as populations grow, and a
+	// population under one chunk delivers inline. Each subscriber belongs to
+	// exactly one chunk, so pendingMissed stays single-writer; the counters
+	// are atomic.
+	workers := min((len(live)+fanoutChunk-1)/fanoutChunk, maxFanoutWorkers)
+	per := (len(live) + workers - 1) / workers
+	dropsBy := make([][]*Subscription, workers)
+	parallel(workers, workers, func(w int) {
+		for _, sub := range live[min(w*per, len(live)):min((w+1)*per, len(live))] {
 			evNew, evDead := newByVar[sub.variant], deadByVar[sub.variant]
 			if sub.limit > 0 && len(evNew) > sub.limit {
 				evNew = evNew[:sub.limit]
@@ -447,7 +459,7 @@ func (s *System) maintainGroup(sn *snapshot, epoch uint64, flows []*dataflow.Dat
 				s.maint.FannedMatches.Add(uint64(len(evNew) + len(evDead)))
 			default:
 				if sub.policy == SubDisconnect {
-					*drops = append(*drops, sub)
+					dropsBy[w] = append(dropsBy[w], sub)
 				} else {
 					sub.pendingMissed++
 					sub.shed.Add(1)
@@ -455,39 +467,11 @@ func (s *System) maintainGroup(sn *snapshot, epoch uint64, flows []*dataflow.Dat
 				}
 			}
 		}
-	}
-	workers := (len(live) + fanoutChunk - 1) / fanoutChunk
-	if workers > maxFanoutWorkers {
-		workers = maxFanoutWorkers
-	}
-	if workers <= 1 {
-		deliver(0, len(live), &drops)
-		return drops
-	}
-	per := (len(live) + workers - 1) / workers
-	dropsBy := make([][]*Subscription, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := min(lo+per, len(live))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			deliver(lo, hi, &dropsBy[w])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, d := range dropsBy {
-		drops = append(drops, d...)
-	}
-	return drops
+	})
+	return slices.Concat(dropsBy...)
 }
 
-// fanoutChunk is the per-worker fan-out quantum; populations under one
-// chunk deliver inline with no goroutines.
+// fanoutChunk is the per-worker fan-out quantum.
 const fanoutChunk = 4096
 
 // maxFanoutWorkers caps fan-out parallelism per group.

@@ -62,7 +62,7 @@ func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, pred *can
 	// a budget exactly the granted share is attributed.
 	rowKeyed := keyer != nil && keyer.rowDetermined()
 	candKeyed := keyer != nil && !keyer.rowDetermined()
-	hubMin := r.hubMinFor(pred.g)
+	hubMin := pred.g.HubMinDegree()
 	var total uint64
 	for i := 0; i < c.Rows(); i++ {
 		if bud != nil && bud.Exhausted() {

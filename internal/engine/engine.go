@@ -83,12 +83,6 @@ type Config struct {
 	// be shared across several Run invocations (delta-mode flows merge
 	// additively). Under a Budget, groups see exactly the granted share.
 	Groups *GroupAgg
-	// NoAdaptive disables the degree-adaptive intersection kernels: extends
-	// then run the legacy merge/gallop list kernels only, never consulting
-	// or building the snapshot's hub-bitset index. Adaptive dispatch is the
-	// default; this switch exists for A/B measurement and as an escape
-	// hatch.
-	NoAdaptive bool
 	// MemBudgetRows, when positive, is the run's live intermediate-tuple
 	// ceiling: operators compare Metrics.LiveTuples against it at batch
 	// boundaries and the run fails with ErrMemoryBudget once exceeded —

@@ -289,20 +289,6 @@ func (p *candPred) ok(row []graph.VertexID, v graph.VertexID) bool {
 	return true
 }
 
-// hubMinFor resolves the hub-bitset threshold of the current run: 0 when
-// adaptive intersection is disabled (Config.NoAdaptive — the legacy
-// merge/gallop kernels, kept as an A/B baseline), otherwise the
-// snapshot's threshold. The length check `len(nb) >= hubMin` is exact —
-// only vertices at or above the threshold carry bitsets — so non-hub
-// resolutions never pay even a map lookup, and graphs without hub-sized
-// lists never build the index at all.
-func (r *machineRun) hubMinFor(g *graph.Graph) int {
-	if r.ex.eng.cfg.NoAdaptive {
-		return 0
-	}
-	return g.HubMinDegree()
-}
-
 // candidateRange turns an extend's symmetry-breaking filters into the
 // half-open range [lo, hi) its candidates must fall in for this row:
 // NewLess bounds them above by the matched vertex, otherwise below. An
@@ -341,7 +327,11 @@ func (r *machineRun) gatherOperands(e *dataflow.Extend, row []graph.VertexID, g 
 			return false, fmt.Errorf("engine: vertex %d missing from cache during intersect (two-stage protocol violated)", row[s])
 		}
 		nset := graph.NbrList{List: nb}
-		if hubMin > 0 && len(nb) >= hubMin {
+		// hubMin is the snapshot's hub threshold, and the length check is
+		// exact — only vertices at or above it carry bitsets — so non-hub
+		// resolutions never pay even a map lookup, and graphs without
+		// hub-sized lists never build the index at all.
+		if len(nb) >= hubMin {
 			nset.Bits = g.HubBitset(row[s])
 		}
 		if nset = nset.Within(lo, hi); len(nset.List) == 0 {
@@ -363,7 +353,7 @@ func (r *machineRun) extendChunk(e *dataflow.Extend, c *dataflow.Batch, pred *ca
 	if sc.out == nil {
 		sc.out = dataflow.GetBatch(outWidth, maxRows)
 	}
-	hubMin := r.hubMinFor(pred.g)
+	hubMin := pred.g.HubMinDegree()
 	for i := 0; i < c.Rows(); i++ {
 		row := c.Row(i)
 		ok, err := r.gatherOperands(e, row, pred.g, hubMin, sc)

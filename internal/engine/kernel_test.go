@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -20,6 +21,15 @@ import (
 func hubGraph() *graph.Graph {
 	g := gen.PowerLaw(300, 4, 11)
 	g.SetHubMinDegree(8)
+	return g
+}
+
+// listGraph is hubGraph's twin with the threshold above every degree: no
+// vertex is a hub, so runs on it dispatch the list kernels only — the
+// baseline the bitset kernels are checked against.
+func listGraph() *graph.Graph {
+	g := gen.PowerLaw(300, 4, 11)
+	g.SetHubMinDegree(math.MaxInt32)
 	return g
 }
 
@@ -47,8 +57,8 @@ func runKernelPlan(t *testing.T, g *graph.Graph, p *plan.Plan, ecfg Config) (uin
 // TestEngineKernelDispatchCounters proves the engine's hot paths actually
 // route through the adaptive dispatcher: a counting run must hit the
 // count-only kernels and the bitset paths, a materialising run the
-// list-building ones, and NoAdaptive must keep every bitset counter at
-// zero while producing the same counts.
+// list-building ones, and the same graph without hubs must keep every
+// bitset counter at zero while producing the same counts.
 func TestEngineKernelDispatchCounters(t *testing.T) {
 	g := hubGraph()
 	q := query.Q2() // square: multiway intersections on both paths
@@ -76,40 +86,41 @@ func TestEngineKernelDispatchCounters(t *testing.T) {
 		t.Fatalf("materialising run dispatched no kernels: %+v", kc2)
 	}
 
-	// NoAdaptive: same counts, legacy kernels only.
-	n3, kc3 := runKernel(t, g, q, Config{BatchRows: 64, QueueRows: 256, Compress: true, NoAdaptive: true})
+	// No hubs: same counts, list kernels only.
+	n3, kc3 := runKernel(t, listGraph(), q, Config{BatchRows: 64, QueueRows: 256, Compress: true})
 	if n3 != want {
-		t.Fatalf("NoAdaptive count = %d, want %d", n3, want)
+		t.Fatalf("hubless count = %d, want %d", n3, want)
 	}
 	if kc3.BitsetProbe+kc3.BitsetAnd+kc3.CountProbe+kc3.CountBitsetAnd != 0 {
-		t.Fatalf("NoAdaptive run still dispatched bitset kernels: %+v", kc3)
+		t.Fatalf("hubless run still dispatched bitset kernels: %+v", kc3)
 	}
 	if kc3.Merge+kc3.Gallop+kc3.CountMerge+kc3.CountGallop == 0 {
-		t.Fatalf("NoAdaptive run dispatched no list kernels: %+v", kc3)
+		t.Fatalf("hubless run dispatched no list kernels: %+v", kc3)
 	}
 }
 
 // TestEngineAdaptiveAcrossQueries checks counts against the oracle on every
 // catalog query over the hub graph, under the wco plan and the optimiser's,
-// with the adaptive kernels on and off — so each shape (triangles, squares,
+// with hub bitsets and without — so each shape (triangles, squares,
 // cliques, stars) crosses the dispatcher with its symmetry-breaking orders
 // pushed into the operands as bounds, hub bitsets included. Across the
 // catalog the count-only and the bitset kernels must both fire.
 func TestEngineAdaptiveAcrossQueries(t *testing.T) {
-	g := hubGraph()
+	g, lists := hubGraph(), listGraph()
 	stats := plan.ComputeStats(g)
 	pcfg := plan.Config{NumMachines: 2, GraphEdges: float64(g.NumEdges()), Card: plan.MomentEstimator(stats)}
 	var agg graph.KernelCounts
 	for _, q := range query.Catalog() {
 		want := baseline.GroundTruthCount(g, q)
 		for _, p := range []*plan.Plan{plan.HugeWcoPlan(q), plan.Optimize(q, pcfg)} {
-			for _, noAdaptive := range []bool{false, true} {
-				n, kc := runKernelPlan(t, g, p, Config{BatchRows: 64, QueueRows: 256, Compress: true, NoAdaptive: noAdaptive})
+			for _, on := range []*graph.Graph{g, lists} {
+				hubs := on == g
+				n, kc := runKernelPlan(t, on, p, Config{BatchRows: 64, QueueRows: 256, Compress: true})
 				if n != want {
-					t.Errorf("%s / %s (NoAdaptive %v): count = %d, want %d", q.Name(), p.Name, noAdaptive, n, want)
+					t.Errorf("%s / %s (hubs %v): count = %d, want %d", q.Name(), p.Name, hubs, n, want)
 				}
-				if noAdaptive && kc.BitsetProbe+kc.BitsetAnd+kc.CountProbe+kc.CountBitsetAnd != 0 {
-					t.Errorf("%s / %s: NoAdaptive run dispatched bitset kernels: %+v", q.Name(), p.Name, kc)
+				if !hubs && kc.BitsetProbe+kc.BitsetAnd+kc.CountProbe+kc.CountBitsetAnd != 0 {
+					t.Errorf("%s / %s: hubless run dispatched bitset kernels: %+v", q.Name(), p.Name, kc)
 				}
 				agg.Add(kc)
 			}

@@ -202,6 +202,34 @@ type Summary struct {
 	BatchRowsLast            int64
 }
 
+// Add folds b into a: the report of several runs executed one after the
+// other (the per-pinned-edge flows of a delta run). Counters and times add,
+// PeakTuples is the highest mark any of the runs reached, BatchRowsLast the
+// size the last adaptively-sized run settled on.
+func (a Summary) Add(b Summary) Summary {
+	a.BytesPushed += b.BytesPushed
+	a.BytesPulled += b.BytesPulled
+	a.RPCCalls += b.RPCCalls
+	a.PushMsgs += b.PushMsgs
+	a.CommTime += b.CommTime
+	a.FetchTime += b.FetchTime
+	a.Results += b.Results
+	a.CacheHits += b.CacheHits
+	a.CacheMisses += b.CacheMisses
+	a.PeakTuples = max(a.PeakTuples, b.PeakTuples)
+	a.StealsIntra += b.StealsIntra
+	a.StealsInter += b.StealsInter
+	a.Kernels.Add(b.Kernels)
+	a.JoinSpillRuns += b.JoinSpillRuns
+	a.JoinSpillBytes += b.JoinSpillBytes
+	a.BatchGrows += b.BatchGrows
+	a.BatchShrinks += b.BatchShrinks
+	if b.BatchRowsLast != 0 {
+		a.BatchRowsLast = b.BatchRowsLast
+	}
+	return a
+}
+
 // Snapshot copies the counters.
 func (m *Metrics) Snapshot() Summary {
 	return Summary{

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -72,4 +73,59 @@ func TestSnapshotAndTotals(t *testing.T) {
 	if m.TotalBytes() != 150 {
 		t.Fatalf("total bytes %d", m.TotalBytes())
 	}
+}
+
+// fillDistinct sets every numeric leaf of v (recursing into structs) to
+// base, base+1, ... in field order.
+func fillDistinct(t *testing.T, v reflect.Value, base *int64) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(t, v.Field(i), base)
+		}
+	case reflect.Int64:
+		v.SetInt(*base)
+		*base++
+	case reflect.Uint64:
+		v.SetUint(uint64(*base))
+		*base++
+	default:
+		t.Fatalf("Summary has a %s leaf: teach this test (and Summary.Add) how it folds", v.Kind())
+	}
+}
+
+// TestSummaryAddFoldsEveryField walks Summary by reflection, so a field
+// added to it and forgotten in Add — how delta runs came to report a zero
+// kernel mix — fails here: folding into the zero Summary must reproduce
+// every field, and folding a Summary into itself must double every counter
+// (PeakTuples is a maximum, BatchRowsLast the last non-zero value).
+func TestSummaryAddFoldsEveryField(t *testing.T) {
+	var b Summary
+	base := int64(1)
+	fillDistinct(t, reflect.ValueOf(&b).Elem(), &base)
+
+	if got := (Summary{}).Add(b); got != b {
+		t.Errorf("zero.Add(b) dropped a field:\n got %+v\nwant %+v", got, b)
+	}
+	if got := b.Add(Summary{}); got != b {
+		t.Errorf("b.Add(zero) changed a field:\n got %+v\nwant %+v", got, b)
+	}
+
+	var check func(path string, sum, one reflect.Value)
+	check = func(path string, sum, one reflect.Value) {
+		if one.Kind() == reflect.Struct {
+			for i := 0; i < one.NumField(); i++ {
+				check(path+"."+one.Type().Field(i).Name, sum.Field(i), one.Field(i))
+			}
+			return
+		}
+		want := 2 * one.Convert(reflect.TypeOf(int64(0))).Int()
+		if path == ".PeakTuples" || path == ".BatchRowsLast" {
+			want /= 2
+		}
+		if got := sum.Convert(reflect.TypeOf(int64(0))).Int(); got != want {
+			t.Errorf("b.Add(b)%s = %d, want %d", path, got, want)
+		}
+	}
+	check("", reflect.ValueOf(b.Add(b)), reflect.ValueOf(b))
 }

@@ -3,32 +3,31 @@ package plan
 // Plan caching for the serving layer: optimising a query runs an
 // exponential dynamic program (Algorithm 1), so a system answering the
 // same patterns repeatedly — the production workload the ROADMAP targets —
-// should pay for it once. Cache is a thread-safe LRU keyed by the caller's
-// composite key (canonical query fingerprint + graph-stats version +
-// physical configuration) with hit/miss/size statistics.
+// should pay for it once. Cache is a thread-safe LRU keyed by Key with
+// hit/miss/size statistics, and it owns the whole lookup protocol
+// (GetOrBuild): validity of a hit, single-flight on a miss, replacement
+// of a rejected entry.
 
 import (
 	"container/list"
-	"fmt"
-	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultCacheCapacity is the plan-cache size used when callers pass a
 // non-positive capacity to NewCache.
 const DefaultCacheCapacity = 128
 
-// CacheKey builds the composite plan-cache key the serving layer uses: the
-// query's canonical fingerprint, the logical-plan family, the deployment
-// size the optimiser costs against, and the graph-statistics version
-// (GraphStats.Fingerprint(), which includes the snapshot epoch). The stats
-// token is the final key component so InvalidateGraph can match it.
-func CacheKey(queryFP, family string, machines int, statsFP uint64) string {
-	return fmt.Sprintf("%s|%s|k=%d|%s", queryFP, family, machines, statsToken(statsFP))
-}
-
-func statsToken(statsFP uint64) string {
-	return fmt.Sprintf("stats=%016x", statsFP)
+// Key identifies one cached plan: the query's canonical
+// (relabelling-invariant) fingerprint, the logical-plan family, the
+// deployment size the optimiser costs against, and the graph-statistics
+// version the estimates were derived from (GraphStats.Fingerprint(), which
+// includes the snapshot epoch).
+type Key struct {
+	QueryFP  string
+	Family   string
+	Machines int
+	StatsFP  uint64
 }
 
 // Cache is a bounded, thread-safe LRU of optimised plans. The zero value
@@ -37,13 +36,16 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	hits     uint64
+	items    map[Key]*list.Element
+	building map[Key]chan struct{} // in-flight builds; closed when the plan is stored
 	misses   uint64
+	// hits is atomic so that a warm lookup takes mu once: the hit is counted
+	// after valid has accepted the entry, outside the lock.
+	hits atomic.Uint64
 }
 
 type cacheEntry struct {
-	key  string
+	key  Key
 	plan *Plan
 }
 
@@ -56,60 +58,96 @@ func NewCache(capacity int) *Cache {
 	return &Cache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
+		items:    make(map[Key]*list.Element, capacity),
+		building: make(map[Key]chan struct{}),
 	}
 }
 
 // Get returns the cached plan for key, marking it most recently used.
 // Every call counts as a hit or a miss.
-func (c *Cache) Get(key string) (*Plan, bool) {
-	return c.GetIf(key, nil)
-}
-
-// GetIf is Get with a validity check: a present entry that valid rejects
-// is dropped and counted as a miss (not a hit), since the caller must pay
-// for a fresh optimisation anyway. Used to evict plans whose query was
-// mutated (SetOrders) after caching. valid runs outside the cache lock —
-// it may be expensive (e.g. recomputing a canonical fingerprint) and must
-// not stall other lookups.
-func (c *Cache) GetIf(key string, valid func(*Plan) bool) (*Plan, bool) {
+func (c *Cache) Get(key Key) (*Plan, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		c.mu.Unlock()
 		return nil, false
 	}
-	p := el.Value.(*cacheEntry).plan
-	c.mu.Unlock()
+	c.hits.Add(1)
+	c.ll.MoveToFront(el)
+	return el.Value.(*cacheEntry).plan, true
+}
 
-	pass := valid == nil || valid(p)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Re-resolve: the entry may have been evicted or replaced while valid
-	// ran; only act on the entry we actually validated.
-	el2, ok := c.items[key]
-	if !ok || el2 != el || el2.Value.(*cacheEntry).plan != p {
-		c.misses++ // caller rebuilds; a racing replacement is left untouched
-		return nil, false
-	}
-	if !pass {
-		c.ll.Remove(el2)
-		delete(c.items, key)
+// GetOrBuild is the single lookup protocol every plan request goes
+// through. It returns the entry under key when valid accepts it (cached =
+// true); otherwise it calls build, stores the result under key — replacing
+// a rejected entry — and returns it. Builds are single-flight per key: of N
+// concurrent cold requests one builds, counted as the one miss, and the
+// others wait for it and then look again, so they hit unless valid rejects
+// what was built. valid and build run outside the cache lock — both may be
+// expensive — and valid must be a pure function of the plan.
+//
+// A caller rejects an entry when serving it would be wrong for that
+// caller: the entry's query was mutated via SetOrders after caching (its
+// fingerprint no longer matches the key), or the caller needs the exact
+// vertex numbering and the entry is a relabelled twin. The replacement is
+// built from the caller's query, so it satisfies every lookup the old
+// entry could. An entry that replaced the rejected one while valid ran is
+// validated in its turn, never overwritten unseen; one evicted while valid
+// ran is still served if valid accepts it.
+func (c *Cache) GetOrBuild(key Key, valid func(*Plan) bool, build func() *Plan) (p *Plan, cached bool) {
+	var rejected *Plan
+	for {
+		c.mu.Lock()
+		if el, ok := c.items[key]; ok && el.Value.(*cacheEntry).plan != rejected {
+			p = el.Value.(*cacheEntry).plan
+			c.ll.MoveToFront(el)
+			c.mu.Unlock()
+			if valid(p) {
+				c.hits.Add(1)
+				return p, true
+			}
+			rejected = p
+			continue
+		}
+		if done, ok := c.building[key]; ok {
+			c.mu.Unlock()
+			<-done
+			continue
+		}
 		c.misses++
-		return nil, false
+		done := make(chan struct{})
+		c.building[key] = done
+		c.mu.Unlock()
+		return c.fly(key, done, build), false
 	}
-	c.hits++
-	c.ll.MoveToFront(el2)
-	return p, true
+}
+
+// fly runs one single-flight build and publishes its result. The cleanup
+// is deferred so that a panicking build still releases the key: waiters
+// wake, find nothing stored, and one of them builds in its turn.
+func (c *Cache) fly(key Key, done chan struct{}, build func() *Plan) (p *Plan) {
+	defer func() {
+		c.mu.Lock()
+		if p != nil {
+			c.putLocked(key, p)
+		}
+		delete(c.building, key)
+		c.mu.Unlock()
+		close(done)
+	}()
+	return build()
 }
 
 // Put stores p under key, evicting the least recently used entry when the
 // cache is full. Storing an existing key refreshes its recency and value.
-func (c *Cache) Put(key string, p *Plan) {
+func (c *Cache) Put(key Key, p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(key, p)
+}
+
+func (c *Cache) putLocked(key Key, p *Plan) {
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		el.Value.(*cacheEntry).plan = p
@@ -124,19 +162,17 @@ func (c *Cache) Put(key string, p *Plan) {
 }
 
 // InvalidateGraph drops every plan that was optimised against the given
-// graph-statistics version (a CacheKey statsFP component) and returns how
-// many entries were evicted. The serving layer calls it after applying a
-// graph delta: keys already make a stale hit impossible (the new epoch
-// yields a new stats fingerprint), so this is garbage collection — without
-// it a stream of updates would fill the LRU with dead plans and evict the
-// live ones.
+// graph-statistics version (Key.StatsFP) and returns how many entries were
+// evicted. The serving layer calls it after applying a graph delta: keys
+// already make a stale hit impossible (the new epoch yields a new stats
+// fingerprint), so this is garbage collection — without it a stream of
+// updates would fill the LRU with dead plans and evict the live ones.
 func (c *Cache) InvalidateGraph(statsFP uint64) int {
-	suffix := statsToken(statsFP)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	evicted := 0
 	for key, el := range c.items {
-		if strings.HasSuffix(key, suffix) {
+		if key.StatsFP == statsFP {
 			c.ll.Remove(el)
 			delete(c.items, key)
 			evicted++
@@ -150,7 +186,7 @@ func (c *Cache) InvalidateGraph(statsFP uint64) int {
 // walk — fn must be cheap and must not call back into the cache. The store
 // layer uses it to capture which (query, family) pairs are worth
 // re-optimising after recovery.
-func (c *Cache) Each(fn func(key string, p *Plan)) {
+func (c *Cache) Each(fn func(key Key, p *Plan)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; el = el.Next() {
@@ -163,7 +199,7 @@ func (c *Cache) Each(fn func(key string, p *Plan)) {
 func (c *Cache) Stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
+	return c.hits.Load(), c.misses, c.ll.Len()
 }
 
 // Len returns the current number of cached plans.
@@ -178,5 +214,5 @@ func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
-	c.items = make(map[string]*list.Element, c.capacity)
+	c.items = make(map[Key]*list.Element, c.capacity)
 }

@@ -2,12 +2,17 @@ package plan
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/query"
 )
+
+// k is a cache key that differs from others in its query fingerprint only.
+func k(queryFP string) Key { return Key{QueryFP: queryFP} }
 
 func optimizeFor(q *query.Query, card CardFunc) *Plan {
 	return Optimize(q, Config{NumMachines: 3, GraphEdges: 1000, Card: card})
@@ -19,7 +24,7 @@ func TestCacheHitMissSizeStats(t *testing.T) {
 	card := MomentEstimator(stats)
 	c := NewCache(8)
 
-	key := query.Q1().Fingerprint()
+	key := Key{QueryFP: query.Q1().Fingerprint()}
 	if _, ok := c.Get(key); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -49,8 +54,8 @@ func TestCacheIsomorphicQueriesShareEntry(t *testing.T) {
 	// The same square under the relabelling 0->2, 1->0, 2->3, 3->1.
 	b := query.New("sq-b", [][2]int{{2, 0}, {0, 3}, {3, 1}, {1, 2}})
 
-	c.Put(a.Fingerprint(), optimizeFor(a, card))
-	if _, ok := c.Get(b.Fingerprint()); !ok {
+	c.Put(Key{QueryFP: a.Fingerprint()}, optimizeFor(a, card))
+	if _, ok := c.Get(Key{QueryFP: b.Fingerprint()}); !ok {
 		t.Fatal("relabelled square missed the cached plan")
 	}
 	hits, misses, size := c.Stats()
@@ -61,17 +66,17 @@ func TestCacheIsomorphicQueriesShareEntry(t *testing.T) {
 
 func TestCacheEvictsLRU(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", &Plan{Name: "a"})
-	c.Put("b", &Plan{Name: "b"})
-	c.Get("a")          // refresh a; b is now LRU
-	c.Put("c", &Plan{}) // evicts b
-	if _, ok := c.Get("b"); ok {
+	c.Put(k("a"), &Plan{Name: "a"})
+	c.Put(k("b"), &Plan{Name: "b"})
+	c.Get(k("a"))          // refresh a; b is now LRU
+	c.Put(k("c"), &Plan{}) // evicts b
+	if _, ok := c.Get(k("b")); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(k("a")); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get(k("c")); !ok {
 		t.Fatal("new entry missing")
 	}
 	if c.Len() != 2 {
@@ -81,17 +86,17 @@ func TestCacheEvictsLRU(t *testing.T) {
 
 func TestCachePutExistingRefreshes(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", &Plan{Name: "old"})
-	c.Put("b", &Plan{Name: "b"})
-	c.Put("a", &Plan{Name: "new"}) // refresh, not duplicate
+	c.Put(k("a"), &Plan{Name: "old"})
+	c.Put(k("b"), &Plan{Name: "b"})
+	c.Put(k("a"), &Plan{Name: "new"}) // refresh, not duplicate
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	c.Put("c", &Plan{}) // should evict b (a was refreshed)
-	if _, ok := c.Get("b"); ok {
+	c.Put(k("c"), &Plan{}) // should evict b (a was refreshed)
+	if _, ok := c.Get(k("b")); ok {
 		t.Fatal("refresh did not update recency")
 	}
-	p, _ := c.Get("a")
+	p, _ := c.Get(k("a"))
 	if p.Name != "new" {
 		t.Fatalf("refresh kept the old value %q", p.Name)
 	}
@@ -99,9 +104,9 @@ func TestCachePutExistingRefreshes(t *testing.T) {
 
 func TestCacheClearKeepsStats(t *testing.T) {
 	c := NewCache(4)
-	c.Put("a", &Plan{})
-	c.Get("a")
-	c.Get("zzz")
+	c.Put(k("a"), &Plan{})
+	c.Get(k("a"))
+	c.Get(k("zzz"))
 	c.Clear()
 	hits, misses, size := c.Stats()
 	if size != 0 || c.Len() != 0 {
@@ -120,9 +125,9 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", i%24)
+				key := k(fmt.Sprintf("k%d", i%24))
 				if _, ok := c.Get(key); !ok {
-					c.Put(key, &Plan{Name: key})
+					c.Put(key, &Plan{Name: key.QueryFP})
 				}
 			}
 		}(w)
@@ -144,22 +149,123 @@ func TestGraphStatsFingerprintChanges(t *testing.T) {
 	}
 }
 
-func TestCacheGetIfRejectsStaleEntries(t *testing.T) {
+// named accepts exactly the plan with the given name; building returns a
+// build function for GetOrBuild that counts its calls.
+func named(name string) func(*Plan) bool { return func(p *Plan) bool { return p.Name == name } }
+
+func building(name string, calls *int) func() *Plan {
+	return func() *Plan { *calls++; return &Plan{Name: name} }
+}
+
+// TestCacheGetOrBuildReplacesRejectedEntry: an entry valid rejects is a
+// miss, is rebuilt once and overwritten in place; the replacement then hits.
+func TestCacheGetOrBuildReplacesRejectedEntry(t *testing.T) {
 	c := NewCache(4)
-	c.Put("k", &Plan{Name: "stale"})
-	p, ok := c.GetIf("k", func(p *Plan) bool { return p.Name != "stale" })
-	if ok || p != nil {
-		t.Fatal("rejected entry was served")
+	c.Put(k("k"), &Plan{Name: "stale"})
+	builds := 0
+	p, cached := c.GetOrBuild(k("k"), named("fresh"), building("fresh", &builds))
+	if cached || p.Name != "fresh" || builds != 1 {
+		t.Fatalf("rejected entry: got %q cached=%v after %d builds, want a fresh build", p.Name, cached, builds)
 	}
 	hits, misses, size := c.Stats()
-	if hits != 0 || misses != 1 || size != 0 {
-		t.Fatalf("stats after reject = (%d, %d, %d), want (0, 1, 0): a stale entry is a miss and is dropped", hits, misses, size)
+	if hits != 0 || misses != 1 || size != 1 {
+		t.Fatalf("stats after reject = (%d, %d, %d), want (0, 1, 1): a stale entry is a miss and is replaced", hits, misses, size)
 	}
-	c.Put("k", &Plan{Name: "fresh"})
-	if _, ok := c.GetIf("k", func(p *Plan) bool { return p.Name == "fresh" }); !ok {
-		t.Fatal("valid entry rejected")
+	p, cached = c.GetOrBuild(k("k"), named("fresh"), building("fresh", &builds))
+	if !cached || p.Name != "fresh" || builds != 1 {
+		t.Fatalf("replacement: got %q cached=%v after %d builds, want a hit", p.Name, cached, builds)
 	}
 	if hits, _, _ := c.Stats(); hits != 1 {
 		t.Fatalf("hits = %d, want 1", hits)
+	}
+}
+
+// TestCacheGetOrBuildRacingReplacement: when the entry is replaced while
+// valid is still judging the old one, the replacement is validated in its
+// turn and served untouched — not overwritten by a second build.
+func TestCacheGetOrBuildRacingReplacement(t *testing.T) {
+	c := NewCache(4)
+	c.Put(k("k"), &Plan{Name: "stale"})
+	raced := &Plan{Name: "fresh"}
+	builds := 0
+	p, cached := c.GetOrBuild(k("k"), func(p *Plan) bool {
+		if p.Name == "stale" {
+			c.Put(k("k"), raced) // another caller's replacement lands mid-validation
+			return false
+		}
+		return true
+	}, building("fresh", &builds))
+	if !cached || p != raced || builds != 0 {
+		t.Fatalf("got %p cached=%v after %d builds, want the racing replacement %p as a hit", p, cached, builds, raced)
+	}
+	if hits, misses, _ := c.Stats(); hits != 1 || misses != 0 {
+		t.Fatalf("stats = (%d hits, %d misses), want (1, 0)", hits, misses)
+	}
+}
+
+// TestCacheGetOrBuildEvictionDuringValid: an entry evicted while valid ran
+// is still served when valid accepts it (plans are immutable), and is
+// rebuilt — into the cache — when it does not.
+func TestCacheGetOrBuildEvictionDuringValid(t *testing.T) {
+	for _, accept := range []bool{true, false} {
+		c := NewCache(1)
+		c.Put(k("k"), &Plan{Name: "old"})
+		builds := 0
+		p, cached := c.GetOrBuild(k("k"), func(*Plan) bool {
+			c.Put(k("other"), &Plan{}) // capacity 1: evicts k
+			return accept
+		}, building("new", &builds))
+		if accept && (!cached || p.Name != "old" || builds != 0) {
+			t.Fatalf("accepted: got %q cached=%v after %d builds, want the validated plan", p.Name, cached, builds)
+		}
+		if !accept {
+			if cached || p.Name != "new" || builds != 1 {
+				t.Fatalf("rejected: got %q cached=%v after %d builds, want one rebuild", p.Name, cached, builds)
+			}
+			if got, ok := c.Get(k("k")); !ok || got != p {
+				t.Fatal("rebuilt plan was not stored")
+			}
+		}
+	}
+}
+
+// TestCacheGetOrBuildSingleFlight: N concurrent cold requests build once;
+// the rest wait and hit. A build that panics releases the key.
+func TestCacheGetOrBuildSingleFlight(t *testing.T) {
+	c := NewCache(4)
+	const n = 8
+	var builds atomic.Int32
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, _ := c.GetOrBuild(k("k"), named("p"), func() *Plan {
+				builds.Add(1)
+				<-release // hold the flight open while the others arrive
+				return &Plan{Name: "p"}
+			})
+			if p.Name != "p" {
+				t.Errorf("got plan %q", p.Name)
+			}
+		}()
+	}
+	for builds.Load() == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if hits, misses, size := c.Stats(); builds.Load() != 1 || misses != 1 || hits != n-1 || size != 1 {
+		t.Fatalf("%d builds, stats (%d, %d, %d); want 1 build and (%d, 1, 1)", builds.Load(), hits, misses, size, n-1)
+	}
+
+	func() {
+		defer func() { recover() }()
+		c.GetOrBuild(k("boom"), named("p"), func() *Plan { panic("optimiser bug") })
+	}()
+	calls := 0
+	if p, cached := c.GetOrBuild(k("boom"), named("p"), building("p", &calls)); cached || p.Name != "p" || calls != 1 {
+		t.Fatalf("after a panicking build: got %q cached=%v after %d builds, want a clean rebuild", p.Name, cached, calls)
 	}
 }

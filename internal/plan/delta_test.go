@@ -93,16 +93,19 @@ func TestCacheInvalidateGraph(t *testing.T) {
 	q := query.Triangle()
 	p := &Plan{Q: q, Name: "test"}
 	oldFP, newFP := uint64(0xabc), uint64(0xdef)
-	c.Put(CacheKey(q.Fingerprint(), "optimal", 2, oldFP), p)
-	c.Put(CacheKey(q.Fingerprint(), "wco", 2, oldFP), p)
-	c.Put(CacheKey(q.Fingerprint(), "optimal", 2, newFP), p)
+	key := func(family string, statsFP uint64) Key {
+		return Key{QueryFP: q.Fingerprint(), Family: family, Machines: 2, StatsFP: statsFP}
+	}
+	c.Put(key("optimal", oldFP), p)
+	c.Put(key("wco", oldFP), p)
+	c.Put(key("optimal", newFP), p)
 	if n := c.InvalidateGraph(oldFP); n != 2 {
 		t.Fatalf("InvalidateGraph evicted %d, want 2", n)
 	}
-	if _, ok := c.Get(CacheKey(q.Fingerprint(), "optimal", 2, oldFP)); ok {
+	if _, ok := c.Get(key("optimal", oldFP)); ok {
 		t.Fatalf("stale entry survived InvalidateGraph")
 	}
-	if _, ok := c.Get(CacheKey(q.Fingerprint(), "optimal", 2, newFP)); !ok {
+	if _, ok := c.Get(key("optimal", newFP)); !ok {
 		t.Fatalf("live entry evicted by InvalidateGraph")
 	}
 	if n := c.InvalidateGraph(oldFP); n != 0 {
