@@ -269,7 +269,7 @@ func BenchmarkFig11_Scalability(b *testing.B) {
 func BenchmarkAblation_Compression(b *testing.B) {
 	g := gen.PowerLaw(2000, 6, 21)
 	q := query.Q1()
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,7 +371,15 @@ func BenchmarkLabeledVsUnlabeled(b *testing.B) {
 func BenchmarkEdgeLabeledVsUnlabeled(b *testing.B) {
 	g := gen.ZipfEdgeLabels(gen.PowerLaw(4000, 4, 43), 16, 1.8, 7)
 	stats := plan.ComputeStats(g)
-	share := stats.EdgeLabelShare // report the constrained label's share
+	share := func(l int) float64 { // the constrained label's share of the edges
+		n := 0.0
+		for k, c := range stats.EdgeTriples {
+			if int(k>>16&0xFFFF) == l {
+				n += c
+			}
+		}
+		return n / float64(stats.M)
+	}
 	sys := huge.NewSystem(g, huge.Options{Machines: 3, Workers: 2, QueueRows: 1 << 16})
 	edges := [][2]int{{0, 1}, {1, 2}, {0, 2}}
 	cases := []struct {

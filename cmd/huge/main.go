@@ -55,6 +55,9 @@ import (
 	"repro/huge"
 )
 
+// planFamilies names the plan families System.PlanFor builds.
+const planFamilies = "optimal wco seed rads benu emptyheaded graphflow"
+
 func main() {
 	var (
 		dataset  = flag.String("dataset", "LJ", "synthetic dataset stand-in: GO LJ OR UK EU FS CW")
@@ -65,7 +68,7 @@ func main() {
 		vlabels  = flag.String("vlabels", "", "comma-separated per-vertex label constraints for -query (* = any), e.g. 2,*,2,*")
 		labels   = flag.Int("labels", 0, "attach N Zipf-distributed vertex labels to the generated dataset (0 = unlabelled)")
 		elabels  = flag.Int("elabels", 0, "attach N Zipf-distributed edge labels to the generated dataset (0 = unlabelled)")
-		planArg  = flag.String("plan", "optimal", "plan: optimal wco seed rads benu emptyheaded graphflow")
+		planArg  = flag.String("plan", "optimal", "plan: "+planFamilies)
 		machines = flag.Int("machines", 4, "simulated machines")
 		workers  = flag.Int("workers", 2, "workers per machine")
 		queue    = flag.Int64("queue", 0, "scheduler queue capacity in rows (0=default adaptive, 1=DFS, -1=BFS)")
@@ -189,6 +192,10 @@ func main() {
 	var p *huge.Plan
 	if *planArg != "optimal" {
 		p = sys.PlanFor(q, *planArg)
+		if p == nil {
+			fmt.Fprintf(os.Stderr, "unknown plan %q (want one of: %s)\n", *planArg, planFamilies)
+			os.Exit(2)
+		}
 		if *showPlan {
 			fmt.Print(p.String())
 		}

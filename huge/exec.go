@@ -79,8 +79,11 @@ func Limit(k int) Option {
 
 // WithPlan runs the query with a specific execution plan instead of the
 // plan-cache-backed optimal one. The plan is used as given (treat it as
-// immutable — it may be shared with the cache); delta-mode queries reject
-// it, since they always use the difference rewriting.
+// immutable — it may be shared with the cache). Exec rejects it with
+// ErrInvalidOption when it does not serve the query: a plan for another
+// pattern, or — when the run delivers matches or groups — one in another
+// vertex numbering (System.PlanFor(q, …) always serves q). Delta-mode
+// queries reject it too, since they always use the difference rewriting.
 func WithPlan(p *Plan) Option {
 	return func(o *execOptions) {
 		if p == nil {
@@ -413,8 +416,13 @@ func (s *System) execRun(ctx context.Context, sn *snapshot, q *Query, eo *execOp
 		}
 		return s.runDelta(ctx, sn, q, r)
 	}
-	p := eo.plan
-	var cached bool
+	// Counting: any plan for the same pattern serves. Match delivery and
+	// grouping also need q's vertex numbering (servesQuery).
+	numbered := r.fn != nil || r.gr != nil
+	p, cached := eo.plan, false
+	if p != nil && !servesQuery(p, q, numbered) {
+		return Result{}, fmt.Errorf("%w: WithPlan: plan %s for %s does not serve %s", ErrInvalidOption, p.Name, p.Q.Name(), q.Name())
+	}
 	if p == nil {
 		// A limited run prefers the barrier-free left-deep (wco) pipeline
 		// over the cost-optimal plan: a PUSH-JOIN must materialise both
@@ -434,12 +442,7 @@ func (s *System) execRun(ctx context.Context, sn *snapshot, q *Query, eo *execOp
 		if r.budget != nil || r.gr != nil {
 			family = "wco"
 		}
-		// Counting: any isomorphic cached plan serves. Match delivery demands
-		// a plan whose vertex numbering matches q verbatim (matches are
-		// indexed by query vertex), and so does a grouped run: its key
-		// references q's vertex numbering, so a relabelled twin would group
-		// by the wrong vertex.
-		p, cached = s.planFor(sn, q, family, r.fn != nil || r.gr != nil)
+		p, cached = s.planFor(sn, q, family, numbered)
 	}
 	res, err := s.runPlan(ctx, sn, p, r)
 	res.PlanCached = cached

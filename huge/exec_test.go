@@ -203,6 +203,74 @@ func TestExecOptionValidation(t *testing.T) {
 	}
 }
 
+// TestExecWithPlanMustServeQuery: WithPlan runs a plan only for the query
+// it serves. A plan for another pattern is rejected outright; a relabelled
+// twin's plan may count but not deliver matches, whose slots it would
+// index in the twin's numbering; and PlanFor(q, …) is always accepted for
+// q, even after a twin cached its plan under the same key.
+func TestExecWithPlanMustServeQuery(t *testing.T) {
+	g := gen.PowerLaw(200, 3, 17)
+	sys := huge.NewSystem(g, huge.Options{Machines: 2, Workers: 2})
+	ctx := context.Background()
+	onMatch := huge.OnMatch(func([]huge.VertexID) {})
+
+	if _, err := sys.Exec(ctx, huge.Q1(), huge.CountOnly(), huge.WithPlan(sys.PlanFor(huge.Triangle(), "wco"))).Wait(); !errors.Is(err, huge.ErrInvalidOption) {
+		t.Errorf("square run with a triangle plan: err %v, want ErrInvalidOption", err)
+	}
+
+	paw := huge.NewQuery("paw", [][2]int{{0, 1}, {1, 2}, {2, 0}, {0, 3}})
+	twin := huge.NewQuery("paw-twin", [][2]int{{3, 1}, {1, 2}, {2, 3}, {3, 0}}) // 0 <-> 3
+	if twin.SameNumbering(paw) || twin.Fingerprint() != paw.Fingerprint() {
+		t.Fatal("twin must be the same pattern in another numbering")
+	}
+	want := baseline.GroundTruthCount(g, paw)
+	twinPlan := sys.PlanFor(twin, "wco")
+	if _, err := sys.Exec(ctx, paw, onMatch, huge.WithPlan(twinPlan)).Wait(); !errors.Is(err, huge.ErrInvalidOption) {
+		t.Errorf("OnMatch run with the twin's plan: err %v, want ErrInvalidOption", err)
+	}
+	if res, err := sys.Exec(ctx, paw, huge.CountOnly(), huge.WithPlan(twinPlan)).Wait(); err != nil || res.Count != want {
+		t.Errorf("counting run with the twin's plan: count %d, err %v; want %d", res.Count, err, want)
+	}
+
+	for _, family := range []string{"optimal", "wco", "seed", "rads", "benu", "emptyheaded", "graphflow"} {
+		var mu sync.Mutex
+		var n uint64
+		res, err := sys.Exec(ctx, paw, huge.WithPlan(sys.PlanFor(paw, family)), huge.OnMatch(func(m []huge.VertexID) {
+			mu.Lock()
+			defer mu.Unlock()
+			n++
+			for _, e := range paw.Edges() {
+				if !g.HasEdge(m[e[0]], m[e[1]]) {
+					t.Errorf("%s: match %v misses query edge %v", family, m, e)
+				}
+			}
+		})).Wait()
+		if err != nil || res.Count != want || n != want {
+			t.Errorf("%s: PlanFor(paw) under OnMatch: count %d, delivered %d, err %v; want %d", family, res.Count, n, err, want)
+		}
+	}
+}
+
+// TestPlanForUnknownFamily: a name that is no plan family yields no plan —
+// nothing is built or cached — and Exec with it is an option error rather
+// than a silent optimal run.
+func TestPlanForUnknownFamily(t *testing.T) {
+	sys := huge.NewSystem(gen.PowerLaw(100, 3, 5), huge.Options{})
+	q := huge.Q1()
+	sys.Plan(q)
+	_, _, before := sys.PlanCacheStats()
+	p := sys.PlanFor(q, "wcoo")
+	if p != nil {
+		t.Fatalf("PlanFor(q, %q) = %s, want nil", "wcoo", p.Name)
+	}
+	if _, _, after := sys.PlanCacheStats(); after != before {
+		t.Errorf("plan cache size %d -> %d: an unknown family was cached", before, after)
+	}
+	if _, err := sys.Exec(context.Background(), q, huge.CountOnly(), huge.WithPlan(p)).Wait(); !errors.Is(err, huge.ErrInvalidOption) {
+		t.Errorf("Exec with the unknown family's plan: err %v, want ErrInvalidOption", err)
+	}
+}
+
 // TestExecTimeout: an expired Timeout aborts the run with
 // context.DeadlineExceeded.
 func TestExecTimeout(t *testing.T) {

@@ -471,9 +471,10 @@ func (s *System) Apply(d Delta) uint64 {
 	return ng.Epoch()
 }
 
-// buildPlan runs the (uncached) planner for one named family. Every plan
-// leaves priced by the deployment's cost model, so the families' Costs are
-// comparable (for "optimal" that is the optimiser's own figure).
+// buildPlan runs the (uncached) planner for one named family, or returns
+// nil for a name that is no family. Every plan leaves priced by the
+// deployment's cost model, so the families' Costs are comparable (for
+// "optimal" that is the optimiser's own figure).
 func (s *System) buildPlan(sn *snapshot, q *Query, name string) *Plan {
 	cfg := plan.Config{
 		NumMachines: s.opts.Machines,
@@ -494,44 +495,52 @@ func (s *System) buildPlan(sn *snapshot, q *Query, name string) *Plan {
 		p = plan.ReconfigurePhysical(plan.EmptyHeadedPlan(q, sn.card))
 	case "graphflow":
 		p = plan.ReconfigurePhysical(plan.GraphFlowPlan(q, sn.stats))
-	default:
+	case "optimal":
 		return plan.Optimize(q, cfg)
+	default:
+		return nil
 	}
 	p.Cost = plan.CostOf(p, cfg)
 	return p
 }
 
+// servesQuery is the one rule for when plan p may run for query q: the
+// same pattern (equal fingerprints, hence the same count) and, when the
+// run delivers matches or groups (numbered), q's exact vertex numbering —
+// matches and group keys are indexed by query vertex, so a relabelled
+// twin's plan would report them in the twin's numbering.
+func servesQuery(p *Plan, q *Query, numbered bool) bool {
+	return p.Q.Fingerprint() == q.Fingerprint() && (!numbered || p.Q.SameNumbering(q))
+}
+
 // planFor returns the plan for (q, name) against one snapshot through the
 // plan cache (plan.Cache.GetOrBuild); cached reports whether it was a hit.
-// A cached plan serves when its query still fingerprints like q — one
-// mutated via SetOrders after caching would apply the wrong
-// symmetry-breaking orders — and, for a caller that needs q's exact vertex
-// numbering (sameNumbering), when it is not a relabelled twin. Anything
-// else is rebuilt from q, which still serves every counting caller.
-func (s *System) planFor(sn *snapshot, q *Query, name string, sameNumbering bool) (p *Plan, cached bool) {
-	qfp := q.Fingerprint()
+// A cached entry that does not serve q (servesQuery) is rebuilt from q,
+// which serves every caller of the key. An unknown family yields nil.
+func (s *System) planFor(sn *snapshot, q *Query, name string, numbered bool) (p *Plan, cached bool) {
 	return s.plans.GetOrBuild(
-		plan.Key{QueryFP: qfp, Family: name, Machines: s.opts.Machines, StatsFP: sn.statsFP},
-		func(p *Plan) bool {
-			return p.Q.Fingerprint() == qfp && (!sameNumbering || p.Q.SameNumbering(q))
-		},
+		plan.Key{QueryFP: q.Fingerprint(), Family: name, Machines: s.opts.Machines, StatsFP: sn.statsFP},
+		func(p *Plan) bool { return servesQuery(p, q, numbered) },
 		func() *Plan { return s.buildPlan(sn, q, name) })
 }
 
-// Plan computes the optimal execution plan for q (Algorithm 1), memoised
-// in the plan cache. The returned plan is shared with the cache and with
-// every other caller of the same pattern — treat it as immutable.
+// Plan computes the optimal execution plan for q (Algorithm 1) in q's own
+// vertex numbering, memoised in the plan cache. The returned plan is
+// shared with the cache and with every other caller of the same pattern —
+// treat it as immutable.
 func (s *System) Plan(q *Query) *Plan {
-	p, _ := s.planFor(s.snapshot(), q, "optimal", false)
+	p, _ := s.planFor(s.snapshot(), q, "optimal", true)
 	return p
 }
 
-// PlanFor returns a named logical plan reconfigured for HUGE (Remark 3.2):
-// "wco" (HUGE−WCO), "seed", "rads", "benu", "emptyheaded", "graphflow",
-// or "optimal". Like Plan, results are memoised in the plan cache and
-// shared — treat the returned plan as immutable.
+// PlanFor returns a named logical plan reconfigured for HUGE (Remark 3.2)
+// in q's own vertex numbering: "wco" (HUGE−WCO), "seed", "rads", "benu",
+// "emptyheaded", "graphflow", or "optimal". Any other name returns nil,
+// and nothing is built or cached. Like Plan, results are memoised in the
+// plan cache and shared — treat the returned plan as immutable. Passing
+// the result to WithPlan for q is always accepted.
 func (s *System) PlanFor(q *Query, name string) *Plan {
-	p, _ := s.planFor(s.snapshot(), q, name, false)
+	p, _ := s.planFor(s.snapshot(), q, name, true)
 	return p
 }
 

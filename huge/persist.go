@@ -106,7 +106,7 @@ func Open(dir string, opts Options) (*System, error) {
 // recovered snapshot. Re-running the optimiser (cheap, milliseconds per
 // pattern) rather than persisting plans keeps the cache trivially sound:
 // a plan can never outlive the statistics and configuration it was built
-// for.
+// for. A spec naming no plan family builds nothing.
 func (s *System) rewarmPlans(specs []store.PlanSpec) {
 	sn := s.snapshot()
 	for _, spec := range specs {

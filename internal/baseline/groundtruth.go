@@ -71,26 +71,6 @@ func GroundTruthGroupedCount(g *graph.Graph, q *query.Query, spec dataflow.Group
 	return counts
 }
 
-// GroundTruthPinnedGroupedCount tallies per group only the matches that use
-// at least one pinned edge — the oracle for grouped delta-mode runs:
-// applied to the inserted set on the new snapshot it yields the per-group
-// new matches, applied to the deleted set on the old snapshot the per-group
-// vanished ones, and full(t+1)[k] = full(t)[k] + new[k] − vanished[k] for
-// every key k.
-func GroundTruthPinnedGroupedCount(g *graph.Graph, q *query.Query, pinned *graph.EdgeSet, spec dataflow.GroupSpec) map[uint64]uint64 {
-	counts := map[uint64]uint64{}
-	GroundTruthEnumerate(g, q, func(m []graph.VertexID) bool {
-		for _, e := range q.Edges() {
-			if pinned.Has(m[e[0]], m[e[1]]) {
-				counts[groupKeyOf(g, spec, m)]++
-				break
-			}
-		}
-		return true
-	})
-	return counts
-}
-
 // GroundTruthEnumerate calls fn for every match (indexed by query vertex);
 // fn returning false stops the enumeration. The match slice is reused
 // across calls. Vertex- and edge-label constraints are honoured — the

@@ -15,11 +15,6 @@ type Batch struct {
 	Data  []graph.VertexID
 }
 
-// NewBatch allocates an empty batch with capacity rows.
-func NewBatch(width, capRows int) *Batch {
-	return &Batch{Width: width, Data: make([]graph.VertexID, 0, width*capRows)}
-}
-
 // Rows returns the number of tuples in the batch.
 func (b *Batch) Rows() int {
 	if b.Width == 0 {
@@ -56,10 +51,6 @@ func (b *Batch) SplitRows(n int) []*Batch {
 	}
 	return out
 }
-
-// MemBytes returns the batch's storage footprint, used by the memory-bound
-// accounting in the scheduler tests.
-func (b *Batch) MemBytes() uint64 { return uint64(cap(b.Data)) * 4 }
 
 // batchPool recycles Batch headers and their backing arrays between runs:
 // every batch the engine processes passes through exactly one retirement

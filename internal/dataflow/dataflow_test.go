@@ -8,7 +8,7 @@ import (
 )
 
 func TestBatchBasics(t *testing.T) {
-	b := NewBatch(3, 4)
+	b := GetBatch(3, 4)
 	if b.Rows() != 0 {
 		t.Fatalf("empty batch rows = %d", b.Rows())
 	}
@@ -21,8 +21,8 @@ func TestBatchBasics(t *testing.T) {
 	if r[0] != 4 || r[2] != 6 {
 		t.Fatalf("Row(1) = %v", r)
 	}
-	if b.MemBytes() == 0 {
-		t.Fatal("MemBytes = 0")
+	if cap(b.Data) < 4*3 {
+		t.Fatalf("capacity %d, want room for 4 rows of width 3", cap(b.Data))
 	}
 }
 
@@ -34,7 +34,7 @@ func TestBatchZeroWidthRows(t *testing.T) {
 }
 
 func TestBatchSplitRows(t *testing.T) {
-	b := NewBatch(2, 10)
+	b := GetBatch(2, 10)
 	for i := 0; i < 10; i++ {
 		b.Append([]graph.VertexID{graph.VertexID(i), graph.VertexID(i + 100)})
 	}
@@ -54,13 +54,13 @@ func TestBatchSplitRows(t *testing.T) {
 		t.Fatalf("first chunk starts at %v", chunks[0].Row(0))
 	}
 	// More splits than rows.
-	small := NewBatch(1, 2)
+	small := GetBatch(1, 2)
 	small.Append([]graph.VertexID{7})
 	if got := small.SplitRows(5); len(got) != 1 || got[0].Rows() != 1 {
 		t.Fatalf("SplitRows over-split: %v", got)
 	}
 	// Empty batch splits to nothing.
-	if got := NewBatch(1, 1).SplitRows(4); len(got) != 0 {
+	if got := GetBatch(1, 1).SplitRows(4); len(got) != 0 {
 		t.Fatalf("empty split = %v", got)
 	}
 }

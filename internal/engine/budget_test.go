@@ -22,7 +22,7 @@ func TestEngineBudgetExactCount(t *testing.T) {
 	ccfg := cluster.Config{NumMachines: 3, Workers: 2, CacheKind: cache.LRBU}
 	for _, q := range query.Catalog() {
 		want := baseline.GroundTruthCount(g, q)
-		df, err := plan.Translate(plan.HugeWcoPlan(q))
+		df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestEngineBudgetSharedAcrossRuns(t *testing.T) {
 	if want < 2 {
 		t.Skip("graph has too few triangles to split a budget")
 	}
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}

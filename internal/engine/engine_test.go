@@ -49,7 +49,7 @@ func TestEngineMatchesGroundTruth(t *testing.T) {
 		want := baseline.GroundTruthCount(g, q)
 		plans := map[string]*plan.Plan{
 			"optimal": plan.Optimize(q, plan.Config{NumMachines: 3, GraphEdges: float64(g.NumEdges()), Card: card}),
-			"wco":     plan.HugeWcoPlan(q),
+			"wco":     plan.HugeWcoPlanStats(q, plan.GraphStats{}),
 			"rads":    plan.ReconfigurePhysical(plan.RADSPlan(q)),
 			"seed":    plan.SEEDPlan(q, card),
 			"benu":    plan.ReconfigurePhysical(plan.BENUPlan(q)),
@@ -66,7 +66,7 @@ func TestEngineSingleMachine(t *testing.T) {
 	g := testGraph()
 	for _, q := range []*query.Query{query.Triangle(), query.Q1(), query.Q3()} {
 		want := baseline.GroundTruthCount(g, q)
-		got := runOn(t, g, q, plan.HugeWcoPlan(q),
+		got := runOn(t, g, q, plan.HugeWcoPlanStats(q, plan.GraphStats{}),
 			cluster.Config{NumMachines: 1, Workers: 1, CacheKind: cache.LRBU},
 			Config{BatchRows: 128, QueueRows: -1})
 		if got != want {
@@ -80,7 +80,7 @@ func TestEngineAllCacheKinds(t *testing.T) {
 	q := query.Q1()
 	want := baseline.GroundTruthCount(g, q)
 	for _, kind := range []cache.Kind{cache.LRBU, cache.LRBUCopy, cache.LRBULock, cache.LRUInf, cache.CncrLRU} {
-		got := runOn(t, g, q, plan.HugeWcoPlan(q),
+		got := runOn(t, g, q, plan.HugeWcoPlanStats(q, plan.GraphStats{}),
 			cluster.Config{NumMachines: 3, Workers: 2, CacheKind: kind, CacheBytes: 4096},
 			Config{BatchRows: 64, QueueRows: 256})
 		if got != want {
@@ -94,7 +94,7 @@ func TestEngineSchedulingModes(t *testing.T) {
 	q := query.Q2()
 	want := baseline.GroundTruthCount(g, q)
 	for _, queueRows := range []int64{1, 64, 1024, -1} {
-		got := runOn(t, g, q, plan.HugeWcoPlan(q),
+		got := runOn(t, g, q, plan.HugeWcoPlanStats(q, plan.GraphStats{}),
 			cluster.Config{NumMachines: 3, Workers: 2, CacheKind: cache.LRBU},
 			Config{BatchRows: 32, QueueRows: queueRows})
 		if got != want {
@@ -108,7 +108,7 @@ func TestEngineLoadBalanceModes(t *testing.T) {
 	q := query.Q3()
 	want := baseline.GroundTruthCount(g, q)
 	for _, lb := range []LoadBalance{LBSteal, LBStatic, LBPivot} {
-		got := runOn(t, g, q, plan.HugeWcoPlan(q),
+		got := runOn(t, g, q, plan.HugeWcoPlanStats(q, plan.GraphStats{}),
 			cluster.Config{NumMachines: 4, Workers: 3, CacheKind: cache.LRBU},
 			Config{BatchRows: 32, QueueRows: 128, LoadBalance: lb})
 		if got != want {
@@ -154,7 +154,7 @@ func TestEnginePushJoinSpill(t *testing.T) {
 func TestEngineMemoryAccountingDrains(t *testing.T) {
 	g := testGraph()
 	q := query.Q1()
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestEngineMemoryAccountingDrains(t *testing.T) {
 func TestEngineBoundedMemory(t *testing.T) {
 	g := gen.PowerLaw(800, 6, 9)
 	q := query.Q1()
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestEngineBoundedMemory(t *testing.T) {
 func TestEngineOnResultCallback(t *testing.T) {
 	g := graph.FromEdges([][2]graph.VertexID{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	q := query.Triangle()
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestEngineVariedClusterSizes(t *testing.T) {
 	q := query.Q2()
 	want := baseline.GroundTruthCount(g, q)
 	for k := 1; k <= 5; k++ {
-		got := runOn(t, g, q, plan.HugeWcoPlan(q),
+		got := runOn(t, g, q, plan.HugeWcoPlanStats(q, plan.GraphStats{}),
 			cluster.Config{NumMachines: k, Workers: 2, CacheKind: cache.LRBU},
 			Config{BatchRows: 64, QueueRows: 256})
 		if got != want {
@@ -264,7 +264,7 @@ func TestEngineRandomGraphsProperty(t *testing.T) {
 func TestEngineCommunicationAccounted(t *testing.T) {
 	g := testGraph()
 	q := query.Q1()
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestEngineCommunicationAccounted(t *testing.T) {
 func TestEngineCompressionEquivalence(t *testing.T) {
 	g := testGraph()
 	for _, q := range []*query.Query{query.Triangle(), query.Q1(), query.Q2(), query.Q3(), query.Q4()} {
-		df, err := plan.Translate(plan.HugeWcoPlan(q))
+		df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestEngineCompressionWithFilters(t *testing.T) {
 	g := gen.PowerLaw(400, 5, 11)
 	q := query.Q3()
 	want := baseline.GroundTruthCount(g, q)
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestEngineCompressionWithFilters(t *testing.T) {
 
 func ExampleRun() {
 	g := graph.FromEdges([][2]graph.VertexID{{0, 1}, {1, 2}, {0, 2}})
-	df, _ := plan.Translate(plan.HugeWcoPlan(query.Triangle()))
+	df, _ := plan.Translate(plan.HugeWcoPlanStats(query.Triangle(), plan.GraphStats{}))
 	cl := cluster.New(g, cluster.Config{NumMachines: 1, Workers: 1, CacheKind: cache.LRBU}).NewExec()
 	n, _ := Run(context.Background(), cl, df, Config{})
 	fmt.Println(n)
@@ -348,7 +348,7 @@ func ExampleRun() {
 func TestEngineContextCancellation(t *testing.T) {
 	g := gen.PowerLaw(2000, 8, 17)
 	q := query.Q6() // the long-running memory-crisis query
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestEngineConcurrentExecs(t *testing.T) {
 	dfs := make([]*dataflow.Dataflow, len(queries))
 	for i, q := range queries {
 		want[i] = baseline.GroundTruthCount(g, q)
-		df, err := plan.Translate(plan.HugeWcoPlan(q))
+		df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 func governTestRun(t *testing.T, cfg Config) (*cluster.Exec, error) {
 	t.Helper()
 	g := gen.PowerLaw(2000, 6, 21)
-	df, err := plan.Translate(plan.HugeWcoPlan(query.Q1()))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(query.Q1(), plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestMemBudgetBoundsPeak(t *testing.T) {
 		}
 	}
 	const budget, batch, machines = 2000, 64, 2
-	df, err := plan.Translate(plan.HugeWcoPlan(query.Q1()))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(query.Q1(), plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}

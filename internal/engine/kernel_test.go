@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 
@@ -15,29 +14,37 @@ import (
 	"repro/internal/query"
 )
 
-// hubGraph returns a skewed test graph with a hub threshold low enough
-// that its power-law hubs actually get bitsets (the auto threshold of 64
-// exceeds every degree at this scale).
-func hubGraph() *graph.Graph {
-	g := gen.PowerLaw(300, 4, 11)
-	g.SetHubMinDegree(8)
-	return g
-}
+// listGraph returns a skewed test graph whose degrees all stay below the
+// automatic hub threshold (64 at this scale): runs on it dispatch the list
+// kernels only.
+func listGraph() *graph.Graph { return gen.PowerLaw(200, 3, 11) }
 
-// listGraph is hubGraph's twin with the threshold above every degree: no
-// vertex is a hub, so runs on it dispatch the list kernels only — the
-// baseline the bitset kernels are checked against.
-func listGraph() *graph.Graph {
-	g := gen.PowerLaw(300, 4, 11)
-	g.SetHubMinDegree(math.MaxInt32)
-	return g
+// hubGraph is listGraph plus two appended hub vertices of degree 70, which
+// cross the automatic threshold, so their adjacency gets bitsets.
+func hubGraph() *graph.Graph {
+	base := listGraph()
+	n := graph.VertexID(base.NumVertices())
+	var b graph.Builder
+	for u := graph.VertexID(0); u < n; u++ {
+		for _, v := range base.Neighbors(u) {
+			if u < v {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	for h := graph.VertexID(0); h < 2; h++ {
+		for i := graph.VertexID(0); i < 70; i++ {
+			b.AddEdge(n+h, h+2*i)
+		}
+	}
+	return b.Build()
 }
 
 // runKernel executes q on g under the left-deep wco plan and returns the
 // count plus the run's kernel dispatch tally.
 func runKernel(t *testing.T, g *graph.Graph, q *query.Query, ecfg Config) (uint64, graph.KernelCounts) {
 	t.Helper()
-	return runKernelPlan(t, g, plan.HugeWcoPlan(q), ecfg)
+	return runKernelPlan(t, g, plan.HugeWcoPlanStats(q, plan.GraphStats{}), ecfg)
 }
 
 func runKernelPlan(t *testing.T, g *graph.Graph, p *plan.Plan, ecfg Config) (uint64, graph.KernelCounts) {
@@ -61,6 +68,9 @@ func runKernelPlan(t *testing.T, g *graph.Graph, p *plan.Plan, ecfg Config) (uin
 // bitset counter at zero while producing the same counts.
 func TestEngineKernelDispatchCounters(t *testing.T) {
 	g := hubGraph()
+	if n := g.NumHubs(); n != 2 {
+		t.Fatalf("hub graph has %d hubs, want 2", n)
+	}
 	q := query.Q2() // square: multiway intersections on both paths
 	want := baseline.GroundTruthCount(g, q)
 
@@ -71,7 +81,7 @@ func TestEngineKernelDispatchCounters(t *testing.T) {
 		t.Fatalf("compressed count = %d, want %d", n, want)
 	}
 	if kc.BitsetProbe+kc.BitsetAnd+kc.CountProbe+kc.CountBitsetAnd == 0 {
-		t.Fatalf("hub graph with threshold 8 dispatched no bitset kernels: %+v", kc)
+		t.Fatalf("hub graph dispatched no bitset kernels: %+v", kc)
 	}
 
 	// Materialising run (OnResult forces row building).
@@ -86,10 +96,14 @@ func TestEngineKernelDispatchCounters(t *testing.T) {
 		t.Fatalf("materialising run dispatched no kernels: %+v", kc2)
 	}
 
-	// No hubs: same counts, list kernels only.
-	n3, kc3 := runKernel(t, listGraph(), q, Config{BatchRows: 64, QueueRows: 256, Compress: true})
-	if n3 != want {
-		t.Fatalf("hubless count = %d, want %d", n3, want)
+	// No hubs: list kernels only.
+	lists := listGraph()
+	if n := lists.NumHubs(); n != 0 {
+		t.Fatalf("list graph has %d hubs, want 0", n)
+	}
+	n3, kc3 := runKernel(t, lists, q, Config{BatchRows: 64, QueueRows: 256, Compress: true})
+	if want3 := baseline.GroundTruthCount(lists, q); n3 != want3 {
+		t.Fatalf("hubless count = %d, want %d", n3, want3)
 	}
 	if kc3.BitsetProbe+kc3.BitsetAnd+kc3.CountProbe+kc3.CountBitsetAnd != 0 {
 		t.Fatalf("hubless run still dispatched bitset kernels: %+v", kc3)
@@ -99,31 +113,25 @@ func TestEngineKernelDispatchCounters(t *testing.T) {
 	}
 }
 
-// TestEngineAdaptiveAcrossQueries checks counts against the oracle on every
-// catalog query over the hub graph, under the wco plan and the optimiser's,
-// with hub bitsets and without — so each shape (triangles, squares,
-// cliques, stars) crosses the dispatcher with its symmetry-breaking orders
-// pushed into the operands as bounds, hub bitsets included. Across the
-// catalog the count-only and the bitset kernels must both fire.
+// TestEngineAdaptiveAcrossQueries checks counts against the hub-free
+// oracle on every catalog query over the hub graph, under the wco plan and
+// the optimiser's — so each shape (triangles, squares, cliques, stars)
+// crosses the dispatcher with its symmetry-breaking orders pushed into the
+// operands as bounds, hub bitsets included. Across the catalog the
+// count-only and the bitset kernels must both fire.
 func TestEngineAdaptiveAcrossQueries(t *testing.T) {
-	g, lists := hubGraph(), listGraph()
+	g := hubGraph()
 	stats := plan.ComputeStats(g)
 	pcfg := plan.Config{NumMachines: 2, GraphEdges: float64(g.NumEdges()), Card: plan.MomentEstimator(stats)}
 	var agg graph.KernelCounts
 	for _, q := range query.Catalog() {
 		want := baseline.GroundTruthCount(g, q)
-		for _, p := range []*plan.Plan{plan.HugeWcoPlan(q), plan.Optimize(q, pcfg)} {
-			for _, on := range []*graph.Graph{g, lists} {
-				hubs := on == g
-				n, kc := runKernelPlan(t, on, p, Config{BatchRows: 64, QueueRows: 256, Compress: true})
-				if n != want {
-					t.Errorf("%s / %s (hubs %v): count = %d, want %d", q.Name(), p.Name, hubs, n, want)
-				}
-				if !hubs && kc.BitsetProbe+kc.BitsetAnd+kc.CountProbe+kc.CountBitsetAnd != 0 {
-					t.Errorf("%s / %s: hubless run dispatched bitset kernels: %+v", q.Name(), p.Name, kc)
-				}
-				agg.Add(kc)
+		for _, p := range []*plan.Plan{plan.HugeWcoPlanStats(q, plan.GraphStats{}), plan.Optimize(q, pcfg)} {
+			n, kc := runKernelPlan(t, g, p, Config{BatchRows: 64, QueueRows: 256, Compress: true})
+			if n != want {
+				t.Errorf("%s / %s: count = %d, want %d", q.Name(), p.Name, n, want)
 			}
+			agg.Add(kc)
 		}
 	}
 	if agg.CountMerge+agg.CountGallop+agg.CountProbe+agg.CountBitsetAnd == 0 {
@@ -141,7 +149,7 @@ func TestEngineAdaptiveAcrossQueries(t *testing.T) {
 func TestFilteredExtendTakesCountFastPath(t *testing.T) {
 	g := hubGraph()
 	q := query.Triangle()
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +172,7 @@ func TestHubBuildRaceUnderConcurrentRuns(t *testing.T) {
 	g := hubGraph() // fresh snapshot: no hub index built yet
 	q := query.Triangle()
 	want := baseline.GroundTruthCount(g, q)
-	df, err := plan.Translate(plan.HugeWcoPlan(q))
+	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatalf("translate: %v", err)
 	}

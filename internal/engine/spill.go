@@ -279,13 +279,6 @@ func (r *Relation) Finalize() (RowIter, error) {
 	return m, nil
 }
 
-// SpilledRuns reports how many sorted runs went to disk.
-func (r *Relation) SpilledRuns() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.runs)
-}
-
 // Discard releases a relation that will never be consumed — a cancelled
 // run can exit between the feeder stage and the joining stage, leaving
 // buffered rows and spill files behind. Rows still buffered in memory

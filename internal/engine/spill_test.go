@@ -73,8 +73,8 @@ func TestRelationSpillAndMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.SpilledRuns() != rows/64 {
-		t.Fatalf("spilled %d runs, want %d", r.SpilledRuns(), rows/64)
+	if len(r.runs) != rows/64 {
+		t.Fatalf("spilled %d runs, want %d", len(r.runs), rows/64)
 	}
 	if runs, bytes := r.metrics.JoinSpillRuns.Load(), r.metrics.JoinSpillBytes.Load(); runs != rows/64 || bytes != rows/64*64*3*4 {
 		t.Fatalf("metrics count %d runs / %d bytes, want %d / %d", runs, bytes, rows/64, rows/64*64*3*4)

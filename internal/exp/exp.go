@@ -170,17 +170,16 @@ func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 	if planName != "optimal" {
 		name = "HUGE-" + planName
 	}
-	switch planName {
-	case "optimal", "wco", "seed", "rads", "benu", "emptyheaded", "graphflow":
-	default:
-		return RunResult{Name: o.PlanName, Err: fmt.Errorf("exp: unknown plan %q", o.PlanName)}
-	}
 	queue := o.QueueRows
 	if queue == 0 {
 		queue = 1 << 16
 	}
 	sys := huge.NewSystem(g, huge.Options{Machines: k, Workers: e.Workers})
-	df, err := plan.Translate(sys.PlanFor(q, planName))
+	p := sys.PlanFor(q, planName)
+	if p == nil {
+		return RunResult{Name: o.PlanName, Err: fmt.Errorf("exp: unknown plan %q", o.PlanName)}
+	}
+	df, err := plan.Translate(p)
 	if err != nil {
 		return RunResult{Name: name, Err: err}
 	}

@@ -132,20 +132,11 @@ type hubIndex struct {
 	bits   map[VertexID]*Bitset
 }
 
-// SetHubMinDegree overrides the hub-degree threshold of the lazy bitset
-// index. It must be called before the index is first used (the first
-// build wins; later calls on a built index are ignored). Zero restores
-// the auto default.
-func (g *Graph) SetHubMinDegree(d int) { g.hubMin.Store(int32(d)) }
-
 // HubMinDegree returns the degree threshold the hub-bitset index uses (or
 // would use) on this snapshot.
 func (g *Graph) HubMinDegree() int {
 	if idx := g.hub.Load(); idx != nil {
 		return idx.minDeg
-	}
-	if d := int(g.hubMin.Load()); d > 0 {
-		return d
 	}
 	return defaultHubMinDegree(g.numV)
 }
@@ -167,12 +158,11 @@ func (g *Graph) HubBitset(v VertexID) *Bitset {
 	return g.hub.Load().bits[v]
 }
 
-// adoptHubIndex carries src's hub threshold — and, when already built, its
-// index — onto a view sharing the same adjacency (WithLabels /
-// WithEdgeLabels twins). Bitsets depend only on adjacency, so sharing is
-// sound and saves the twin a rebuild.
+// adoptHubIndex carries src's hub index, when already built, onto a view
+// sharing the same adjacency (WithLabels / WithEdgeLabels twins). Bitsets
+// depend only on adjacency, so sharing is sound and saves the twin a
+// rebuild.
 func (g *Graph) adoptHubIndex(src *Graph) {
-	g.hubMin.Store(src.hubMin.Load())
 	if idx := src.hub.Load(); idx != nil {
 		g.hubOnce.Do(func() { g.hub.Store(idx) })
 	}

@@ -55,11 +55,6 @@ type Delta struct {
 	Labels  []VertexLabel
 }
 
-// Empty reports whether the delta carries no updates at all.
-func (d Delta) Empty() bool {
-	return len(d.Insert) == 0 && len(d.Delete) == 0 && len(d.Relabel) == 0 && len(d.Labels) == 0
-}
-
 // EdgeSet is a set of canonical undirected edges (u < v) with O(1)
 // membership and a deterministic (sorted) edge list — the engine pins delta
 // scans on it and excludes its edges from older positions of a rewritten
@@ -320,10 +315,9 @@ func ApplyThreshold(g *Graph, d Delta, maxOverlayFrac float64) (*Graph, Applied)
 	}
 	becomesLabelled := edgeLabelled && g.elabels == nil
 
+	// The new snapshot never inherits the built hub index: adjacency
+	// changed, so hub bitsets rebuild lazily.
 	ng := &Graph{numV: nv, numE: numE, epoch: g.epoch + 1}
-	// The new snapshot keeps the configured hub threshold but never the
-	// built index: adjacency changed, so hub bitsets rebuild lazily.
-	ng.hubMin.Store(g.hubMin.Load())
 	switch {
 	case len(overlay) == 0 && nv == g.numV:
 		// Nothing changed structurally: share the base CSR verbatim. (A

@@ -85,7 +85,6 @@ type Graph struct {
 	// index without forcing the build.
 	hubOnce sync.Once
 	hub     atomic.Pointer[hubIndex]
-	hubMin  atomic.Int32 // explicit threshold override; 0 = auto
 }
 
 // NumVertices returns the number of vertices.
@@ -105,14 +104,6 @@ func (g *Graph) Epoch() uint64 { return g.epoch }
 // overlay (0 for a compact snapshot) — an observability hook for tests and
 // capacity accounting.
 func (g *Graph) OverlayRows() uint64 { return g.overRows }
-
-// AvgDegree returns the average vertex degree d_G.
-func (g *Graph) AvgDegree() float64 {
-	if g.numV == 0 {
-		return 0
-	}
-	return float64(2*g.numE) / float64(g.numV)
-}
 
 // Degree returns the degree of v.
 func (g *Graph) Degree(v VertexID) int {

@@ -48,9 +48,6 @@ func TestBuilderEmpty(t *testing.T) {
 	if g.NumVertices() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("empty graph: got v=%d e=%d", g.NumVertices(), g.NumEdges())
 	}
-	if g.AvgDegree() != 0 {
-		t.Fatalf("AvgDegree of empty graph = %f", g.AvgDegree())
-	}
 }
 
 func TestSetNumVertices(t *testing.T) {

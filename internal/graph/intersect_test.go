@@ -440,17 +440,11 @@ func TestHubIndexBuildAndThreshold(t *testing.T) {
 	if got := g.HubMinDegree(); got != hubMinDegreeFloor {
 		t.Fatalf("auto HubMinDegree = %d, want %d", got, hubMinDegreeFloor)
 	}
-	g.SetHubMinDegree(50)
-	if got := g.HubMinDegree(); got != 50 {
-		t.Fatalf("explicit HubMinDegree = %d, want 50", got)
-	}
 	if n := g.NumHubs(); n != 1 {
-		t.Fatalf("NumHubs = %d, want 1 (only vertex 0 has degree >= 50)", n)
+		t.Fatalf("NumHubs = %d, want 1 (only vertex 0 has degree >= %d)", n, hubMinDegreeFloor)
 	}
-	// After the build, a different SetHubMinDegree no longer changes the index.
-	g.SetHubMinDegree(1)
-	if got := g.HubMinDegree(); got != 50 {
-		t.Fatalf("post-build HubMinDegree = %d, want 50 (first build wins)", got)
+	if got := g.HubMinDegree(); got != hubMinDegreeFloor {
+		t.Fatalf("post-build HubMinDegree = %d, want %d", got, hubMinDegreeFloor)
 	}
 	hb := g.HubBitset(0)
 	if hb == nil {
@@ -477,8 +471,10 @@ func TestHasEdgeViaHubIndex(t *testing.T) {
 			truth[pair{u, v}] = g.HasEdge(u, v)
 		}
 	}
-	g.SetHubMinDegree(64)
-	g.EnsureHubIndex()
+	g.EnsureHubIndex() // vertex 0 (degree 80) crosses the automatic threshold
+	if g.NumHubs() != 1 {
+		t.Fatalf("NumHubs = %d, want 1", g.NumHubs())
+	}
 	for p, want := range truth {
 		if got := g.HasEdge(p.u, p.v); got != want {
 			t.Fatalf("HasEdge(%d,%d) = %v after hub build, want %v", p.u, p.v, got, want)
@@ -491,7 +487,6 @@ func TestHasEdgeViaHubIndex(t *testing.T) {
 // -race this proves the sync.Once + atomic publication is clean.
 func TestHubIndexRace(t *testing.T) {
 	g := hubTestGraph(128)
-	g.SetHubMinDegree(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -525,7 +520,6 @@ func TestHubIndexRace(t *testing.T) {
 
 func TestAdoptHubIndexOnLabeledViews(t *testing.T) {
 	g := hubTestGraph(100)
-	g.SetHubMinDegree(64)
 	g.EnsureHubIndex()
 	labels := make([]LabelID, g.NumVertices())
 	lg := WithLabels(g, labels)
@@ -539,12 +533,15 @@ func TestAdoptHubIndexOnLabeledViews(t *testing.T) {
 	}
 }
 
+// TestDeltaCarriesHubThreshold: a new version derives the same hub
+// threshold from its own size, and rebuilds its index instead of
+// inheriting the parent's.
 func TestDeltaCarriesHubThreshold(t *testing.T) {
 	g := hubTestGraph(100)
-	g.SetHubMinDegree(33)
+	g.EnsureHubIndex()
 	ng, _ := Apply(g, Delta{Insert: [][2]VertexID{{1, 90}}})
-	if got := ng.HubMinDegree(); got != 33 {
-		t.Fatalf("post-Apply HubMinDegree = %d, want 33 (threshold persists across versions)", got)
+	if got := ng.HubMinDegree(); got != g.HubMinDegree() {
+		t.Fatalf("post-Apply HubMinDegree = %d, want %d", got, g.HubMinDegree())
 	}
 	if idx := ng.hub.Load(); idx != nil {
 		t.Fatal("new snapshot inherited a built hub index (adjacency changed — must rebuild lazily)")

@@ -54,7 +54,6 @@ func (g *Graph) Compact() *Graph {
 		return g
 	}
 	ng := &Graph{numV: g.numV, numE: g.numE, epoch: g.epoch}
-	ng.hubMin.Store(g.hubMin.Load())
 	ng.compactFrom(g, nil, nil, g.numV, g.elabels != nil)
 	ng.labels, ng.labelOff, ng.labelVerts, ng.numLabels = g.labels, g.labelOff, g.labelVerts, g.numLabels
 	return ng

@@ -125,18 +125,6 @@ func (m *Metrics) LiveTuples() int64 { return m.liveTuples.Load() }
 // PeakTuples returns the high-water mark of queued intermediate tuples.
 func (m *Metrics) PeakTuples() int64 { return m.peakTuples.Load() }
 
-// TotalBytes returns pushed + pulled communication volume.
-func (m *Metrics) TotalBytes() uint64 { return m.BytesPushed.Load() + m.BytesPulled.Load() }
-
-// HitRate returns the cache hit rate in [0,1], or 0 with no accesses.
-func (m *Metrics) HitRate() float64 {
-	h, mi := m.CacheHits.Load(), m.CacheMisses.Load()
-	if h+mi == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+mi)
-}
-
 // Maintenance aggregates the standing-query maintenance counters of a
 // serving System across its lifetime: every Apply that found live
 // subscriptions runs one shared delta enumeration per distinct plan

@@ -48,18 +48,6 @@ func TestPeakTuplesConcurrent(t *testing.T) {
 	}
 }
 
-func TestHitRate(t *testing.T) {
-	var m Metrics
-	if m.HitRate() != 0 {
-		t.Fatal("hit rate without accesses should be 0")
-	}
-	m.CacheHits.Add(3)
-	m.CacheMisses.Add(1)
-	if r := m.HitRate(); r != 0.75 {
-		t.Fatalf("hit rate %f", r)
-	}
-}
-
 func TestSnapshotAndTotals(t *testing.T) {
 	var m Metrics
 	m.BytesPushed.Add(100)
@@ -69,9 +57,6 @@ func TestSnapshotAndTotals(t *testing.T) {
 	s := m.Snapshot()
 	if s.BytesPushed != 100 || s.BytesPulled != 50 || s.Results != 7 || s.PeakTuples != 9 {
 		t.Fatalf("snapshot %+v", s)
-	}
-	if m.TotalBytes() != 150 {
-		t.Fatalf("total bytes %d", m.TotalBytes())
 	}
 }
 

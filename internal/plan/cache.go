@@ -63,21 +63,6 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get returns the cached plan for key, marking it most recently used.
-// Every call counts as a hit or a miss.
-func (c *Cache) Get(key Key) (*Plan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).plan, true
-}
-
 // GetOrBuild is the single lookup protocol every plan request goes
 // through. It returns the entry under key when valid accepts it (cached =
 // true); otherwise it calls build, stores the result under key — replacing
@@ -88,13 +73,12 @@ func (c *Cache) Get(key Key) (*Plan, bool) {
 // expensive — and valid must be a pure function of the plan.
 //
 // A caller rejects an entry when serving it would be wrong for that
-// caller: the entry's query was mutated via SetOrders after caching (its
-// fingerprint no longer matches the key), or the caller needs the exact
-// vertex numbering and the entry is a relabelled twin. The replacement is
-// built from the caller's query, so it satisfies every lookup the old
-// entry could. An entry that replaced the rejected one while valid ran is
-// validated in its turn, never overwritten unseen; one evicted while valid
-// ran is still served if valid accepts it.
+// caller — e.g. it needs the exact vertex numbering and the entry is a
+// relabelled twin. The replacement is built from the caller's query, so it
+// satisfies every lookup the old entry could. An entry that replaced the
+// rejected one while valid ran is validated in its turn, never overwritten
+// unseen; one evicted while valid ran is still served if valid accepts it.
+// A nil build result is returned but not stored.
 func (c *Cache) GetOrBuild(key Key, valid func(*Plan) bool, build func() *Plan) (p *Plan, cached bool) {
 	var rejected *Plan
 	for {
@@ -139,14 +123,9 @@ func (c *Cache) fly(key Key, done chan struct{}, build func() *Plan) (p *Plan) {
 	return build()
 }
 
-// Put stores p under key, evicting the least recently used entry when the
-// cache is full. Storing an existing key refreshes its recency and value.
-func (c *Cache) Put(key Key, p *Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, p)
-}
-
+// putLocked stores p under key, evicting the least recently used entry when
+// the cache is full. Storing an existing key refreshes its recency and
+// value.
 func (c *Cache) putLocked(key Key, p *Plan) {
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
@@ -200,19 +179,4 @@ func (c *Cache) Stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits.Load(), c.misses, c.ll.Len()
-}
-
-// Len returns the current number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Clear drops every entry (statistics are preserved).
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[Key]*list.Element, c.capacity)
 }

@@ -18,6 +18,25 @@ func optimizeFor(q *query.Query, card CardFunc) *Plan {
 	return Optimize(q, Config{NumMachines: 3, GraphEdges: 1000, Card: card})
 }
 
+// lookup is a GetOrBuild that serves whatever is cached under key and
+// builds nothing on a miss. Like every GetOrBuild it counts a hit or a
+// miss.
+func lookup(c *Cache, key Key) (*Plan, bool) {
+	return c.GetOrBuild(key, func(*Plan) bool { return true }, func() *Plan { return nil })
+}
+
+// store makes p the entry under key through GetOrBuild: it rejects any
+// entry already there and builds p, which counts one miss.
+func store(c *Cache, key Key, p *Plan) {
+	c.GetOrBuild(key, func(*Plan) bool { return false }, func() *Plan { return p })
+}
+
+// size is the cache's current entry count.
+func size(c *Cache) int {
+	_, _, n := c.Stats()
+	return n
+}
+
 func TestCacheHitMissSizeStats(t *testing.T) {
 	g := gen.PowerLaw(300, 3, 3)
 	stats := ComputeStats(g)
@@ -25,23 +44,29 @@ func TestCacheHitMissSizeStats(t *testing.T) {
 	c := NewCache(8)
 
 	key := Key{QueryFP: query.Q1().Fingerprint()}
-	if _, ok := c.Get(key); ok {
+	if _, ok := lookup(c, key); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(key, optimizeFor(query.Q1(), card))
-	p, ok := c.Get(key)
-	if !ok || p == nil {
-		t.Fatal("miss after Put")
+	builds := 0
+	p, cached := c.GetOrBuild(key, func(*Plan) bool { return true }, func() *Plan {
+		builds++
+		return optimizeFor(query.Q1(), card)
+	})
+	if cached || p == nil || builds != 1 {
+		t.Fatalf("cold GetOrBuild: cached=%v plan=%v after %d builds, want one build", cached, p, builds)
 	}
-	hits, misses, size := c.Stats()
-	if hits != 1 || misses != 1 || size != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (1, 1, 1)", hits, misses, size)
+	if got, ok := lookup(c, key); !ok || got != p {
+		t.Fatal("miss after the build was stored")
+	}
+	hits, misses, n := c.Stats()
+	if hits != 1 || misses != 2 || n != 1 {
+		t.Fatalf("stats = (%d, %d, %d), want (1, 2, 1)", hits, misses, n)
 	}
 	// A repeated lookup only moves hits.
-	c.Get(key)
-	hits, misses, size = c.Stats()
-	if hits != 2 || misses != 1 || size != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (2, 1, 1)", hits, misses, size)
+	lookup(c, key)
+	hits, misses, n = c.Stats()
+	if hits != 2 || misses != 2 || n != 1 {
+		t.Fatalf("stats = (%d, %d, %d), want (2, 2, 1)", hits, misses, n)
 	}
 }
 
@@ -54,66 +79,52 @@ func TestCacheIsomorphicQueriesShareEntry(t *testing.T) {
 	// The same square under the relabelling 0->2, 1->0, 2->3, 3->1.
 	b := query.New("sq-b", [][2]int{{2, 0}, {0, 3}, {3, 1}, {1, 2}})
 
-	c.Put(Key{QueryFP: a.Fingerprint()}, optimizeFor(a, card))
-	if _, ok := c.Get(Key{QueryFP: b.Fingerprint()}); !ok {
+	store(c, Key{QueryFP: a.Fingerprint()}, optimizeFor(a, card))
+	if _, ok := lookup(c, Key{QueryFP: b.Fingerprint()}); !ok {
 		t.Fatal("relabelled square missed the cached plan")
 	}
-	hits, misses, size := c.Stats()
-	if hits != 1 || misses != 0 || size != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (1, 0, 1)", hits, misses, size)
+	hits, misses, n := c.Stats()
+	if hits != 1 || misses != 1 || n != 1 {
+		t.Fatalf("stats = (%d, %d, %d), want (1, 1, 1): one build, one shared hit", hits, misses, n)
 	}
 }
 
 func TestCacheEvictsLRU(t *testing.T) {
 	c := NewCache(2)
-	c.Put(k("a"), &Plan{Name: "a"})
-	c.Put(k("b"), &Plan{Name: "b"})
-	c.Get(k("a"))          // refresh a; b is now LRU
-	c.Put(k("c"), &Plan{}) // evicts b
-	if _, ok := c.Get(k("b")); ok {
+	store(c, k("a"), &Plan{Name: "a"})
+	store(c, k("b"), &Plan{Name: "b"})
+	lookup(c, k("a"))         // refresh a; b is now LRU
+	store(c, k("c"), &Plan{}) // evicts b
+	if _, ok := lookup(c, k("b")); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if _, ok := c.Get(k("a")); !ok {
+	if _, ok := lookup(c, k("a")); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, ok := c.Get(k("c")); !ok {
+	if _, ok := lookup(c, k("c")); !ok {
 		t.Fatal("new entry missing")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if n := size(c); n != 2 {
+		t.Fatalf("size = %d, want 2", n)
 	}
 }
 
+// TestCachePutExistingRefreshes: replacing an entry (a rejected one
+// rebuilt) overwrites it in place and makes it the most recently used.
 func TestCachePutExistingRefreshes(t *testing.T) {
 	c := NewCache(2)
-	c.Put(k("a"), &Plan{Name: "old"})
-	c.Put(k("b"), &Plan{Name: "b"})
-	c.Put(k("a"), &Plan{Name: "new"}) // refresh, not duplicate
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	store(c, k("a"), &Plan{Name: "old"})
+	store(c, k("b"), &Plan{Name: "b"})
+	store(c, k("a"), &Plan{Name: "new"}) // refresh, not duplicate
+	if n := size(c); n != 2 {
+		t.Fatalf("size = %d, want 2", n)
 	}
-	c.Put(k("c"), &Plan{}) // should evict b (a was refreshed)
-	if _, ok := c.Get(k("b")); ok {
+	store(c, k("c"), &Plan{}) // should evict b (a was refreshed)
+	if _, ok := lookup(c, k("b")); ok {
 		t.Fatal("refresh did not update recency")
 	}
-	p, _ := c.Get(k("a"))
-	if p.Name != "new" {
-		t.Fatalf("refresh kept the old value %q", p.Name)
-	}
-}
-
-func TestCacheClearKeepsStats(t *testing.T) {
-	c := NewCache(4)
-	c.Put(k("a"), &Plan{})
-	c.Get(k("a"))
-	c.Get(k("zzz"))
-	c.Clear()
-	hits, misses, size := c.Stats()
-	if size != 0 || c.Len() != 0 {
-		t.Fatalf("size = %d after Clear", size)
-	}
-	if hits != 1 || misses != 1 {
-		t.Fatalf("Clear dropped stats: hits=%d misses=%d", hits, misses)
+	if p, _ := lookup(c, k("a")); p == nil || p.Name != "new" {
+		t.Fatalf("refresh kept the old value %v", p)
 	}
 }
 
@@ -126,15 +137,17 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := k(fmt.Sprintf("k%d", i%24))
-				if _, ok := c.Get(key); !ok {
-					c.Put(key, &Plan{Name: key.QueryFP})
+				p, _ := c.GetOrBuild(key, func(*Plan) bool { return true }, func() *Plan { return &Plan{Name: key.QueryFP} })
+				if p.Name != key.QueryFP {
+					t.Errorf("key %s served plan %q", key.QueryFP, p.Name)
+					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Fatalf("capacity exceeded: %d", c.Len())
+	if n := size(c); n > 16 {
+		t.Fatalf("capacity exceeded: %d", n)
 	}
 }
 
@@ -161,15 +174,15 @@ func building(name string, calls *int) func() *Plan {
 // miss, is rebuilt once and overwritten in place; the replacement then hits.
 func TestCacheGetOrBuildReplacesRejectedEntry(t *testing.T) {
 	c := NewCache(4)
-	c.Put(k("k"), &Plan{Name: "stale"})
+	store(c, k("k"), &Plan{Name: "stale"})
 	builds := 0
 	p, cached := c.GetOrBuild(k("k"), named("fresh"), building("fresh", &builds))
 	if cached || p.Name != "fresh" || builds != 1 {
 		t.Fatalf("rejected entry: got %q cached=%v after %d builds, want a fresh build", p.Name, cached, builds)
 	}
-	hits, misses, size := c.Stats()
-	if hits != 0 || misses != 1 || size != 1 {
-		t.Fatalf("stats after reject = (%d, %d, %d), want (0, 1, 1): a stale entry is a miss and is replaced", hits, misses, size)
+	hits, misses, n := c.Stats()
+	if hits != 0 || misses != 2 || n != 1 {
+		t.Fatalf("stats after reject = (%d, %d, %d), want (0, 2, 1): a stale entry is a miss and is replaced", hits, misses, n)
 	}
 	p, cached = c.GetOrBuild(k("k"), named("fresh"), building("fresh", &builds))
 	if !cached || p.Name != "fresh" || builds != 1 {
@@ -185,12 +198,12 @@ func TestCacheGetOrBuildReplacesRejectedEntry(t *testing.T) {
 // turn and served untouched — not overwritten by a second build.
 func TestCacheGetOrBuildRacingReplacement(t *testing.T) {
 	c := NewCache(4)
-	c.Put(k("k"), &Plan{Name: "stale"})
+	store(c, k("k"), &Plan{Name: "stale"})
 	raced := &Plan{Name: "fresh"}
 	builds := 0
 	p, cached := c.GetOrBuild(k("k"), func(p *Plan) bool {
 		if p.Name == "stale" {
-			c.Put(k("k"), raced) // another caller's replacement lands mid-validation
+			store(c, k("k"), raced) // another caller's replacement lands mid-validation
 			return false
 		}
 		return true
@@ -198,8 +211,9 @@ func TestCacheGetOrBuildRacingReplacement(t *testing.T) {
 	if !cached || p != raced || builds != 0 {
 		t.Fatalf("got %p cached=%v after %d builds, want the racing replacement %p as a hit", p, cached, builds, raced)
 	}
-	if hits, misses, _ := c.Stats(); hits != 1 || misses != 0 {
-		t.Fatalf("stats = (%d hits, %d misses), want (1, 0)", hits, misses)
+	// Two misses are the two stores; the lookup under test is one hit.
+	if hits, misses, _ := c.Stats(); hits != 1 || misses != 2 {
+		t.Fatalf("stats = (%d hits, %d misses), want (1, 2)", hits, misses)
 	}
 }
 
@@ -209,10 +223,10 @@ func TestCacheGetOrBuildRacingReplacement(t *testing.T) {
 func TestCacheGetOrBuildEvictionDuringValid(t *testing.T) {
 	for _, accept := range []bool{true, false} {
 		c := NewCache(1)
-		c.Put(k("k"), &Plan{Name: "old"})
+		store(c, k("k"), &Plan{Name: "old"})
 		builds := 0
 		p, cached := c.GetOrBuild(k("k"), func(*Plan) bool {
-			c.Put(k("other"), &Plan{}) // capacity 1: evicts k
+			store(c, k("other"), &Plan{}) // capacity 1: evicts k
 			return accept
 		}, building("new", &builds))
 		if accept && (!cached || p.Name != "old" || builds != 0) {
@@ -222,7 +236,7 @@ func TestCacheGetOrBuildEvictionDuringValid(t *testing.T) {
 			if cached || p.Name != "new" || builds != 1 {
 				t.Fatalf("rejected: got %q cached=%v after %d builds, want one rebuild", p.Name, cached, builds)
 			}
-			if got, ok := c.Get(k("k")); !ok || got != p {
+			if got, ok := lookup(c, k("k")); !ok || got != p {
 				t.Fatal("rebuilt plan was not stored")
 			}
 		}

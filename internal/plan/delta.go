@@ -34,10 +34,9 @@ func TranslateDelta(q *query.Query) ([]*dataflow.Dataflow, error) {
 	for i, e := range edges {
 		edgeIdx[e] = i
 	}
-	orders := q.Orders() // one snapshot for all dataflows
 	flows := make([]*dataflow.Dataflow, 0, len(edges))
 	for i, e := range edges {
-		d, err := deltaFlow(q, orders, edgeIdx, i, e)
+		d, err := deltaFlow(q, edgeIdx, i, e)
 		if err != nil {
 			return nil, fmt.Errorf("delta dataflow for edge %d of %s: %v", i, q.Name(), err)
 		}
@@ -47,14 +46,14 @@ func TranslateDelta(q *query.Query) ([]*dataflow.Dataflow, error) {
 }
 
 // deltaFlow builds the pipeline that pins query edge number pin = (a, b).
-func deltaFlow(q *query.Query, orders []query.Order, edgeIdx map[[2]int]int, pin int, e [2]int) (*dataflow.Dataflow, error) {
+func deltaFlow(q *query.Query, edgeIdx map[[2]int]int, pin int, e [2]int) (*dataflow.Dataflow, error) {
 	a, b := e[0], e[1]
 	scan := &dataflow.DeltaScan{
 		QA: a, QB: b,
 		LabelA: q.Label(a), LabelB: q.Label(b),
 		EdgeLabel: q.EdgeLabelBetween(a, b),
 	}
-	for _, o := range orders {
+	for _, o := range q.Orders() {
 		switch {
 		case o.A == a && o.B == b:
 			scan.Filters = append(scan.Filters, dataflow.OrderFilter{SlotA: 0, SlotB: 1})
@@ -112,7 +111,7 @@ func deltaFlow(q *query.Query, orders []query.Order, edgeIdx map[[2]int]int, pin
 			}
 		}
 		var filters []dataflow.NewFilter
-		for _, o := range orders {
+		for _, o := range q.Orders() {
 			if o.A == t && matched&(1<<o.B) != 0 {
 				filters = append(filters, dataflow.NewFilter{Slot: slotOf(o.B), NewLess: true})
 			}

@@ -96,16 +96,16 @@ func TestCacheInvalidateGraph(t *testing.T) {
 	key := func(family string, statsFP uint64) Key {
 		return Key{QueryFP: q.Fingerprint(), Family: family, Machines: 2, StatsFP: statsFP}
 	}
-	c.Put(key("optimal", oldFP), p)
-	c.Put(key("wco", oldFP), p)
-	c.Put(key("optimal", newFP), p)
+	store(c, key("optimal", oldFP), p)
+	store(c, key("wco", oldFP), p)
+	store(c, key("optimal", newFP), p)
 	if n := c.InvalidateGraph(oldFP); n != 2 {
 		t.Fatalf("InvalidateGraph evicted %d, want 2", n)
 	}
-	if _, ok := c.Get(key("optimal", oldFP)); ok {
+	if _, ok := lookup(c, key("optimal", oldFP)); ok {
 		t.Fatalf("stale entry survived InvalidateGraph")
 	}
-	if _, ok := c.Get(key("optimal", newFP)); !ok {
+	if _, ok := lookup(c, key("optimal", newFP)); !ok {
 		t.Fatalf("live entry evicted by InvalidateGraph")
 	}
 	if n := c.InvalidateGraph(oldFP); n != 0 {
@@ -139,7 +139,7 @@ func TestTranslateDelta(t *testing.T) {
 				t.Fatalf("%s edge %d: scan pins (%d,%d), want (%d,%d)", q.Name(), i, ds.QA, ds.QB, e[0], e[1])
 			}
 			// Every query edge is enforced exactly once.
-			enforced := EnforcedEdges(q, d)
+			enforced := enforcedEdges(d)
 			for _, qe := range q.Edges() {
 				if enforced[qe] != 1 {
 					t.Fatalf("%s edge %d: query edge %v enforced %d times", q.Name(), i, qe, enforced[qe])

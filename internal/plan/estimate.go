@@ -52,28 +52,6 @@ func EdgeTripleKey(src graph.LabelID, el graph.LabelID, dst graph.LabelID) uint6
 	return uint64(src)<<32 | uint64(el)<<16 | uint64(dst)
 }
 
-// EdgeLabelShare returns the fraction of edges carrying edge label el,
-// treating an edge-unlabelled graph as uniformly label-0. A label no edge
-// carries reports a half-edge share so costs stay finite and ordered.
-func (s GraphStats) EdgeLabelShare(el int) float64 {
-	if s.M == 0 {
-		return 1
-	}
-	if s.EdgeTriples == nil {
-		if el == 0 {
-			return 1
-		}
-		return 0.5 / float64(s.M)
-	}
-	cnt := 0.0
-	for k, c := range s.EdgeTriples {
-		if int(k>>16&0xFFFF) == el {
-			cnt += c
-		}
-	}
-	return math.Max(cnt, 0.5) / float64(s.M)
-}
-
 // LabelShare returns the fraction of vertices carrying label l, treating an
 // unlabelled graph as uniformly label-0. A label no vertex carries reports
 // a half-vertex share rather than zero so costs stay finite and ordered.

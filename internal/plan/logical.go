@@ -163,12 +163,6 @@ func leftDeepWco(q *query.Query, order []int, comm CommMode) *Node {
 	return cur
 }
 
-// BiGJoinPlan is BiGJoin's native plan: left-deep complete star joins in a
-// greedy matching order, wco join, pushing communication.
-func BiGJoinPlan(q *query.Query) *Plan {
-	return &Plan{Q: q, Root: leftDeepWco(q, MatchingOrder(q), Pushing), Name: "bigjoin"}
-}
-
 // BENUPlan is BENU's logical plan: the same left-deep wco joins but in DFS
 // matching order, pulled from the external store.
 func BENUPlan(q *query.Query) *Plan {
@@ -196,16 +190,11 @@ func BENUPlan(q *query.Query) *Plan {
 	return &Plan{Q: q, Root: leftDeepWco(q, order, Pulling), Name: "benu"}
 }
 
-// HugeWcoPlan (HUGE−WCO in the experiments) is BiGJoin's logical plan with
-// physical settings reconfigured by Equation 3: every complete star join
-// becomes a pulling wco join.
-func HugeWcoPlan(q *query.Query) *Plan {
-	p := &Plan{Q: q, Root: leftDeepWco(q, MatchingOrder(q), Pulling), Name: "huge-wco"}
-	return p
-}
-
-// HugeWcoPlanStats is HugeWcoPlan with a label-frequency-informed matching
-// order (rare-label-first); identical to HugeWcoPlan for unlabelled queries.
+// HugeWcoPlanStats (HUGE−WCO in the experiments) is BiGJoin's logical plan
+// with physical settings reconfigured by Equation 3 — every complete star
+// join becomes a pulling wco join — in a label-frequency-informed matching
+// order (rare-label-first; see MatchingOrderStats). Zero stats give the
+// label-free greedy order.
 func HugeWcoPlanStats(q *query.Query, stats GraphStats) *Plan {
 	return &Plan{Q: q, Root: leftDeepWco(q, MatchingOrderStats(q, stats), Pulling), Name: "huge-wco"}
 }
@@ -271,11 +260,6 @@ func leftDeepUnits(q *query.Query, units []uint32, alg JoinAlg, comm CommMode) *
 		cur = &Node{Edges: cur.Edges | u, Left: cur, Right: unit, Alg: alg, Comm: comm}
 	}
 	return cur
-}
-
-// StarJoinPlan: star units, left-deep, hash join, pushing.
-func StarJoinPlan(q *query.Query) *Plan {
-	return &Plan{Q: q, Root: leftDeepUnits(q, starDecomposition(q), HashJoin, Pushing), Name: "starjoin"}
 }
 
 // RADSPlan: star units, left-deep, hash join, pulling (star-expand-and-

@@ -5,8 +5,8 @@ package plan
 // system's — a recovered plan cache keyed on a different stats token would
 // silently never hit — so floats round-trip through math.Float64bits
 // verbatim, nil and empty label views are distinguished (nil-ness changes
-// LabelShare/EdgeLabelShare semantics), and map content is written in
-// sorted key order so the encoding itself is deterministic.
+// what LabelShare and the edge-label selectivities read), and map content
+// is written in sorted key order so the encoding itself is deterministic.
 
 import (
 	"encoding/binary"

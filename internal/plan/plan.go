@@ -9,7 +9,6 @@ package plan
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 
 	"repro/internal/query"
@@ -174,9 +173,4 @@ func Configure(q *query.Query, left, right *Node) (l, r *Node, alg JoinAlg, comm
 		return right, left, HashJoin, Pulling
 	}
 	return left, right, HashJoin, Pushing
-}
-
-// VertexCount returns |V| of the sub-query covered by an edge mask.
-func VertexCount(q *query.Query, em uint32) int {
-	return bits.OnesCount32(q.VerticesOfEdgeMask(em))
 }

@@ -150,7 +150,7 @@ func TestTranslateCatalog(t *testing.T) {
 	for _, q := range query.Catalog() {
 		for _, mk := range []func() *Plan{
 			func() *Plan { return Optimize(q, Config{NumMachines: 4, GraphEdges: 12000, Card: card}) },
-			func() *Plan { return HugeWcoPlan(q) },
+			func() *Plan { return HugeWcoPlanStats(q, GraphStats{}) },
 			func() *Plan { return ReconfigurePhysical(RADSPlan(q)) },
 			func() *Plan { return ReconfigurePhysical(SEEDPlan(q, card)) },
 			func() *Plan { return ReconfigurePhysical(BENUPlan(q)) },
@@ -163,7 +163,7 @@ func TestTranslateCatalog(t *testing.T) {
 				t.Fatalf("%s / %s: %v", q.Name(), p.Name, err)
 			}
 			// Every query edge must be enforced by at least one operator.
-			enforced := EnforcedEdges(q, d)
+			enforced := enforcedEdges(d)
 			for _, e := range q.Edges() {
 				if enforced[e] == 0 {
 					t.Fatalf("%s / %s: edge %v never enforced:\n%s", q.Name(), p.Name, e, d)
@@ -175,7 +175,7 @@ func TestTranslateCatalog(t *testing.T) {
 
 func TestTranslateLeftDeepWcoIsSinglePipeline(t *testing.T) {
 	for _, q := range query.Catalog() {
-		p := HugeWcoPlan(q)
+		p := HugeWcoPlanStats(q, GraphStats{})
 		d, err := Translate(p)
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +198,7 @@ func TestTranslateLeftDeepWcoIsSinglePipeline(t *testing.T) {
 
 func TestTranslateRejectsPushingWco(t *testing.T) {
 	q := query.Triangle()
-	p := BiGJoinPlan(q) // native BiGJoin: wco + pushing
+	p := bigJoinPlan(q) // native BiGJoin: wco + pushing
 	if _, err := Translate(p); err == nil {
 		t.Fatal("expected error translating (wco, pushing) plan")
 	} else if !strings.Contains(err.Error(), "BiGJoin") {
@@ -336,7 +336,7 @@ func TestCostOfAgreesWithOptimize(t *testing.T) {
 					t.Fatalf("%s: %s plan priced %g, below the optimum %g", q.Name(), hand.Name, c, p.Cost)
 				}
 			}
-			for _, hand := range []*Plan{StarJoinPlan(q), BiGJoinPlan(q)} {
+			for _, hand := range []*Plan{starJoinPlan(q), bigJoinPlan(q)} {
 				if c := CostOf(hand, cfg); c <= 0 {
 					t.Fatalf("%s / %s: CostOf = %g", q.Name(), hand.Name, c)
 				}
@@ -435,7 +435,7 @@ func TestPlanString(t *testing.T) {
 }
 
 func TestDataflowStringAndValidate(t *testing.T) {
-	p := HugeWcoPlan(query.Q1())
+	p := HugeWcoPlanStats(query.Q1(), GraphStats{})
 	d, err := Translate(p)
 	if err != nil {
 		t.Fatal(err)

@@ -24,10 +24,7 @@ import (
 // both endpoints are matched; injectivity between join sides becomes
 // cross-distinct checks on the join output.
 func Translate(p *Plan) (*dataflow.Dataflow, error) {
-	// One orders snapshot for the whole translation: the query's orders are
-	// replaceable (SetOrders), and mixing two generations across operators
-	// would silently mis-count.
-	t := &translator{q: p.Q, orders: p.Q.Orders()}
+	t := &translator{q: p.Q}
 	pipe, err := t.node(p.Root)
 	if err != nil {
 		return nil, fmt.Errorf("plan %s: %v", p.Name, err)
@@ -42,7 +39,6 @@ func Translate(p *Plan) (*dataflow.Dataflow, error) {
 
 type translator struct {
 	q      *query.Query
-	orders []query.Order // snapshot of q.Orders() taken once per translation
 	stages []*dataflow.Stage
 }
 
@@ -95,7 +91,7 @@ func (t *translator) scanStar(em uint32) (*openPipe, error) {
 		LabelA: t.q.Label(root), LabelB: t.q.Label(leaves[0]),
 		EdgeLabel: t.q.EdgeLabelBetween(root, leaves[0]),
 	}
-	for _, o := range t.orders {
+	for _, o := range t.q.Orders() {
 		switch {
 		case o.A == root && o.B == leaves[0]:
 			scan.Filters = append(scan.Filters, dataflow.OrderFilter{SlotA: 0, SlotB: 1})
@@ -139,7 +135,7 @@ func extEdgeLabels(q *query.Query, layout []int, extSlots []int, target int) []i
 // edges.
 func (t *translator) appendExtend(pipe *openPipe, extSlots []int, target int) {
 	var filters []dataflow.NewFilter
-	for _, o := range t.orders {
+	for _, o := range t.q.Orders() {
 		if o.A == target && pipe.vmask&(1<<o.B) != 0 {
 			filters = append(filters, dataflow.NewFilter{Slot: pipe.slotOf(o.B), NewLess: true})
 		}
@@ -293,7 +289,7 @@ func (t *translator) pushingHash(n *Node) (*openPipe, error) {
 	}
 	// Symmetry-breaking orders spanning the two sides.
 	union := left.vmask | right.vmask
-	for _, o := range t.orders {
+	for _, o := range t.q.Orders() {
 		bothPresent := union&(1<<o.A) != 0 && union&(1<<o.B) != 0
 		inLeft := left.vmask&(1<<o.A) != 0 && left.vmask&(1<<o.B) != 0
 		inRight := right.vmask&(1<<o.A) != 0 && right.vmask&(1<<o.B) != 0
@@ -305,38 +301,4 @@ func (t *translator) pushingHash(n *Node) (*openPipe, error) {
 	left.stage.Terminal = dataflow.Terminal{KeySlots: j.LeftKey, ConsumerStage: joinStage.ID, Side: 0}
 	right.stage.Terminal = dataflow.Terminal{KeySlots: j.RightKey, ConsumerStage: joinStage.ID, Side: 1}
 	return &openPipe{stage: joinStage, layout: out, vmask: union}, nil
-}
-
-// EnforcedEdges returns, for a translated dataflow, the set of query edges
-// enforced by its operators — used by tests to check completeness.
-func EnforcedEdges(q *query.Query, d *dataflow.Dataflow) map[[2]int]int {
-	counts := map[[2]int]int{}
-	add := func(a, b int) {
-		if a > b {
-			a, b = b, a
-		}
-		counts[[2]int{a, b}]++
-	}
-	for _, s := range d.Stages {
-		layout := s.SourceLayout
-		if s.Scan != nil {
-			add(s.Scan.QA, s.Scan.QB)
-		}
-		if s.DeltaSrc != nil {
-			add(s.DeltaSrc.QA, s.DeltaSrc.QB)
-		}
-		for _, e := range s.Extends {
-			if e.IsVerify() {
-				for _, slot := range e.ExtSlots {
-					add(layout[slot], layout[e.VerifySlot])
-				}
-			} else {
-				for _, slot := range e.ExtSlots {
-					add(layout[slot], e.TargetQV)
-				}
-			}
-			layout = e.OutLayout
-		}
-	}
-	return counts
 }

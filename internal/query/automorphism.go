@@ -114,6 +114,3 @@ func sortOrders(orders []Order) {
 		}
 	}
 }
-
-// AutomorphismCount returns |Aut(q)|.
-func AutomorphismCount(q *Query) int { return len(Automorphisms(q)) }

@@ -25,49 +25,22 @@ import (
 
 // Fingerprint returns the query's canonical, relabelling-invariant cache
 // key. Structure is encoded as the canonical adjacency code (see
-// canonicalCode); auto-derived symmetry-breaking orders are represented by
-// a marker (they are a deterministic function of the structure), while
-// orders overridden via SetOrders are mapped through the canonical
-// labelling and appended verbatim — still sound, though two relabelled
-// queries with hand-written constraints may fingerprint apart (a cache
-// miss, never a wrong hit).
+// canonicalCode); the symmetry-breaking orders are represented by the
+// ";auto" marker, since they are a deterministic function of the
+// structure.
 //
 // The first call computes and memoises the code; the worst-case cost is
 // exponential in MaxVertices but with degree-class and prefix pruning all
 // catalog-sized queries (≤10 vertices) canonicalise in microseconds to
 // milliseconds.
 func (q *Query) Fingerprint() string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.fp == "" { // every fingerprint starts "v<n>;", so "" means uncomputed
-		q.fp = q.computeFingerprint()
-	}
+	q.fpOnce.Do(func() { q.fp = q.computeFingerprint() })
 	return q.fp
 }
 
 func (q *Query) computeFingerprint() string {
-	code, perm := q.canonicalCode()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "v%d;%s", q.n, code)
-	if !q.customOrders {
-		sb.WriteString(";auto")
-		return sb.String()
-	}
-	// Map the hand-written orders into canonical positions.
-	pos := make([]int, q.n)
-	for i, v := range perm {
-		pos[v] = i
-	}
-	mapped := make([]Order, len(q.orders))
-	for i, o := range q.orders {
-		mapped[i] = Order{A: pos[o.A], B: pos[o.B]}
-	}
-	sortOrders(mapped)
-	sb.WriteString(";orders:")
-	for _, o := range mapped {
-		fmt.Fprintf(&sb, "%d<%d,", o.A, o.B)
-	}
-	return sb.String()
+	code, _ := q.canonicalCode()
+	return fmt.Sprintf("v%d;%s;auto", q.n, code)
 }
 
 // canonicalCode computes a canonical form of the query graph: the

@@ -51,23 +51,6 @@ func TestFingerprintSeparatesStructures(t *testing.T) {
 	}
 }
 
-func TestFingerprintDistinguishesCustomOrders(t *testing.T) {
-	a := New("sq", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	b := New("sq", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("identical queries fingerprint apart")
-	}
-	b.SetOrders(nil) // baseline mode: no symmetry breaking -> 8x the matches
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Error("custom (empty) orders not reflected in the fingerprint")
-	}
-	c := New("sq", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	c.SetOrders(nil)
-	if b.Fingerprint() != c.Fingerprint() {
-		t.Error("equal custom orders should agree on the fingerprint")
-	}
-}
-
 func TestFingerprintCliqueFastPath(t *testing.T) {
 	k6a := completeQuery(t, 6, []int{0, 1, 2, 3, 4, 5})
 	k6b := completeQuery(t, 6, []int{5, 3, 1, 0, 2, 4})

@@ -7,20 +7,20 @@ import (
 
 func TestLabelsBreakSymmetry(t *testing.T) {
 	tri := Triangle()
-	if n := AutomorphismCount(tri); n != 6 {
+	if n := len(Automorphisms(tri)); n != 6 {
 		t.Fatalf("unlabelled triangle |Aut| = %d, want 6", n)
 	}
 	// Two vertices share a label, one is distinct: only the shared pair is
 	// symmetric.
 	lt := tri.WithVertexLabels([]int{1, 1, 2})
-	if n := AutomorphismCount(lt); n != 2 {
+	if n := len(Automorphisms(lt)); n != 2 {
 		t.Fatalf("labelled triangle |Aut| = %d, want 2", n)
 	}
 	if orders := lt.Orders(); len(orders) != 1 || orders[0] != (Order{A: 0, B: 1}) {
 		t.Fatalf("labelled triangle orders = %v, want [v1<v2]", orders)
 	}
 	// All distinct: no symmetry left at all.
-	if n := AutomorphismCount(tri.WithVertexLabels([]int{1, 2, 3})); n != 1 {
+	if n := len(Automorphisms(tri.WithVertexLabels([]int{1, 2, 3}))); n != 1 {
 		t.Fatalf("fully distinguished triangle |Aut| = %d, want 1", n)
 	}
 }

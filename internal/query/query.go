@@ -47,14 +47,10 @@ type Query struct {
 	// applied graph delta instead of the full result.
 	delta bool
 
-	// mu guards the only post-construction mutable state: the orders
-	// (replaceable via SetOrders), the custom-orders flag, and the memoised
-	// fingerprint — so configuration may race with concurrent runs without
-	// torn reads. Everything else is immutable after New.
-	mu           sync.Mutex
-	orders       []Order // symmetry-breaking partial orders
-	customOrders bool    // orders overridden via SetOrders
-	fp           string  // memoised by Fingerprint, reset by SetOrders
+	orders []Order // symmetry-breaking partial orders, derived from the structure
+
+	fpOnce sync.Once // computes fp on the first Fingerprint call
+	fp     string
 }
 
 // New builds a query graph from an edge list. Vertices are inferred as
@@ -200,16 +196,12 @@ func (q *Query) WithEdgeLabels(elabels []int) *Query {
 // Delta returns a delta-mode view of q: running it against a system that
 // has applied a graph delta enumerates only the *change* in q's matches —
 // embeddings that contain at least one updated edge — instead of the full
-// result. The view shares q's structure, labels and current
-// symmetry-breaking orders (a later SetOrders on q does not propagate).
-// Delta-mode queries count; they are not cached as plans (the rewriting is
-// linear in the query size, unlike the exponential optimiser).
+// result. The view shares q's structure, labels and symmetry-breaking
+// orders, so it fingerprints like q. Delta-mode queries count; they are not
+// cached as plans (the rewriting is linear in the query size, unlike the
+// exponential optimiser).
 func (q *Query) Delta() *Query {
-	nq := &Query{n: q.n, edges: q.edges, adj: q.adj, name: q.name, labels: q.labels, elabels: q.elabels, delta: true}
-	q.mu.Lock()
-	nq.orders, nq.customOrders, nq.fp = q.orders, q.customOrders, q.fp
-	q.mu.Unlock()
-	return nq
+	return &Query{n: q.n, edges: q.edges, adj: q.adj, name: q.name, labels: q.labels, elabels: q.elabels, orders: q.orders, delta: true}
 }
 
 // IsDelta reports whether this is a delta-mode view (see Delta).
@@ -296,26 +288,9 @@ func (q *Query) HasEdge(a, b int) bool {
 }
 
 // Orders returns the symmetry-breaking partial orders computed at
-// construction (or set via SetOrders). Each embedding of the pattern is
-// counted exactly once when all constraints f(A) < f(B) hold. The returned
-// slice is a consistent snapshot; do not modify it.
-func (q *Query) Orders() []Order {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.orders
-}
-
-// SetOrders overrides the automatic symmetry-breaking constraints (used by
-// tests and by baselines that disable symmetry breaking). Overridden orders
-// become part of the query's Fingerprint, so plan caches never conflate a
-// query with custom constraints with its auto-constrained twin.
-func (q *Query) SetOrders(orders []Order) {
-	q.mu.Lock()
-	q.orders = orders
-	q.customOrders = true
-	q.fp = "" // invalidate the memoised fingerprint
-	q.mu.Unlock()
-}
+// construction. Each embedding of the pattern is counted exactly once when
+// all constraints f(A) < f(B) hold. Do not modify the returned slice.
+func (q *Query) Orders() []Order { return q.orders }
 
 // SameNumbering reports whether o has exactly the same vertex numbering as
 // q: identical vertex count, edge list and symmetry-breaking orders (names
@@ -341,16 +316,7 @@ func (q *Query) SameNumbering(o *Query) bool {
 			return false
 		}
 	}
-	qo, oo := q.Orders(), o.Orders() // separate snapshots: no nested locking
-	if len(qo) != len(oo) {
-		return false
-	}
-	for i, ord := range qo {
-		if oo[i] != ord {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(q.orders, o.orders)
 }
 
 // String renders the query for logs: name(v=N, e=M; labels; orders).
@@ -383,9 +349,9 @@ func (q *Query) String() string {
 			}
 		}
 	}
-	if orders := q.Orders(); len(orders) > 0 {
+	if len(q.orders) > 0 {
 		sb.WriteString("; ")
-		for i, o := range orders {
+		for i, o := range q.orders {
 			if i > 0 {
 				sb.WriteString(",")
 			}

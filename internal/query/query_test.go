@@ -3,6 +3,7 @@ package query
 import (
 	"math/bits"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -49,7 +50,7 @@ func TestAutomorphismCounts(t *testing.T) {
 		{Q8(), 12},
 	}
 	for _, c := range cases {
-		if got := AutomorphismCount(c.q); got != c.want {
+		if got := len(Automorphisms(c.q)); got != c.want {
 			t.Errorf("%s: |Aut| = %d, want %d", c.q.Name(), got, c.want)
 		}
 	}
@@ -210,10 +211,36 @@ func TestCatalogByName(t *testing.T) {
 	}
 }
 
-func TestSetOrders(t *testing.T) {
-	q := Triangle()
-	q.SetOrders(nil)
-	if len(q.Orders()) != 0 {
-		t.Fatal("SetOrders(nil) did not clear")
+// TestQueryValueConcurrentReads: a Query is an immutable value, so many
+// goroutines may share a freshly built one — fingerprint never computed —
+// and read it at once. Every reader must see the same fingerprint, and
+// under -race the memoisation must publish cleanly.
+func TestQueryValueConcurrentReads(t *testing.T) {
+	q := NewLabeled("lsq", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, []int{1, AnyLabel, 1, AnyLabel})
+	twin := NewLabeled("lsq-twin", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, []int{1, AnyLabel, 1, AnyLabel})
+	const n = 16
+	fps := make([][2]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fps[i] = [2]string{q.Fingerprint(), q.Delta().Fingerprint()}
+			if len(q.Orders()) == 0 {
+				t.Error("labelled square lost its symmetry-breaking orders")
+			}
+			if !q.SameNumbering(twin) {
+				t.Error("identically numbered twin reported a different numbering")
+			}
+			if m, ok := q.IsomorphismTo(twin); !ok || len(m) != q.NumVertices() {
+				t.Errorf("IsomorphismTo(twin) = %v, %v", m, ok)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, fp := range fps {
+		if fp[0] != fps[0][0] || fp[1] != fps[0][0] {
+			t.Fatalf("reader %d saw fingerprints %q / %q, reader 0 saw %q", i, fp[0], fp[1], fps[0][0])
+		}
 	}
 }

@@ -73,6 +73,11 @@ type Store struct {
 	appliesSince int    // durable epochs past the recovery base
 	mapped       [][]byte
 	closed       bool
+	// failed is the first append error. A failed append may leave a torn
+	// frame in the segment, and replay stops at a tear, so nothing may be
+	// appended after it: every later Append returns this error until the
+	// store is reopened, whose torn-tail truncation restores a clean log.
+	failed error
 }
 
 func snapPath(dir string, epoch uint64) string {
@@ -177,17 +182,22 @@ func (s *Store) LastEpoch() uint64 {
 }
 
 // Append logs the delta that produced epoch and makes it durable (unless
-// NoSync). Epochs must arrive in order, each one past the last.
+// NoSync). Epochs must arrive in order, each one past the last. Once an
+// append fails, every later one fails too until the store is reopened.
 func (s *Store) Append(epoch uint64, d graph.Delta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errors.New("store: append on closed store")
 	}
+	if s.failed != nil {
+		return fmt.Errorf("store: log unusable after a failed append, reopen the store: %w", s.failed)
+	}
 	if epoch != s.lastEpoch+1 {
 		return fmt.Errorf("store: append epoch %d out of order (last durable %d)", epoch, s.lastEpoch)
 	}
 	if err := s.wal.append(epoch, d); err != nil {
+		s.failed = err
 		return err
 	}
 	s.lastEpoch = epoch

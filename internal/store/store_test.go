@@ -395,6 +395,51 @@ func TestAppendGuards(t *testing.T) {
 	}
 }
 
+// TestAppendFailureIsSticky: once an append fails — here after a partial
+// write leaves a torn frame in the segment — every later append fails too,
+// so no epoch is acknowledged behind a tear that replay would stop at.
+// Reopening truncates the tear; recovery lands on the last good epoch.
+func TestAppendFailureIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	st, g, stats := buildStore(t, dir, Options{})
+	d := graph.Delta{Insert: [][2]graph.VertexID{{0, 7}}}
+
+	good := st.wal.f
+	ro, err := os.Open(st.wal.path) // a handle that cannot be written
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	st.wal.f = ro
+	if err := st.Append(g.Epoch()+1, d); err == nil {
+		t.Fatal("append through an unwritable segment handle succeeded")
+	}
+	if _, err := good.Write([]byte{64, 0, 0, 0, 1, 2}); err != nil { // the torn frame a partial write leaves
+		t.Fatal(err)
+	}
+	st.wal.f = good
+	if err := st.Append(g.Epoch()+1, d); err == nil {
+		t.Fatal("append after a failed append succeeded: its epoch would sit behind the torn frame")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rec, err := st.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecovered(t, rec, g, stats)
+	if err := st.Append(g.Epoch()+1, d); err != nil {
+		t.Fatalf("append on the reopened store: %v", err)
+	}
+}
+
 func TestWALRoundTripDelta(t *testing.T) {
 	for _, d := range testDeltas() {
 		payload := encodeWALPayload(42, d)
