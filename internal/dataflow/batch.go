@@ -52,6 +52,24 @@ func (b *Batch) SplitRows(n int) []*Batch {
 	return out
 }
 
+// SplitRuns is SplitRows for a batch whose rows come in runs sharing their
+// first slot, as a scan emits each vertex's edges together: no cut
+// separates a run, so a chunk may exceed its share by up to one run.
+func (b *Batch) SplitRuns(n int) []*Batch {
+	rows := b.Rows()
+	out := make([]*Batch, 0, n)
+	per := max((rows+n-1)/n, 1)
+	for start := 0; start < rows; {
+		end := min(start+per, rows)
+		for end < rows && b.Data[end*b.Width] == b.Data[(end-1)*b.Width] {
+			end++
+		}
+		out = append(out, &Batch{Width: b.Width, Data: b.Data[start*b.Width : end*b.Width]})
+		start = end
+	}
+	return out
+}
+
 // batchPool recycles Batch headers and their backing arrays between runs:
 // every batch the engine processes passes through exactly one retirement
 // point, so back-to-back delta maintenance (one run per query edge per

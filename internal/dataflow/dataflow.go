@@ -105,6 +105,20 @@ type Extend struct {
 	OldEdgeSlots []int
 	NewFilters   []NewFilter
 	OutLayout    []int // query vertex held by each output slot
+	// TwinTail, when non-zero, marks the extend at which the sink stage's
+	// twin tail is counted (plan.Translate sets it): the stage ends in
+	// TwinTail query vertices with one shared candidate set, so a counting
+	// run adds C(c, TwinTail) per row here instead of running the rest of
+	// the stage. Without TwinWedge the marked extend matches the first
+	// twin, all TwinTail extends from it to the sink match twins, and c is
+	// its candidate count for the row.
+	TwinTail int
+	// TwinWedge marks the K₂,ₖ shape instead: the stage scans (c1, t), the
+	// marked extend — the stage's first — is the wedge step t ⇒ c2, and
+	// every scanned t and later target is a twin over {c1, c2}. A counting
+	// run tallies the wedges of each scanned c1 per c2 and adds
+	// C(wedges, TwinTail) per c2.
+	TwinWedge bool
 }
 
 // IsVerify reports whether this extend only verifies connectivity.
@@ -234,6 +248,16 @@ func (d *Dataflow) Validate() error {
 					return fmt.Errorf("dataflow: stage %d extend %d old-edge slot %d not an ext slot", i, k, s)
 				}
 			}
+			if e.TwinTail != 0 {
+				switch {
+				case !s.Terminal.Sink || e.IsVerify() || e.TwinTail < 2:
+					return fmt.Errorf("dataflow: stage %d extend %d has a bad twin-tail mark", i, k)
+				case e.TwinWedge && (k != 0 || s.Scan == nil || e.TwinTail != len(s.Extends)):
+					return fmt.Errorf("dataflow: stage %d extend %d: a wedge twin tail must span a scan stage from its first extend", i, k)
+				case !e.TwinWedge && k != len(s.Extends)-e.TwinTail:
+					return fmt.Errorf("dataflow: stage %d extend %d: a twin tail of %d must end at the sink", i, k, e.TwinTail)
+				}
+			}
 		}
 		if i == len(d.Stages)-1 {
 			if !s.Terminal.Sink {
@@ -284,6 +308,11 @@ func (d *Dataflow) String() string {
 				fmt.Fprintf(&sb, " -> VERIFY(%v%s%s)", e.ExtSlots, el, old)
 			} else {
 				fmt.Fprintf(&sb, " -> PULL-EXTEND(%v=>v%d%s%s%s)", e.ExtSlots, e.TargetQV+1, labelSuffix(e.TargetLabel), el, old)
+			}
+			if e.TwinWedge {
+				fmt.Fprintf(&sb, " [wedge twins %d]", e.TwinTail)
+			} else if e.TwinTail > 0 {
+				fmt.Fprintf(&sb, " [twins %d]", e.TwinTail)
 			}
 		}
 		if s.Terminal.Sink {

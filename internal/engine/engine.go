@@ -66,7 +66,12 @@ type Config struct {
 	// al. [63], which the paper applies "whenever it is possible in all
 	// implementations": when the final operator before a counting SINK is
 	// a PULL-EXTEND, its matches are counted directly from the candidate
-	// sets instead of being materialised, shuffled and re-counted.
+	// sets instead of being materialised, shuffled and re-counted; a
+	// PUSH-JOIN feeding the SINK directly is counted too. When the stage
+	// ends in a twin tail (Extend.TwinTail), counting starts where the tail
+	// does: C(c, k) per prefix row for k twins over a matched
+	// neighbourhood, Σ C(wedges, k) per scanned vertex for K₂,ₖ — unless a
+	// group key reads a twin, which leaves the final extend to count.
 	// Ignored when OnResult is set (rows must then exist).
 	Compress bool
 	// DeltaEdges is the pinned edge set of a delta-mode run: DeltaScan
@@ -206,9 +211,40 @@ func Run(ctx context.Context, ex *cluster.Exec, df *dataflow.Dataflow, cfg Confi
 	return ex.Metrics.Results.Load(), nil
 }
 
+// countOp picks the operator of st that counts its matches instead of
+// materialising them (compression [63]), or 0 when none may: the start of
+// a twin tail when the run's group key reads no twin, else the final
+// PULL-EXTEND before a counting SINK.
+func (e *Engine) countOp(st *dataflow.Stage) int {
+	last := len(st.Extends)
+	if !e.cfg.Compress || e.cfg.OnResult != nil || !st.Terminal.Sink || last == 0 {
+		return 0
+	}
+	for i, x := range st.Extends {
+		if x.TwinTail == 0 {
+			continue
+		}
+		if e.cfg.Groups == nil || st.Terminal.Group == nil {
+			return i + 1
+		}
+		layout := x.OutLayout[:len(x.OutLayout)-1]
+		if x.TwinWedge {
+			layout = wedgeKeyLayout(x)
+		}
+		if k, err := newGroupKeyer(*st.Terminal.Group, layout, -1, nil); err == nil && k.rowDetermined() {
+			return i + 1
+		}
+	}
+	if st.Extends[last-1].IsVerify() {
+		return 0
+	}
+	return last
+}
+
 // runStage executes one stage on every machine with a barrier at the end.
 func (e *Engine) runStage(ctx context.Context, st *dataflow.Stage) error {
-	ex := &stageExec{eng: e, st: st, ctx: ctx}
+	ex := &stageExec{eng: e, st: st, ctx: ctx, countOp: e.countOp(st)}
+	ex.byVertex = ex.countOp > 0 && st.Extends[ex.countOp-1].TwinWedge
 	k := len(e.ex.Machines)
 	ex.sourcesActive.Store(int64(k))
 
@@ -224,7 +260,9 @@ func (e *Engine) runStage(ctx context.Context, st *dataflow.Stage) error {
 		var src sourceIter
 		var join *joinIter
 		if st.Scan != nil {
-			src = newScanIter(m, st.Scan)
+			scan := newScanIter(m, st.Scan)
+			scan.byVertex = ex.byVertex
+			src = scan
 		} else if st.DeltaSrc != nil {
 			src = newDeltaScanIter(m, st.DeltaSrc, e.cfg.DeltaEdges)
 		} else {

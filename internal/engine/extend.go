@@ -71,6 +71,10 @@ type extendScratch struct {
 	outs    []*dataflow.Batch
 	rowBuf  []graph.VertexID
 	gt      *groupTable // worker-local group counts of a grouped counting run
+	// wedges and touched are a wedge count's dense per-c2 counter, sized to
+	// the graph, and the entries it set (countWedgeChunk).
+	wedges  []uint32
+	touched []graph.VertexID
 }
 
 // scratchPool recycles extend scratch between batches and runs: the
@@ -120,7 +124,8 @@ type chunkWorker struct {
 // forChunks is the intersect stage's fan-out (lines 10-21 of Algorithm 4,
 // with the chunk-level intra-machine work stealing of Section 5.3): it
 // splits b into chunks and applies fn to each exactly once, across the
-// machine's workers under the run's LoadBalance strategy. Every worker
+// machine's workers under the run's LoadBalance strategy; a stage that
+// counts wedges is chunked only where row[0] changes (SplitRuns). Every worker
 // that gets a chunk works on one pooled scratch — carrying a group table
 // when grouped — which is released when the worker runs dry. It returns
 // the output batches the workers left on their scratches and the first
@@ -129,7 +134,12 @@ type chunkWorker struct {
 func (r *machineRun) forChunks(b *dataflow.Batch, grouped bool, fn func(sc *extendScratch, c *dataflow.Batch) error) ([]*dataflow.Batch, error) {
 	eng := r.ex.eng
 	workers := eng.ex.Cfg().Workers
-	chunks := b.SplitRows(workers * 4)
+	var chunks []*dataflow.Batch
+	if r.ex.byVertex {
+		chunks = b.SplitRuns(workers * 4)
+	} else {
+		chunks = b.SplitRows(workers * 4)
+	}
 	if workers == 1 || len(chunks) <= 1 {
 		cw := chunkWorker{own: chunks}
 		r.drain(0, &cw, nil, grouped, fn)

@@ -26,6 +26,12 @@ type stageExec struct {
 	sourcesActive  atomic.Int64
 	errMu          sync.Mutex
 	firstErr       error
+
+	countOp int // the operator that counts instead of materialising, 0 = none (Engine.countOp)
+	// byVertex marks a stage that counts K₂,ₖ wedges: each scanned vertex's
+	// rows must reach one counter, so its scan batches and its chunks are
+	// cut only between vertices (inter-machine steals move whole batches).
+	byVertex bool
 }
 
 func (ex *stageExec) done() bool {
@@ -324,8 +330,6 @@ func (r *machineRun) runOp(op int) error {
 		}
 	case op <= len(st.Extends):
 		e := st.Extends[op-1]
-		compress := r.ex.eng.cfg.Compress && r.ex.eng.cfg.OnResult == nil &&
-			op == len(st.Extends) && st.Terminal.Sink && !e.IsVerify()
 		for !r.outFull(op) {
 			b := r.dequeue(op - 1)
 			if b == nil {
@@ -344,12 +348,22 @@ func (r *machineRun) runOp(op int) error {
 				r.batchProcessed(b)
 				return ErrMemoryBudget
 			}
-			if compress {
-				// Compression [63]: the final extension's matches are
-				// counted from the candidate sets without materialisation.
-				n, err := r.countExtend(e, b)
+			if op == r.ex.countOp {
+				// Compression [63]: the matches are counted from the
+				// candidate sets without materialisation — the final
+				// extension's, or a twin tail's from where it starts.
+				var n uint64
+				var err error
+				if e.TwinWedge {
+					n, err = r.countWedges(e, b)
+				} else {
+					n, err = r.countExtend(e, b)
+				}
 				if err != nil {
 					return err
+				}
+				if e.TwinTail > 0 {
+					r.ex.eng.ex.Metrics.TwinTailRows.Add(uint64(b.Rows()))
 				}
 				r.ex.eng.ex.Metrics.Results.Add(n)
 				r.batchProcessed(b)

@@ -38,6 +38,10 @@ type scanIter struct {
 	curELabels []graph.LabelID  // edge labels parallel to current (edge-constrained scans)
 	labels     []graph.LabelID  // nil when the neighbour side is unconstrained
 	edgeFilter bool             // check curELabels against scan.EdgeLabel
+	// byVertex cuts batches only between vertices — a wedge count needs all
+	// of a vertex's rows in one batch — so a batch may exceed maxRows by
+	// one vertex's edges.
+	byVertex bool
 }
 
 func newScanIter(m *cluster.MachineExec, scan *dataflow.EdgeScan) *scanIter {
@@ -107,7 +111,7 @@ func (s *scanIter) nextBatch(maxRows int) (*dataflow.Batch, bool, error) {
 			}
 			s.ni = 0
 		}
-		for s.ni < len(s.current) && b.Rows() < maxRows {
+		for s.ni < len(s.current) && (s.byVertex || b.Rows() < maxRows) {
 			w := s.current[s.ni]
 			if s.edgeFilter && int(s.curELabels[s.ni]) != s.scan.EdgeLabel {
 				s.ni++

@@ -48,6 +48,10 @@ type Metrics struct {
 	StealsIntra atomic.Uint64
 	StealsInter atomic.Uint64
 
+	// TwinTailRows counts the prefix rows a twin tail counted: each adds
+	// C(c, k) at once instead of enumerating its k twins.
+	TwinTailRows atomic.Uint64
+
 	// PUSH-JOIN buffers that outgrew their in-memory threshold: sorted runs
 	// written to disk and their size. Zero means every join input of the
 	// run was sorted and joined in memory.
@@ -181,6 +185,9 @@ type Summary struct {
 	StealsIntra, StealsInter uint64
 	Kernels                  graph.KernelCounts
 
+	// Prefix rows counted by a twin tail (Metrics.TwinTailRows).
+	TwinTailRows uint64
+
 	// PUSH-JOIN sorted runs spilled to disk, and their bytes.
 	JoinSpillRuns, JoinSpillBytes uint64
 
@@ -208,6 +215,7 @@ func (a Summary) Add(b Summary) Summary {
 	a.StealsIntra += b.StealsIntra
 	a.StealsInter += b.StealsInter
 	a.Kernels.Add(b.Kernels)
+	a.TwinTailRows += b.TwinTailRows
 	a.JoinSpillRuns += b.JoinSpillRuns
 	a.JoinSpillBytes += b.JoinSpillBytes
 	a.BatchGrows += b.BatchGrows
@@ -234,6 +242,7 @@ func (m *Metrics) Snapshot() Summary {
 		StealsIntra:    m.StealsIntra.Load(),
 		StealsInter:    m.StealsInter.Load(),
 		Kernels:        m.Kernels.Snapshot(),
+		TwinTailRows:   m.TwinTailRows.Load(),
 		BatchGrows:     m.BatchGrows.Load(),
 		BatchShrinks:   m.BatchShrinks.Load(),
 		BatchRowsLast:  m.BatchRowsLast.Load(),

@@ -84,9 +84,15 @@ func (c *Config) joinCost(comm CommMode, l, r subPlan, cardOut float64) float64 
 // overrides in cfg do not apply to a tree that is already configured.
 func CostOf(p *Plan, cfg Config) float64 {
 	cfg = cfg.withDefaults()
+	return cfg.costOf(p)
+}
+
+// costOf is CostOf on a defaulted config. A twin tail is priced at its
+// prefix (twinCost).
+func (c *Config) costOf(p *Plan) float64 {
 	var rec func(n *Node) subPlan
 	rec = func(n *Node) subPlan {
-		card := cfg.Card(p.Q, n.Edges)
+		card := c.Card(p.Q, n.Edges)
 		if n.IsLeaf() {
 			return subPlan{cost: card, card: card}
 		}
@@ -94,7 +100,10 @@ func CostOf(p *Plan, cfg Config) float64 {
 		if n.Comm == Pushing {
 			r = rec(n.Right)
 		}
-		return subPlan{cost: cfg.joinCost(n.Comm, rec(n.Left), r, card), card: card}
+		return subPlan{cost: c.joinCost(n.Comm, rec(n.Left), r, card), card: card}
+	}
+	if cost, ok := c.twinCost(p, rec); ok {
+		return cost
 	}
 	return rec(p.Root).cost
 }
@@ -110,6 +119,11 @@ func CostOf(p *Plan, cfg Config) float64 {
 // both orientations ("edge ⋈ wedge" scans an edge, "wedge ⋈ edge" scans a
 // wedge) and the chosen orientation is kept when the tree is built. Ties go
 // to the split enumerated first, left side holding the lowest edge.
+//
+// A twin tail (twin.go) is priced at its prefix, which the DP over
+// sub-queries cannot see: the tree the DP finds is re-priced by CostOf's
+// rule and competes with every tree whose tail is a twin tail, each built
+// on the DP's optimum for its prefix. The first strictly cheapest wins.
 func Optimize(q *query.Query, cfg Config) *Plan {
 	cfg = cfg.withDefaults()
 	full := q.FullEdgeMask()
@@ -189,5 +203,17 @@ func Optimize(q *query.Query, cfg Config) *Plan {
 		alg, comm := configure(table[e.l], table[e.r])
 		return &Node{Edges: em, Left: build(e.l), Right: build(e.r), Alg: alg, Comm: comm}
 	}
-	return &Plan{Q: q, Root: build(full), Cost: table[full].cost, Name: "huge-optimal"}
+	p := &Plan{Q: q, Root: build(full), Cost: table[full].cost, Name: "huge-optimal"}
+	if !cfg.twinPriced() || len(twinGroups(q)) == 0 {
+		return p
+	}
+	p.Cost = cfg.costOf(p)
+	inTable := func(em uint32) bool { _, ok := table[em]; return ok }
+	for _, root := range twinCandidates(q, inTable, build) {
+		cand := &Plan{Q: q, Root: root, Name: p.Name}
+		if cand.Cost = cfg.costOf(cand); cand.Cost < p.Cost {
+			p = cand
+		}
+	}
+	return p
 }
