@@ -138,15 +138,16 @@ type govRun struct {
 	memRows int64 // per-run budget (0 = none)
 	cancel  context.CancelCauseFunc
 	// cur is the run's current execution context's metrics — delta runs go
-	// through several — so the victim picker can rank by live footprint.
+	// through two, one per side — so the victim picker can rank by live
+	// footprint.
 	cur atomic.Pointer[metrics.Metrics]
 }
 
 // attach wires one engine execution context into the governed run: its
 // live tuples feed the global gauge and its metrics become the run's
-// current footprint. A delta run attaches several contexts in sequence;
-// each superseded one has its batch-sizing decisions folded into the
-// system-wide governance counters (the last is folded at release).
+// current footprint. A delta run attaches one context per side in
+// sequence; each superseded one has its batch-sizing decisions folded into
+// the system-wide governance counters (the last is folded at release).
 func (h *govRun) attach(m *metrics.Metrics) {
 	if h == nil {
 		return

@@ -402,7 +402,11 @@ func (s *System) Epoch() uint64 { return s.snapshot().epoch() }
 // plans. Applies are serialised. Nothing is repartitioned or redeployed:
 // what a call still pays beyond work proportional to the delta is the
 // graph layer's copy of its adjacency overlay and whatever the standing
-// queries' maintenance runs enumerate.
+// queries' maintenance runs enumerate. A maintenance pass starts little
+// besides: each pattern group builds one execution context per delta side
+// and runs its per-pinned-edge flows on it in turn; with one machine a
+// stage runs on the group's own goroutine, and a batch of fewer than 8
+// rows per chunk fans out to no worker (engine.Run, forChunks).
 //
 // Edge relabels (Delta.Relabel) are delete-and-reinsert churn at the graph
 // layer: the edge lands in both pinned sets, so delta-mode runs count
@@ -646,8 +650,9 @@ func reindexed(df *dataflow.Dataflow, fn func([]VertexID)) func([]VertexID) {
 	}
 }
 
-// newExec builds the execution context of one engine run on g: the
-// configured machines and workers, fresh metrics, cold adjacency caches.
+// newExec builds the execution context of one engine run — or of one delta
+// side's flows, run in turn — on g: the configured machines and workers,
+// fresh metrics, cold adjacency caches.
 func (s *System) newExec(g *Graph) *cluster.Exec {
 	return cluster.New(g, cluster.Config{NumMachines: s.opts.Machines, Workers: s.opts.Workers}).NewExec()
 }
@@ -737,13 +742,17 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 		if g == nil || set.Len() == 0 {
 			return 0, nil
 		}
+		// Every flow of a side runs on one execution context, one after
+		// another: a flow pins a handful of edges, so building a context —
+		// cold caches, fresh metrics — per flow would cost more than most
+		// flows do, and the flows of one side read the same graph.
+		ex := s.newExec(g)
+		side.h.attach(ex.Metrics)
 		var total uint64
 		for _, df := range flows {
 			if budget != nil && budget.Exhausted() {
 				break
 			}
-			ex := s.newExec(g)
-			side.h.attach(ex.Metrics)
 			cfg := s.engineConfig(df, side)
 			cfg.DeltaEdges = set
 			cfg.Groups = agg
@@ -752,8 +761,8 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 				return 0, err
 			}
 			total += n
-			res.Metrics = res.Metrics.Add(ex.Metrics.Snapshot())
 		}
+		res.Metrics = res.Metrics.Add(ex.Metrics.Snapshot())
 		return total, nil
 	}
 	var newAgg, deadAgg *engine.GroupAgg

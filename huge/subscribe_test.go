@@ -388,6 +388,65 @@ func TestSubscribeLifecycleRace(t *testing.T) {
 	}
 }
 
+// TestRelabelMaintenanceRace: a vertex relabel makes Apply rebuild both
+// pinned edge sets, which four pattern groups then scan concurrently, so
+// a published set must never be written — -race reports a set that sorts
+// itself on first read. Every subscriber's view must also telescope onto
+// the full recount of each epoch.
+func TestRelabelMaintenanceRace(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph(200, 3, 3, 73)
+	sys := huge.NewSystem(g, huge.Options{Machines: 1, Workers: 2})
+	queries := []*huge.Query{
+		huge.Triangle(),
+		huge.Q1(),
+		huge.NewLabeledQuery("ltri", [][2]int{{0, 1}, {1, 2}, {0, 2}}, []int{0, 1, huge.AnyLabel}),
+		huge.NewLabeledQuery("lwedge", [][2]int{{0, 1}, {1, 2}}, []int{1, huge.AnyLabel, 2}),
+	}
+	subs := make([]*huge.Subscription, len(queries))
+	running := make([]int64, len(queries))
+	for i, q := range queries {
+		sub, err := sys.Subscribe(q, huge.SubBuffer(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		subs[i] = sub
+		res, err := sys.Exec(ctx, q, huge.CountOnly()).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		running[i] = int64(res.Count)
+	}
+	if n := sys.SubscriptionGroups(); n != len(queries) {
+		t.Fatalf("%d subscription groups, want %d", n, len(queries))
+	}
+	events := 0
+	for epoch := 1; epoch <= 6; epoch++ {
+		d := randomDelta(sys.Graph(), 4, 3, 3, int64(300+epoch))
+		if epoch%2 == 0 {
+			d.Insert, d.Delete = nil, nil // a relabel-only epoch
+		}
+		sys.Apply(d)
+		for i, q := range queries {
+			if ev, ok := tryEvent(subs[i]); ok {
+				events++
+				running[i] += int64(len(ev.New)) - int64(len(ev.Dead))
+			}
+			full, err := sys.Exec(ctx, q, huge.CountOnly()).Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if running[i] != int64(full.Count) {
+				t.Fatalf("epoch %d, %s: incremental view %d, full count %d", epoch, q.Name(), running[i], full.Count)
+			}
+		}
+	}
+	if events < len(queries) {
+		t.Fatalf("%d events in 6 epochs: the relabels changed next to no match", events)
+	}
+}
+
 // TestSubscribeNoGoroutineLeak is the CI leak regression: subscribing,
 // serving and unsubscribing everything returns the process to its baseline
 // goroutine count (the subscription layer owns no goroutines at all — the

@@ -8,8 +8,9 @@
 //     nothing is built per graph), and the configuration. It is safe for
 //     concurrent use and holds no per-query state.
 //   - Exec is one query's isolated execution context: a fresh metrics sink
-//     and a fresh per-machine adjacency cache. Every engine run creates its
-//     own Exec via NewExec, so N concurrent runs never share mutable state.
+//     and a fresh per-machine adjacency cache. Concurrent engine runs each
+//     use their own Exec (NewExec), so they never share mutable state; one
+//     Exec may carry several runs in sequence.
 //
 // MachineExec is the one contract between the engine and a machine (Graph,
 // Owns, Fetch, Neighbors, Release): the adjacency-cache protocol of
@@ -80,9 +81,10 @@ func (c *Cluster) NumMachines() int { return c.Cfg.NumMachines }
 // Owner returns the machine owning v.
 func (c *Cluster) Owner(v graph.VertexID) int { return c.P.Owner(v) }
 
-// Exec is the per-run execution context: everything one query execution
-// mutates lives here (metrics, adjacency caches), so concurrent runs on the
-// same Cluster are fully isolated. Create one per run with NewExec.
+// Exec is the execution context of a run, or of several runs in sequence:
+// everything one query execution mutates lives here (metrics, adjacency
+// caches), so concurrent runs on the same Cluster, each on its own Exec,
+// are fully isolated. Create one with NewExec.
 type Exec struct {
 	Metrics  *metrics.Metrics
 	Machines []*MachineExec

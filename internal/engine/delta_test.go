@@ -2,13 +2,11 @@ package engine
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
@@ -20,18 +18,9 @@ import (
 // materialising paths are exercised.
 func TestDeltaScanPinnedCounts(t *testing.T) {
 	g := gen.PowerLaw(300, 3, 9)
-	rng := rand.New(rand.NewSource(17))
 	// Pin a random subset of existing edges (the oracle does not care
 	// whether they were inserted or deleted — only membership matters).
-	var pin [][2]graph.VertexID
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(graph.VertexID(v)) {
-			if graph.VertexID(v) < w && rng.Intn(20) == 0 {
-				pin = append(pin, [2]graph.VertexID{graph.VertexID(v), w})
-			}
-		}
-	}
-	set := graph.NewEdgeSet(pin)
+	set := randomPinned(g, 17)
 	cl := cluster.New(g, cluster.Config{NumMachines: 3, Workers: 2})
 	for _, q := range []*query.Query{query.Triangle(), query.Q1(), query.Q2(), query.Q4()} {
 		flows, err := plan.TranslateDelta(q)

@@ -8,11 +8,12 @@
 //     (Algorithm 5), which bounds memory per Theorem 5.4,
 //   - two-layer intra-/inter-machine work stealing (Section 5.3).
 //
-// Every run executes against a cluster.Exec — the per-run execution
-// context that owns the metrics sink and one cluster.MachineExec per
-// machine — so any number of runs may proceed concurrently on one
-// cluster.Cluster. A MachineExec is all the engine knows of a machine:
-// which vertices it owns, the graph, and Fetch / Neighbors / Release for
+// Every run executes against a cluster.Exec — the execution context that
+// owns the metrics sink and one cluster.MachineExec per machine — so any
+// number of runs may proceed concurrently on one cluster.Cluster, each on
+// its own Exec (an Exec carries runs one after another, never two at
+// once). A MachineExec is all the engine knows of a machine: which
+// vertices it owns, the graph, and Fetch / Neighbors / Release for
 // adjacency; the cache and its protocol are the machine's business.
 package engine
 
@@ -137,9 +138,14 @@ type joinBuffers struct {
 	sides [2][]*Relation
 }
 
-// Run executes df on the per-run context ex and returns the result count.
-// Cancelling ctx aborts the run (queued work is drained and discarded) and
-// Run returns the context's error. ex must not be reused across runs.
+// Run executes df on the execution context ex and returns the number of
+// results this run produced. Cancelling ctx aborts the run (queued work is
+// drained and discarded) and Run returns the context's error.
+//
+// One ex may carry any number of runs one after another, never two at once:
+// each Run returns its own count, while ex.Metrics accumulates over all of
+// them and the machines' adjacency caches stay warm from run to run — the
+// per-pinned-edge flows of a delta side share one context this way.
 func Run(ctx context.Context, ex *cluster.Exec, df *dataflow.Dataflow, cfg Config) (uint64, error) {
 	if err := df.Validate(); err != nil {
 		return 0, err
@@ -154,6 +160,7 @@ func Run(ctx context.Context, ex *cluster.Exec, df *dataflow.Dataflow, cfg Confi
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	before := ex.Metrics.Results.Load()
 	e := &Engine{ex: ex, df: df, cfg: cfg.withDefaults(), joins: map[int]*joinBuffers{}}
 	k := len(ex.Machines)
 	for _, st := range df.Stages {
@@ -208,7 +215,7 @@ func Run(ctx context.Context, ex *cluster.Exec, df *dataflow.Dataflow, cfg Confi
 			return 0, err
 		}
 	}
-	return ex.Metrics.Results.Load(), nil
+	return ex.Metrics.Results.Load() - before, nil
 }
 
 // countOp picks the operator of st that counts its matches instead of
@@ -287,15 +294,22 @@ func (e *Engine) runStage(ctx context.Context, st *dataflow.Stage) error {
 		ex.runs = append(ex.runs, run)
 	}
 
-	var wg sync.WaitGroup
-	for _, r := range ex.runs {
-		wg.Add(1)
-		go func(r *machineRun) {
-			defer wg.Done()
-			r.loop()
-		}(r)
+	if len(ex.runs) == 1 {
+		// A lone machine has no one to steal from or be stolen by: its loop
+		// runs on the calling goroutine, and a run of a few rows starts no
+		// goroutine at all.
+		ex.runs[0].loop()
+	} else {
+		var wg sync.WaitGroup
+		for _, r := range ex.runs {
+			wg.Add(1)
+			go func(r *machineRun) {
+				defer wg.Done()
+				r.loop()
+			}(r)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	for _, it := range iterCleanup {
 		if err := it.Close(); err != nil && ex.err() == nil {

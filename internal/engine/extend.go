@@ -121,11 +121,18 @@ type chunkWorker struct {
 	err  error
 }
 
+// minChunkRows is the batch rows forChunks needs per chunk it cuts: a
+// batch of fewer rows — a pinned delta edge, a short top-k batch — is one
+// chunk, run on the calling goroutine, since starting workers would cost
+// more than the rows.
+const minChunkRows = 8
+
 // forChunks is the intersect stage's fan-out (lines 10-21 of Algorithm 4,
 // with the chunk-level intra-machine work stealing of Section 5.3): it
-// splits b into chunks and applies fn to each exactly once, across the
-// machine's workers under the run's LoadBalance strategy; a stage that
-// counts wedges is chunked only where row[0] changes (SplitRuns). Every worker
+// splits b into at most four chunks per worker and one per minChunkRows
+// rows, and applies fn to each exactly once, across the machine's workers
+// under the run's LoadBalance strategy; a stage that counts wedges is
+// chunked only where row[0] changes (SplitRuns). Every worker
 // that gets a chunk works on one pooled scratch — carrying a group table
 // when grouped — which is released when the worker runs dry. It returns
 // the output batches the workers left on their scratches and the first
@@ -134,11 +141,12 @@ type chunkWorker struct {
 func (r *machineRun) forChunks(b *dataflow.Batch, grouped bool, fn func(sc *extendScratch, c *dataflow.Batch) error) ([]*dataflow.Batch, error) {
 	eng := r.ex.eng
 	workers := eng.ex.Cfg().Workers
+	n := max(1, min(workers*4, (b.Rows()+minChunkRows-1)/minChunkRows))
 	var chunks []*dataflow.Batch
 	if r.ex.byVertex {
-		chunks = b.SplitRuns(workers * 4)
+		chunks = b.SplitRuns(n)
 	} else {
-		chunks = b.SplitRows(workers * 4)
+		chunks = b.SplitRows(n)
 	}
 	if workers == 1 || len(chunks) <= 1 {
 		cw := chunkWorker{own: chunks}

@@ -69,12 +69,13 @@ func (l *scratchLog) released(t *testing.T, atMost int) {
 // chunk count each row of the batch reaches fn exactly once, the rows the
 // workers produced all come back, every worker's group table reaches the
 // aggregate (so a grouped count equals the ungrouped one) and every
-// scratch is released.
+// scratch is released. A batch of one chunk runs on the caller.
 func TestForChunksVisitsEveryChunkOnce(t *testing.T) {
 	g := gen.PowerLaw(50, 2, 1)
+	caller := goroutineHeader()
 	for name, lb := range fanOutBalances {
 		for _, workers := range []int{1, 2, 4} {
-			for _, rows := range []int{0, 1, 1000} { // 0, 1 and 4*workers chunks
+			for _, rows := range []int{0, 1, minChunkRows, 2 * minChunkRows, 1000} { // 0, 1, 1, 2 and 4*workers chunks
 				for _, grouped := range []bool{false, true} {
 					r := fanOutRun(g, lb, 1, workers)
 					visits := make([]atomic.Int32, rows)
@@ -86,6 +87,9 @@ func TestForChunksVisitsEveryChunkOnce(t *testing.T) {
 						outs, err := r.forChunks(b, grouped, func(sc *extendScratch, c *dataflow.Batch) error {
 							calls.Add(1)
 							log.note(sc)
+							if on := goroutineHeader(); rows <= minChunkRows && on != caller {
+								return fmt.Errorf("a batch of %d rows ran on %q, not the caller's %q", rows, on, caller)
+							}
 							if grouped != (sc.gt != nil) {
 								return fmt.Errorf("grouped=%v but group table=%v", grouped, sc.gt != nil)
 							}
@@ -118,7 +122,7 @@ func TestForChunksVisitsEveryChunkOnce(t *testing.T) {
 						if produced != rows {
 							t.Fatalf("%s: %d output rows, want %d", id, produced, rows)
 						}
-						if want := min(rows, 4*workers) * pass; int(calls.Load()) != want {
+						if want := min((rows+minChunkRows-1)/minChunkRows, 4*workers) * pass; int(calls.Load()) != want {
 							t.Fatalf("%s: fn ran %d times, want %d", id, calls.Load(), want)
 						}
 						if grouped {

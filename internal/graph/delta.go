@@ -58,11 +58,12 @@ type Delta struct {
 // EdgeSet is a set of canonical undirected edges (u < v) with O(1)
 // membership and a deterministic (sorted) edge list — the engine pins delta
 // scans on it and excludes its edges from older positions of a rewritten
-// enumeration. A nil *EdgeSet behaves as the empty set.
+// enumeration. A nil *EdgeSet behaves as the empty set. A set is sorted
+// where it is built and never written after, so any number of goroutines
+// may read a published one.
 type EdgeSet struct {
 	set  map[[2]VertexID]struct{}
 	list [][2]VertexID
-	srtd bool
 }
 
 // NewEdgeSet builds an EdgeSet from an edge list, canonicalising endpoint
@@ -72,7 +73,18 @@ func NewEdgeSet(edges [][2]VertexID) *EdgeSet {
 	for _, e := range edges {
 		s.add(e[0], e[1])
 	}
+	s.sort()
 	return s
+}
+
+// sort orders the edge list, which ends building the set.
+func (s *EdgeSet) sort() {
+	slices.SortFunc(s.list, func(a, b [2]VertexID) int {
+		if a[0] != b[0] {
+			return int(a[0]) - int(b[0])
+		}
+		return int(a[1]) - int(b[1])
+	})
 }
 
 func (s *EdgeSet) add(u, v VertexID) bool {
@@ -90,7 +102,6 @@ func (s *EdgeSet) add(u, v VertexID) bool {
 	}
 	s.set[[2]VertexID{u, v}] = struct{}{}
 	s.list = append(s.list, [2]VertexID{u, v})
-	s.srtd = false
 	return true
 }
 
@@ -120,15 +131,6 @@ func (s *EdgeSet) Has(u, v VertexID) bool {
 func (s *EdgeSet) Edges() [][2]VertexID {
 	if s == nil {
 		return nil
-	}
-	if !s.srtd {
-		slices.SortFunc(s.list, func(a, b [2]VertexID) int {
-			if a[0] != b[0] {
-				return int(a[0]) - int(b[0])
-			}
-			return int(a[1]) - int(b[1])
-		})
-		s.srtd = true
 	}
 	return s.list
 }
@@ -231,6 +233,8 @@ func ApplyThreshold(g *Graph, d Delta, maxOverlayFrac float64) (*Graph, Applied)
 			setInsLab(u, v, d.InsertLabels[i])
 		}
 	}
+	ins.sort()
+	del.sort()
 
 	// Per-vertex change lists and the touched set.
 	insPer := map[VertexID][]VertexID{}
@@ -306,12 +310,12 @@ func ApplyThreshold(g *Graph, d Delta, maxOverlayFrac float64) (*Graph, Applied)
 	for v, nb := range g.over {
 		overlay[v] = nb
 	}
+	// The overlay's row count carries forward: only the touched vertices'
+	// lists changed, so theirs replace what they held before.
+	overRows := g.overRows
 	for v, nb := range newAdj {
 		overlay[v] = nb
-	}
-	var overRows uint64
-	for _, nb := range overlay {
-		overRows += uint64(len(nb))
+		overRows += uint64(len(nb)) - uint64(len(g.over[v]))
 	}
 	becomesLabelled := edgeLabelled && g.elabels == nil
 

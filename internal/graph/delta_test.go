@@ -236,9 +236,23 @@ func TestApplyDeleteReinsertChurn(t *testing.T) {
 	assertSameGraph(t, ng, g)
 }
 
-// TestApplyRandomChain stacks random deltas — overlay and compact paths,
-// labelled and unlabelled — and cross-checks every snapshot against a
-// from-scratch rebuild.
+// assertOverlayRows checks the overlay row count Apply carries forward
+// against a recount of the overlay lists.
+func assertOverlayRows(t *testing.T, step int, g *Graph) {
+	t.Helper()
+	var want uint64
+	for _, nb := range g.over {
+		want += uint64(len(nb))
+	}
+	if got := g.OverlayRows(); got != want {
+		t.Fatalf("step %d: OverlayRows %d, overlay lists hold %d", step, got, want)
+	}
+}
+
+// TestApplyRandomChain stacks random deltas — inserts, deletes, edge and
+// vertex relabels; overlay and compact paths; labelled and unlabelled — and
+// cross-checks every snapshot against a from-scratch rebuild, and its
+// overlay row count against a recount.
 func TestApplyRandomChain(t *testing.T) {
 	for _, labelled := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(7))
@@ -269,17 +283,23 @@ func TestApplyRandomChain(t *testing.T) {
 			if labelled && rng.Intn(2) == 0 {
 				d.Labels = append(d.Labels, VertexLabel{V: VertexID(rng.Intn(n)), L: LabelID(rng.Intn(4))})
 			}
+			if u := VertexID(rng.Intn(g.NumVertices())); rng.Intn(3) == 0 && g.Degree(u) > 0 {
+				nb := g.Neighbors(u)
+				d.Relabel = append(d.Relabel, EdgeLabel{U: u, V: nb[rng.Intn(len(nb))], L: LabelID(rng.Intn(3))})
+			}
 			want := rebuildFromScratch(t, g, d)
-			// Alternate representations: forced compact vs deep overlay.
-			frac := 0.0
-			if step%2 == 0 {
-				frac = 1.0
+			// Alternate representations: a forced compaction every third
+			// step, an overlay stacked on the previous overlay otherwise.
+			frac := 1.0
+			if step%3 == 2 {
+				frac = 0.0
 			}
 			ng, _ := ApplyThreshold(g, d, frac)
 			if ng.Epoch() != g.Epoch()+1 {
 				t.Fatalf("step %d: epoch %d after %d", step, ng.Epoch(), g.Epoch())
 			}
 			assertSameGraph(t, ng, want)
+			assertOverlayRows(t, step, ng)
 			// HasEdge spot checks through the overlay.
 			for i := 0; i < 50; i++ {
 				u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
