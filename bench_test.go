@@ -754,9 +754,11 @@ func BenchmarkIntersectKernels(b *testing.B) {
 
 // BenchmarkPushJoin: the PUSH-JOIN data path on its own (Section 4.3) —
 // `relation` is one join buffer's life (Add 10^6 rows, Finalize, drain),
-// `q7_count` and `q7_rows` are EU q7 (3-path ⋈ 2-path, the catalog's one
-// optimal plan with a pushing join) at Machines:2, counted and delivered
-// through OnMatch. Every leg fails on a wrong count.
+// `q7_count` and `q7_rows` are EU q7 at Machines:2 under Exp-9's hybrid
+// plan, a 3-path ⋈ 2-path PUSH-JOIN passed explicitly (the optimiser now
+// counts q7 as a 3-path with its ends in closed form), counted and
+// delivered through OnMatch. Every leg fails on a wrong count or on a run
+// that pushed nothing.
 func BenchmarkPushJoin(b *testing.B) {
 	b.Run("relation", func(b *testing.B) {
 		const n = 1_000_000
@@ -806,13 +808,24 @@ func BenchmarkPushJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// v2–v3 ⋈ v3–v4 by extension, then ⋈ the 2-path v4–v5–v6 by push. The
+	// edge masks index q7's edges (v1,v2) … (v5,v6) as bits 0 … 4.
+	push := &plan.Plan{Q: q, Name: "exp9-push-join", Root: &plan.Node{
+		Edges: 0b11111, Alg: plan.HashJoin, Comm: plan.Pushing,
+		Left: &plan.Node{
+			Edges: 0b00111, Alg: plan.WcoJoin, Comm: plan.Pulling,
+			Left:  &plan.Node{Edges: 0b00011}, // star(v2; v1, v3)
+			Right: &plan.Node{Edges: 0b00100}, // star(v3; v4)
+		},
+		Right: &plan.Node{Edges: 0b11000}, // star(v5; v4, v6)
+	}}
 	var delivered atomic.Uint64
 	q7 := func(opt huge.Option, wantDelivered uint64) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				delivered.Store(0)
-				res, err := sys.Exec(ctx, q, opt).Wait()
+				res, err := sys.Exec(ctx, q, opt, huge.WithPlan(push)).Wait()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/gen"
 )
 
-// TestTwinTailRowsMetric: Summary.TwinTailRows reports the prefix rows a
-// twin tail counted. It fires for the square and the diamond, and for the
+// TestTwinTailRowsMetric: Summary.TailRows reports the prefix rows a
+// tail counted. It fires for the square and the diamond, and for the
 // square grouped by v1 or v3 (the wedge shape's c1 and c2); it stays 0 for
 // patterns without twins, a group key on a twin, OnMatch, Limit streams
 // and uncompressed runs.
@@ -44,7 +44,7 @@ func TestTwinTailRowsMetric(t *testing.T) {
 		if want := baseline.GroundTruthCount(g, c.q); res.Count != want {
 			t.Errorf("%s: count %d, want %d", c.name, res.Count, want)
 		}
-		if res.Metrics.TwinTailRows == 0 {
+		if res.Metrics.TailRows == 0 {
 			t.Errorf("%s: no twin-tail rows counted", c.name)
 		}
 	}
@@ -60,8 +60,8 @@ func TestTwinTailRowsMetric(t *testing.T) {
 		{"q1 OnMatch", q1, []huge.Option{huge.OnMatch(func([]huge.VertexID) {})}},
 	}
 	for _, c := range silent {
-		if res := run(c.name, c.q, c.opts...); res.Metrics.TwinTailRows != 0 {
-			t.Errorf("%s: %d twin-tail rows, want 0", c.name, res.Metrics.TwinTailRows)
+		if res := run(c.name, c.q, c.opts...); res.Metrics.TailRows != 0 {
+			t.Errorf("%s: %d twin-tail rows, want 0", c.name, res.Metrics.TailRows)
 		}
 	}
 
@@ -74,15 +74,15 @@ func TestTwinTailRowsMetric(t *testing.T) {
 	if err != nil || n != 10 {
 		t.Fatalf("q1 Limit(10) stream: %d matches, %v", n, err)
 	}
-	if res.Metrics.TwinTailRows != 0 {
-		t.Errorf("q1 Limit(10) stream: %d twin-tail rows, want 0", res.Metrics.TwinTailRows)
+	if res.Metrics.TailRows != 0 {
+		t.Errorf("q1 Limit(10) stream: %d twin-tail rows, want 0", res.Metrics.TailRows)
 	}
 
 	// The experiment rig runs HUGE uncompressed, so its tables keep
 	// measuring enumeration.
 	env := exp.TinyEnv()
-	if r := env.RunHUGE(g, q1, exp.HugeOpts{}); r.Err != nil || r.Summary.TwinTailRows != 0 {
-		t.Errorf("uncompressed q1: %d twin-tail rows (err %v), want 0", r.Summary.TwinTailRows, r.Err)
+	if r := env.RunHUGE(g, q1, exp.HugeOpts{}); r.Err != nil || r.Summary.TailRows != 0 {
+		t.Errorf("uncompressed q1: %d twin-tail rows (err %v), want 0", r.Summary.TailRows, r.Err)
 	}
 }
 

@@ -105,24 +105,70 @@ type Extend struct {
 	OldEdgeSlots []int
 	NewFilters   []NewFilter
 	OutLayout    []int // query vertex held by each output slot
-	// TwinTail, when non-zero, marks the extend at which the sink stage's
-	// twin tail is counted (plan.Translate sets it): the stage ends in
-	// TwinTail query vertices with one shared candidate set, so a counting
-	// run adds C(c, TwinTail) per row here instead of running the rest of
-	// the stage. Without TwinWedge the marked extend matches the first
-	// twin, all TwinTail extends from it to the sink match twins, and c is
-	// its candidate count for the row.
-	TwinTail int
+	// Tail, when non-zero, marks the extend at which the sink stage's
+	// independent tail is counted (plan.Translate sets it): this extend and
+	// the Tail−1 after it, to the sink, match pairwise non-adjacent query
+	// vertices whose neighbours the rows entering here have all matched.
+	// Each target then draws from one candidate set fixed by the row, and a
+	// counting run adds the number of injective, order-respecting picks in
+	// closed form instead of running the rest of the stage: C(c, Tail) for
+	// twins (one set, totally ordered), |A|·|B| − |A ∩ B| for two sets
+	// without an order between them, and #{x < y} for two with one. An
+	// unmarked final extend is the tail of one, counted as |C|.
+	Tail int
 	// TwinWedge marks the K₂,ₖ shape instead: the stage scans (c1, t), the
 	// marked extend — the stage's first — is the wedge step t ⇒ c2, and
 	// every scanned t and later target is a twin over {c1, c2}. A counting
 	// run tallies the wedges of each scanned c1 per c2 and adds
-	// C(wedges, TwinTail) per c2.
+	// C(wedges, Tail) per c2.
 	TwinWedge bool
 }
 
 // IsVerify reports whether this extend only verifies connectivity.
 func (e *Extend) IsVerify() bool { return e.TargetQV < 0 }
+
+// SameCandidates reports whether e and f, two extends of a tail entered by
+// rows of width slots, draw from one candidate set on every such row: the
+// same operands, target label, edge labels and old-edge restriction, and
+// the same orders against those slots (an extend holds each order once).
+func (e *Extend) SameCandidates(f *Extend, width int) bool {
+	if !slices.Equal(e.ExtSlots, f.ExtSlots) || e.TargetLabel != f.TargetLabel ||
+		!slices.Equal(e.EdgeLabels, f.EdgeLabels) || !slices.Equal(e.OldEdgeSlots, f.OldEdgeSlots) {
+		return false
+	}
+	n := 0
+	for _, x := range e.NewFilters {
+		if x.Slot < width {
+			if !slices.Contains(f.NewFilters, x) {
+				return false
+			}
+			n++
+		}
+	}
+	for _, x := range f.NewFilters {
+		if x.Slot < width {
+			n--
+		}
+	}
+	return n == 0
+}
+
+// countableTail reports whether the extends from the k-th on form a tail
+// the engine can count: none verifies, each reads only the slots the rows
+// entering the k-th hold, and beyond two targets all draw from one set.
+func (s *Stage) countableTail(k int) bool {
+	tail := s.Extends[k:]
+	width := len(tail[0].OutLayout) - 1
+	for _, e := range tail {
+		if e.IsVerify() || slices.ContainsFunc(e.ExtSlots, func(slot int) bool { return slot >= width }) {
+			return false
+		}
+		if len(tail) > 2 && !e.SameCandidates(tail[0], width) {
+			return false
+		}
+	}
+	return true
+}
 
 // Join is the PUSH-JOIN operator (Section 4.3): a buffered distributed hash
 // join. Both feeding stages shuffle tuples by their key slots; after the
@@ -248,14 +294,16 @@ func (d *Dataflow) Validate() error {
 					return fmt.Errorf("dataflow: stage %d extend %d old-edge slot %d not an ext slot", i, k, s)
 				}
 			}
-			if e.TwinTail != 0 {
+			if e.Tail != 0 {
 				switch {
-				case !s.Terminal.Sink || e.IsVerify() || e.TwinTail < 2:
-					return fmt.Errorf("dataflow: stage %d extend %d has a bad twin-tail mark", i, k)
-				case e.TwinWedge && (k != 0 || s.Scan == nil || e.TwinTail != len(s.Extends)):
+				case !s.Terminal.Sink || e.IsVerify() || e.Tail < 2:
+					return fmt.Errorf("dataflow: stage %d extend %d has a bad tail mark", i, k)
+				case e.TwinWedge && (k != 0 || s.Scan == nil || e.Tail != len(s.Extends)):
 					return fmt.Errorf("dataflow: stage %d extend %d: a wedge twin tail must span a scan stage from its first extend", i, k)
-				case !e.TwinWedge && k != len(s.Extends)-e.TwinTail:
-					return fmt.Errorf("dataflow: stage %d extend %d: a twin tail of %d must end at the sink", i, k, e.TwinTail)
+				case !e.TwinWedge && k != len(s.Extends)-e.Tail:
+					return fmt.Errorf("dataflow: stage %d extend %d: a tail of %d must end at the sink", i, k, e.Tail)
+				case !e.TwinWedge && !s.countableTail(k):
+					return fmt.Errorf("dataflow: stage %d extend %d: the tail reads its own slots, verifies, or has more than two sets", i, k)
 				}
 			}
 		}
@@ -310,9 +358,9 @@ func (d *Dataflow) String() string {
 				fmt.Fprintf(&sb, " -> PULL-EXTEND(%v=>v%d%s%s%s)", e.ExtSlots, e.TargetQV+1, labelSuffix(e.TargetLabel), el, old)
 			}
 			if e.TwinWedge {
-				fmt.Fprintf(&sb, " [wedge twins %d]", e.TwinTail)
-			} else if e.TwinTail > 0 {
-				fmt.Fprintf(&sb, " [twins %d]", e.TwinTail)
+				fmt.Fprintf(&sb, " [wedge twins %d]", e.Tail)
+			} else if e.Tail > 0 {
+				fmt.Fprintf(&sb, " [tail %d]", e.Tail)
 			}
 		}
 		if s.Terminal.Sink {

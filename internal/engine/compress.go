@@ -10,38 +10,47 @@ import (
 	"repro/internal/graph"
 )
 
-// countExtend is the compressed form of processExtend (the generic
-// compression optimisation [63]): for the final PULL-EXTEND before a
-// counting SINK, each input tuple contributes |C| — the intersection of the
-// operands narrowed to what the symmetry-breaking orders allow — minus the
-// candidates rejected by injectivity; no output rows are built, queued, or
-// re-scanned. The fetch stage and cache protocol are
-// identical to the materialising path.
+// countTail is the compressed form of processExtend (the generic
+// compression optimisation [63]) at the start of a counting sink stage's
+// independent tail: the extends of tail end the stage and match pairwise
+// non-adjacent query vertices whose neighbours every input row has
+// matched. Each target then draws from one candidate set S fixed by the
+// row — its operands' intersection narrowed by its orders against the row,
+// filtered by its label and old-edge predicate, minus the row's vertices —
+// and the row adds the injective, order-respecting picks in closed form:
 //
-// At the start of a twin tail (e.TwinTail = k) the same count c is turned
-// into C(c, k): the k twins' assignments are the k-subsets of the one
-// candidate set, so the tail's remaining extends never run.
+//   - one target (the final extension): |S|;
+//   - k twins, one set totally ordered: C(|S|, k);
+//   - two sets without an order between them: |S_a|·|S_b| − |S_a ∩ S_b|;
+//   - two sets with x < y: the ordered pairs, one merge of the two lists.
+//
+// No output rows are built, queued, or re-scanned, and one fetch pulls
+// every target's operands for the batch.
 //
 // Grouped counting rides the same path: when the run carries a GroupAgg and
 // the sink a GroupSpec, each chunk accumulates per-group partial counts into
 // a pooled worker-local table that merges into the shared aggregate — the
 // additive analogue of how every chunk claims from the shared match Budget.
-func (r *machineRun) countExtend(e *dataflow.Extend, b *dataflow.Batch) (uint64, error) {
-	r.fetch(e, b)
+// A key may read the first target only when it is the tail's one target.
+func (r *machineRun) countTail(tail []*dataflow.Extend, b *dataflow.Batch) (uint64, error) {
+	r.fetch(b, tail...)
 	defer r.m.Release()
-	// The candidate predicate is built once per batch and shared by every
-	// chunk and worker (it is read-only after construction).
-	pred := r.newCandPred(e)
-	if pred.impossible {
+	// The tail's sets are resolved once per run and shared by every chunk
+	// and worker (they are read-only after construction).
+	if r.tail == nil {
+		r.tail = r.newTailCount(tail)
+	}
+	tc := r.tail
+	if tc.sets[0].pred.impossible || tc.pair && tc.sets[1].pred.impossible {
 		return 0, nil
 	}
 	var keyer *groupKeyer
 	if spec := r.ex.st.Terminal.Group; spec != nil && r.ex.eng.cfg.Groups != nil {
-		// Row slots of the input tuple are OutLayout minus the extension
-		// target; keys that read the target resolve per candidate.
-		rowLayout := e.OutLayout[:len(e.OutLayout)-1]
+		// Row slots of the input tuple are OutLayout minus the first
+		// target; keys that read it resolve per candidate.
+		e := tail[0]
 		var err error
-		if keyer, err = newGroupKeyer(*spec, rowLayout, e.TargetQV, r.m.Graph()); err != nil {
+		if keyer, err = newGroupKeyer(*spec, e.OutLayout[:len(e.OutLayout)-1], e.TargetQV, r.m.Graph()); err != nil {
 			return 0, err
 		}
 	}
@@ -49,7 +58,7 @@ func (r *machineRun) countExtend(e *dataflow.Extend, b *dataflow.Batch) (uint64,
 	// shared aggregate under work stealing.
 	var total atomic.Uint64
 	_, err := r.forChunks(b, keyer != nil, func(sc *extendScratch, c *dataflow.Batch) error {
-		n, err := r.countChunk(e, c, &pred, keyer, sc)
+		n, err := r.countChunk(tc, c, keyer, sc)
 		total.Add(n)
 		return err
 	})
@@ -59,71 +68,98 @@ func (r *machineRun) countExtend(e *dataflow.Extend, b *dataflow.Batch) (uint64,
 	return total.Load(), nil
 }
 
-func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, pred *candPred, keyer *groupKeyer, sc *extendScratch) (uint64, error) {
-	twins := uint64(e.TwinTail) // 0 outside a twin tail, whose keys never read a twin
+// tailSet is one target's candidate set as the rows entering a tail see it:
+// the extend with only its orders against those rows, and its predicate.
+type tailSet struct {
+	e    dataflow.Extend
+	pred candPred
+}
+
+// tailCount is a tail resolved for one run: k targets drawing from
+// sets[0] alone (one target, or twins), or — pair — two targets drawing
+// from sets[0] and sets[1], the second ordered against the first by order.
+type tailCount struct {
+	k     uint64
+	pair  bool
+	order pairOrder
+	sets  [2]tailSet
+}
+
+// pairOrder is the order between the two targets of a pair.
+type pairOrder int
+
+const (
+	unordered  pairOrder = iota
+	firstLess            // x < y: the first target's vertex is the smaller
+	secondLess           // y < x
+)
+
+func (r *machineRun) newTailCount(tail []*dataflow.Extend) *tailCount {
+	tc := &tailCount{k: uint64(len(tail))}
+	tc.sets[0].e = *tail[0]
+	tc.sets[0].pred = r.newCandPred(&tc.sets[0].e)
+	if len(tail) != 2 {
+		return tc // one target, or twins (dataflow.Validate)
+	}
+	width := len(tail[0].OutLayout) - 1
+	b := &tc.sets[1].e
+	*b = *tail[1]
+	b.NewFilters = nil
+	for _, f := range tail[1].NewFilters {
+		switch {
+		case f.Slot < width:
+			b.NewFilters = append(b.NewFilters, f)
+		case f.NewLess:
+			tc.order = secondLess
+		default:
+			tc.order = firstLess
+		}
+	}
+	// Ordered twins are C(|S|, 2) off one count; anything else is a pair.
+	if tc.pair = tc.order == unordered || !tail[0].SameCandidates(tail[1], width); tc.pair {
+		tc.sets[1].pred = r.newCandPred(b)
+	}
+	return tc
+}
+
+func (r *machineRun) countChunk(tc *tailCount, c *dataflow.Batch, keyer *groupKeyer, sc *extendScratch) (uint64, error) {
+	s := &tc.sets[0]
 	bud := r.ex.eng.cfg.Budget
 	gt := sc.gt
 	// A row-determined key (it reads only matched slots) keeps the count
-	// fast path: the whole surviving candidate set lands in one group. A
-	// target-dependent key (it reads the vertex this extension matches)
-	// forces the per-candidate loop, where keys are collected so that under
-	// a budget exactly the granted share is attributed.
+	// fast path: the row's whole count lands in one group. A key that reads
+	// the one target forces the per-candidate loop, where keys are
+	// collected so that under a budget exactly the granted share is
+	// attributed.
 	rowKeyed := keyer != nil && keyer.rowDetermined()
 	candKeyed := keyer != nil && !keyer.rowDetermined()
-	hubMin := pred.g.HubMinDegree()
+	hubMin := s.pred.g.HubMinDegree()
 	var total uint64
 	for i := 0; i < c.Rows(); i++ {
 		if bud != nil && bud.Exhausted() {
 			return total, nil
 		}
 		row := c.Row(i)
-		ok, err := r.gatherOperands(e, row, pred.g, hubMin, sc)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			continue
-		}
-		var n uint64
-		switch {
-		case pred.trivial() && !candKeyed:
-			// Count-only fast path — injectivity is the only predicate left,
-			// the symmetry-breaking orders having narrowed the operands: the
-			// candidate set is never materialised — the adaptive count kernel
-			// reduces the all-hub case to a popcount, and the collision
-			// subtraction probes each matched vertex through every narrowed
-			// operand (a vertex is a candidate iff every operand contains it)
-			// instead of searching a built list.
-			n = uint64(graph.IntersectCountAdaptive(sc.sets, &sc.isect))
-			if n > 0 {
-				for _, u := range row {
-					if containsAll(sc.sets, u) {
-						n--
-					}
-				}
-			}
-			if twins > 0 {
-				n = binom(n, twins)
-			}
-			if bud != nil {
-				// Claim per input row: workers race for the shared budget, and
-				// whatever is granted is exactly what gets counted.
-				n = bud.Take(n)
-			}
-		case candKeyed:
+		if candKeyed {
 			// Candidate-keyed grouping tests and keys each candidate without
 			// materialising the set: a packed bitset result is iterated bit
 			// by bit.
-			cand := graph.IntersectAdaptive(sc.sets, &sc.isect)
+			ok, err := r.gatherOperands(&s.e, row, s.pred.g, hubMin, sc)
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				continue
+			}
 			keys := gt.keys[:0]
-			cand.Range(func(v graph.VertexID) bool {
-				if acceptCandidate(pred, row, v) {
+			graph.IntersectAdaptive(sc.sets, &sc.isect).Range(func(v graph.VertexID) bool {
+				if acceptCandidate(&s.pred, row, v) {
 					keys = append(keys, keyer.candKey(row, v))
 				}
 				return true
 			})
 			gt.keys = keys
-			n = uint64(len(keys))
+			n := uint64(len(keys))
 			if bud != nil {
 				n = bud.Take(n)
 			}
@@ -132,23 +168,17 @@ func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, pred *can
 			for _, k := range keys[:n] {
 				gt.counts[k]++
 			}
-		default:
-			// Filtered counting (labels, delta old-edge rejection): candidates
-			// are only tested, never collected — the shared candPred runs per
-			// set bit when the bitset path wins.
-			cand := graph.IntersectAdaptive(sc.sets, &sc.isect)
-			cand.Range(func(v graph.VertexID) bool {
-				if acceptCandidate(pred, row, v) {
-					n++
-				}
-				return true
-			})
-			if twins > 0 {
-				n = binom(n, twins)
-			}
-			if bud != nil {
-				n = bud.Take(n)
-			}
+			total += n
+			continue
+		}
+		n, err := r.countRow(tc, row, hubMin, sc)
+		if err != nil {
+			return 0, err
+		}
+		if bud != nil {
+			// Claim per input row: workers race for the shared budget, and
+			// whatever is granted is exactly what gets counted.
+			n = bud.Take(n)
 		}
 		if rowKeyed && n > 0 {
 			gt.add(keyer.rowKey(row), n)
@@ -156,6 +186,170 @@ func (r *machineRun) countChunk(e *dataflow.Extend, c *dataflow.Batch, pred *can
 		total += n
 	}
 	return total, nil
+}
+
+// countRow returns one row's count in closed form: |S| for one target,
+// C(|S|, k) for twins, countPair's for two sets.
+func (r *machineRun) countRow(tc *tailCount, row []graph.VertexID, hubMin int, sc *extendScratch) (uint64, error) {
+	if tc.pair {
+		return r.countPair(tc, row, hubMin, sc)
+	}
+	s := &tc.sets[0]
+	ok, err := r.gatherOperands(&s.e, row, s.pred.g, hubMin, sc)
+	if err != nil || !ok {
+		return 0, err
+	}
+	var n uint64
+	if s.pred.trivial() {
+		// Injectivity is the only predicate left, the symmetry-breaking
+		// orders having narrowed the operands: the candidate set is never
+		// materialised — the adaptive count kernel reduces the all-hub case
+		// to a popcount, and the collision subtraction probes each matched
+		// vertex through every narrowed operand (a vertex is a candidate
+		// iff every operand contains it) instead of searching a built list.
+		n = uint64(graph.IntersectCountAdaptive(sc.sets, &sc.isect))
+		for _, u := range row {
+			if n > 0 && containsAll(sc.sets, u) {
+				n--
+			}
+		}
+	} else {
+		// Filtered counting (labels, delta old-edge rejection): candidates
+		// are only tested, never collected — the shared candPred runs per
+		// set bit when the bitset path wins.
+		graph.IntersectAdaptive(sc.sets, &sc.isect).Range(func(v graph.VertexID) bool {
+			if acceptCandidate(&s.pred, row, v) {
+				n++
+			}
+			return true
+		})
+	}
+	if tc.k > 1 {
+		n = binom(n, tc.k)
+	}
+	return n, nil
+}
+
+// countPair counts a two-set tail on one row. Each set is its operands'
+// intersection, filtered by its predicate when that is not trivial; a
+// single operand, or the set intersected last, is read where it lies, and
+// anything else is copied to the worker's scratch first. The row's own
+// vertices stay in the sets: pairCount discounts them. Rows arrive in runs
+// that share their leading slots, so a set whose operands and range are
+// the previous row's is not resolved again.
+func (r *machineRun) countPair(tc *tailCount, row []graph.VertexID, hubMin int, sc *extendScratch) (uint64, error) {
+	var sets [2][]graph.VertexID
+	for i := range tc.sets {
+		s, p := &tc.sets[i], &sc.pair[i]
+		lo, hi := candidateRange(s.e.NewFilters, row)
+		if p.from != nil && p.lo == lo && p.hi == hi && sameOperands(s.e.ExtSlots, row, p.from) {
+			if sets[i] = p.set; len(sets[i]) == 0 {
+				return 0, nil
+			}
+			continue
+		}
+		ok, err := r.gatherOperands(&s.e, row, s.pred.g, hubMin, sc)
+		if err != nil {
+			return 0, err
+		}
+		from := row
+		if ok {
+			cand := graph.IntersectAdaptive(sc.sets, &sc.isect)
+			switch {
+			case !s.pred.trivial():
+				set := p.buf[:0]
+				cand.Range(func(v graph.VertexID) bool {
+					if s.pred.ok(row, v) {
+						set = append(set, v)
+					}
+					return true
+				})
+				p.buf, sets[i] = set, set
+			case cand.Bits != nil || i == 0 && len(sc.sets) > 1:
+				// A bitset, or a list in the intersection scratch that the
+				// second set's intersection will overwrite.
+				p.buf = cand.AppendTo(p.buf[:0])
+				sets[i] = p.buf
+			default:
+				sets[i] = cand.List
+				if len(sc.sets) > 1 {
+					from = nil // in the intersection scratch: not kept
+				}
+			}
+		}
+		p.set, p.from, p.lo, p.hi = sets[i], from, lo, hi
+		if len(sets[i]) == 0 {
+			return 0, nil
+		}
+	}
+	return pairCount(sets[0], sets[1], row, tc.order), nil
+}
+
+// pairSet is one set of a pair tail as a worker's countPair last resolved
+// it: for the operands of row from in [lo, hi), or for no row when from is
+// nil. buf holds it when it had to be copied.
+type pairSet struct {
+	set, buf, from []graph.VertexID
+	lo, hi         graph.VertexID
+}
+
+// sameOperands reports whether rows a and b hold the same vertices in the
+// slots an extend reads.
+func sameOperands(slots []int, a, b []graph.VertexID) bool {
+	for _, s := range slots {
+		if a[s] != b[s] {
+			return false
+		}
+	}
+	return true
+}
+
+// pairCount returns the picks (x, y), x ∈ a and y ∈ b, neither a vertex of
+// row, with x ≠ y and the given order between them, for ascending a and b,
+// in one merge of the two lists: |a′|·|b′| − |a′ ∩ b′| without an order,
+// Σ_{y ∈ b′} #{x ∈ a′ : x < y} with one (a′, b′ the lists less the row).
+// The row is sorted on the stack, so the merge skips its vertices by
+// walking it alongside.
+func pairCount(a, b, row []graph.VertexID, order pairOrder) uint64 {
+	if order == secondLess {
+		a, b = b, a
+	}
+	var buf [16]graph.VertexID
+	srt := append(buf[:0], row...)
+	slices.Sort(srt)
+	k := 0
+	inRow := func(v graph.VertexID) bool {
+		for k < len(srt) && srt[k] < v {
+			k++
+		}
+		return k < len(srt) && srt[k] == v
+	}
+	var less, na, nb, common uint64
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		switch {
+		case j == len(b) || i < len(a) && a[i] < b[j]:
+			if !inRow(a[i]) {
+				na++
+			}
+			i++
+		case i == len(a) || b[j] < a[i]:
+			if !inRow(b[j]) {
+				less += na // the x ∈ a′ merged so far are those below y
+				nb++
+			}
+			j++
+		default: // a[i] == b[j]
+			if !inRow(a[i]) {
+				less += na
+				na, nb, common = na+1, nb+1, common+1
+			}
+			i, j = i+1, j+1
+		}
+	}
+	if order == unordered {
+		return na*nb - common
+	}
+	return less
 }
 
 // containsAll reports whether u lies in every operand set — the adaptive
@@ -197,7 +391,7 @@ func acceptCandidate(pred *candPred, row []graph.VertexID, v graph.VertexID) boo
 // group key reads c1 or c2, never a twin. Only t's adjacency is pulled,
 // exactly as EXTEND(t ⇒ c2) pulls it.
 func (r *machineRun) countWedges(e *dataflow.Extend, b *dataflow.Batch) (uint64, error) {
-	r.fetch(e, b)
+	r.fetch(b, e)
 	defer r.m.Release()
 	pred := r.newCandPred(e)
 	if pred.impossible {
@@ -231,7 +425,7 @@ func wedgeKeyLayout(e *dataflow.Extend) []int {
 }
 
 func (r *machineRun) countWedgeChunk(e *dataflow.Extend, c *dataflow.Batch, pred *candPred, keyer *groupKeyer, sc *extendScratch) (uint64, error) {
-	twins := uint64(e.TwinTail)
+	twins := uint64(e.Tail)
 	bud := r.ex.eng.cfg.Budget
 	g, trivial := pred.g, pred.trivial()
 	hubMin := g.HubMinDegree()

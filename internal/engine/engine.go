@@ -69,10 +69,11 @@ type Config struct {
 	// a PULL-EXTEND, its matches are counted directly from the candidate
 	// sets instead of being materialised, shuffled and re-counted; a
 	// PUSH-JOIN feeding the SINK directly is counted too. When the stage
-	// ends in a twin tail (Extend.TwinTail), counting starts where the tail
-	// does: C(c, k) per prefix row for k twins over a matched
-	// neighbourhood, Σ C(wedges, k) per scanned vertex for K₂,ₖ — unless a
-	// group key reads a twin, which leaves the final extend to count.
+	// ends in a marked tail (Extend.Tail), counting starts where the tail
+	// does, with one closed form per prefix row: C(|S|, k) for k twins,
+	// |S_a|·|S_b| − |S_a ∩ S_b| or the ordered pairs of one merge for two
+	// sets, Σ C(wedges, k) per scanned vertex for K₂,ₖ — unless a group
+	// key reads a tail vertex, which leaves the final extend to count.
 	// Ignored when OnResult is set (rows must then exist).
 	Compress bool
 	// DeltaEdges is the pinned edge set of a delta-mode run: DeltaScan
@@ -220,15 +221,15 @@ func Run(ctx context.Context, ex *cluster.Exec, df *dataflow.Dataflow, cfg Confi
 
 // countOp picks the operator of st that counts its matches instead of
 // materialising them (compression [63]), or 0 when none may: the start of
-// a twin tail when the run's group key reads no twin, else the final
-// PULL-EXTEND before a counting SINK.
+// a marked tail when the run's group key reads no tail vertex, else the
+// final PULL-EXTEND before a counting SINK — the tail of one.
 func (e *Engine) countOp(st *dataflow.Stage) int {
 	last := len(st.Extends)
 	if !e.cfg.Compress || e.cfg.OnResult != nil || !st.Terminal.Sink || last == 0 {
 		return 0
 	}
 	for i, x := range st.Extends {
-		if x.TwinTail == 0 {
+		if x.Tail == 0 {
 			continue
 		}
 		if e.cfg.Groups == nil || st.Terminal.Group == nil {
@@ -257,7 +258,7 @@ func (e *Engine) runStage(ctx context.Context, st *dataflow.Stage) error {
 
 	// A PUSH-JOIN feeding a counting SINK directly is counted, not
 	// materialised — the condition under which runOp counts a final
-	// PULL-EXTEND (countExtend), minus what only an extend can do: group.
+	// PULL-EXTEND (countTail), minus what only an extend can do: group.
 	countJoin := st.JoinSrc != nil && len(st.Extends) == 0 && st.Terminal.Sink &&
 		e.cfg.Compress && e.cfg.OnResult == nil && e.cfg.Groups == nil
 

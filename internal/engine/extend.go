@@ -16,7 +16,7 @@ import (
 // machine's cache, then a parallel intersect stage reading it lock-free
 // and zero-copy, and a final Release.
 func (r *machineRun) processExtend(e *dataflow.Extend, b *dataflow.Batch) ([]*dataflow.Batch, error) {
-	r.fetch(e, b)
+	r.fetch(b, e)
 	// Release is a cache write; forChunks has joined its workers by then,
 	// so the single-writer invariant holds.
 	defer r.m.Release()
@@ -30,31 +30,37 @@ func (r *machineRun) processExtend(e *dataflow.Extend, b *dataflow.Batch) ([]*da
 }
 
 // fetch is the engine's half of the fetch stage: it collects the batch's
-// remote vertices — each once, ascending, so the machine's requests are
-// reproducible — and hands them to the machine, which owns the cache
-// protocol. A one-machine run owns every vertex: there is nothing to scan
-// for.
-func (r *machineRun) fetch(e *dataflow.Extend, b *dataflow.Batch) {
+// remote vertices that the extends read — each once, ascending, so the
+// machine's requests are reproducible — and hands them to the machine,
+// which owns the cache protocol. A one-machine run owns every vertex:
+// there is nothing to scan for.
+func (r *machineRun) fetch(b *dataflow.Batch, exts ...*dataflow.Extend) {
 	eng := r.ex.eng
 	if len(eng.ex.Machines) == 1 {
 		return
 	}
 	start := time.Now()
 	if r.seen == nil {
-		r.seen = map[graph.VertexID]struct{}{}
+		r.seen = make([]uint64, (r.m.Graph().NumVertices()+63)/64)
 	}
-	clear(r.seen)
 	remote := r.remote[:0]
 	for i := 0; i < b.Rows(); i++ {
 		row := b.Row(i)
-		for _, s := range e.ExtSlots {
-			if v := row[s]; !r.m.Owns(v) {
-				// One hash per occurrence: the set grew iff v is new.
-				if r.seen[v] = struct{}{}; len(r.seen) > len(remote) {
-					remote = append(remote, v)
+		for _, e := range exts {
+			for _, s := range e.ExtSlots {
+				// Rows arrive in runs sharing their leading slots: a vertex
+				// the previous row holds in the same slot was just seen.
+				v := row[s]
+				if i > 0 && b.Row(i - 1)[s] == v || r.seen[v/64]&(1<<(v%64)) != 0 || r.m.Owns(v) {
+					continue
 				}
+				r.seen[v/64] |= 1 << (v % 64)
+				remote = append(remote, v)
 			}
 		}
+	}
+	for _, v := range remote {
+		r.seen[v/64] = 0
 	}
 	slices.Sort(remote)
 	r.m.Fetch(remote)
@@ -71,6 +77,8 @@ type extendScratch struct {
 	outs    []*dataflow.Batch
 	rowBuf  []graph.VertexID
 	gt      *groupTable // worker-local group counts of a grouped counting run
+	// pair holds the two candidate sets of a pair tail's row (countPair).
+	pair [2]pairSet
 	// wedges and touched are a wedge count's dense per-c2 counter, sized to
 	// the graph, and the entries it set (countWedgeChunk).
 	wedges  []uint32
@@ -87,9 +95,10 @@ var scratchPool = sync.Pool{New: func() any { return new(extendScratch) }}
 // release hands back what a worker produced on sc — its output batches —
 // and returns the drained scratch to the pool: the worker-local group
 // table is merged into the run's aggregate, the kernel-dispatch tally into
-// the run's metrics. The adjacency and hub-bitset references in sets are
-// cleared so the pool never pins a superseded graph snapshot; a leftover
-// empty output batch goes back to the batch pool rather than leaking.
+// the run's metrics. The adjacency and hub-bitset references in sets and
+// pair are cleared so the pool never pins a superseded graph snapshot (nor
+// reuses a set across batches); a leftover empty output batch goes back to
+// the batch pool rather than leaking.
 func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
 	outs := sc.outs
 	if sc.out != nil && sc.out.Rows() > 0 {
@@ -104,6 +113,9 @@ func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
 	sc.isect.DropRefs()
 	clear(sc.sets)
 	sc.sets = sc.sets[:0]
+	for i := range sc.pair {
+		sc.pair[i] = pairSet{buf: sc.pair[i].buf[:0]}
+	}
 	sc.out.Recycle()
 	sc.out, sc.outs, sc.gt = nil, nil, nil
 	scratchPool.Put(sc)

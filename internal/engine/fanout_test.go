@@ -197,7 +197,7 @@ func TestIntersectWithoutFetchFailsTheRun(t *testing.T) {
 			}
 			// The same batch after its fetch stage extends cleanly.
 			b := rowsBatch(g.NumVertices())
-			r.fetch(e, b)
+			r.fetch(b, e)
 			outs, err = r.forChunks(b, false, extend)
 			r.m.Release()
 			if err != nil {

@@ -79,6 +79,9 @@ type machineRun struct {
 	// PUSH-JOIN feeding a counting SINK directly: operator 0 then counts
 	// the join's output instead of materialising and queueing it.
 	countJoin *joinIter
+	// tail is the stage's counted tail as countTail resolved it for this
+	// machine, once: the same for every batch of the run.
+	tail *tailCount
 
 	mu     sync.Mutex // guards queues/qrows (scheduler vs inter-machine thieves)
 	queues [][]*dataflow.Batch
@@ -95,9 +98,10 @@ type machineRun struct {
 	// terminal, reused from batch to batch.
 	slabs [][]graph.VertexID
 
-	// seen and remote are the fetch stage's set and sorted list of a
-	// batch's remote vertices, reused from batch to batch.
-	seen   map[graph.VertexID]struct{}
+	// seen and remote are the fetch stage's set (one bit per vertex of
+	// the graph, zero between batches) and sorted list of a batch's remote
+	// vertices, reused from batch to batch.
+	seen   []uint64
 	remote []graph.VertexID
 
 	// fan and fanWG are forChunks' per-worker slots and its barrier.
@@ -350,20 +354,20 @@ func (r *machineRun) runOp(op int) error {
 			}
 			if op == r.ex.countOp {
 				// Compression [63]: the matches are counted from the
-				// candidate sets without materialisation — the final
-				// extension's, or a twin tail's from where it starts.
+				// candidate sets without materialisation — the tail's
+				// from where it starts, the final extension's without one.
 				var n uint64
 				var err error
 				if e.TwinWedge {
 					n, err = r.countWedges(e, b)
 				} else {
-					n, err = r.countExtend(e, b)
+					n, err = r.countTail(st.Extends[op-1:], b)
 				}
 				if err != nil {
 					return err
 				}
-				if e.TwinTail > 0 {
-					r.ex.eng.ex.Metrics.TwinTailRows.Add(uint64(b.Rows()))
+				if e.Tail > 0 {
+					r.ex.eng.ex.Metrics.TailRows.Add(uint64(b.Rows()))
 				}
 				r.ex.eng.ex.Metrics.Results.Add(n)
 				r.batchProcessed(b)

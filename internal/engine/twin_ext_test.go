@@ -78,7 +78,7 @@ func TestTwinTailPatterns(t *testing.T) {
 					if got != want {
 						t.Errorf("%s %s %s compress=%v: count %d, want %d\n%s", v.name, q, p.Name, compress, got, want, df)
 					}
-					if ex.Metrics.TwinTailRows.Load() > 0 {
+					if ex.Metrics.TailRows.Load() > 0 {
 						twinRuns++
 					}
 				}
@@ -135,7 +135,7 @@ func TestTwinTailDeltaFlows(t *testing.T) {
 
 func hasTwinTail(df *dataflow.Dataflow) bool {
 	for _, e := range df.Stages[len(df.Stages)-1].Extends {
-		if e.TwinTail > 0 {
+		if e.Tail > 0 {
 			return true
 		}
 	}

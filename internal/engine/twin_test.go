@@ -87,7 +87,7 @@ func twinDataflow(t *testing.T, q *query.Query) *dataflow.Dataflow {
 		t.Fatal(err)
 	}
 	for _, e := range df.Stages[len(df.Stages)-1].Extends {
-		if e.TwinTail > 0 {
+		if e.Tail > 0 {
 			return df
 		}
 	}
@@ -124,7 +124,7 @@ func TestTwinTailBoundarySweep(t *testing.T) {
 							if got != want {
 								t.Errorf("%s: count %d, want %d", id, got, want)
 							}
-							if rows := ex.Metrics.TwinTailRows.Load(); rows != scanned {
+							if rows := ex.Metrics.TailRows.Load(); rows != scanned {
 								t.Errorf("%s: %d twin-tail rows, want the %d scanned", id, rows, scanned)
 							}
 							if live := ex.Metrics.LiveTuples(); live != 0 {
@@ -247,7 +247,7 @@ func TestTwinTailCompressOff(t *testing.T) {
 			if got != want {
 				t.Errorf("%s compress=%v: count %d, want %d", q.Name(), cfg.Compress, got, want)
 			}
-			if rows := ex.Metrics.TwinTailRows.Load(); rows != 0 {
+			if rows := ex.Metrics.TailRows.Load(); rows != 0 {
 				t.Errorf("%s compress=%v onResult=%v: %d twin-tail rows, want 0", q.Name(), cfg.Compress, cfg.OnResult != nil, rows)
 			}
 		}

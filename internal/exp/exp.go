@@ -150,13 +150,19 @@ type HugeOpts struct {
 	CacheBytes  uint64
 	LoadBalance engine.LoadBalance
 	Machines    int // 0 = Env.K
+	// Compress counts with the compression of Qiao et al. [63] — a tail
+	// counted in closed form, the final extension counted, not
+	// materialised — as a counting System.Exec does. Off, HUGE enumerates
+	// every match like the materialising baselines it is compared with.
+	Compress bool
 }
 
 // RunHUGE executes q on g with the plan huge.System picks for the named
 // family, on a cluster deployed with the experiment's ablation settings —
 // cache variant and capacity, load-balancing strategy, modelled latency —
-// which only this rig flips. Compression is off to keep the measurements
-// comparable with the materialising baselines.
+// which only this rig flips. Compression is off unless o.Compress asks for
+// it, to keep the measurements comparable with the materialising
+// baselines.
 func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 	k := o.Machines
 	if k == 0 {
@@ -195,6 +201,7 @@ func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 		BatchRows:   o.BatchRows,
 		QueueRows:   queue,
 		LoadBalance: o.LoadBalance,
+		Compress:    o.Compress,
 	})
 	if err != nil {
 		return RunResult{Name: name, Err: err}

@@ -48,9 +48,9 @@ type Metrics struct {
 	StealsIntra atomic.Uint64
 	StealsInter atomic.Uint64
 
-	// TwinTailRows counts the prefix rows a twin tail counted: each adds
-	// C(c, k) at once instead of enumerating its k twins.
-	TwinTailRows atomic.Uint64
+	// TailRows counts the prefix rows a marked tail of k ≥ 2 counted: each
+	// adds its k targets' picks in closed form instead of enumerating them.
+	TailRows atomic.Uint64
 
 	// PUSH-JOIN buffers that outgrew their in-memory threshold: sorted runs
 	// written to disk and their size. Zero means every join input of the
@@ -185,8 +185,8 @@ type Summary struct {
 	StealsIntra, StealsInter uint64
 	Kernels                  graph.KernelCounts
 
-	// Prefix rows counted by a twin tail (Metrics.TwinTailRows).
-	TwinTailRows uint64
+	// Prefix rows counted by a tail of k ≥ 2 (Metrics.TailRows).
+	TailRows uint64
 
 	// PUSH-JOIN sorted runs spilled to disk, and their bytes.
 	JoinSpillRuns, JoinSpillBytes uint64
@@ -215,7 +215,7 @@ func (a Summary) Add(b Summary) Summary {
 	a.StealsIntra += b.StealsIntra
 	a.StealsInter += b.StealsInter
 	a.Kernels.Add(b.Kernels)
-	a.TwinTailRows += b.TwinTailRows
+	a.TailRows += b.TailRows
 	a.JoinSpillRuns += b.JoinSpillRuns
 	a.JoinSpillBytes += b.JoinSpillBytes
 	a.BatchGrows += b.BatchGrows
@@ -242,7 +242,7 @@ func (m *Metrics) Snapshot() Summary {
 		StealsIntra:    m.StealsIntra.Load(),
 		StealsInter:    m.StealsInter.Load(),
 		Kernels:        m.Kernels.Snapshot(),
-		TwinTailRows:   m.TwinTailRows.Load(),
+		TailRows:       m.TailRows.Load(),
 		BatchGrows:     m.BatchGrows.Load(),
 		BatchShrinks:   m.BatchShrinks.Load(),
 		BatchRowsLast:  m.BatchRowsLast.Load(),

@@ -87,8 +87,8 @@ func CostOf(p *Plan, cfg Config) float64 {
 	return cfg.costOf(p)
 }
 
-// costOf is CostOf on a defaulted config. A twin tail is priced at its
-// prefix (twinCost).
+// costOf is CostOf on a defaulted config. A tail of two or more is priced
+// at its prefix (tailCost).
 func (c *Config) costOf(p *Plan) float64 {
 	var rec func(n *Node) subPlan
 	rec = func(n *Node) subPlan {
@@ -102,7 +102,7 @@ func (c *Config) costOf(p *Plan) float64 {
 		}
 		return subPlan{cost: c.joinCost(n.Comm, rec(n.Left), r, card), card: card}
 	}
-	if cost, ok := c.twinCost(p, rec); ok {
+	if cost, ok := c.tailCost(p, rec); ok {
 		return cost
 	}
 	return rec(p.Root).cost
@@ -120,10 +120,11 @@ func (c *Config) costOf(p *Plan) float64 {
 // wedge) and the chosen orientation is kept when the tree is built. Ties go
 // to the split enumerated first, left side holding the lowest edge.
 //
-// A twin tail (twin.go) is priced at its prefix, which the DP over
-// sub-queries cannot see: the tree the DP finds is re-priced by CostOf's
-// rule and competes with every tree whose tail is a twin tail, each built
-// on the DP's optimum for its prefix. The first strictly cheapest wins.
+// A tail of two or more (tail.go) is priced at its prefix, which the DP
+// over sub-queries cannot see: the tree the DP finds is re-priced by
+// CostOf's rule and competes with every tree whose tail qualifies, each
+// built on the DP's optimum for its prefix. The first strictly cheapest
+// wins.
 func Optimize(q *query.Query, cfg Config) *Plan {
 	cfg = cfg.withDefaults()
 	full := q.FullEdgeMask()
@@ -204,12 +205,16 @@ func Optimize(q *query.Query, cfg Config) *Plan {
 		return &Node{Edges: em, Left: build(e.l), Right: build(e.r), Alg: alg, Comm: comm}
 	}
 	p := &Plan{Q: q, Root: build(full), Cost: table[full].cost, Name: "huge-optimal"}
-	if !cfg.twinPriced() || len(twinGroups(q)) == 0 {
+	if !cfg.tailPriced() {
 		return p
 	}
-	p.Cost = cfg.costOf(p)
 	inTable := func(em uint32) bool { _, ok := table[em]; return ok }
-	for _, root := range twinCandidates(q, inTable, build) {
+	cands := tailCandidates(q, inTable, build)
+	if len(cands) == 0 {
+		return p // the DP's tree has no tail either: its prefix would be a candidate's
+	}
+	p.Cost = cfg.costOf(p)
+	for _, root := range cands {
 		cand := &Plan{Q: q, Root: root, Name: p.Name}
 		if cand.Cost = cfg.costOf(cand); cand.Cost < p.Cost {
 			p = cand

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -45,8 +46,11 @@ func TestTwinTailClasses(t *testing.T) {
 
 // TestTwinTailMarks checks what Translate marks: the square's wco plan is
 // the wedge shape, the diamond's chord-first plan counts both twins over
-// the chord, the 3-star counts its last two leaves, and a plan without
-// twins, or whose twins the labels tell apart, is left alone.
+// the chord, the 3-star counts its last two leaves, the 4-star its last
+// three (twins), and a plan whose last two targets are independent counts
+// them as a pair even when no twins are left: the tailed square's v4 and
+// pendant, the diamond whose labels tell its twins apart. A plan that ends
+// in one extend, or in adjacent targets, is left alone.
 func TestTwinTailMarks(t *testing.T) {
 	mark := func(q *query.Query) string {
 		t.Helper()
@@ -55,12 +59,12 @@ func TestTwinTailMarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, e := range df.Stages[len(df.Stages)-1].Extends {
-			if e.TwinTail > 0 {
+			if e.Tail > 0 {
 				kind := "tail"
 				if e.TwinWedge {
 					kind = "wedge"
 				}
-				return strings.Repeat(" ", i) + kind + string(rune('0'+e.TwinTail))
+				return strings.Repeat(" ", i) + kind + string(rune('0'+e.Tail))
 			}
 		}
 		return ""
@@ -73,26 +77,28 @@ func TestTwinTailMarks(t *testing.T) {
 		{query.Q1(), "wedge2"},
 		{query.Q2(), "tail2"},
 		{star, "tail2"},
+		{query.New("k14", [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}}), "tail3"},
 		{query.Triangle(), ""},
 		{query.Q3(), ""},
-		{query.Q5(), ""},
-		{query.Q2().WithVertexLabels([]int{1, 0, 2, 0}), ""},
+		{query.Q5(), " tail2"},
+		{query.Q2().WithVertexLabels([]int{1, 0, 2, 0}), "tail2"},
 	} {
 		if got := mark(c.q); got != c.want {
 			t.Errorf("%s: mark %q, want %q", c.q, got, c.want)
 		}
 	}
-	// A delta flow qualifies only as translated: the twins' edges must be
-	// restricted to older edges alike. The 3-star's flows pinning its first
-	// and last edge restrict both remaining leaves' edges the same way, the
-	// middle one only one of them; the diamond's chord flow restricts v1's
-	// edges but only one of v3's.
+	// A delta flow qualifies as translated. The 3-star's flows pinning its
+	// first and last edge restrict both remaining leaves' edges the same
+	// way (twins), the middle one only one of them (a pair); the diamond's
+	// chord flow ends in v1 and v3 over the chord (a pair: v1's edges are
+	// restricted to older ones, one of v3's is), its other flows in
+	// adjacent targets.
 	for _, c := range []struct {
 		q    *query.Query
-		want []int // twin tail per flow
+		want []int // tail per flow
 	}{
-		{star, []int{2, 0, 2}},
-		{query.Q2(), []int{0, 0, 0, 0, 0}},
+		{star, []int{2, 2, 2}},
+		{query.Q2(), []int{0, 0, 0, 2, 0}},
 	} {
 		flows, err := TranslateDelta(c.q)
 		if err != nil {
@@ -100,16 +106,17 @@ func TestTwinTailMarks(t *testing.T) {
 		}
 		for i, df := range flows {
 			ext := df.Stages[0].Extends
-			if got := ext[len(ext)-2].TwinTail; got != c.want[i] {
-				t.Errorf("%s delta flow pinning %v: twin tail %d, want %d\n%s", c.q.Name(), c.q.Edges()[i], got, c.want[i], df)
+			if got := ext[len(ext)-2].Tail; got != c.want[i] {
+				t.Errorf("%s delta flow pinning %v: tail %d, want %d\n%s", c.q.Name(), c.q.Edges()[i], got, c.want[i], df)
 			}
 		}
 	}
 }
 
-// TestTwinTailPricing: a twin tail is priced at its prefix — the diamond's
+// TestTwinTailPricing: a tail is priced at its prefix — the diamond's
 // chord-first plan at its chord scan plus the pulled adjacency, the
-// square's wedge shape at its wedge join — while the baseline planners'
+// square's wedge shape at its wedge join, the 5-path's pair at its 3-path
+// plus the two sets it builds per row — while the baseline planners'
 // configs (IgnoreComm, Force*) never price it.
 func TestTwinTailPricing(t *testing.T) {
 	stats := testStats(t)
@@ -130,53 +137,70 @@ func TestTwinTailPricing(t *testing.T) {
 		t.Errorf("square: optimal plan costs %g, want its wedge join %g\n%s", p1.Cost, want, p1)
 	}
 
+	// q7's pair tail: the 3-path v2–v5 scanned and extended, plus both ends'
+	// sets built per row — the 4-paths v1–v5 and v2–v6.
+	q7 := query.Q7()
+	edges := func(es ...[2]int) uint32 {
+		var m uint32
+		for _, e := range es {
+			m |= 1 << edgeIndex(q7, e[0], e[1])
+		}
+		return m
+	}
+	path := edges([2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4})
+	p7 := Optimize(q7, cfg)
+	mid := edges([2]int{1, 2}, [2]int{2, 3})
+	prefix := cfg.Card(q7, mid) + cfg.Card(q7, path) + comm // SCAN(v3; v2, v4) then EXTEND(v4 ⇒ v5)
+	sets := cfg.Card(q7, path|edges([2]int{0, 1})) + cfg.Card(q7, path|edges([2]int{4, 5}))
+	if want := prefix + comm + sets; math.Abs(p7.Cost-want) > 1e-9*want {
+		t.Errorf("5-path: optimal plan costs %g, want its 3-path, the pulls and both ends' sets %g\n%s", p7.Cost, want, p7)
+	}
+
 	for _, base := range []Config{
 		{NumMachines: 1, Card: cfg.Card, IgnoreComm: true},
 		{NumMachines: 1, Card: cfg.Card, ForceAlg: new(JoinAlg), ForceComm: new(CommMode)},
 	} {
 		c := base.withDefaults()
-		if _, ok := c.twinCost(p2, nil); ok {
+		if _, ok := c.tailCost(p2, nil); ok {
 			t.Errorf("%+v prices a twin tail", base)
 		}
 	}
 }
 
-// TestTwinTailPlanPins pins the optimal plans of the tracked classes
-// without a twin tail on LJ statistics: twin pricing must leave them
-// exactly as they were.
+// TestTwinTailPlanPins pins the optimal plans of the tracked classes on LJ
+// statistics and the tails they translate to. Tail pricing leaves every
+// tree but q7's exactly as it was: the tailed square's plan now ends in a
+// pair (v4 and the pendant v5), which it counted by enumerating v5 before.
+// q7 leaves Exp-9's 3-path ⋈ 2-path PUSH-JOIN for the 3-path v2–v5 with
+// its two ends counted as an ordered pair.
 func TestTwinTailPlanPins(t *testing.T) {
-	pins := map[*query.Query]string{
-		query.Triangle(): `  join [wco, pulling] vmask=111
+	pins := map[*query.Query]struct{ tree, tail string }{
+		query.Triangle(): {`  join [wco, pulling] vmask=111
     unit star(v1; v3)
     unit star(v2; v1,v3)
-`,
-		query.Q3(): `  join [wco, pulling] vmask=1111
+`, ""},
+		query.Q3(): {`  join [wco, pulling] vmask=1111
     join [wco, pulling] vmask=1101
       unit star(v1; v4)
       unit star(v3; v1,v4)
     unit star(v2; v1,v3,v4)
-`,
-		query.Q5(): `  join [wco, pulling] vmask=11111
+`, ""},
+		query.Q5(): {`  join [wco, pulling] vmask=11111
     join [wco, pulling] vmask=1111
       unit star(v2; v1,v3)
       unit star(v4; v1,v3)
     unit star(v1; v5)
-`,
-		query.Q6(): `  join [wco, pulling] vmask=111111
+`, "[tail 2]"},
+		query.Q6(): {`  join [wco, pulling] vmask=111111
     join [wco, pulling] vmask=111101
       join [wco, pulling] vmask=111100
         unit star(v4; v3,v6)
         unit star(v5; v3,v6)
       unit star(v1; v3)
     unit star(v2; v1,v4)
-`,
-		query.Q7(): `  join [hash, pushing] vmask=111111
-    join [wco, pulling] vmask=1111
-      unit star(v2; v1,v3)
-      unit star(v3; v4)
-    unit star(v5; v4,v6)
-`,
-		query.Q8(): `  join [wco, pulling] vmask=111111
+`, ""},
+		query.Q7(): {q7TailTree, "[tail 2]"},
+		query.Q8(): {`  join [wco, pulling] vmask=111111
     join [wco, pulling] vmask=111011
       join [wco, pulling] vmask=111001
         join [wco, pulling] vmask=111000
@@ -185,7 +209,7 @@ func TestTwinTailPlanPins(t *testing.T) {
         unit star(v1; v4)
       unit star(v2; v1,v5)
     unit star(v3; v1,v2,v6)
-`,
+`, ""},
 	}
 	g := gen.ByName("LJ", 1)
 	stats := ComputeStats(g)
@@ -193,19 +217,36 @@ func TestTwinTailPlanPins(t *testing.T) {
 		cfg := Config{NumMachines: machines, GraphEdges: float64(g.NumEdges()), Card: MomentEstimator(stats)}
 		for q, want := range pins {
 			p := Optimize(q, cfg)
-			if got := treeString(p); got != want {
-				t.Errorf("k=%d %s plan changed:\n%swant\n%s", machines, q.Name(), got, want)
+			if got := treeString(p); got != want.tree {
+				t.Errorf("k=%d %s plan changed:\n%swant\n%s", machines, q.Name(), got, want.tree)
 			}
 			df, err := Translate(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if strings.Contains(df.String(), "twins") {
-				t.Errorf("k=%d %s: a twin tail in\n%s", machines, q.Name(), df)
+			tail := ""
+			for _, e := range df.Stages[len(df.Stages)-1].Extends {
+				if e.Tail > 0 {
+					tail = fmt.Sprintf("[tail %d]", e.Tail)
+				}
+			}
+			if tail != want.tail {
+				t.Errorf("k=%d %s: tail mark %q, want %q in\n%s", machines, q.Name(), tail, want.tail, df)
 			}
 		}
 	}
 }
+
+// q7TailTree is q7's optimal plan on the LJ, OR and EU statistics: the
+// 3-path v2–v5, then v1 and v6 as the pair tail.
+const q7TailTree = `  join [wco, pulling] vmask=111111
+    join [wco, pulling] vmask=11111
+      join [wco, pulling] vmask=11110
+        unit star(v3; v2,v4)
+        unit star(v4; v5)
+      unit star(v1; v2)
+    unit star(v5; v6)
+`
 
 // TestTwinTailValidate: Validate rejects twin-tail marks the engine could
 // not honour.
@@ -214,14 +255,14 @@ func TestTwinTailValidate(t *testing.T) {
 		name string
 		edit func(st *dataflow.Stage)
 	}{
-		{"a tail of one", func(st *dataflow.Stage) { st.Extends[0].TwinTail = 1 }},
+		{"a tail of one", func(st *dataflow.Stage) { st.Extends[0].Tail = 1 }},
 		{"a tail running past the sink", func(st *dataflow.Stage) {
-			st.Extends[0].TwinTail, st.Extends[0].TwinWedge = 0, false
-			st.Extends[1].TwinTail = 2
+			st.Extends[0].Tail, st.Extends[0].TwinWedge = 0, false
+			st.Extends[1].Tail = 2
 		}},
 		{"a wedge off the first extend", func(st *dataflow.Stage) {
-			st.Extends[0].TwinTail, st.Extends[0].TwinWedge = 0, false
-			st.Extends[1].TwinTail, st.Extends[1].TwinWedge = 2, true
+			st.Extends[0].Tail, st.Extends[0].TwinWedge = 0, false
+			st.Extends[1].Tail, st.Extends[1].TwinWedge = 2, true
 		}},
 	} {
 		df, err := Translate(HugeWcoPlanStats(query.Q1(), GraphStats{}))
@@ -231,6 +272,31 @@ func TestTwinTailValidate(t *testing.T) {
 		c.edit(df.Stages[0])
 		if df.Validate() == nil {
 			t.Errorf("%s: Validate accepted\n%s", c.name, df)
+		}
+	}
+	// A tail must read only its prefix, and beyond two targets draw from
+	// one set: the 3-path's tail with its last extend rewired to read the
+	// one before, and a 4-star's leaves labelled apart (three sets).
+	star := query.NewLabeled("k14", [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, []int{0, 1, 2, 3, 4})
+	for _, q := range []*query.Query{query.New("p4", [][2]int{{0, 1}, {1, 2}, {2, 3}}), star} {
+		df, err := Translate(HugeWcoPlanStats(q, GraphStats{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := df.Stages[0].Extends
+		for _, e := range ext {
+			e.Tail = 0
+		}
+		k := 2
+		if q == star {
+			k = 3
+		}
+		ext[len(ext)-k].Tail = k
+		if q != star {
+			ext[len(ext)-1].ExtSlots = []int{len(ext[len(ext)-2].OutLayout) - 1}
+		}
+		if df.Validate() == nil {
+			t.Errorf("%s: Validate accepted\n%s", q.Name(), df)
 		}
 	}
 }

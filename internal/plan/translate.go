@@ -23,7 +23,7 @@ import (
 // Symmetry-breaking orders are attached to the earliest operator at which
 // both endpoints are matched; injectivity between join sides becomes
 // cross-distinct checks on the join output. A sink stage that ends in a
-// twin tail gets it marked (markTwinTail).
+// countable tail gets it marked (markTail).
 func Translate(p *Plan) (*dataflow.Dataflow, error) {
 	t := &translator{q: p.Q}
 	pipe, err := t.node(p.Root)
@@ -31,7 +31,7 @@ func Translate(p *Plan) (*dataflow.Dataflow, error) {
 		return nil, fmt.Errorf("plan %s: %v", p.Name, err)
 	}
 	pipe.stage.Terminal = dataflow.Terminal{Sink: true}
-	markTwinTail(t.q, pipe.stage)
+	markTail(t.q, pipe.stage)
 	d := &dataflow.Dataflow{Stages: t.stages}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("plan %s: translated dataflow invalid: %v", p.Name, err)

@@ -40,8 +40,9 @@ func Q6() *Query {
 	return New("q6-ladder", [][2]int{{0, 1}, {2, 3}, {4, 5}, {0, 2}, {2, 4}, {1, 3}, {3, 5}})
 }
 
-// Q7 is the 5-path (6 vertices); its optimal plan joins a 3-path with a
-// 2-path via PUSH-JOIN, exactly as Exp-9 describes.
+// Q7 is the 5-path (6 vertices). Exp-9's hybrid plan joins a 3-path with a
+// 2-path via PUSH-JOIN; a counting run now enumerates the middle 3-path
+// and counts the two ends per row in closed form instead.
 func Q7() *Query {
 	return New("q7-5path", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
 }
