@@ -153,10 +153,10 @@ func (e *Extend) SameCandidates(f *Extend, width int) bool {
 	return n == 0
 }
 
-// countableTail reports whether the extends from the k-th on form a tail
+// CountableTail reports whether the extends from the k-th on form a tail
 // the engine can count: none verifies, each reads only the slots the rows
 // entering the k-th hold, and beyond two targets all draw from one set.
-func (s *Stage) countableTail(k int) bool {
+func (s *Stage) CountableTail(k int) bool {
 	tail := s.Extends[k:]
 	width := len(tail[0].OutLayout) - 1
 	for _, e := range tail {
@@ -302,7 +302,7 @@ func (d *Dataflow) Validate() error {
 					return fmt.Errorf("dataflow: stage %d extend %d: a wedge twin tail must span a scan stage from its first extend", i, k)
 				case !e.TwinWedge && k != len(s.Extends)-e.Tail:
 					return fmt.Errorf("dataflow: stage %d extend %d: a tail of %d must end at the sink", i, k, e.Tail)
-				case !e.TwinWedge && !s.countableTail(k):
+				case !e.TwinWedge && !s.CountableTail(k):
 					return fmt.Errorf("dataflow: stage %d extend %d: the tail reads its own slots, verifies, or has more than two sets", i, k)
 				}
 			}

@@ -40,27 +40,31 @@ func (r *machineRun) fetch(b *dataflow.Batch, exts ...*dataflow.Extend) {
 		return
 	}
 	start := time.Now()
-	if r.seen == nil {
-		r.seen = make([]uint64, (r.m.Graph().NumVertices()+63)/64)
-	}
-	remote := r.remote[:0]
-	for i := 0; i < b.Rows(); i++ {
-		row := b.Row(i)
-		for _, e := range exts {
-			for _, s := range e.ExtSlots {
-				// Rows arrive in runs sharing their leading slots: a vertex
-				// the previous row holds in the same slot was just seen.
-				v := row[s]
-				if i > 0 && b.Row(i - 1)[s] == v || r.seen[v/64]&(1<<(v%64)) != 0 || r.m.Owns(v) {
-					continue
-				}
-				r.seen[v/64] |= 1 << (v % 64)
-				remote = append(remote, v)
+	// The slots the extends read, each once: twins read the same ones.
+	var buf [16]int
+	slots := buf[:0]
+	for _, e := range exts {
+		for _, s := range e.ExtSlots {
+			if !slices.Contains(slots, s) {
+				slots = append(slots, s)
 			}
 		}
 	}
-	for _, v := range remote {
-		r.seen[v/64] = 0
+	if r.seen == nil {
+		r.seen = map[graph.VertexID]struct{}{}
+	}
+	clear(r.seen)
+	remote := r.remote[:0]
+	for i := 0; i < b.Rows(); i++ {
+		row := b.Row(i)
+		for _, s := range slots {
+			if v := row[s]; !r.m.Owns(v) {
+				// One hash per occurrence: the set grew iff v is new.
+				if r.seen[v] = struct{}{}; len(r.seen) > len(remote) {
+					remote = append(remote, v)
+				}
+			}
+		}
 	}
 	slices.Sort(remote)
 	r.m.Fetch(remote)
@@ -96,9 +100,9 @@ var scratchPool = sync.Pool{New: func() any { return new(extendScratch) }}
 // and returns the drained scratch to the pool: the worker-local group
 // table is merged into the run's aggregate, the kernel-dispatch tally into
 // the run's metrics. The adjacency and hub-bitset references in sets and
-// pair are cleared so the pool never pins a superseded graph snapshot (nor
-// reuses a set across batches); a leftover empty output batch goes back to
-// the batch pool rather than leaking.
+// pair are cleared so the pool never pins a superseded graph snapshot nor
+// reuses a pair set in a later batch; a leftover empty output batch goes
+// back to the batch pool rather than leaking.
 func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
 	outs := sc.outs
 	if sc.out != nil && sc.out.Rows() > 0 {
@@ -114,7 +118,8 @@ func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
 	clear(sc.sets)
 	sc.sets = sc.sets[:0]
 	for i := range sc.pair {
-		sc.pair[i] = pairSet{buf: sc.pair[i].buf[:0]}
+		p := &sc.pair[i]
+		p.set, p.from = nil, nil
 	}
 	sc.out.Recycle()
 	sc.out, sc.outs, sc.gt = nil, nil, nil

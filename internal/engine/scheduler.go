@@ -98,10 +98,9 @@ type machineRun struct {
 	// terminal, reused from batch to batch.
 	slabs [][]graph.VertexID
 
-	// seen and remote are the fetch stage's set (one bit per vertex of
-	// the graph, zero between batches) and sorted list of a batch's remote
-	// vertices, reused from batch to batch.
-	seen   []uint64
+	// seen and remote are the fetch stage's set and sorted list of a
+	// batch's remote vertices, reused from batch to batch.
+	seen   map[graph.VertexID]struct{}
 	remote []graph.VertexID
 
 	// fan and fanWG are forChunks' per-worker slots and its barrier.

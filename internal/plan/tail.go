@@ -104,26 +104,25 @@ func markTail(q *query.Query, st *dataflow.Stage) {
 		return
 	}
 	for s := 0; s+2 <= len(st.Extends); s++ {
-		if countable(q, st.Extends[s:]) {
+		if countable(q, st, s) {
 			st.Extends[s].Tail = len(st.Extends) - s
 			return
 		}
 	}
 }
 
-// countable reports whether the extends of tail, which end a stage, are a
-// tail with a closed form: no verify, every target's operands its whole
-// q-neighbourhood read from the prefix, and either two targets or a twin
-// class drawing from one set.
-func countable(q *query.Query, tail []*dataflow.Extend) bool {
-	width := len(tail[0].OutLayout) - 1 // the prefix's slots
+// countable reports whether st's extends from the k-th on are a tail with
+// a closed form: one the engine can count (dataflow.Stage.CountableTail)
+// whose every target reads its whole q-neighbourhood, with two targets or
+// a twin class drawing from one set.
+func countable(q *query.Query, st *dataflow.Stage, k int) bool {
+	if !st.CountableTail(k) {
+		return false
+	}
+	tail := st.Extends[k:]
 	ts := make([]int, len(tail))
 	for i, e := range tail {
-		if e.IsVerify() || len(e.ExtSlots) != q.Degree(e.TargetQV) ||
-			slices.ContainsFunc(e.ExtSlots, func(s int) bool { return s >= width }) {
-			return false
-		}
-		if len(tail) > 2 && !e.SameCandidates(tail[0], width) {
+		if len(e.ExtSlots) != q.Degree(e.TargetQV) {
 			return false
 		}
 		ts[i] = e.TargetQV
