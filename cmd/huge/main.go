@@ -299,8 +299,9 @@ func main() {
 		}
 	}
 	m := res.Metrics
-	fmt.Printf("comm: pulled %.2fMB pushed %.2fMB rpcs %d hitRate %.1f%%\n",
-		float64(m.BytesPulled)/(1<<20), float64(m.BytesPushed)/(1<<20), m.RPCCalls,
+	fmt.Printf("comm: %.2fMB (pulled %.2fMB pushed %.2fMB stolen %.2fMB) rpcs %d hitRate %.1f%%\n",
+		float64(m.BytesPulled+m.BytesPushed+m.BytesStolen)/(1<<20),
+		float64(m.BytesPulled)/(1<<20), float64(m.BytesPushed)/(1<<20), float64(m.BytesStolen)/(1<<20), m.RPCCalls,
 		100*float64(m.CacheHits)/float64(maxU(1, m.CacheHits+m.CacheMisses)))
 	fmt.Printf("memory: peak %d queued tuples; steals intra=%d inter=%d\n",
 		m.PeakTuples, m.StealsIntra, m.StealsInter)

@@ -658,7 +658,14 @@ func (s *System) newExec(g *Graph) *cluster.Exec {
 }
 
 func (s *System) runPlan(ctx context.Context, sn *snapshot, p *Plan, r run) (Result, error) {
-	df, err := plan.Translate(p)
+	// A run that delivers no match and groups none only counts, so it may
+	// break the pattern's symmetry where its plan counts fastest; matches
+	// and group keys are defined on q's own orders.
+	translate := plan.Translate
+	if r.fn == nil && r.gr == nil {
+		translate = plan.TranslateCount
+	}
+	df, err := translate(p)
 	if err != nil {
 		return Result{}, err
 	}

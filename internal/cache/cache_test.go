@@ -223,3 +223,37 @@ func TestLRBURandomisedBatches(t *testing.T) {
 		}
 	}
 }
+
+// TestLRBUInsertAllocs: LRBU entries come from slabs and evicted ones are
+// reused, so a warm cache that evicts as much as it inserts allocates
+// nothing per Insert, and a cold one about one slab per maxSlab entries.
+func TestLRBUInsertAllocs(t *testing.T) {
+	list := nbrs(1, 2, 3, 4)
+	const perBatch = 64
+	c := New(LRBU, 64*entryBytes(list)) // 64 entries fit
+	next := graph.VertexID(0)
+	batch := func() {
+		for i := 0; i < perBatch; i++ {
+			c.Insert(next, list)
+			next++
+		}
+		c.Release()
+	}
+	for i := 0; i < 8; i++ {
+		batch() // warm: the cache is full and holds spare entries
+	}
+	if a := testing.AllocsPerRun(100, batch); a > 0 {
+		t.Errorf("a warm cache allocates %.1f times per batch of %d evicting inserts, want 0", a, perBatch)
+	}
+	cold := func() {
+		c := New(LRBU, 1<<30)
+		for v := graph.VertexID(0); v < 4*maxSlab; v++ {
+			c.Insert(v, list)
+		}
+	}
+	// The cache, its map and sealed list grow; the entries cost one
+	// object per slab (16, 32, 64, 128, 256, 256, 256 for 1024 entries).
+	if a := testing.AllocsPerRun(10, cold); a > 4*maxSlab/8 {
+		t.Errorf("a cold cache allocates %.0f times for %d inserts, want at most %d", a, 4*maxSlab, 4*maxSlab/8)
+	}
+}

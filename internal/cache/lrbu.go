@@ -112,7 +112,18 @@ type lrbu struct {
 	capacity  uint64
 	sizeBytes uint64
 	copyOnGet bool
+
+	// Entries come from slabs and evicted ones are reused through spare
+	// (linked by next), so a run that pulls many vertices allocates one
+	// object per slab rather than one per entry.
+	slab   []entry
+	spare  *entry
+	issued int // entries taken from slabs so far: the next slab's size
 }
+
+// maxSlab caps the entries of one slab; slabs start small and double up to
+// it, so a run that caches a handful of vertices allocates a handful.
+const maxSlab = 256
 
 func newLRBU(capacityBytes uint64, copyOnGet bool) *lrbu {
 	return &lrbu{m: make(map[graph.VertexID]*entry), capacity: capacityBytes, copyOnGet: copyOnGet}
@@ -150,7 +161,8 @@ func (c *lrbu) Insert(v graph.VertexID, nbrs []graph.VertexID) {
 	}
 	// If Ŝ_free is empty the insert proceeds regardless of capacity; the
 	// overflow is bounded by the remote vertices of one batch (Section 4.4).
-	e := &entry{vid: v, nbrs: nbrs, sealed: true}
+	e := c.newEntry()
+	*e = entry{vid: v, nbrs: nbrs, sealed: true}
 	c.m[v] = e
 	c.sizeBytes += need
 	c.sealed = append(c.sealed, e)
@@ -164,9 +176,25 @@ func (c *lrbu) evictHead() {
 	} else {
 		c.freeTail = nil
 	}
-	e.next, e.prev, e.inFree = nil, nil, false
 	delete(c.m, e.vid)
 	c.sizeBytes -= entryBytes(e.nbrs)
+	*e = entry{next: c.spare}
+	c.spare = e
+}
+
+// newEntry returns an evicted entry, else the next one of the current slab.
+func (c *lrbu) newEntry() *entry {
+	if e := c.spare; e != nil {
+		c.spare = e.next
+		return e
+	}
+	if len(c.slab) == 0 {
+		c.slab = make([]entry, min(max(c.issued, 16), maxSlab))
+	}
+	e := &c.slab[0]
+	c.slab = c.slab[1:]
+	c.issued++
+	return e
 }
 
 func (c *lrbu) Seal(v graph.VertexID) {

@@ -131,11 +131,18 @@ func (c *Cluster) NewExec() *Exec {
 func (x *Exec) Cfg() Config { return x.c.Cfg }
 
 // PushBytes accounts for a pushed (shuffled) message of the given size —
-// used by the router when feeding PUSH-JOIN inputs and when shipping
-// stolen batches across machines.
+// used by the router when feeding PUSH-JOIN inputs.
 func (x *Exec) PushBytes(bytes uint64) {
 	x.Metrics.PushMsgs.Add(1)
 	x.Metrics.BytesPushed.Add(bytes)
+	x.sleep(bytes)
+}
+
+// StealBytes accounts for stolen batches of the given size shipped to
+// another machine. The shipment costs what a push of that size does, but
+// it is load balancing, not a shuffle, so it is counted apart.
+func (x *Exec) StealBytes(bytes uint64) {
+	x.Metrics.BytesStolen.Add(bytes)
 	x.sleep(bytes)
 }
 

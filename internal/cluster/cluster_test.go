@@ -89,6 +89,12 @@ func TestPushBytes(t *testing.T) {
 	if s.BytesPushed != 1000 || s.PushMsgs != 1 {
 		t.Fatalf("push accounting: %+v", s)
 	}
+	// A steal shipment is counted apart from the shuffles.
+	x.StealBytes(300)
+	s = x.Metrics.Snapshot()
+	if s.BytesStolen != 300 || s.BytesPushed != 1000 || s.PushMsgs != 1 {
+		t.Fatalf("steal accounting: %+v", s)
+	}
 }
 
 // remoteOf returns a vertex with neighbours that machine m does not own.

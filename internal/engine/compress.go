@@ -24,6 +24,8 @@ import (
 //   - two sets without an order between them: |S_a|·|S_b| − |S_a ∩ S_b|;
 //   - two sets with x < y: the ordered pairs, one merge of the two lists.
 //
+// Both pair forms take the row's vertices out by membership tests.
+//
 // No output rows are built, queued, or re-scanned, and one fetch pulls
 // every target's operands for the batch.
 //
@@ -232,13 +234,13 @@ func (r *machineRun) countRow(tc *tailCount, row []graph.VertexID, hubMin int, s
 
 // countPair counts a two-set tail on one row. Each set is its operands'
 // intersection, filtered by its predicate when that is not trivial; a
-// single unfiltered operand is read where it lies, anything else is copied
-// to the worker's scratch. The row's own vertices stay in the sets:
-// pairCount discounts them. Rows arrive in runs that share their leading
-// slots, so a set whose operands and range are those of the row it was
-// last resolved for in the batch is not resolved again. On EU q7 at
-// Machines 2 this reuses v1's set (operand v2) on 92 % of the rows and
-// v6's (operand v5, the prefix's last slot) on 2 %.
+// single unfiltered operand is read where it lies, hub bitset and all,
+// anything else is copied to the worker's scratch. The row's own vertices
+// stay in the sets: the pair counts discount them by membership tests.
+// Rows arrive in runs that share their leading slots, so a set whose
+// operands and range are those of the row it was last resolved for in the
+// batch is not resolved again. On EU q7 at Machines 2 this reuses v1's set
+// (operand v2) on most rows.
 func (r *machineRun) countPair(tc *tailCount, row []graph.VertexID, hubMin int, sc *extendScratch) (uint64, error) {
 	for i := range tc.sets {
 		s, p := &tc.sets[i], &sc.pair[i]
@@ -248,41 +250,44 @@ func (r *machineRun) countPair(tc *tailCount, row []graph.VertexID, hubMin int, 
 			if err != nil {
 				return 0, err
 			}
-			p.set = nil
-			if ok {
-				cand := graph.IntersectAdaptive(sc.sets, &sc.isect)
-				switch {
-				case !s.pred.trivial():
-					p.buf = p.buf[:0]
-					cand.Range(func(v graph.VertexID) bool {
-						if s.pred.ok(row, v) {
-							p.buf = append(p.buf, v)
-						}
-						return true
-					})
-					p.set = p.buf
-				case len(sc.sets) == 1:
-					p.set = cand.List
-				default:
-					p.buf = cand.AppendTo(p.buf[:0])
-					p.set = p.buf
-				}
+			p.set = graph.NbrList{}
+			switch {
+			case !ok:
+			case !s.pred.trivial():
+				p.buf = p.buf[:0]
+				graph.IntersectAdaptive(sc.sets, &sc.isect).Range(func(v graph.VertexID) bool {
+					if s.pred.ok(row, v) {
+						p.buf = append(p.buf, v)
+					}
+					return true
+				})
+				p.set = graph.NbrList{List: p.buf}
+			case len(sc.sets) == 1:
+				p.set = sc.sets[0]
+			default:
+				p.buf = graph.IntersectAdaptive(sc.sets, &sc.isect).AppendTo(p.buf[:0])
+				p.set = graph.NbrList{List: p.buf}
 			}
 			p.from, p.lo, p.hi = row, lo, hi
 		}
-		if len(p.set) == 0 {
+		if len(p.set.List) == 0 {
 			return 0, nil
 		}
 	}
-	return pairCount(sc.pair[0].set, sc.pair[1].set, row, tc.order), nil
+	a, b := sc.pair[0].set, sc.pair[1].set
+	if tc.order == unordered {
+		return unorderedPairs(a, b, row, sc), nil
+	}
+	return orderedPairs(a.List, b.List, row, tc.order), nil
 }
 
 // pairSet is one set of a pair tail as a worker last resolved it in the
 // current batch: the candidates of the operands row from holds, in the
-// range [lo, hi), in buf when they had to be copied.
+// range [lo, hi), copied to buf when they are not one operand as it lies.
 type pairSet struct {
-	set, buf, from []graph.VertexID
-	lo, hi         graph.VertexID
+	set       graph.NbrList
+	buf, from []graph.VertexID
+	lo, hi    graph.VertexID
 }
 
 // sameOperands reports whether rows a and b hold the same vertices in the
@@ -296,50 +301,72 @@ func sameOperands(slots []int, a, b []graph.VertexID) bool {
 	return true
 }
 
-// pairCount returns the picks (x, y), x ∈ a and y ∈ b, neither a vertex of
-// row, with x ≠ y and the given order between them, for ascending a and b,
-// in one merge of the two lists: |a′|·|b′| − |a′ ∩ b′| without an order,
-// Σ_{y ∈ b′} #{x ∈ a′ : x < y} with one (a′, b′ the lists less the row).
-// The row is sorted on the stack, so the merge skips its vertices by
-// walking it alongside.
-func pairCount(a, b, row []graph.VertexID, order pairOrder) uint64 {
+// unorderedPairs returns the picks (x, y), x ∈ a and y ∈ b, neither a
+// vertex of row, with x ≠ y: |a′|·|b′| − |a′ ∩ b′| for a′, b′ the sets less
+// the row. |a ∩ b| comes from the adaptive count kernel (a popcount when
+// both are hubs), and each row vertex is taken out of |a|, |b| and
+// |a ∩ b| by one membership test per set — the row is never copied.
+func unorderedPairs(a, b graph.NbrList, row []graph.VertexID, sc *extendScratch) uint64 {
+	ops := [2]graph.NbrList{a, b}
+	na, nb := uint64(len(a.List)), uint64(len(b.List))
+	common := uint64(graph.IntersectCountAdaptive(ops[:], &sc.isect))
+	for _, u := range row {
+		inA, inB := a.Contains(u), b.Contains(u)
+		if inA {
+			na--
+		}
+		if inB {
+			nb--
+		}
+		if inA && inB {
+			common--
+		}
+	}
+	return na*nb - common
+}
+
+// orderedPairs returns the picks (x, y), x ∈ a and y ∈ b, neither a vertex
+// of row, with x < y (y < x for secondLess), for ascending a and b: one
+// merge counts Σ_{y ∈ b} #{x ∈ a : x < y} over the whole lists, then
+// inclusion–exclusion over the row's vertices, found by binary search,
+// takes out the pairs that use one: (x, u) for u ∈ row ∩ b, (u, y) for
+// u ∈ row ∩ a, and adds back the pairs (u, w) of two row vertices, which
+// both terms took out.
+func orderedPairs(a, b, row []graph.VertexID, order pairOrder) uint64 {
 	if order == secondLess {
 		a, b = b, a
 	}
-	var buf [16]graph.VertexID
-	srt := append(buf[:0], row...)
-	slices.Sort(srt)
-	k := 0
-	inRow := func(v graph.VertexID) bool {
-		for k < len(srt) && srt[k] < v {
-			k++
-		}
-		return k < len(srt) && srt[k] == v
-	}
-	var less, na, nb, common uint64
-	for i, j := 0, 0; i < len(a) || j < len(b); {
-		switch {
-		case j == len(b) || i < len(a) && a[i] < b[j]:
-			if !inRow(a[i]) {
-				na++
-			}
+	var less uint64
+	for i, j := 0, 0; j < len(b); j++ {
+		for i < len(a) && a[i] < b[j] {
 			i++
-		case i == len(a) || b[j] < a[i]:
-			if !inRow(b[j]) {
-				less += na // the x ∈ a′ merged so far are those below y
-				nb++
-			}
-			j++
-		default: // a[i] == b[j]
-			if !inRow(a[i]) {
-				less += na
-				na, nb, common = na+1, nb+1, common+1
-			}
-			i, j = i+1, j+1
+		}
+		less += uint64(i)
+	}
+	var inB uint32 // bit i: row[i] ∈ b (a row has at most query.MaxVertices slots)
+	for i, u := range row {
+		if _, ok := slices.BinarySearch(b, u); ok {
+			inB |= 1 << i
 		}
 	}
-	if order == unordered {
-		return na*nb - common
+	for i, u := range row {
+		below, inA := slices.BinarySearch(a, u)
+		if inB&(1<<i) != 0 {
+			less -= uint64(below) // (x, u) with x < u
+		}
+		if !inA {
+			continue
+		}
+		above, found := slices.BinarySearch(b, u)
+		if found {
+			above++
+		}
+		less -= uint64(len(b) - above) // (u, y) with u < y
+		for j, w := range row {
+			if inB&(1<<j) != 0 && u < w {
+				less++ // (u, w), taken out twice
+			}
+		}
 	}
 	return less
 }

@@ -119,7 +119,7 @@ func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
 	sc.sets = sc.sets[:0]
 	for i := range sc.pair {
 		p := &sc.pair[i]
-		p.set, p.from = nil, nil
+		p.set, p.from = graph.NbrList{}, nil
 	}
 	sc.out.Recycle()
 	sc.out, sc.outs, sc.gt = nil, nil, nil

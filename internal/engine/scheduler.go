@@ -497,7 +497,7 @@ func (r *machineRun) stealOnce() bool {
 			continue
 		}
 		r.ex.eng.ex.Metrics.StealsInter.Add(1)
-		r.ex.eng.ex.PushBytes(bytes)
+		r.ex.eng.ex.StealBytes(bytes)
 		r.enqueueStolen(op, batches)
 		return true
 	}

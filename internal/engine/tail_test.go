@@ -8,9 +8,10 @@ import (
 	"repro/internal/graph"
 )
 
-// TestTailPairCount checks the closed form of a two-set tail against brute
-// force on random sorted sets: overlapping, equal and empty sets, prefix
-// images inside them, without an order and with either.
+// TestTailPairCount checks the closed forms of a two-set tail against
+// brute force on random sorted sets: overlapping, equal and empty sets,
+// prefix images inside them, without an order (as lists and as hub
+// operands) and with either.
 func TestTailPairCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	subset := func(universe int) []graph.VertexID {
@@ -31,6 +32,7 @@ func TestTailPairCount(t *testing.T) {
 		return s
 	}
 	var equal, empty, imaged int
+	sc := new(extendScratch)
 	for i := 0; i < 3000; i++ {
 		universe := 1 + rng.Intn(14)
 		a, b, row := subset(universe), subset(universe), subset(universe)[:0:0]
@@ -63,8 +65,23 @@ func TestTailPairCount(t *testing.T) {
 					}
 				}
 			}
-			if got := pairCount(a, b, shuffled(row), order); got != want {
-				t.Fatalf("pairCount(%v, %v, order %d) minus %v = %d, want %d", a, b, order, row, got, want)
+			row := shuffled(row)
+			if order != unordered {
+				if got := orderedPairs(a, b, row, order); got != want {
+					t.Fatalf("orderedPairs(%v, %v, order %d) minus %v = %d, want %d", a, b, order, row, got, want)
+				}
+				continue
+			}
+			// Plain lists, and the same sets as hub operands, whose
+			// counts and membership tests go through the bitsets.
+			for _, hub := range []bool{false, true} {
+				na, nb := graph.NbrList{List: a}, graph.NbrList{List: b}
+				if hub {
+					na.Bits, nb.Bits = graph.NewBitsetFrom(universe, a), graph.NewBitsetFrom(universe, b)
+				}
+				if got := unorderedPairs(na, nb, row, sc); got != want {
+					t.Fatalf("unorderedPairs(%v, %v, hub %v) minus %v = %d, want %d", a, b, hub, row, got, want)
+				}
 			}
 		}
 	}

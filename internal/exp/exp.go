@@ -269,7 +269,7 @@ func (r RunResult) cells() []string {
 		r.Name,
 		fmtDur(r.Elapsed),
 		fmtDur(r.Summary.CommTime),
-		fmtMB(r.Summary.BytesPushed + r.Summary.BytesPulled),
+		fmtMB(r.Summary.BytesPushed + r.Summary.BytesPulled + r.Summary.BytesStolen),
 		fmt.Sprintf("%d", r.Summary.PeakTuples),
 		fmt.Sprintf("%d", r.Count),
 	}

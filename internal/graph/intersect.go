@@ -509,6 +509,12 @@ func IntersectCountAdaptive(sets []NbrList, scratch *IntersectScratch) int {
 		return 0
 	case 1:
 		return len(sets[0].List)
+	case 2:
+		if sets[0].Bits == nil && sets[1].Bits == nil {
+			// Two plain lists: the pair kernel picks merge or gallop
+			// itself, as the general path below would end up doing.
+			return intersectCountPair(sets[0].List, sets[1].List, &scratch.Stats)
+		}
 	}
 	perm := orderBySize(func(i int) int { return len(sets[i].List) }, len(sets), scratch)
 	minLen := len(sets[perm[0]].List)

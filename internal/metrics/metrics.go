@@ -16,6 +16,7 @@ import (
 type Metrics struct {
 	BytesPushed atomic.Uint64 // shuffled intermediate results (pushing mode)
 	BytesPulled atomic.Uint64 // adjacency pulled via GetNbrs (pulling mode)
+	BytesStolen atomic.Uint64 // batches shipped to another machine by work stealing
 	RPCCalls    atomic.Uint64
 	PushMsgs    atomic.Uint64
 
@@ -177,6 +178,7 @@ func (m *Maintenance) Snapshot() MaintenanceSummary {
 // Summary is a point-in-time copy of all counters, for reports and tests.
 type Summary struct {
 	BytesPushed, BytesPulled uint64
+	BytesStolen              uint64 // inter-machine steal shipments
 	RPCCalls, PushMsgs       uint64
 	CommTime, FetchTime      time.Duration
 	Results                  uint64
@@ -204,6 +206,7 @@ type Summary struct {
 func (a Summary) Add(b Summary) Summary {
 	a.BytesPushed += b.BytesPushed
 	a.BytesPulled += b.BytesPulled
+	a.BytesStolen += b.BytesStolen
 	a.RPCCalls += b.RPCCalls
 	a.PushMsgs += b.PushMsgs
 	a.CommTime += b.CommTime
@@ -231,6 +234,7 @@ func (m *Metrics) Snapshot() Summary {
 	return Summary{
 		BytesPushed:    m.BytesPushed.Load(),
 		BytesPulled:    m.BytesPulled.Load(),
+		BytesStolen:    m.BytesStolen.Load(),
 		RPCCalls:       m.RPCCalls.Load(),
 		PushMsgs:       m.PushMsgs.Load(),
 		CommTime:       time.Duration(m.CommTimeNs.Load()),

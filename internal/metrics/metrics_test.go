@@ -52,10 +52,11 @@ func TestSnapshotAndTotals(t *testing.T) {
 	var m Metrics
 	m.BytesPushed.Add(100)
 	m.BytesPulled.Add(50)
+	m.BytesStolen.Add(25)
 	m.Results.Add(7)
 	m.AddLiveTuples(9)
 	s := m.Snapshot()
-	if s.BytesPushed != 100 || s.BytesPulled != 50 || s.Results != 7 || s.PeakTuples != 9 {
+	if s.BytesPushed != 100 || s.BytesPulled != 50 || s.BytesStolen != 25 || s.Results != 7 || s.PeakTuples != 9 {
 		t.Fatalf("snapshot %+v", s)
 	}
 }

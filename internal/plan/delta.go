@@ -134,7 +134,7 @@ func deltaFlow(q *query.Query, edgeIdx map[[2]int]int, pin int, e [2]int) (*data
 		matched |= 1 << t
 	}
 	st.Terminal = dataflow.Terminal{Sink: true}
-	markTail(q, st)
+	markTail(q, q.Orders(), st)
 	d := &dataflow.Dataflow{Stages: []*dataflow.Stage{st}}
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -34,7 +34,7 @@ import (
 // vertex label and their edge labels towards N, are totally ordered among
 // themselves, and share every symmetry-breaking order they have with a
 // vertex outside the class. Their picks from one set are its k-subsets.
-func twinClass(q *query.Query, ts []int) bool {
+func twinClass(q *query.Query, orders []query.Order, ts []int) bool {
 	if len(ts) < 2 {
 		return false
 	}
@@ -55,7 +55,6 @@ func twinClass(q *query.Query, ts []int) bool {
 			}
 		}
 	}
-	orders := q.Orders()
 	var less [query.MaxVertices]uint32 // less[a]: twins ordered after a
 	for _, o := range orders {
 		inA, inB := tm&(1<<o.A) != 0, tm&(1<<o.B) != 0
@@ -98,13 +97,13 @@ func twinClass(q *query.Query, ts []int) bool {
 // that countable reports. The checks read the extends as translated —
 // operands, labels, old-edge restrictions and orders towards the prefix —
 // so delta flows qualify exactly as their rewriting leaves them.
-func markTail(q *query.Query, st *dataflow.Stage) {
-	if k := wedgeTwins(q, st); k > 0 {
+func markTail(q *query.Query, orders []query.Order, st *dataflow.Stage) {
+	if k := wedgeTwins(q, orders, st); k > 0 {
 		st.Extends[0].Tail, st.Extends[0].TwinWedge = k, true
 		return
 	}
 	for s := 0; s+2 <= len(st.Extends); s++ {
-		if countable(q, st, s) {
+		if countable(q, orders, st, s) {
 			st.Extends[s].Tail = len(st.Extends) - s
 			return
 		}
@@ -115,7 +114,7 @@ func markTail(q *query.Query, st *dataflow.Stage) {
 // a closed form: one the engine can count (dataflow.Stage.CountableTail)
 // whose every target reads its whole q-neighbourhood, with two targets or
 // a twin class drawing from one set.
-func countable(q *query.Query, st *dataflow.Stage, k int) bool {
+func countable(q *query.Query, orders []query.Order, st *dataflow.Stage, k int) bool {
 	if !st.CountableTail(k) {
 		return false
 	}
@@ -127,14 +126,14 @@ func countable(q *query.Query, st *dataflow.Stage, k int) bool {
 		}
 		ts[i] = e.TargetQV
 	}
-	return len(tail) == 2 || twinClass(q, ts)
+	return len(tail) == 2 || twinClass(q, orders, ts)
 }
 
 // wedgeTwins returns k when st counts q = K₂,ₖ in the wedge shape
 // SCAN(c1–t) → EXTEND(t ⇒ c2) → EXTEND({c1, c2} ⇒ t′)…: c1 and c2
 // non-adjacent, and the scanned t with every later target a twin class
 // over {c1, c2}. It returns 0 otherwise.
-func wedgeTwins(q *query.Query, st *dataflow.Stage) int {
+func wedgeTwins(q *query.Query, orders []query.Order, st *dataflow.Stage) int {
 	ext := st.Extends
 	if st.Scan == nil || len(ext) < 2 || q.NumVertices() != len(ext)+2 {
 		return 0
@@ -156,7 +155,7 @@ func wedgeTwins(q *query.Query, st *dataflow.Stage) int {
 		}
 		ts = append(ts, e.TargetQV)
 	}
-	if !twinClass(q, ts) {
+	if !twinClass(q, orders, ts) {
 		return 0
 	}
 	return len(ts)
@@ -260,7 +259,7 @@ func tailCandidates(q *query.Query, connected func(uint32) bool, build func(uint
 				ts = append(ts, v)
 			}
 		}
-		twins := twinClass(q, ts)
+		twins := twinClass(q, q.Orders(), ts)
 		if !twins && (len(ts) > 2 || q.HasEdge(ts[0], ts[1])) {
 			continue
 		}

@@ -32,14 +32,14 @@ func TestTwinTailClasses(t *testing.T) {
 		{diamondLabels, []int{0, 2}, false},
 		{diamondEdgeLabels, []int{0, 2}, false},
 	} {
-		if got := twinClass(c.q, c.ts); got != c.want {
+		if got := twinClass(c.q, c.q.Orders(), c.ts); got != c.want {
 			t.Errorf("twinClass(%s, %v) = %v, want %v", c.q, c.ts, got, c.want)
 		}
 	}
 	// Unordered twins (no automorphism exchanges differently labelled
 	// neighbours, so no order is derived) are not a class.
 	unordered := query.NewLabeled("unordered", [][2]int{{0, 1}, {1, 2}}, []int{1, 0, 2})
-	if twinClass(unordered, []int{0, 2}) {
+	if twinClass(unordered, unordered.Orders(), []int{0, 2}) {
 		t.Error("differently labelled leaves of a wedge form a twin class")
 	}
 }

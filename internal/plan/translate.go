@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dataflow"
 	"repro/internal/query"
@@ -23,15 +24,91 @@ import (
 // Symmetry-breaking orders are attached to the earliest operator at which
 // both endpoints are matched; injectivity between join sides becomes
 // cross-distinct checks on the join output. A sink stage that ends in a
-// countable tail gets it marked (markTail).
+// countable tail gets it marked (markTail). The orders are the query's
+// own (Query.Orders), so matches come out in their canonical assignment.
 func Translate(p *Plan) (*dataflow.Dataflow, error) {
-	t := &translator{q: p.Q}
+	return translate(p, p.Q.Orders())
+}
+
+// TranslateCount translates p for a run whose answer is a count (with or
+// without a match budget): one that delivers no match and groups none, so
+// any valid symmetry break serves it. It starts from Translate. When no
+// order of the query's own set falls on the sink stage's prefix — the
+// vertices matched before its counted tail — the prefix enumerates every
+// automorphic image of its rows, and the orders filter only at the tail.
+// The stabiliser chain whose bases come first in the sink's output layout
+// (Query.OrdersBy) puts an order on the prefix where one can go; p is then
+// translated with that set instead, provided its tail is no shorter. The
+// plan tree, and so the cost the optimiser priced, is unchanged.
+//
+// On q7 the query's set is {v1 < v6}, on the path ends that the tail
+// counts, and the chain along SCAN(v3–v2) → v4 → v5 → (v1, v6) gives
+// {v3 < v4}: the prefix enumerates each 3-path once instead of twice, and
+// the path ends become an unordered pair. The rule does not switch a
+// prefix that the query's set already orders: which vertex a range filter
+// bounds decides its cost on a graph whose hubs have low IDs, and the cost
+// model does not see it.
+func TranslateCount(p *Plan) (*dataflow.Dataflow, error) {
+	df, err := Translate(p)
+	if err != nil {
+		return nil, err
+	}
+	sink := df.Stages[len(df.Stages)-1]
+	k, n := countedTail(sink)
+	if n == 0 {
+		return df, nil
+	}
+	prefix := vertexMask(sink.SourceLayout)
+	if k > 0 {
+		prefix = vertexMask(sink.Extends[k-1].OutLayout)
+	}
+	onPrefix := func(o query.Order) bool { return prefix&(1<<o.A) != 0 && prefix&(1<<o.B) != 0 }
+	if slices.ContainsFunc(p.Q.Orders(), onPrefix) {
+		return df, nil
+	}
+	orders := p.Q.OrdersBy(sink.OutputLayout())
+	if !slices.ContainsFunc(orders, onPrefix) {
+		return df, nil
+	}
+	alt, err := translate(p, orders)
+	if err != nil {
+		return nil, err
+	}
+	if _, m := countedTail(alt.Stages[len(alt.Stages)-1]); m < n {
+		return df, nil
+	}
+	return alt, nil
+}
+
+// countedTail returns where st's counted tail starts and how many extends
+// it counts: the marked tail, else the final extension alone, else (a
+// stage ending in a verify, or in none) n = 0. A K₂,ₖ wedge count also
+// reports n = 0: its scanned twin is both source and tail.
+func countedTail(st *dataflow.Stage) (k, n int) {
+	for i, e := range st.Extends {
+		if e.Tail > 0 {
+			if e.TwinWedge {
+				return 0, 0
+			}
+			return i, e.Tail
+		}
+	}
+	if k = len(st.Extends) - 1; k < 0 || st.Extends[k].IsVerify() {
+		return 0, 0
+	}
+	return k, 1
+}
+
+// translate is Translate under the symmetry-breaking orders given, which
+// must be a valid break of p.Q.
+func translate(p *Plan, orders []query.Order) (*dataflow.Dataflow, error) {
+	t := &translator{q: p.Q, orders: orders}
 	pipe, err := t.node(p.Root)
 	if err != nil {
 		return nil, fmt.Errorf("plan %s: %v", p.Name, err)
 	}
 	pipe.stage.Terminal = dataflow.Terminal{Sink: true}
-	markTail(t.q, pipe.stage)
+	markTail(t.q, orders, pipe.stage)
 	d := &dataflow.Dataflow{Stages: t.stages}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("plan %s: translated dataflow invalid: %v", p.Name, err)
@@ -41,6 +118,7 @@ func Translate(p *Plan) (*dataflow.Dataflow, error) {
 
 type translator struct {
 	q      *query.Query
+	orders []query.Order // the symmetry break the operators enforce
 	stages []*dataflow.Stage
 }
 
@@ -93,7 +171,7 @@ func (t *translator) scanStar(em uint32) (*openPipe, error) {
 		LabelA: t.q.Label(root), LabelB: t.q.Label(leaves[0]),
 		EdgeLabel: t.q.EdgeLabelBetween(root, leaves[0]),
 	}
-	for _, o := range t.q.Orders() {
+	for _, o := range t.orders {
 		switch {
 		case o.A == root && o.B == leaves[0]:
 			scan.Filters = append(scan.Filters, dataflow.OrderFilter{SlotA: 0, SlotB: 1})
@@ -137,7 +215,7 @@ func extEdgeLabels(q *query.Query, layout []int, extSlots []int, target int) []i
 // edges.
 func (t *translator) appendExtend(pipe *openPipe, extSlots []int, target int) {
 	var filters []dataflow.NewFilter
-	for _, o := range t.q.Orders() {
+	for _, o := range t.orders {
 		if o.A == target && pipe.vmask&(1<<o.B) != 0 {
 			filters = append(filters, dataflow.NewFilter{Slot: pipe.slotOf(o.B), NewLess: true})
 		}
@@ -291,7 +369,7 @@ func (t *translator) pushingHash(n *Node) (*openPipe, error) {
 	}
 	// Symmetry-breaking orders spanning the two sides.
 	union := left.vmask | right.vmask
-	for _, o := range t.q.Orders() {
+	for _, o := range t.orders {
 		bothPresent := union&(1<<o.A) != 0 && union&(1<<o.B) != 0
 		inLeft := left.vmask&(1<<o.A) != 0 && left.vmask&(1<<o.B) != 0
 		inRight := right.vmask&(1<<o.A) != 0 && right.vmask&(1<<o.B) != 0

@@ -60,17 +60,24 @@ func Automorphisms(q *Query) [][]int {
 	return out
 }
 
-// symmetryBreak derives partial-order constraints from Aut(q): repeatedly
-// pick the smallest vertex v that some non-identity automorphism moves, add
-// v < u for every u in v's orbit, then restrict to the stabiliser of v.
-// The result admits exactly one ordered representative per embedding.
-func symmetryBreak(q *Query) []Order {
+// symmetryBreak derives partial-order constraints from Aut(q) along a
+// stabiliser chain: repeatedly take as base the first vertex, in the
+// priority prio (a permutation of q's vertices; nil is the identity), that
+// some automorphism of the remaining group moves, add v < u for every u in
+// v's orbit, then restrict to the stabiliser of v. Whatever the priority,
+// the result admits exactly one ordered representative per embedding; the
+// priority only decides which vertices the orders fall on.
+func symmetryBreak(q *Query, prio []int) []Order {
 	auts := Automorphisms(q)
 	var orders []Order
 	for len(auts) > 1 {
-		// Find the smallest moved vertex.
+		// Find the first moved vertex in priority order.
 		v := -1
-		for cand := 0; cand < q.n && v < 0; cand++ {
+		for i := 0; i < q.n && v < 0; i++ {
+			cand := i
+			if prio != nil {
+				cand = prio[i]
+			}
 			for _, p := range auts {
 				if p[cand] != cand {
 					v = cand

@@ -171,7 +171,7 @@ func newQueryEL(name string, edges [][2]int, labels, elabels []int) *Query {
 	if !q.connectedMask(q.FullVertexMask()) {
 		panic(fmt.Sprintf("query %s: not connected", name))
 	}
-	q.orders = symmetryBreak(q)
+	q.orders = symmetryBreak(q, nil)
 	return q
 }
 
@@ -288,9 +288,32 @@ func (q *Query) HasEdge(a, b int) bool {
 }
 
 // Orders returns the symmetry-breaking partial orders computed at
-// construction. Each embedding of the pattern is counted exactly once when
-// all constraints f(A) < f(B) hold. Do not modify the returned slice.
+// construction — OrdersBy the identity priority, whose stabiliser chain
+// takes the lowest-numbered moved vertex as each base. Each embedding of
+// the pattern is counted exactly once when all constraints f(A) < f(B)
+// hold. They define q's identity (Equal, the fingerprint) and the
+// canonical assignment that streamed matches and group keys report. Do not
+// modify the returned slice.
 func (q *Query) Orders() []Order { return q.orders }
+
+// OrdersBy returns the symmetry-breaking orders of the stabiliser chain
+// whose bases come first in prio, a permutation of q's vertices: each base
+// is the first vertex in prio that the remaining group moves. The set
+// admits exactly one automorphic image of each embedding, as Orders does,
+// but a different one, so it serves runs that only count. The identity
+// priority returns Orders. It recomputes Aut(q) on every call.
+func (q *Query) OrdersBy(prio []int) []Order {
+	var seen uint32
+	for _, v := range prio {
+		if v >= 0 && v < q.n {
+			seen |= 1 << v
+		}
+	}
+	if len(prio) != q.n || seen != q.FullVertexMask() {
+		panic(fmt.Sprintf("query %s: priority %v is not a permutation of its %d vertices", q.name, prio, q.n))
+	}
+	return symmetryBreak(q, prio)
+}
 
 // SameNumbering reports whether o has exactly the same vertex numbering as
 // q: identical vertex count, edge list and symmetry-breaking orders (names
