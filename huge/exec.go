@@ -96,8 +96,10 @@ func WithPlan(p *Plan) Option {
 
 // CountOnly asks for the match count only: no match is materialised to the
 // Stream, which lets the engine use the compressed counting path (counting
-// the final extension from candidate sets). Stream.Next reports exhaustion
-// immediately; use Stream.Wait for the Result.
+// a pipeline's independent tail in closed form from candidate sets), and
+// lets the plan break the pattern's symmetry where it counts fastest
+// (plan.TranslateCount), with or without Limit. Stream.Next reports
+// exhaustion immediately; use Stream.Wait for the Result.
 func CountOnly() Option {
 	return func(o *execOptions) { o.countOnly = true }
 }

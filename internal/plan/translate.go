@@ -74,10 +74,18 @@ func TranslateCount(p *Plan) (*dataflow.Dataflow, error) {
 	if err != nil {
 		return nil, err
 	}
+	return longerTail(df, alt), nil
+}
+
+// longerTail returns alt, the same plan translated under another symmetry
+// break, unless its sink counts a shorter tail than df's: a prefix halved
+// does not pay for a tail that enumerates where it used to count.
+func longerTail(df, alt *dataflow.Dataflow) *dataflow.Dataflow {
+	_, n := countedTail(df.Stages[len(df.Stages)-1])
 	if _, m := countedTail(alt.Stages[len(alt.Stages)-1]); m < n {
-		return df, nil
+		return df
 	}
-	return alt, nil
+	return alt
 }
 
 // countedTail returns where st's counted tail starts and how many extends

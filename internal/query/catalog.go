@@ -42,7 +42,10 @@ func Q6() *Query {
 
 // Q7 is the 5-path (6 vertices). Exp-9's hybrid plan joins a 3-path with a
 // 2-path via PUSH-JOIN; a counting run now enumerates the middle 3-path
-// and counts the two ends per row in closed form instead.
+// and counts the two ends per row in closed form instead. Its orders are
+// {v1 < v6}, on those ends; a counting run breaks the same symmetry with
+// v3 < v4 on the 3-path instead (Query.OrdersBy), so it enumerates each
+// 3-path once and counts the ends as an unordered pair.
 func Q7() *Query {
 	return New("q7-5path", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
 }
