@@ -252,7 +252,7 @@ func TestLRBUInsertAllocs(t *testing.T) {
 		}
 	}
 	// The cache, its map and sealed list grow; the entries cost one
-	// object per slab (16, 32, 64, 128, 256, 256, 256 for 1024 entries).
+	// object per slab (16, 16, 32, 64, 128, 256, 256, 256 for 1024).
 	if a := testing.AllocsPerRun(10, cold); a > 4*maxSlab/8 {
 		t.Errorf("a cold cache allocates %.0f times for %d inserts, want at most %d", a, 4*maxSlab, 4*maxSlab/8)
 	}

@@ -80,12 +80,19 @@ type tailSet struct {
 // tailCount is a tail resolved for one run: k targets drawing from
 // sets[0] alone (one target, or twins), or — pair — two targets drawing
 // from sets[0] and sets[1], the second ordered against the first by order.
+// known holds, per pair set, the row slots whose membership the prefix
+// already decides.
 type tailCount struct {
 	k     uint64
 	pair  bool
 	order pairOrder
 	sets  [2]tailSet
+	known [2]members
 }
+
+// members marks the slots of a tail's input row whose vertex is surely in
+// a set (in) or surely not (out), so a pair count need not test them.
+type members struct{ in, out uint32 }
 
 // pairOrder is the order between the two targets of a pair.
 type pairOrder int
@@ -120,8 +127,59 @@ func (r *machineRun) newTailCount(tail []*dataflow.Extend) *tailCount {
 	// Ordered twins are C(|S|, 2) off one count; anything else is a pair.
 	if tc.pair = tc.order == unordered || !tail[0].SameCandidates(tail[1], width); tc.pair {
 		tc.sets[1].pred = r.newCandPred(b)
+		adj := prefixEdges(r.ex.st, slices.Index(r.ex.st.Extends, tail[0]))
+		for i := range tc.sets {
+			tc.known[i] = tc.sets[i].known(adj)
+		}
 	}
 	return tc
+}
+
+// prefixEdges returns, for each slot of the rows entering st's k-th
+// extend, the slots a data edge to it is known for: the scanned edge, and
+// each operand an extend or verify before k intersected. A join's output
+// slots carry none it did not extend or verify itself.
+func prefixEdges(st *dataflow.Stage, k int) []uint32 {
+	adj := make([]uint32, len(st.Extends[k].OutLayout)-1)
+	link := func(a, b int) {
+		adj[a] |= 1 << b
+		adj[b] |= 1 << a
+	}
+	if st.JoinSrc == nil {
+		link(0, 1)
+	}
+	for _, e := range st.Extends[:k] {
+		to := e.VerifySlot
+		if !e.IsVerify() {
+			to = len(e.OutLayout) - 1
+		}
+		for _, s := range e.ExtSlots {
+			link(to, s)
+		}
+	}
+	return adj
+}
+
+// known returns the row slots whose membership in s the prefix decides,
+// given its known edges adj: an operand's own vertex is never its own
+// neighbour, and when s is its operands' intersection alone (no predicate,
+// no order against the row) a vertex adjacent to every operand is in it.
+func (s *tailSet) known(adj []uint32) members {
+	var m members
+	var ops uint32
+	for _, slot := range s.e.ExtSlots {
+		ops |= 1 << slot
+	}
+	m.out = ops
+	if !s.pred.trivial() || len(s.e.NewFilters) > 0 {
+		return m
+	}
+	for t, nb := range adj {
+		if nb&ops == ops {
+			m.in |= 1 << t
+		}
+	}
+	return m
 }
 
 func (r *machineRun) countChunk(tc *tailCount, c *dataflow.Batch, keyer *groupKeyer, sc *extendScratch) (uint64, error) {
@@ -243,14 +301,14 @@ func (r *machineRun) countRow(tc *tailCount, row []graph.VertexID, hubMin int, s
 // (operand v2) on most rows.
 func (r *machineRun) countPair(tc *tailCount, row []graph.VertexID, hubMin int, sc *extendScratch) (uint64, error) {
 	for i := range tc.sets {
-		s, p := &tc.sets[i], &sc.pair[i]
+		s, p, set := &tc.sets[i], &sc.pair[i], &sc.pairSets[i]
 		lo, hi := candidateRange(s.e.NewFilters, row)
 		if p.from == nil || p.lo != lo || p.hi != hi || !sameOperands(s.e.ExtSlots, row, p.from) {
 			ok, err := r.gatherOperands(&s.e, row, s.pred.g, hubMin, sc)
 			if err != nil {
 				return 0, err
 			}
-			p.set = graph.NbrList{}
+			*set = graph.NbrList{}
 			switch {
 			case !ok:
 			case !s.pred.trivial():
@@ -261,31 +319,29 @@ func (r *machineRun) countPair(tc *tailCount, row []graph.VertexID, hubMin int, 
 					}
 					return true
 				})
-				p.set = graph.NbrList{List: p.buf}
+				set.List = p.buf
 			case len(sc.sets) == 1:
-				p.set = sc.sets[0]
+				*set = sc.sets[0]
 			default:
 				p.buf = graph.IntersectAdaptive(sc.sets, &sc.isect).AppendTo(p.buf[:0])
-				p.set = graph.NbrList{List: p.buf}
+				set.List = p.buf
 			}
 			p.from, p.lo, p.hi = row, lo, hi
 		}
-		if len(p.set.List) == 0 {
+		if len(set.List) == 0 {
 			return 0, nil
 		}
 	}
-	a, b := sc.pair[0].set, sc.pair[1].set
 	if tc.order == unordered {
-		return unorderedPairs(a, b, row, sc), nil
+		return unorderedPairs(&sc.pairSets, &tc.known, row, &sc.isect), nil
 	}
-	return orderedPairs(a.List, b.List, row, tc.order), nil
+	return orderedPairs(sc.pairSets[0].List, sc.pairSets[1].List, row, tc.order), nil
 }
 
-// pairSet is one set of a pair tail as a worker last resolved it in the
-// current batch: the candidates of the operands row from holds, in the
-// range [lo, hi), copied to buf when they are not one operand as it lies.
+// pairSet records what one set of a pair tail was last resolved from in
+// the current batch: the operands row from holds, in the range [lo, hi).
+// buf holds the set when it is not one operand as it lies.
 type pairSet struct {
-	set       graph.NbrList
 	buf, from []graph.VertexID
 	lo, hi    graph.VertexID
 }
@@ -305,13 +361,17 @@ func sameOperands(slots []int, a, b []graph.VertexID) bool {
 // vertex of row, with x ≠ y: |a′|·|b′| − |a′ ∩ b′| for a′, b′ the sets less
 // the row. |a ∩ b| comes from the adaptive count kernel (a popcount when
 // both are hubs), and each row vertex is taken out of |a|, |b| and
-// |a ∩ b| by one membership test per set — the row is never copied.
-func unorderedPairs(a, b graph.NbrList, row []graph.VertexID, sc *extendScratch) uint64 {
-	ops := [2]graph.NbrList{a, b}
+// |a ∩ b| by one membership test per set, unless known decides it — the
+// row is never copied.
+func unorderedPairs(sets *[2]graph.NbrList, known *[2]members, row []graph.VertexID, isect *graph.IntersectScratch) uint64 {
+	a, b := &sets[0], &sets[1]
+	ka, kb := &known[0], &known[1]
 	na, nb := uint64(len(a.List)), uint64(len(b.List))
-	common := uint64(graph.IntersectCountAdaptive(ops[:], &sc.isect))
-	for _, u := range row {
-		inA, inB := a.Contains(u), b.Contains(u)
+	common := uint64(graph.IntersectCountAdaptive(sets[:], isect))
+	for i, u := range row {
+		bit := uint32(1) << i
+		inA := ka.in&bit != 0 || ka.out&bit == 0 && a.Contains(u)
+		inB := kb.in&bit != 0 || kb.out&bit == 0 && b.Contains(u)
 		if inA {
 			na--
 		}

@@ -81,8 +81,11 @@ type extendScratch struct {
 	outs    []*dataflow.Batch
 	rowBuf  []graph.VertexID
 	gt      *groupTable // worker-local group counts of a grouped counting run
-	// pair holds the two candidate sets of a pair tail's row (countPair).
-	pair [2]pairSet
+	// pairSets holds the two candidate sets of a pair tail's row as the
+	// count kernels read them, pair what each was resolved from
+	// (countPair).
+	pairSets [2]graph.NbrList
+	pair     [2]pairSet
 	// wedges and touched are a wedge count's dense per-c2 counter, sized to
 	// the graph, and the entries it set (countWedgeChunk).
 	wedges  []uint32
@@ -118,9 +121,9 @@ func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
 	clear(sc.sets)
 	sc.sets = sc.sets[:0]
 	for i := range sc.pair {
-		p := &sc.pair[i]
-		p.set, p.from = graph.NbrList{}, nil
+		sc.pair[i].from = nil
 	}
+	clear(sc.pairSets[:])
 	sc.out.Recycle()
 	sc.out, sc.outs, sc.gt = nil, nil, nil
 	scratchPool.Put(sc)

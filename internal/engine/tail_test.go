@@ -32,7 +32,7 @@ func TestTailPairCount(t *testing.T) {
 		return s
 	}
 	var equal, empty, imaged int
-	sc := new(extendScratch)
+	var isect graph.IntersectScratch
 	for i := 0; i < 3000; i++ {
 		universe := 1 + rng.Intn(14)
 		a, b, row := subset(universe), subset(universe), subset(universe)[:0:0]
@@ -75,11 +75,11 @@ func TestTailPairCount(t *testing.T) {
 			// Plain lists, and the same sets as hub operands, whose
 			// counts and membership tests go through the bitsets.
 			for _, hub := range []bool{false, true} {
-				na, nb := graph.NbrList{List: a}, graph.NbrList{List: b}
+				sets := [2]graph.NbrList{{List: a}, {List: b}}
 				if hub {
-					na.Bits, nb.Bits = graph.NewBitsetFrom(universe, a), graph.NewBitsetFrom(universe, b)
+					sets[0].Bits, sets[1].Bits = graph.NewBitsetFrom(universe, a), graph.NewBitsetFrom(universe, b)
 				}
-				if got := unorderedPairs(na, nb, row, sc); got != want {
+				if got := unorderedPairs(&sets, &[2]members{}, row, &isect); got != want {
 					t.Fatalf("unorderedPairs(%v, %v, hub %v) minus %v = %d, want %d", a, b, hub, row, got, want)
 				}
 			}

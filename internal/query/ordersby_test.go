@@ -1,7 +1,6 @@
 package query_test
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -98,18 +97,6 @@ func TestOrdersByOracle(t *testing.T) {
 		t.Fatalf("no priority moved an order off Orders() in %d sets checked", checked)
 	}
 	t.Logf("%d order sets checked, %d differ from Orders()", checked, moved)
-}
-
-// TestOrdersByQ7: along q7's counting layout v3, v2, v4, v5, v1, v6 the
-// break is v3 < v4, on the middle of the path, where Orders has v1 < v6.
-func TestOrdersByQ7(t *testing.T) {
-	q := query.Q7()
-	if got, want := fmt.Sprint(q.OrdersBy([]int{2, 1, 3, 4, 0, 5})), fmt.Sprint([]query.Order{{A: 2, B: 3}}); got != want {
-		t.Errorf("q7 OrdersBy(v3 v2 v4 v5 v1 v6) = %s, want %s", got, want)
-	}
-	if got, want := fmt.Sprint(q.Orders()), fmt.Sprint([]query.Order{{A: 0, B: 5}}); got != want {
-		t.Errorf("q7 Orders = %s, want %s", got, want)
-	}
 }
 
 // TestOrdersByRejectsNonPermutation: a priority that repeats or misses a
