@@ -32,7 +32,8 @@ func goList(t *testing.T, args ...string) []string {
 // the baseline systems nor the experiment harness; the engine talks to a
 // machine through cluster.MachineExec and never to its cache; the graph
 // package depends on nothing in the module; standing queries are one table
-// in repro/huge, not a registry type in the planner.
+// in repro/huge, not a registry type in the planner; and the paper's
+// baseline plan families are built by the experiment rig, not by huge.
 func TestServingDependencyBoundary(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool on PATH")
@@ -64,6 +65,21 @@ func TestServingDependencyBoundary(t *testing.T) {
 	}
 	if len(files) == 0 {
 		t.Error("no Go files found under internal/plan: the Registry check looked at nothing")
+	}
+	baselinePlans := regexp.MustCompile(`\b(SEEDPlan|RADSPlan|BENUPlan|EmptyHeadedPlan|GraphFlowPlan|ReconfigurePhysical)\b`)
+	files, _ = filepath.Glob("huge/*.go")
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		if src, err := os.ReadFile(f); err != nil {
+			t.Error(err)
+		} else if name := baselinePlans.Find(src); name != nil {
+			t.Errorf("%s names %s: the paper's baseline plan families are built by internal/exp (FamilyPlan), not by huge", f, name)
+		}
+	}
+	if len(files) == 0 {
+		t.Error("no Go files found under huge: the baseline-plan check looked at nothing")
 	}
 }
 

@@ -53,9 +53,12 @@ import (
 	"strings"
 
 	"repro/huge"
+	"repro/internal/exp"
 )
 
-// planFamilies names the plan families System.PlanFor builds.
+// planFamilies names the plan families -plan accepts: the two
+// System.PlanFor builds ("optimal", "wco"), then the paper's baselines,
+// which exp.FamilyPlan builds.
 const planFamilies = "optimal wco seed rads benu emptyheaded graphflow"
 
 func main() {
@@ -191,10 +194,14 @@ func main() {
 	ctx := context.Background()
 	var p *huge.Plan
 	if *planArg != "optimal" {
-		p = sys.PlanFor(q, *planArg)
-		if p == nil {
-			fmt.Fprintf(os.Stderr, "unknown plan %q (want one of: %s)\n", *planArg, planFamilies)
-			os.Exit(2)
+		if *planArg == "wco" {
+			p = sys.PlanFor(q, "wco")
+		} else {
+			var err error
+			if p, err = exp.FamilyPlan(sess.Graph(), q, *planArg, *machines); err != nil {
+				fmt.Fprintf(os.Stderr, "unknown plan %q (want one of: %s)\n", *planArg, planFamilies)
+				os.Exit(2)
+			}
 		}
 		if *showPlan {
 			fmt.Print(p.String())

@@ -19,6 +19,7 @@ import (
 	"repro/gpm"
 	"repro/huge"
 	"repro/internal/baseline"
+	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/query"
 )
@@ -206,8 +207,9 @@ func TestExecOptionValidation(t *testing.T) {
 // TestExecWithPlanMustServeQuery: WithPlan runs a plan only for the query
 // it serves. A plan for another pattern is rejected outright; a relabelled
 // twin's plan may count but not deliver matches, whose slots it would
-// index in the twin's numbering; and PlanFor(q, …) is always accepted for
-// q, even after a twin cached its plan under the same key.
+// index in the twin's numbering; and every family's plan for q — PlanFor's
+// or exp.FamilyPlan's — is always accepted for q, even after a twin cached
+// its plan under the same key.
 func TestExecWithPlanMustServeQuery(t *testing.T) {
 	g := gen.PowerLaw(200, 3, 17)
 	sys := huge.NewSystem(g, huge.Options{Machines: 2, Workers: 2})
@@ -233,9 +235,16 @@ func TestExecWithPlanMustServeQuery(t *testing.T) {
 	}
 
 	for _, family := range []string{"optimal", "wco", "seed", "rads", "benu", "emptyheaded", "graphflow"} {
+		p := sys.PlanFor(paw, family)
+		if p == nil {
+			var err error
+			if p, err = exp.FamilyPlan(g, paw, family, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var mu sync.Mutex
 		var n uint64
-		res, err := sys.Exec(ctx, paw, huge.WithPlan(sys.PlanFor(paw, family)), huge.OnMatch(func(m []huge.VertexID) {
+		res, err := sys.Exec(ctx, paw, huge.WithPlan(p), huge.OnMatch(func(m []huge.VertexID) {
 			mu.Lock()
 			defer mu.Unlock()
 			n++
@@ -246,7 +255,7 @@ func TestExecWithPlanMustServeQuery(t *testing.T) {
 			}
 		})).Wait()
 		if err != nil || res.Count != want || n != want {
-			t.Errorf("%s: PlanFor(paw) under OnMatch: count %d, delivered %d, err %v; want %d", family, res.Count, n, err, want)
+			t.Errorf("%s: paw's plan under OnMatch: count %d, delivered %d, err %v; want %d", family, res.Count, n, err, want)
 		}
 	}
 }
@@ -313,7 +322,10 @@ func TestExecAbandonedStreamReleasesResources(t *testing.T) {
 	// Small join buffers force the SEED plan's pushing joins to spill.
 	sys := huge.NewSystem(g, huge.Options{Machines: 3, Workers: 2, JoinBufferRows: 256})
 	q := huge.Q5()
-	p := sys.PlanFor(q, "seed")
+	p, err := exp.FamilyPlan(g, q, "seed", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	baseGoroutines := runtime.NumGoroutine()
 
 	st := sys.Exec(context.Background(), q, huge.WithPlan(p))

@@ -21,6 +21,7 @@ import (
 	"repro/huge"
 	"repro/internal/baseline"
 	"repro/internal/dataflow"
+	"repro/internal/exp"
 	"repro/internal/gen"
 )
 
@@ -309,11 +310,15 @@ func TestGroupedMaterialisedSinkPaths(t *testing.T) {
 
 	sys := huge.NewSystem(g, huge.Options{Machines: 2, Workers: 2})
 	for _, q := range queries {
-		for _, family := range []string{"seed", "rads", "optimal"} {
-			p := sys.PlanFor(q, family)
-			if p == nil {
-				t.Fatalf("%s: no %s plan", q.Name(), family)
+		var plans []*huge.Plan
+		for _, family := range []string{"seed", "rads"} {
+			p, err := exp.FamilyPlan(g, q, family, 2)
+			if err != nil {
+				t.Fatalf("%s: %v", q.Name(), err)
 			}
+			plans = append(plans, p)
+		}
+		for _, p := range append(plans, sys.PlanFor(q, "optimal")) {
 			for _, gc := range groupCasesFor(q) {
 				checkGrouped(t, sys, g, q, gc, huge.WithPlan(p))
 			}

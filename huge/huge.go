@@ -49,7 +49,7 @@
 // seed from the per-label index, and the plan cache distinguishes label
 // signatures — with zero API or cache impact on unlabelled callers.
 // Edges are first-class too: graphs may carry per-edge labels
-// (GenerateEdgeLabeled, LoadEdgeLabeledEdgeList, WithEdgeLabels) and
+// (GenerateEdgeLabeled, LoadLabeledEdgeList, WithEdgeLabels) and
 // queries per-edge constraints (NewEdgeLabeledQuery, or the "-[<label>]-"
 // pattern syntax); scans then seed from the (srcLabel, edgeLabel) triple
 // index and the optimiser orders rare edge labels first.
@@ -179,17 +179,11 @@ func FromEdges(edges [][2]VertexID) *Graph { return graph.FromEdges(edges) }
 // LoadEdgeList reads a whitespace-separated edge list ('#' comments).
 func LoadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
-// LoadLabeledEdgeList reads the labelled edge-list format: "u v" edge lines
-// plus "v <id> <label>" vertex-label lines (a strict superset of the plain
-// format — a file without label lines loads as an unlabelled graph).
+// LoadLabeledEdgeList reads the labelled edge-list format: "u v" edge lines,
+// "u v <label>" edge-labelled lines and "v <id> <label>" vertex-label lines
+// (a strict superset of the plain format — a file without label lines
+// loads as an unlabelled graph).
 func LoadLabeledEdgeList(r io.Reader) (*Graph, error) { return graph.ReadLabeledEdgeList(r) }
-
-// LoadEdgeLabeledEdgeList reads the full labelled edge-list format:
-// "u v <label>" edge-labelled edges alongside plain "u v" edges and
-// "v <id> <label>" vertex-label lines. (It is the same parser as
-// LoadLabeledEdgeList — the format is one strict superset — named for
-// discoverability.)
-func LoadEdgeLabeledEdgeList(r io.Reader) (*Graph, error) { return graph.ReadLabeledEdgeList(r) }
 
 // WithLabels attaches per-vertex labels to a graph, sharing its CSR arrays
 // (len(labels) must equal g.NumVertices()).
@@ -475,37 +469,25 @@ func (s *System) Apply(d Delta) uint64 {
 	return ng.Epoch()
 }
 
-// buildPlan runs the (uncached) planner for one named family, or returns
-// nil for a name that is no family. Every plan leaves priced by the
-// deployment's cost model, so the families' Costs are comparable (for
-// "optimal" that is the optimiser's own figure).
+// buildPlan runs the (uncached) planner for one named family — "optimal"
+// or "wco", the two the System itself runs — or returns nil for any other
+// name. Both leave priced by the deployment's cost model (for "optimal"
+// that is the optimiser's own figure).
 func (s *System) buildPlan(sn *snapshot, q *Query, name string) *Plan {
 	cfg := plan.Config{
 		NumMachines: s.opts.Machines,
 		GraphEdges:  float64(sn.g.NumEdges()),
 		Card:        sn.card,
 	}
-	var p *Plan
 	switch name {
-	case "wco":
-		p = plan.HugeWcoPlanStats(q, sn.stats)
-	case "seed":
-		p = plan.SEEDPlan(q, sn.card)
-	case "rads":
-		p = plan.ReconfigurePhysical(plan.RADSPlan(q))
-	case "benu":
-		p = plan.ReconfigurePhysical(plan.BENUPlan(q))
-	case "emptyheaded":
-		p = plan.ReconfigurePhysical(plan.EmptyHeadedPlan(q, sn.card))
-	case "graphflow":
-		p = plan.ReconfigurePhysical(plan.GraphFlowPlan(q, sn.stats))
 	case "optimal":
 		return plan.Optimize(q, cfg)
-	default:
-		return nil
+	case "wco":
+		p := plan.HugeWcoPlanStats(q, sn.stats)
+		p.Cost = plan.CostOf(p, cfg)
+		return p
 	}
-	p.Cost = plan.CostOf(p, cfg)
-	return p
+	return nil
 }
 
 // servesQuery is the one rule for when plan p may run for query q: the
@@ -537,12 +519,13 @@ func (s *System) Plan(q *Query) *Plan {
 	return p
 }
 
-// PlanFor returns a named logical plan reconfigured for HUGE (Remark 3.2)
-// in q's own vertex numbering: "wco" (HUGE−WCO), "seed", "rads", "benu",
-// "emptyheaded", "graphflow", or "optimal". Any other name returns nil,
-// and nothing is built or cached. Like Plan, results are memoised in the
-// plan cache and shared — treat the returned plan as immutable. Passing
-// the result to WithPlan for q is always accepted.
+// PlanFor returns the plan of one family the System runs, in q's own
+// vertex numbering: "optimal" (as Plan) or "wco" (HUGE−WCO, the
+// barrier-free plan Limit and GroupBy runs take). Any other name returns
+// nil, and nothing is built or cached; the paper's baseline families
+// (Remark 3.2) are built by the experiment rig. Like Plan, results are
+// memoised in the plan cache and shared — treat the returned plan as
+// immutable. Passing the result to WithPlan for q is always accepted.
 func (s *System) PlanFor(q *Query, name string) *Plan {
 	p, _ := s.planFor(s.snapshot(), q, name, true)
 	return p

@@ -28,12 +28,14 @@ func TestSystemRunMatchesGroundTruth(t *testing.T) {
 	}
 }
 
+// TestSystemPlanFor: PlanFor builds the two families the System runs,
+// and no other — the paper's baseline families are the experiment rig's.
 func TestSystemPlanFor(t *testing.T) {
 	g := FromEdges([][2]VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}})
 	sys := NewSystem(g, Options{})
 	q := Q1()
 	want := baseline.GroundTruthCount(g, q)
-	for _, name := range []string{"optimal", "wco", "seed", "rads", "benu", "emptyheaded", "graphflow"} {
+	for _, name := range []string{"optimal", "wco"} {
 		p := sys.PlanFor(q, name)
 		res, err := sys.Exec(context.Background(), q, WithPlan(p), CountOnly()).Wait()
 		if err != nil {
@@ -42,6 +44,14 @@ func TestSystemPlanFor(t *testing.T) {
 		if res.Count != want {
 			t.Errorf("%s: count %d, want %d", name, res.Count, want)
 		}
+	}
+	for _, name := range []string{"seed", "rads", "benu", "emptyheaded", "graphflow"} {
+		if p := sys.PlanFor(q, name); p != nil {
+			t.Errorf("PlanFor(q, %q) = %s, want nil", name, p.Name)
+		}
+	}
+	if _, _, size := sys.PlanCacheStats(); size != 2 {
+		t.Errorf("plan cache holds %d plans, want 2 (optimal, wco)", size)
 	}
 }
 

@@ -107,67 +107,3 @@ func TestMatchPattern(t *testing.T) {
 		t.Fatalf("names %v", names)
 	}
 }
-
-func TestSimplePathsAndShortestPath(t *testing.T) {
-	// 0-1-2-3 path plus a shortcut 0-2.
-	g := FromEdges([][2]VertexID{{0, 1}, {1, 2}, {2, 3}, {0, 2}})
-	sys := NewSystem(g, Options{})
-
-	// Paths of 1 hop between 0 and 2: the shortcut.
-	n, err := sys.SimplePaths(0, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("1-hop paths 0-2 = %d, want 1", n)
-	}
-	// Paths of 2 hops between 0 and 3: 0-2-3 only.
-	n, err = sys.SimplePaths(0, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("2-hop paths 0-3 = %d, want 1", n)
-	}
-	// Paths of 3 hops between 0 and 3: 0-1-2-3.
-	n, err = sys.SimplePaths(0, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("3-hop paths 0-3 = %d, want 1", n)
-	}
-
-	if d, err := sys.ShortestPath(0, 3, 10); err != nil || d != 2 {
-		t.Fatalf("shortest 0-3 = %d (%v), want 2", d, err)
-	}
-	if d, err := sys.ShortestPath(0, 0, 10); err != nil || d != 0 {
-		t.Fatalf("shortest 0-0 = %d (%v)", d, err)
-	}
-	// Unreachable within 0 hops allowed? maxHops bound respected:
-	if d, err := sys.ShortestPath(0, 3, 1); err != nil || d != -1 {
-		t.Fatalf("bounded shortest 0-3 = %d (%v), want -1", d, err)
-	}
-}
-
-func TestSimplePathsValidation(t *testing.T) {
-	g := FromEdges([][2]VertexID{{0, 1}})
-	sys := NewSystem(g, Options{})
-	if _, err := sys.SimplePaths(0, 0, 2); err == nil {
-		t.Error("src==dst accepted")
-	}
-	if _, err := sys.SimplePaths(0, 1, 0); err == nil {
-		t.Error("0 hops accepted")
-	}
-	if _, err := sys.SimplePaths(0, 1, 99); err == nil {
-		t.Error("99 hops accepted")
-	}
-}
-
-func TestShortestPathOutOfRange(t *testing.T) {
-	g := FromEdges([][2]VertexID{{0, 1}})
-	sys := NewSystem(g, Options{})
-	if _, err := sys.ShortestPath(0, 99, 3); err == nil {
-		t.Error("out-of-range vertex accepted")
-	}
-}

@@ -17,7 +17,10 @@ import (
 	"testing"
 
 	"repro/huge"
+	"repro/internal/baseline"
 	"repro/internal/gen"
+	"repro/internal/plan"
+	"repro/internal/store"
 )
 
 func persistOpts(p *huge.PersistConfig) huge.Options {
@@ -121,6 +124,42 @@ func TestPersistRecoveryOracle(t *testing.T) {
 			t.Fatalf("mmap=%v: second recovery lost the post-recovery epoch", mmap)
 		}
 		re2.Close()
+	}
+}
+
+// TestOpenSkipsUnbuiltPlanFamilies: a snapshot may carry specs of plan
+// families the System does not build — stores written while PlanFor still
+// built the paper's baselines hold "seed" specs. Open succeeds, re-warms
+// only the families it runs, and counts correctly.
+func TestOpenSkipsUnbuiltPlanFamilies(t *testing.T) {
+	dir := t.TempDir()
+	g := gen.PowerLaw(300, 4, 23)
+	q := huge.Q1()
+	var specs []store.PlanSpec
+	for _, family := range []string{"seed", "optimal", "wco"} {
+		specs = append(specs, store.PlanSpec{Family: family, Name: q.Name(), NumV: q.NumVertices(), Edges: q.Edges()})
+	}
+	st, err := store.Create(dir, store.SnapshotData{CSR: g.Export(), Stats: plan.ComputeStats(g), Plans: specs}, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := huge.Open(dir, persistOpts(&huge.PersistConfig{NoSync: true}))
+	if err != nil {
+		t.Fatalf("Open with a seed spec: %v", err)
+	}
+	defer sys.Close()
+	if _, _, size := sys.PlanCacheStats(); size != 2 {
+		t.Errorf("re-warmed %d plans, want 2 (optimal, wco)", size)
+	}
+	res, err := sys.Exec(context.Background(), q, huge.CountOnly()).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := baseline.GroundTruthCount(g, q); res.Count != want || !res.PlanCached {
+		t.Errorf("count %d (cached plan %v), want %d from the re-warmed plan", res.Count, res.PlanCached, want)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // BENUConfig parameterises the BENU baseline (Wang et al. [84]): each
@@ -19,7 +18,7 @@ type BENUConfig struct {
 	NumMachines int
 	Workers     int
 	CacheBytes  uint64 // per worker task; BENU shares a traditional cache per machine
-	Store       *store.SimKV
+	Store       *SimKV
 }
 
 // RunBENU executes q over g and returns the match count. DFS keeps memory
@@ -33,7 +32,7 @@ func RunBENU(g *graph.Graph, q *query.Query, cfg BENUConfig, m *metrics.Metrics)
 		cfg.Workers = 1
 	}
 	if cfg.Store == nil {
-		cfg.Store = store.NewSimKV(g, m)
+		cfg.Store = NewSimKV(g, m)
 	}
 	order := plan.MatchingOrder(q)
 	pos := make([]int, q.NumVertices())
@@ -87,7 +86,7 @@ type benuWorker struct {
 	g       *graph.Graph // label metadata only; adjacency goes through the store
 	order   []int
 	pos     []int
-	store   *store.SimKV
+	store   *SimKV
 	cache   cache.Cache
 	metrics *metrics.Metrics
 	assign  []graph.VertexID

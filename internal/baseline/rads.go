@@ -6,7 +6,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // RADSConfig parameterises the RADS baseline (Ren et al. [66]):
@@ -18,7 +17,7 @@ type RADSConfig struct {
 	RegionGroup    int // pivot roots per group; 0 = one group with everything
 	CacheBytes     uint64
 	MemLimitTuples int64
-	Store          *store.SimKV // pull source; nil builds a zero-latency one
+	Store          *SimKV // pull source; nil builds a zero-latency one
 }
 
 // RunRADS enumerates q on g with RADS's plan and execution model.
@@ -27,7 +26,7 @@ func RunRADS(g *graph.Graph, q *query.Query, cfg RADSConfig, m *metrics.Metrics)
 		cfg.NumMachines = 1
 	}
 	if cfg.Store == nil {
-		cfg.Store = store.NewSimKV(g, m)
+		cfg.Store = NewSimKV(g, m)
 	}
 	p := plan.RADSPlan(q)
 	units := radsUnits(p.Root)

@@ -1,4 +1,4 @@
-package store
+package baseline
 
 import (
 	"testing"
@@ -44,7 +44,7 @@ func TestSimKVOverheadDominates(t *testing.T) {
 	g := graph.FromEdges([][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	m := &metrics.Metrics{}
 	s := NewSimKV(g, m)
-	s.Overhead = 500 * time.Microsecond
+	s.Cost = CommCost{PerMessage: 500 * time.Microsecond}
 
 	start := time.Now()
 	for v := graph.VertexID(0); v < 4; v++ {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // Table is one experiment's printable result.
@@ -143,7 +142,9 @@ type RunResult struct {
 
 // HugeOpts tweak a HUGE run within an experiment.
 type HugeOpts struct {
-	PlanName    string // "", "optimal", "wco", "seed", "rads", "benu", "emptyheaded", "graphflow"
+	// PlanName is "" or "optimal", "wco" (the families huge.System runs),
+	// or one of the paper's baseline families FamilyPlan builds.
+	PlanName    string
 	BatchRows   int
 	QueueRows   int64
 	CacheKind   cache.Kind
@@ -157,12 +158,43 @@ type HugeOpts struct {
 	Compress bool
 }
 
-// RunHUGE executes q on g with the plan huge.System picks for the named
-// family, on a cluster deployed with the experiment's ablation settings —
-// cache variant and capacity, load-balancing strategy, modelled latency —
-// which only this rig flips. Compression is off unless o.Compress asks for
-// it, to keep the measurements comparable with the materialising
-// baselines.
+// FamilyPlan builds one of the paper's baseline logical plans for q on g —
+// "seed", "rads", "benu", "emptyheaded" or "graphflow" — reconfigured for
+// HUGE (Remark 3.2) in q's own vertex numbering. It is priced by the cost
+// model huge.System prices its own plans with on a machines-machine
+// deployment, so the families' Costs compare with the optimiser's.
+func FamilyPlan(g *graph.Graph, q *query.Query, family string, machines int) (*plan.Plan, error) {
+	stats := plan.ComputeStats(g)
+	card := plan.MomentEstimator(stats)
+	var p *plan.Plan
+	switch family {
+	case "seed":
+		p = plan.SEEDPlan(q, card)
+	case "rads":
+		p = plan.ReconfigurePhysical(plan.RADSPlan(q))
+	case "benu":
+		p = plan.ReconfigurePhysical(plan.BENUPlan(q))
+	case "emptyheaded":
+		p = plan.ReconfigurePhysical(plan.EmptyHeadedPlan(q, card))
+	case "graphflow":
+		p = plan.ReconfigurePhysical(plan.GraphFlowPlan(q, stats))
+	default:
+		return nil, fmt.Errorf("exp: unknown plan family %q", family)
+	}
+	p.Cost = plan.CostOf(p, plan.Config{
+		NumMachines: max(machines, 1),
+		GraphEdges:  float64(g.NumEdges()),
+		Card:        card,
+	})
+	return p, nil
+}
+
+// RunHUGE executes q on g with the named family's plan — huge.System's for
+// "optimal" and "wco", FamilyPlan's for the baselines' — on a cluster
+// deployed with the experiment's ablation settings (cache variant and
+// capacity, load-balancing strategy, modelled latency), which only this
+// rig flips. Compression is off unless o.Compress asks for it, to keep
+// the measurements comparable with the materialising baselines.
 func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 	k := o.Machines
 	if k == 0 {
@@ -180,10 +212,15 @@ func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 	if queue == 0 {
 		queue = 1 << 16
 	}
-	sys := huge.NewSystem(g, huge.Options{Machines: k, Workers: e.Workers})
-	p := sys.PlanFor(q, planName)
-	if p == nil {
-		return RunResult{Name: o.PlanName, Err: fmt.Errorf("exp: unknown plan %q", o.PlanName)}
+	var p *plan.Plan
+	var err error
+	switch planName {
+	case "optimal", "wco":
+		p = huge.NewSystem(g, huge.Options{Machines: k, Workers: e.Workers}).PlanFor(q, planName)
+	default:
+		if p, err = FamilyPlan(g, q, planName, k); err != nil {
+			return RunResult{Name: o.PlanName, Err: err}
+		}
 	}
 	df, err := plan.Translate(p)
 	if err != nil {
@@ -212,13 +249,12 @@ func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 // RunBaseline executes one of the paper's competitor systems.
 func (e *Env) RunBaseline(name string, g *graph.Graph, q *query.Query, memLimit int64) RunResult {
 	m := &metrics.Metrics{}
-	kv := store.NewSimKV(g, m)
+	kv := baseline.NewSimKV(g, m)
 	if e.Latency {
 		// External-store overhead (BENU's Cassandra pain): much larger
 		// per-request cost than the in-engine RPC layer, but small enough
 		// that the reduced-scale experiments finish promptly.
-		kv.Overhead = 25 * time.Microsecond
-		kv.PerKB = 2 * time.Microsecond
+		kv.Cost = baseline.CommCost{PerMessage: 25 * time.Microsecond, PerKB: 2 * time.Microsecond}
 	}
 	var comm baseline.CommCost
 	if e.Latency {

@@ -117,10 +117,11 @@ func TestFig9MemoryShape(t *testing.T) {
 	}
 }
 
-// TestRunHUGEMatchesGroundTruth: the rig path (System.PlanFor, then
-// cluster + engine driven directly with the ablation settings) must count
-// exactly what the oracle counts, for every plan family under every cache
-// variant and load-balancing strategy the experiments flip.
+// TestRunHUGEMatchesGroundTruth: the rig path (System.PlanFor or
+// FamilyPlan, then cluster + engine driven directly with the ablation
+// settings) must count exactly what the oracle counts, for every plan
+// family under every cache variant and load-balancing strategy the
+// experiments flip.
 func TestRunHUGEMatchesGroundTruth(t *testing.T) {
 	e := tinyEnv()
 	g := e.Dataset("GO")
