@@ -13,12 +13,12 @@
 // delivered event is cross-checked against the session's own delta counts.
 //
 // With -store dir the System is durable: if dir holds a store it is
-// recovered via huge.Open (no edge list re-read; add -mmap to map the
-// snapshot instead of loading it), otherwise one is rooted via huge.Create
-// from the chosen dataset. Updates replayed with -updates are logged
-// through the store's epoch log, and the replay additionally cross-checks
-// time travel: AsOf at sampled epochs must reproduce the counts maintained
-// live. -asof n executes the query against the historical graph at epoch n.
+// recovered via huge.Open (no edge list re-read), otherwise one is rooted
+// via huge.Create from the chosen dataset. Updates replayed with -updates
+// are logged through the store's epoch log, and the replay additionally
+// cross-checks time travel: AsOf at sampled epochs must reproduce the
+// counts maintained live. -asof n executes the query against the
+// historical graph at epoch n.
 //
 // Usage:
 //
@@ -34,7 +34,7 @@
 //	huge -labels 16 -query triangle -group vlabel:0 -topgroups 10 -hist 8
 //	huge -store go.store -query triangle                    # Create or Open
 //	huge -store go.store -query triangle -updates go.txt.updates  # logged replay
-//	huge -store go.store -query triangle -asof 3 -mmap      # time travel
+//	huge -store go.store -query triangle -asof 3            # time travel
 //
 // With -group the run is an engine-side GROUP BY: matches are counted per
 // key (a data vertex, a vertex label, or an edge label) inside the
@@ -86,7 +86,6 @@ func main() {
 		subCount = flag.Int("subscribe", 0, "register N standing subscriptions served from one shared delta run per -updates batch")
 		storeDir = flag.String("store", "", "persistent store directory: recovered with huge.Open if it exists (ignoring -input/-dataset), created with huge.Create otherwise; -updates batches are logged durably")
 		asofArg  = flag.Int64("asof", -1, "with -store: run the query against the historical snapshot at this epoch (time travel); -1 = current")
-		useMmap  = flag.Bool("mmap", false, "with -store: mmap snapshot CSR sections instead of reading them (lazy paging)")
 	)
 	flag.Parse()
 
@@ -119,7 +118,6 @@ func main() {
 	}
 	sysOpts := huge.Options{
 		Machines: *machines, Workers: *workers, QueueRows: *queue,
-		Persist: &huge.PersistConfig{Mmap: *useMmap},
 	}
 	var sys *huge.System
 	var g *huge.Graph

@@ -249,7 +249,7 @@ type Options struct {
 	// before. See GovernorConfig.
 	Governor *GovernorConfig
 	// Persist tunes the durable store attached by Create and Open (fsync
-	// policy, mmap loading, compaction cadence, history retention). Nil
+	// policy, compaction cadence, history retention). Nil
 	// uses the durable defaults. NewSystem ignores it — persistence is
 	// opted into by constructing the System with Create or Open.
 	Persist *PersistConfig

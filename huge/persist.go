@@ -1,7 +1,7 @@
 package huge
 
 // Persistence & time travel: a System can be backed by a durable store
-// (internal/store) — a directory holding mmap-friendly CSR snapshots plus
+// (internal/store) — a directory holding checksummed CSR snapshots plus
 // a write-ahead epoch log of every Apply. Create starts one, Open recovers
 // one after a restart (or crash) without re-reading the edge list, Save
 // forces a compaction, and AsOf pins a Session to any logged historical
@@ -21,15 +21,11 @@ import (
 
 // PersistConfig tunes the durable store attached by Create and Open. The
 // zero value is a sensible durable default: fsync on every Apply,
-// full-read snapshot loading, automatic compaction, full history kept.
+// automatic compaction, full history kept.
 type PersistConfig struct {
 	// NoSync skips the per-Apply fsync for bulk loads; a crash may lose
 	// the most recent epochs (recovery still lands on a consistent one).
 	NoSync bool
-	// Mmap maps snapshot CSR sections on load instead of reading them:
-	// opening costs O(header) and cold segments page in lazily, so graphs
-	// larger than RAM can serve. Unsupported platforms fall back to reads.
-	Mmap bool
 	// CompactEvery / CompactBytes tune automatic log compaction (0 =
 	// store defaults; negative disables that trigger). See store.Options.
 	CompactEvery int
@@ -46,7 +42,6 @@ func (c *PersistConfig) storeOptions() store.Options {
 	}
 	return store.Options{
 		NoSync:       c.NoSync,
-		Mmap:         c.Mmap,
 		CompactEvery: c.CompactEvery,
 		CompactBytes: c.CompactBytes,
 		DropHistory:  c.DropHistory,
@@ -74,8 +69,8 @@ func Create(dir string, g *Graph, opts Options) (*System, error) {
 }
 
 // Open recovers the System persisted in dir at its latest durable epoch:
-// the newest intact snapshot is loaded (mmap'd under PersistConfig.Mmap),
-// the epoch log's remaining deltas are replayed through the exact
+// the newest snapshot whose every byte verifies is read once, the epoch
+// log's remaining deltas are replayed once through the exact
 // incremental maintenance path the live system ran — so the recovered
 // statistics fingerprint is byte-equal to the pre-crash one — and the
 // plan cache is re-warmed from the persisted plan specs. The original
@@ -214,17 +209,17 @@ func (s *System) AsOf(epoch uint64) (*Session, error) {
 	return &Session{sys: s, snap: newSnapshot(rec.Graph, rec.Stats)}, nil
 }
 
-// Close releases the persistent store (log handle and any snapshot
-// mappings). A clean shutdown first checkpoints — a snapshot at the final
-// epoch, carrying the plan specs worth re-warming, so the next Open
-// replays zero log records and starts with a warm plan cache — unless
-// automatic compaction was disabled (negative CompactEvery), which pins
-// the log for recovery-path measurement. A failed checkpoint is reported
+// Close releases the persistent store's log handle. A clean shutdown first
+// checkpoints — a snapshot at the final epoch, carrying the plan specs
+// worth re-warming, so the next Open replays zero log records and starts
+// with a warm plan cache — unless automatic compaction was disabled
+// (negative CompactEvery), which pins the log for recovery-path
+// measurement. A failed checkpoint is reported
 // (joined with the store's own close error) but does not stop the release:
 // the log already holds every epoch, so recovery stays exact, just slower.
-// Apply panics after Close; queries keep working on in-memory snapshots,
-// but graphs obtained via AsOf under PersistConfig.Mmap must not be used
-// afterwards. No-op without a store, and idempotent.
+// Apply panics after Close; queries, and Sessions obtained via AsOf, keep
+// working on their in-memory snapshots. No-op without a store, and
+// idempotent.
 func (s *System) Close() error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()

@@ -9,6 +9,8 @@ package huge_test
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -41,89 +43,130 @@ func countTri(t *testing.T, sess *huge.Session) uint64 {
 // query (warming the plan cache), Apply a labelled update stream, restart
 // via Open, and compare everything observable against the live run.
 func TestPersistRecoveryOracle(t *testing.T) {
-	for _, mmap := range []bool{false, true} {
-		dir := t.TempDir()
-		g := gen.ZipfLabels(gen.PowerLaw(600, 6, 11), 4, 1.5, 12)
-		sys, err := huge.Create(dir, g, persistOpts(&huge.PersistConfig{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := sys.NewSession()
-		countTri(t, sess) // warm the plan cache so Open has a spec to re-warm
+	dir := t.TempDir()
+	g := gen.ZipfLabels(gen.PowerLaw(600, 6, 11), 4, 1.5, 12)
+	sys, err := huge.Create(dir, g, persistOpts(&huge.PersistConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := sys.NewSession()
+	countTri(t, sess) // warm the plan cache so Open has a spec to re-warm
 
-		countAt := map[uint64]uint64{}
-		for i := 0; i < 4; i++ {
-			var d huge.Delta
-			for _, u := range gen.UpdateStream(sys.Graph(), 40, int64(100+i)) {
-				if u.Del {
-					d.Delete = append(d.Delete, [2]huge.VertexID{u.U, u.V})
-				} else {
-					d.Insert = append(d.Insert, [2]huge.VertexID{u.U, u.V})
-				}
+	countAt := map[uint64]uint64{}
+	for i := 0; i < 4; i++ {
+		var d huge.Delta
+		for _, u := range gen.UpdateStream(sys.Graph(), 40, int64(100+i)) {
+			if u.Del {
+				d.Delete = append(d.Delete, [2]huge.VertexID{u.U, u.V})
+			} else {
+				d.Insert = append(d.Insert, [2]huge.VertexID{u.U, u.V})
 			}
-			e := sys.Apply(d)
-			sess.Refresh()
-			countAt[e] = countTri(t, sess)
 		}
-		liveEpoch, liveFP := sys.Epoch(), sys.StatsFingerprint()
-		liveCount := countAt[liveEpoch]
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
+		e := sys.Apply(d)
+		sess.Refresh()
+		countAt[e] = countTri(t, sess)
+	}
+	liveEpoch, liveFP := sys.Epoch(), sys.StatsFingerprint()
+	liveCount := countAt[liveEpoch]
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		re, err := huge.Open(dir, persistOpts(&huge.PersistConfig{Mmap: mmap}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.Epoch() != liveEpoch {
-			t.Fatalf("mmap=%v: recovered epoch %d, want %d", mmap, re.Epoch(), liveEpoch)
-		}
-		if re.StatsFingerprint() != liveFP {
-			t.Fatalf("mmap=%v: recovered stats fingerprint %016x != live %016x",
-				mmap, re.StatsFingerprint(), liveFP)
-		}
-		if got := countTri(t, re.NewSession()); got != liveCount {
-			t.Fatalf("mmap=%v: recovered count %d, want %d", mmap, got, liveCount)
-		}
-		// The plan cache was re-warmed from the persisted specs: the query
-		// above must have been served without a planning miss.
-		if hits, _, size := re.PlanCacheStats(); size == 0 || hits == 0 {
-			t.Fatalf("mmap=%v: plan cache cold after Open (hits=%d size=%d)", mmap, hits, size)
-		}
+	re, err := huge.Open(dir, persistOpts(&huge.PersistConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Epoch() != liveEpoch {
+		t.Fatalf("recovered epoch %d, want %d", re.Epoch(), liveEpoch)
+	}
+	if re.StatsFingerprint() != liveFP {
+		t.Fatalf("recovered stats fingerprint %016x != live %016x",
+			re.StatsFingerprint(), liveFP)
+	}
+	if got := countTri(t, re.NewSession()); got != liveCount {
+		t.Fatalf("recovered count %d, want %d", got, liveCount)
+	}
+	// The plan cache was re-warmed from the persisted specs: the query
+	// above must have been served without a planning miss.
+	if hits, _, size := re.PlanCacheStats(); size == 0 || hits == 0 {
+		t.Fatalf("plan cache cold after Open (hits=%d size=%d)", hits, size)
+	}
 
-		// Time travel: every logged epoch reproduces the count the live
-		// system maintained there.
-		for e, want := range countAt {
-			hs, err := re.AsOf(e)
-			if err != nil {
-				t.Fatalf("mmap=%v: AsOf(%d): %v", mmap, e, err)
-			}
-			if hs.Epoch() != e {
-				t.Fatalf("mmap=%v: AsOf(%d) pinned epoch %d", mmap, e, hs.Epoch())
-			}
-			if got := countTri(t, hs); got != want {
-				t.Fatalf("mmap=%v: AsOf(%d) count %d, want %d", mmap, e, got, want)
-			}
-		}
-		if _, err := re.AsOf(liveEpoch + 1); err == nil {
-			t.Fatalf("mmap=%v: AsOf past the newest epoch succeeded", mmap)
-		}
-		// Durability continues after recovery: one more Apply, one more
-		// restart, same oracle.
-		e := re.Apply(huge.Delta{Insert: [][2]huge.VertexID{{0, 1}, {1, 2}, {0, 2}}})
-		s2 := re.NewSession()
-		after := countTri(t, s2)
-		if err := re.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re2, err := huge.Open(dir, persistOpts(nil))
+	// Time travel: every logged epoch reproduces the count the live
+	// system maintained there.
+	for e, want := range countAt {
+		hs, err := re.AsOf(e)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("AsOf(%d): %v", e, err)
 		}
-		if re2.Epoch() != e || countTri(t, re2.NewSession()) != after {
-			t.Fatalf("mmap=%v: second recovery lost the post-recovery epoch", mmap)
+		if hs.Epoch() != e {
+			t.Fatalf("AsOf(%d) pinned epoch %d", e, hs.Epoch())
 		}
-		re2.Close()
+		if got := countTri(t, hs); got != want {
+			t.Fatalf("AsOf(%d) count %d, want %d", e, got, want)
+		}
+	}
+	if _, err := re.AsOf(liveEpoch + 1); err == nil {
+		t.Fatal("AsOf past the newest epoch succeeded")
+	}
+	// Durability continues after recovery: one more Apply, one more
+	// restart, same oracle.
+	e := re.Apply(huge.Delta{Insert: [][2]huge.VertexID{{0, 1}, {1, 2}, {0, 2}}})
+	s2 := re.NewSession()
+	after := countTri(t, s2)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re2, err := huge.Open(dir, persistOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re2.Epoch() != e || countTri(t, re2.NewSession()) != after {
+		t.Fatal("second recovery lost the post-recovery epoch")
+	}
+	re2.Close()
+}
+
+// TestAsOfCorruptSnapshotIsAnError: bytes damaged on disk are an error,
+// not a panic in an engine goroutine. After Create, Apply, Save, Apply,
+// 4 KB of the epoch-0 snapshot's adjacency are overwritten with an
+// out-of-range vertex id: AsOf(0) fails with store.ErrCorrupt, and the
+// epochs the later snapshot covers still serve.
+func TestAsOfCorruptSnapshotIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	g := gen.PowerLaw(2000, 5, 7)
+	sys, err := huge.Create(dir, g, persistOpts(&huge.PersistConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.Apply(huge.Delta{Insert: [][2]huge.VertexID{{0, 1}, {1, 2}, {0, 2}}})
+	if _, err := sys.Save(); err != nil {
+		t.Fatal(err)
+	}
+	e := sys.Apply(huge.Delta{Delete: [][2]huge.VertexID{{0, 1}}})
+	want := countTri(t, sys.NewSession())
+
+	// The adjacency section starts at the first page boundary past the
+	// 4 KiB header page and the V+1 eight-byte offsets.
+	path := filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", 0))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := (4096 + (g.NumVertices()+1)*8 + 4095) &^ 4095
+	for i := adj; i < adj+4096; i += 4 {
+		binary.LittleEndian.PutUint32(b[i:], 0xFFFFFFF0)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := sys.AsOf(0); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("AsOf(0) over a damaged snapshot: err = %v, want store.ErrCorrupt", err)
+	}
+	if got := countTri(t, mustAsOf(t, sys, e)); got != want {
+		t.Fatalf("AsOf(%d) count %d, want %d", e, got, want)
 	}
 }
 

@@ -30,26 +30,9 @@ func NewSimKV(g *graph.Graph, m *metrics.Metrics) *SimKV {
 // and sleeping for the modelled latency.
 func (s *SimKV) Get(v graph.VertexID) []graph.VertexID {
 	nb := s.g.Neighbors(v)
-	s.request(uint64(len(nb))*4 + 4)
-	return nb
-}
-
-// GetBatch returns adjacency for several vertices in one request — BENU's
-// batched variant, still paying the per-request overhead once.
-func (s *SimKV) GetBatch(vs []graph.VertexID) [][]graph.VertexID {
-	out := make([][]graph.VertexID, len(vs))
-	bytes := uint64(len(vs)) * 4
-	for i, v := range vs {
-		out[i] = s.g.Neighbors(v)
-		bytes += uint64(len(out[i])) * 4
-	}
-	s.request(bytes)
-	return out
-}
-
-// request records one round trip carrying bytes and charges its cost.
-func (s *SimKV) request(bytes uint64) {
+	bytes := uint64(len(nb))*4 + 4 // key + adjacency
 	s.Metrics.RPCCalls.Add(1)
 	s.Metrics.BytesPulled.Add(bytes)
 	s.Cost.charge(bytes, 1, s.Metrics)
+	return nb
 }

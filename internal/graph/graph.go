@@ -199,7 +199,7 @@ func (g *Graph) LabelCount(l LabelID) int {
 	if int(l) >= g.numLabels {
 		return 0
 	}
-	return int(g.labelOff[l+1] - g.labelOff[l])
+	return int(g.labelOff[int(l)+1] - g.labelOff[l])
 }
 
 // VerticesWithLabel returns the ascending vertex list for label l — the
@@ -213,7 +213,7 @@ func (g *Graph) VerticesWithLabel(l LabelID) []VertexID {
 	if int(l) >= g.numLabels {
 		return g.labelVerts[:0]
 	}
-	return g.labelVerts[g.labelOff[l]:g.labelOff[l+1]]
+	return g.labelVerts[g.labelOff[l]:g.labelOff[int(l)+1]]
 }
 
 // WithLabels returns a labelled view of g: a new Graph sharing g's CSR
@@ -401,7 +401,7 @@ func (g *Graph) attachLabels(labels []LabelID) {
 	g.numLabels = int(maxL) + 1
 	off := make([]uint32, g.numLabels+1)
 	for _, l := range labels {
-		off[l+1]++
+		off[int(l)+1]++
 	}
 	for i := 1; i <= g.numLabels; i++ {
 		off[i] += off[i-1]

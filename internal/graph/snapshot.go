@@ -2,15 +2,17 @@ package graph
 
 // Snapshot encode/decode hooks for the persistent store (internal/store):
 // a compact CSR snapshot round-trips through CSRData — flat columnar arrays
-// that serialise (and mmap) trivially — without exposing the Graph's
-// internals or weakening its immutability. Export compacts a delta overlay
-// first, so every persisted snapshot is a flat CSR; FromCSR reattaches the
-// arrays (which may alias read-only mmap'd pages) and rebuilds only the
-// derived indices that are cheap relative to the adjacency data.
+// that serialise trivially — without exposing the Graph's internals or
+// weakening its immutability. Export compacts a delta overlay first, so
+// every persisted snapshot is a flat CSR; FromCSR checks the arrays,
+// reattaches them (they may alias the store's read buffer) and rebuilds
+// only the derived indices that are cheap relative to the adjacency data.
+
+import "fmt"
 
 // CSRData is the raw columnar content of one compact (overlay-free) graph
 // snapshot: exactly the state a persisted snapshot carries. The slices may
-// alias storage owned by someone else — a store's mmap'd pages on load, the
+// alias storage owned by someone else — a store's read buffer on load, the
 // graph's own arrays on export — and must be treated as read-only.
 type CSRData struct {
 	Offsets []uint64   // len NumV+1; Offsets[NumV] == len(Adj)
@@ -23,7 +25,7 @@ type CSRData struct {
 	ELabels []LabelID // per-edge labels parallel to Adj; nil if edge-unlabelled
 	// NumELabels is the edge-label alphabet size (max label + 1; 0 when
 	// ELabels is nil). Persisted rather than recomputed so loading never has
-	// to scan the (possibly cold, mmap'd) edge-label section.
+	// to scan the edge-label section.
 	NumELabels int
 }
 
@@ -60,12 +62,18 @@ func (g *Graph) Compact() *Graph {
 }
 
 // FromCSR reconstructs a Graph from persisted columnar content. The arrays
-// are adopted as-is (no copy — they may be mmap'd, paging in lazily as
-// queries touch them); only the per-label vertex index is rebuilt, an O(V)
-// counting sort over the small label array. The caller guarantees the data
-// came from Export (sorted deduped adjacency, consistent counts): FromCSR
-// validates shape, not content.
-func FromCSR(d CSRData) *Graph {
+// are adopted as-is (no copy); only the per-label vertex index is rebuilt,
+// an O(V) counting sort over the small label array. Before adopting them it
+// checks in O(V+E) everything an index into them relies on, and returns an
+// error instead of a graph that would panic on first use: the offsets start
+// at 0, never decrease and end at len(Adj) = 2·NumE, every adjacency id is
+// < NumV, and the label arrays are as long as the vertices and adjacency
+// they label. Row order is not checked: content that passes came from
+// Export, or was damaged in a way a checksum has to catch.
+func FromCSR(d CSRData) (*Graph, error) {
+	if err := d.check(); err != nil {
+		return nil, err
+	}
 	g := &Graph{
 		offsets: d.Offsets,
 		adj:     d.Adj,
@@ -86,5 +94,39 @@ func FromCSR(d CSRData) *Graph {
 		// label-constrained scans seed from.
 		g.attachLabels(d.Labels)
 	}
-	return g
+	return g, nil
+}
+
+// check validates the CSR invariants FromCSR documents.
+func (d CSRData) check() error {
+	n := d.NumV
+	if n < 0 || len(d.Offsets) != n+1 {
+		return fmt.Errorf("graph: %d offsets for %d vertices", len(d.Offsets), n)
+	}
+	if uint64(len(d.Adj)) != 2*d.NumE {
+		return fmt.Errorf("graph: %d adjacency entries for %d edges", len(d.Adj), d.NumE)
+	}
+	if d.Offsets[0] != 0 {
+		return fmt.Errorf("graph: offsets start at %d", d.Offsets[0])
+	}
+	for v := 0; v < n; v++ {
+		if d.Offsets[v+1] < d.Offsets[v] {
+			return fmt.Errorf("graph: offsets decrease at vertex %d", v)
+		}
+	}
+	if d.Offsets[n] != uint64(len(d.Adj)) {
+		return fmt.Errorf("graph: offsets end at %d, adjacency holds %d", d.Offsets[n], len(d.Adj))
+	}
+	for i, w := range d.Adj {
+		if int(w) >= n {
+			return fmt.Errorf("graph: adjacency entry %d is vertex %d of %d", i, w, n)
+		}
+	}
+	if d.Labels != nil && len(d.Labels) != n {
+		return fmt.Errorf("graph: %d vertex labels for %d vertices", len(d.Labels), n)
+	}
+	if d.ELabels != nil && len(d.ELabels) != len(d.Adj) {
+		return fmt.Errorf("graph: %d edge labels for %d adjacency entries", len(d.ELabels), len(d.Adj))
+	}
+	return nil
 }

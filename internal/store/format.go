@@ -1,10 +1,10 @@
 // Package store is the persistent layer under the serving API: versioned
-// mmap-friendly CSR snapshots on disk, a CRC-framed write-ahead epoch log
-// of graph.Delta batches, and crash-safe recovery that reconstructs the
-// latest durable snapshot — graph, statistics, and the plan-cache worth
-// re-warming — without re-reading the original edge list. Because every
-// applied delta is logged and compaction only adds snapshots, any logged
-// historical epoch can also be materialised for time-travel queries
+// CSR snapshots on disk, a CRC-framed write-ahead epoch log of graph.Delta
+// batches, and crash-safe recovery that reconstructs the latest durable
+// snapshot — graph, statistics, and the plan-cache worth re-warming —
+// without re-reading the original edge list. Because every applied delta
+// is logged and compaction only adds snapshots, any logged historical
+// epoch can also be materialised for time-travel queries
 // (huge.System.AsOf).
 //
 // On-disk layout of a store directory:
@@ -16,11 +16,12 @@
 // A snapshot file is a 4 KiB header page followed by page-aligned
 // sections (offsets, adjacency, vertex labels, edge labels, encoded
 // GraphStats, plan specs), each with a CRC-32C in the header's section
-// table. Page alignment means the two large sections can be mapped
-// straight out of the file and reinterpreted as []uint64 / []VertexID
-// with no copy, paging in lazily as queries touch them. All integers are
-// little-endian; on a big-endian host the loader falls back to a
-// byte-swapping copy.
+// table. A snapshot is loaded with one read, and every section's checksum
+// and the CSR's content are verified before any of it is used (ErrCorrupt
+// otherwise). The large sections are then reinterpreted in place as
+// []uint64 / []VertexID: the read buffer becomes the graph's arrays with
+// no second copy. All integers are little-endian; on a big-endian host the
+// loader falls back to a byte-swapping copy.
 package store
 
 import (
@@ -66,7 +67,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // hostLittleEndian reports whether the native byte order matches the file
 // format; when it does, section bytes reinterpret as typed slices with no
-// copy (the mmap fast path).
+// copy.
 var hostLittleEndian = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -173,7 +174,7 @@ func pageAlign(off uint64) uint64 {
 // The large sections are flat arrays of fixed-width little-endian
 // integers. On a little-endian host a section's bytes ARE the slice — the
 // views below reinterpret without copying (writers borrow the graph's
-// arrays; readers hand mmap'd pages straight to graph.FromCSR). The
+// arrays; readers hand the read buffer straight to graph.FromCSR). The
 // byte-swapping fallbacks keep big-endian hosts correct.
 
 func u64Bytes(s []uint64) []byte {
@@ -223,14 +224,13 @@ func aligned(b []byte, width int) bool {
 	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%uintptr(width) == 0
 }
 
-// bytesToU64 views (or, off the fast path, copies) b as a []uint64 of n
-// elements. zeroCopy selects the view: only safe when b outlives the
-// returned slice (mmap'd pages, or a read buffer the caller keeps).
-func bytesToU64(b []byte, n int, zeroCopy bool) []uint64 {
+// bytesToU64 views (or, on a big-endian host or a misaligned b, copies) b
+// as a []uint64 of n elements. The view aliases b, so b must not be reused.
+func bytesToU64(b []byte, n int) []uint64 {
 	if n == 0 {
 		return []uint64{}
 	}
-	if zeroCopy && hostLittleEndian && aligned(b, 8) {
+	if hostLittleEndian && aligned(b, 8) {
 		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
 	}
 	out := make([]uint64, n)
@@ -240,11 +240,11 @@ func bytesToU64(b []byte, n int, zeroCopy bool) []uint64 {
 	return out
 }
 
-func bytesToVID(b []byte, n int, zeroCopy bool) []graph.VertexID {
+func bytesToVID(b []byte, n int) []graph.VertexID {
 	if n == 0 {
 		return []graph.VertexID{}
 	}
-	if zeroCopy && hostLittleEndian && aligned(b, 4) {
+	if hostLittleEndian && aligned(b, 4) {
 		return unsafe.Slice((*graph.VertexID)(unsafe.Pointer(&b[0])), n)
 	}
 	out := make([]graph.VertexID, n)
@@ -254,11 +254,11 @@ func bytesToVID(b []byte, n int, zeroCopy bool) []graph.VertexID {
 	return out
 }
 
-func bytesToLID(b []byte, n int, zeroCopy bool) []graph.LabelID {
+func bytesToLID(b []byte, n int) []graph.LabelID {
 	if n == 0 {
 		return []graph.LabelID{}
 	}
-	if zeroCopy && hostLittleEndian && aligned(b, 2) {
+	if hostLittleEndian && aligned(b, 2) {
 		return unsafe.Slice((*graph.LabelID)(unsafe.Pointer(&b[0])), n)
 	}
 	out := make([]graph.LabelID, n)

@@ -1,7 +1,7 @@
 package store
 
-// Snapshot file I/O: atomic page-aligned writes and checksummed reads,
-// fully in-memory or mmap-backed.
+// Snapshot file I/O: atomic page-aligned writes, and reads that verify
+// every byte before use.
 
 import (
 	"errors"
@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/graph"
 	"repro/internal/plan"
 )
 
@@ -101,86 +102,63 @@ func syncDir(dir string) error {
 	return df.Close()
 }
 
-// loadedSnapshot is a decoded snapshot file plus the mapping backing it
-// (nil when fully read into memory).
-type loadedSnapshot struct {
-	data   SnapshotData
-	mapped []byte // munmap on release; nil for heap-backed loads
-}
+// ErrCorrupt marks a snapshot whose bytes fail verification: a checksum
+// mismatch, a malformed header or section, or CSR content that
+// graph.FromCSR rejects. Open and MaterializeAt fall back to an older
+// snapshot on it, as on any load error.
+var ErrCorrupt = errors.New("store: corrupt snapshot")
 
-// readSnapshotFile loads and verifies a snapshot. With useMmap set (and a
-// platform that supports it, and a little-endian host) the two large CSR
-// sections alias the mapping and page in lazily; the header and the small
-// sections are always verified eagerly, but the lazily-paged sections'
-// checksums are then NOT verified — the durability story for mmap mode is
-// the header CRC plus the kernel's page cache. Full-read mode verifies
-// every section.
-func readSnapshotFile(path string, useMmap bool) (*loadedSnapshot, error) {
-	if useMmap && mmapSupported && hostLittleEndian {
-		return readSnapshotMmap(path)
-	}
+// loadSnapshot loads the snapshot of epoch in dir with one read and
+// verifies every byte before anything uses it. The recovered graph's
+// arrays alias the read buffer, which it owns from then on.
+func loadSnapshot(dir string, epoch uint64) (Recovered, error) {
+	path := snapPath(dir, epoch)
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return Recovered{}, err
 	}
+	rec, err := decodeSnapshot(b)
+	if err == nil && rec.Epoch != epoch {
+		err = fmt.Errorf("store: snapshot holds epoch %d", rec.Epoch)
+	}
+	if err != nil {
+		return Recovered{}, fmt.Errorf("%s: %w: %w", filepath.Base(path), ErrCorrupt, err)
+	}
+	return rec, nil
+}
+
+// decodeSnapshot checks a whole snapshot file's bytes — the header, every
+// section's checksum, the sections' decoding, and the CSR content — and
+// returns the state they hold at the snapshot's epoch.
+func decodeSnapshot(b []byte) (Recovered, error) {
 	h, err := decodeHeader(b)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+		return Recovered{}, err
 	}
-	secs, err := sectionSlices(b, h, true)
+	secs, err := sectionSlices(b, h)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+		return Recovered{}, err
 	}
-	// The read buffer is owned by the returned graph, so the typed views
-	// can alias it (zeroCopy) — no second copy of the big arrays.
-	data, err := assemble(h, secs, true)
+	data, err := assemble(h, secs)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+		return Recovered{}, err
 	}
-	return &loadedSnapshot{data: data}, nil
+	g, err := graph.FromCSR(data.CSR)
+	if err != nil {
+		return Recovered{}, err
+	}
+	return Recovered{Graph: g, Stats: data.Stats, Plans: data.Plans, Epoch: h.epoch}, nil
 }
 
-func readSnapshotMmap(path string) (*loadedSnapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	m, err := mmapFile(f, fi.Size())
-	if err != nil {
-		// Mapping can fail where plain reads succeed (e.g. some network
-		// filesystems); fall back rather than refuse to open.
-		return readSnapshotFile(path, false)
-	}
-	h, err := decodeHeader(m)
-	if err != nil {
-		munmapFile(m)
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	// Verify everything except the two large lazily-paged sections.
-	secs, err := sectionSlices(m, h, false)
-	if err != nil {
-		munmapFile(m)
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	data, err := assemble(h, secs, true)
-	if err != nil {
-		munmapFile(m)
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	return &loadedSnapshot{data: data, mapped: m}, nil
-}
-
-// sectionSlices bounds-checks every section against the file and returns
-// their byte views. verifyLarge additionally checksums the offsets/adj/
-// elabels sections (the ones mmap mode leaves to lazy paging); the small
-// stats/plans/vlabels sections are always verified.
-func sectionSlices(b []byte, h snapHeader, verifyLarge bool) ([numSecs][]byte, error) {
+// sectionSlices bounds-checks every section against the file, verifies its
+// checksum, and returns the byte views.
+func sectionSlices(b []byte, h snapHeader) ([numSecs][]byte, error) {
 	var out [numSecs][]byte
+	// Every vertex costs 8 offset bytes and every edge 8 adjacency bytes, so
+	// counts past the file's size are corrupt — and would overflow below.
+	if h.numV >= uint64(len(b)) || h.numE >= uint64(len(b)) {
+		return out, fmt.Errorf("store: %d vertices, %d edges in a %d-byte file", h.numV, h.numE, len(b))
+	}
 	want := [numSecs]uint64{
 		secOffsets: (h.numV + 1) * 8,
 		secAdj:     2 * h.numE * 4,
@@ -204,8 +182,7 @@ func sectionSlices(b []byte, h snapHeader, verifyLarge bool) ([numSecs][]byte, e
 			}
 		}
 		sec := b[s.off : s.off+s.length]
-		big := i == secOffsets || i == secAdj || i == secELabels
-		if (verifyLarge || !big) && crc32.Checksum(sec, castagnoli) != s.crc {
+		if crc32.Checksum(sec, castagnoli) != s.crc {
 			return out, fmt.Errorf("store: section %d checksum mismatch", i)
 		}
 		out[i] = sec
@@ -213,7 +190,7 @@ func sectionSlices(b []byte, h snapHeader, verifyLarge bool) ([numSecs][]byte, e
 	return out, nil
 }
 
-func assemble(h snapHeader, secs [numSecs][]byte, zeroCopy bool) (SnapshotData, error) {
+func assemble(h snapHeader, secs [numSecs][]byte) (SnapshotData, error) {
 	var data SnapshotData
 	d := &data.CSR
 	d.NumV = int(h.numV)
@@ -221,13 +198,13 @@ func assemble(h snapHeader, secs [numSecs][]byte, zeroCopy bool) (SnapshotData, 
 	d.MaxDeg = int(h.maxDeg)
 	d.Epoch = h.epoch
 	d.NumELabels = int(h.numELabels)
-	d.Offsets = bytesToU64(secs[secOffsets], d.NumV+1, zeroCopy)
-	d.Adj = bytesToVID(secs[secAdj], int(2*h.numE), zeroCopy)
+	d.Offsets = bytesToU64(secs[secOffsets], d.NumV+1)
+	d.Adj = bytesToVID(secs[secAdj], int(2*h.numE))
 	if h.flags&flagVLabels != 0 {
-		d.Labels = bytesToLID(secs[secVLabels], d.NumV, zeroCopy)
+		d.Labels = bytesToLID(secs[secVLabels], d.NumV)
 	}
 	if h.flags&flagELabels != 0 {
-		d.ELabels = bytesToLID(secs[secELabels], int(2*h.numE), zeroCopy)
+		d.ELabels = bytesToLID(secs[secELabels], int(2*h.numE))
 	}
 	stats, err := plan.DecodeStats(secs[secStats])
 	if err != nil {

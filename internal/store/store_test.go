@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -97,36 +100,27 @@ func buildStore(t *testing.T, dir string, opts Options) (*Store, *graph.Graph, p
 func TestSnapshotRoundTrip(t *testing.T) {
 	g := testGraph()
 	data := testData(g)
-	path := filepath.Join(t.TempDir(), "x.snap")
-	if err := writeSnapshotFile(path, data); err != nil {
+	dir := t.TempDir()
+	if err := writeSnapshotFile(snapPath(dir, data.CSR.Epoch), data); err != nil {
 		t.Fatal(err)
 	}
-	for _, mmap := range []bool{false, true} {
-		loaded, err := readSnapshotFile(path, mmap)
-		if err != nil {
-			t.Fatalf("mmap=%v: %v", mmap, err)
-		}
-		if !reflect.DeepEqual(loaded.data.CSR, data.CSR) {
-			t.Fatalf("mmap=%v: CSR round-trip mismatch", mmap)
-		}
-		if loaded.data.Stats.Fingerprint() != data.Stats.Fingerprint() {
-			t.Fatalf("mmap=%v: stats fingerprint changed across round-trip", mmap)
-		}
-		if !reflect.DeepEqual(loaded.data.Plans, data.Plans) {
-			t.Fatalf("mmap=%v: plans round-trip mismatch:\n got  %+v\n want %+v",
-				mmap, loaded.data.Plans, data.Plans)
-		}
-		// The mmap'd graph must behave, not just compare: FromCSR over the
-		// mapped sections serves adjacency without copying.
-		fg := graph.FromCSR(loaded.data.CSR)
-		if fg.NumEdges() != g.NumEdges() || fg.Degree(0) != g.Degree(0) {
-			t.Fatalf("mmap=%v: FromCSR graph differs", mmap)
-		}
-		if loaded.mapped != nil {
-			if err := munmapFile(loaded.mapped); err != nil {
-				t.Fatal(err)
-			}
-		}
+	rec, err := loadSnapshot(dir, data.CSR.Epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.Graph.Export(), data.CSR) {
+		t.Fatal("CSR round-trip mismatch")
+	}
+	if rec.Stats.Fingerprint() != data.Stats.Fingerprint() {
+		t.Fatal("stats fingerprint changed across round-trip")
+	}
+	if !reflect.DeepEqual(rec.Plans, data.Plans) {
+		t.Fatalf("plans round-trip mismatch:\n got  %+v\n want %+v", rec.Plans, data.Plans)
+	}
+	// The loaded graph must behave, not just compare: FromCSR over the read
+	// buffer serves adjacency without copying.
+	if rec.Graph.NumEdges() != g.NumEdges() || rec.Graph.Degree(0) != g.Degree(0) {
+		t.Fatal("FromCSR graph differs")
 	}
 }
 
@@ -347,6 +341,137 @@ func TestCrashStaleChecksumSnapshot(t *testing.T) {
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("Open succeeded with every snapshot corrupt")
 	}
+}
+
+// reseal recomputes, in place, the checksum of every in-bounds section of
+// the snapshot bytes b and then the header's, so damage to section content
+// gets past the checksums and reaches assemble and graph.FromCSR.
+func reseal(b []byte) {
+	if len(b) < headerSize {
+		return
+	}
+	for i := 0; i < numSecs; i++ {
+		p := secTableOff + i*secEntrySize
+		off, n := binary.LittleEndian.Uint64(b[p:]), binary.LittleEndian.Uint64(b[p+8:])
+		if off <= uint64(len(b)) && n <= uint64(len(b))-off {
+			binary.LittleEndian.PutUint32(b[p+16:], crc32.Checksum(b[off:off+n], castagnoli))
+		}
+	}
+	binary.LittleEndian.PutUint32(b[hdrCRCOff:], crc32.Checksum(b[:hdrCRCOff], castagnoli))
+}
+
+// csrDamage breaks one CSR invariant of a snapshot's sections, each in a
+// way that would index out of range once a query touched the graph.
+var csrDamage = map[string]func(h snapHeader, offsets, adj []byte){
+	"adjacency-id-past-V": func(h snapHeader, _, adj []byte) {
+		binary.LittleEndian.PutUint32(adj[3*4:], uint32(h.numV))
+	},
+	"offsets-decrease": func(_ snapHeader, offsets, _ []byte) {
+		binary.LittleEndian.PutUint64(offsets[8:], binary.LittleEndian.Uint64(offsets[16:])+1)
+	},
+}
+
+// damageCSR applies csrDamage[kind] to the snapshot file at path and
+// reseals it, so only the content check can tell.
+func damageCSR(t *testing.T, path, kind string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := decodeHeader(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := func(i int) []byte { return b[h.secs[i].off : h.secs[i].off+h.secs[i].length] }
+	csrDamage[kind](h, sec(secOffsets), sec(secAdj))
+	reseal(b)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptContentSnapshot: a snapshot whose checksums all match but
+// whose CSR content would index out of range is corrupt. As the store's
+// only snapshot it fails Open with ErrCorrupt; as the newest one, Open and
+// MaterializeAt fall back to the older intact snapshot and replay the log
+// over the distance, as for a checksum mismatch (TestCrashMidCompaction).
+func TestCorruptContentSnapshot(t *testing.T) {
+	for kind := range csrDamage {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _, _ := buildStore(t, dir, Options{})
+			st.Close()
+			damageCSR(t, snapPath(dir, 0), kind)
+			if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open with the only snapshot damaged: err = %v, want ErrCorrupt", err)
+			}
+
+			dir = t.TempDir()
+			st, g, stats := buildStore(t, dir, Options{})
+			if err := st.Compact(SnapshotData{CSR: g.Export(), Stats: stats}); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			damageCSR(t, snapPath(dir, g.Epoch()), kind)
+			st2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			rec, err := st2.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRecovered(t, rec, g, stats)
+			rec, err = st2.MaterializeAt(g.Epoch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRecovered(t, rec, g, stats)
+		})
+	}
+}
+
+// TestRecoverAfterOpenReadsNoFile: Open recovers the state in its one pass
+// over the files, and the first Recover hands that state over — so it
+// still succeeds with every snapshot and segment file gone. A Recover
+// after an Append materialises the newer state from disk.
+func TestRecoverAfterOpenReadsNoFile(t *testing.T) {
+	dir := t.TempDir()
+	st, g, stats := buildStore(t, dir, Options{})
+	st.Close()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st.Recover()
+	if err != nil {
+		t.Fatalf("Recover after Open re-read the store: %v", err)
+	}
+	checkRecovered(t, rec, g, stats)
+
+	dir = t.TempDir()
+	st, g, stats = buildStore(t, dir, Options{})
+	st.Close()
+	st, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	d := graph.Delta{Insert: [][2]graph.VertexID{{3, 6}}}
+	ng, applied := graph.Apply(g, d)
+	if err := st.Append(ng.Epoch(), d); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	checkRecovered(t, rec, ng, plan.UpdateStats(stats, g, ng, applied))
 }
 
 func TestCompactionPrunesWithDropHistory(t *testing.T) {
