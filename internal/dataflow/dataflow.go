@@ -116,12 +116,6 @@ type Extend struct {
 	// without an order between them, and #{x < y} for two with one. An
 	// unmarked final extend is the tail of one, counted as |C|.
 	Tail int
-	// TwinWedge marks the K₂,ₖ shape instead: the stage scans (c1, t), the
-	// marked extend — the stage's first — is the wedge step t ⇒ c2, and
-	// every scanned t and later target is a twin over {c1, c2}. A counting
-	// run tallies the wedges of each scanned c1 per c2 and adds
-	// C(wedges, Tail) per c2.
-	TwinWedge bool
 }
 
 // IsVerify reports whether this extend only verifies connectivity.
@@ -170,6 +164,54 @@ func (s *Stage) CountableTail(k int) bool {
 	return true
 }
 
+// SeparatorShaped reports whether the stage's operators have the shape its
+// Separator mark relies on: a sink stage scanning the separator's first
+// vertex, with the extends of that shape and nothing else — for a rung, no
+// label and no order but the rung's and x2's against x1. NoSeparator fits
+// any stage. The query's own shape is the planner's to check.
+func (s *Stage) SeparatorShaped() bool {
+	ext := s.Extends
+	slotsAre := func(e *Extend, slots ...int) bool {
+		if e.IsVerify() || len(e.ExtSlots) != len(slots) {
+			return false
+		}
+		for _, x := range slots {
+			if !slices.Contains(e.ExtSlots, x) {
+				return false
+			}
+		}
+		return true
+	}
+	switch s.Separator {
+	case NoSeparator:
+		return true
+	case WedgeSeparator:
+		if !s.Terminal.Sink || s.Scan == nil || len(ext) < 2 || !slotsAre(ext[0], 1) {
+			return false
+		}
+		for _, e := range ext[1:] {
+			if !slotsAre(e, 0, 2) || len(e.OldEdgeSlots) > 0 {
+				return false
+			}
+		}
+		return true
+	case RungSeparator:
+		if !s.Terminal.Sink || s.Scan == nil || len(s.Scan.Filters) != 1 || len(ext) != 4 ||
+			s.Scan.LabelA >= 0 || s.Scan.LabelB >= 0 || s.Scan.EdgeLabel >= 0 ||
+			!slotsAre(ext[0], 0) || !slotsAre(ext[1], 1, 2) || !slotsAre(ext[2], 0) || !slotsAre(ext[3], 1, 4) ||
+			len(ext[2].NewFilters) != 1 || ext[2].NewFilters[0].Slot != 2 {
+			return false
+		}
+		for k, e := range ext {
+			if e.TargetLabel >= 0 || e.EdgeLabels != nil || len(e.OldEdgeSlots) > 0 || k != 2 && len(e.NewFilters) > 0 {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // Join is the PUSH-JOIN operator (Section 4.3): a buffered distributed hash
 // join. Both feeding stages shuffle tuples by their key slots; after the
 // barrier, each machine joins its buffered partitions locally.
@@ -205,7 +247,38 @@ type Stage struct {
 	SourceLayout []int // query vertex per slot of the source output
 	Extends      []*Extend
 	Terminal     Terminal
+	// Separator, when set, marks a sink stage whose whole pattern a
+	// counting run counts at a separator (plan.Translate sets it): a pair
+	// of query vertices whose removal leaves isomorphic sides of one or two
+	// vertices. Per image of the separator, each side's completions are
+	// built once and their vertex-disjoint, order-respecting combinations
+	// added in closed form; no extend runs and no row is produced. A run
+	// that needs the rows runs the stage as it stands.
+	Separator Separator
 }
+
+// Separator is the shape of a stage counted at its separator.
+type Separator uint8
+
+const (
+	// NoSeparator: the stage counts at its tail, if it counts at all.
+	NoSeparator Separator = iota
+	// WedgeSeparator is K₂,ₖ: the stage scans (c1, t), its first extend
+	// is the wedge step t ⇒ c2 (c1, c2 non-adjacent), and each of the k−1
+	// later extends matches a twin of t over {c1, c2}. The separator is
+	// (c1, c2) and its k = len(Extends) sides are the twins, each drawing
+	// from P = N(c1) ∩ N(c2): a counting run tallies the wedges of each
+	// scanned c1 per c2 and adds C(|P|, k) per (c1, c2).
+	WedgeSeparator
+	// RungSeparator is the ladder: the stage scans its middle rung (a, b)
+	// under one order between a and b, and its four extends match two
+	// sides, x1 from a and then y1 from {x1, b}, x2 from a and then y2
+	// from {x2, b}, with x2 ordered against x1 and no other order. The
+	// separator is the rung; each side draws from the same completions
+	// P = {(x, y) : x ∈ N(a)∖{b}, y ∈ N(b)∖{a}, x ~ y}, and a counting run
+	// adds half the vertex-disjoint ordered pairs of P per scanned rung.
+	RungSeparator
+)
 
 // OutputLayout returns the layout of tuples leaving the stage.
 func (s *Stage) OutputLayout() []int {
@@ -296,16 +369,17 @@ func (d *Dataflow) Validate() error {
 			}
 			if e.Tail != 0 {
 				switch {
-				case !s.Terminal.Sink || e.IsVerify() || e.Tail < 2:
+				case !s.Terminal.Sink || e.IsVerify() || e.Tail < 2 || s.Separator != NoSeparator:
 					return fmt.Errorf("dataflow: stage %d extend %d has a bad tail mark", i, k)
-				case e.TwinWedge && (k != 0 || s.Scan == nil || e.Tail != len(s.Extends)):
-					return fmt.Errorf("dataflow: stage %d extend %d: a wedge twin tail must span a scan stage from its first extend", i, k)
-				case !e.TwinWedge && k != len(s.Extends)-e.Tail:
+				case k != len(s.Extends)-e.Tail:
 					return fmt.Errorf("dataflow: stage %d extend %d: a tail of %d must end at the sink", i, k, e.Tail)
-				case !e.TwinWedge && !s.CountableTail(k):
+				case !s.CountableTail(k):
 					return fmt.Errorf("dataflow: stage %d extend %d: the tail reads its own slots, verifies, or has more than two sets", i, k)
 				}
 			}
+		}
+		if !s.SeparatorShaped() {
+			return fmt.Errorf("dataflow: stage %d: the operators are not of the shape of separator %d", i, s.Separator)
 		}
 		if i == len(d.Stages)-1 {
 			if !s.Terminal.Sink {
@@ -357,11 +431,15 @@ func (d *Dataflow) String() string {
 			} else {
 				fmt.Fprintf(&sb, " -> PULL-EXTEND(%v=>v%d%s%s%s)", e.ExtSlots, e.TargetQV+1, labelSuffix(e.TargetLabel), el, old)
 			}
-			if e.TwinWedge {
-				fmt.Fprintf(&sb, " [wedge twins %d]", e.Tail)
-			} else if e.Tail > 0 {
+			if e.Tail > 0 {
 				fmt.Fprintf(&sb, " [tail %d]", e.Tail)
 			}
+		}
+		switch s.Separator {
+		case WedgeSeparator:
+			fmt.Fprintf(&sb, " [wedge separator, %d sides]", len(s.Extends))
+		case RungSeparator:
+			sb.WriteString(" [rung separator, 2 sides]")
 		}
 		if s.Terminal.Sink {
 			sb.WriteString(" -> SINK")

@@ -72,8 +72,11 @@ type Config struct {
 	// ends in a marked tail (Extend.Tail), counting starts where the tail
 	// does, with one closed form per prefix row: C(|S|, k) for k twins,
 	// |S_a|·|S_b| − |S_a ∩ S_b| or the ordered pairs of one merge for two
-	// sets, Σ C(wedges, k) per scanned vertex for K₂,ₖ — unless a group
-	// key reads a tail vertex, which leaves the final extend to count.
+	// sets. A stage marked with a separator (dataflow.Separator) counts at
+	// its first extend, per separator image: Σ C(wedges, k) per scanned
+	// vertex for K₂,ₖ, half the vertex-disjoint pairs of side completions
+	// per scanned rung for the ladder. A group key that reads a vertex
+	// counted there leaves the final extend to count.
 	// Ignored when OnResult is set (rows must then exist).
 	Compress bool
 	// DeltaEdges is the pinned edge set of a delta-mode run: DeltaScan
@@ -220,26 +223,33 @@ func Run(ctx context.Context, ex *cluster.Exec, df *dataflow.Dataflow, cfg Confi
 }
 
 // countOp picks the operator of st that counts its matches instead of
-// materialising them (compression [63]), or 0 when none may: the start of
-// a marked tail when the run's group key reads no tail vertex, else the
-// final PULL-EXTEND before a counting SINK — the tail of one.
+// materialising them (compression [63]), or 0 when none may: the first
+// extend of a stage counted at its separator, or the start of a marked
+// tail, when the run's group key reads no vertex counted there (a rung
+// separator's key reads its sides, so a grouped run never counts at it);
+// else the final PULL-EXTEND before a counting SINK — the tail of one.
 func (e *Engine) countOp(st *dataflow.Stage) int {
 	last := len(st.Extends)
 	if !e.cfg.Compress || e.cfg.OnResult != nil || !st.Terminal.Sink || last == 0 {
 		return 0
 	}
+	grouped := e.cfg.Groups != nil && st.Terminal.Group != nil
+	keyed := func(layout []int) bool {
+		k, err := newGroupKeyer(*st.Terminal.Group, layout, -1, nil)
+		return err == nil && k.rowDetermined()
+	}
+	switch st.Separator {
+	case dataflow.WedgeSeparator:
+		if !grouped || keyed(wedgeKeyLayout(st)) {
+			return 1
+		}
+	case dataflow.RungSeparator:
+		if !grouped {
+			return 1
+		}
+	}
 	for i, x := range st.Extends {
-		if x.Tail == 0 {
-			continue
-		}
-		if e.cfg.Groups == nil || st.Terminal.Group == nil {
-			return i + 1
-		}
-		layout := x.OutLayout[:len(x.OutLayout)-1]
-		if x.TwinWedge {
-			layout = wedgeKeyLayout(x)
-		}
-		if k, err := newGroupKeyer(*st.Terminal.Group, layout, -1, nil); err == nil && k.rowDetermined() {
+		if x.Tail > 0 && (!grouped || keyed(x.OutLayout[:len(x.OutLayout)-1])) {
 			return i + 1
 		}
 	}
@@ -252,7 +262,7 @@ func (e *Engine) countOp(st *dataflow.Stage) int {
 // runStage executes one stage on every machine with a barrier at the end.
 func (e *Engine) runStage(ctx context.Context, st *dataflow.Stage) error {
 	ex := &stageExec{eng: e, st: st, ctx: ctx, countOp: e.countOp(st)}
-	ex.byVertex = ex.countOp > 0 && st.Extends[ex.countOp-1].TwinWedge
+	ex.byVertex = ex.countOp == 1 && st.Separator == dataflow.WedgeSeparator
 	k := len(e.ex.Machines)
 	ex.sourcesActive.Store(int64(k))
 

@@ -33,10 +33,11 @@ func (r *machineRun) processExtend(e *dataflow.Extend, b *dataflow.Batch) ([]*da
 // remote vertices that the extends read — each once, ascending, so the
 // machine's requests are reproducible — and hands them to the machine,
 // which owns the cache protocol. A one-machine run owns every vertex:
-// there is nothing to scan for.
+// there is nothing to scan for. Rows arrive in runs that share their
+// leading slots, so a slot holding the vertex it held in the row before is
+// not looked up again.
 func (r *machineRun) fetch(b *dataflow.Batch, exts ...*dataflow.Extend) {
-	eng := r.ex.eng
-	if len(eng.ex.Machines) == 1 {
+	if len(r.ex.eng.ex.Machines) == 1 {
 		return
 	}
 	start := time.Now()
@@ -50,26 +51,94 @@ func (r *machineRun) fetch(b *dataflow.Batch, exts ...*dataflow.Extend) {
 			}
 		}
 	}
+	r.startFetch()
+	var prev []graph.VertexID
+	for i := 0; i < b.Rows(); i++ {
+		row := b.Row(i)
+		for _, s := range slots {
+			if v := row[s]; prev == nil || prev[s] != v {
+				r.want(v)
+			}
+		}
+		prev = row
+	}
+	r.finishFetch(start)
+}
+
+// fetchRung is the fetch stage of a rung separator's batch of scanned
+// rungs: it pulls both ends' lists and every list rungImages walks, those
+// of the neighbours of the end rungEnds picks. The scanning machine owns
+// row[0], so one Fetch serves the batch unless the end picked is remote
+// somewhere (the other end, or a stolen batch): its list must arrive
+// before it can name the lists to pull, in a second Fetch.
+func (r *machineRun) fetchRung(b *dataflow.Batch) {
+	if len(r.ex.eng.ex.Machines) == 1 {
+		return
+	}
+	start := time.Now()
+	g := r.m.Graph()
+	r.startFetch()
+	later := false
+	walked := graph.NoBound // the end whose x's were last wanted
+	for i := 0; i < b.Rows(); i++ {
+		row := b.Row(i)
+		if i == 0 || row[0] != b.Row(i - 1)[0] {
+			r.want(row[0])
+		}
+		r.want(row[1])
+		if a, _ := rungEnds(g, row); !r.m.Owns(a) {
+			later = true
+		} else if a != walked {
+			for _, x := range g.Neighbors(a) {
+				r.want(x)
+			}
+			walked = a
+		}
+	}
+	r.finishFetch(start)
+	if !later {
+		return
+	}
+	start = time.Now()
+	r.startFetch()
+	for i := 0; i < b.Rows(); i++ {
+		if a, _ := rungEnds(g, b.Row(i)); !r.m.Owns(a) && a != walked {
+			// The first Fetch sealed a's list.
+			na, _ := r.m.Neighbors(a)
+			for _, x := range na {
+				r.want(x)
+			}
+			walked = a
+		}
+	}
+	r.finishFetch(start)
+}
+
+// startFetch empties the fetch stage's set of remote vertices.
+func (r *machineRun) startFetch() {
 	if r.seen == nil {
 		r.seen = map[graph.VertexID]struct{}{}
 	}
 	clear(r.seen)
-	remote := r.remote[:0]
-	for i := 0; i < b.Rows(); i++ {
-		row := b.Row(i)
-		for _, s := range slots {
-			if v := row[s]; !r.m.Owns(v) {
-				// One hash per occurrence: the set grew iff v is new.
-				if r.seen[v] = struct{}{}; len(r.seen) > len(remote) {
-					remote = append(remote, v)
-				}
-			}
+	r.remote = r.remote[:0]
+}
+
+// want adds v to the fetch stage's set unless the machine owns it.
+func (r *machineRun) want(v graph.VertexID) {
+	if !r.m.Owns(v) {
+		// One hash per occurrence: the set grew iff v is new.
+		if r.seen[v] = struct{}{}; len(r.seen) > len(r.remote) {
+			r.remote = append(r.remote, v)
 		}
 	}
-	slices.Sort(remote)
-	r.m.Fetch(remote)
-	r.remote = remote
-	eng.ex.Metrics.FetchNs.Add(int64(time.Since(start)))
+}
+
+// finishFetch hands the set to the machine, ascending, and books the
+// fetch stage's time from start.
+func (r *machineRun) finishFetch(start time.Time) {
+	slices.Sort(r.remote)
+	r.m.Fetch(r.remote)
+	r.ex.eng.ex.Metrics.FetchNs.Add(int64(time.Since(start)))
 }
 
 // extendScratch is per-worker reusable state for the intersect stage.
@@ -87,9 +156,11 @@ type extendScratch struct {
 	pairSets [2]graph.NbrList
 	pair     [2]pairSet
 	// wedges and touched are a wedge count's dense per-c2 counter, sized to
-	// the graph, and the entries it set (countWedgeChunk).
+	// the graph, and the entries it set (wedgeImages).
 	wedges  []uint32
 	touched []graph.VertexID
+	// rung holds a rung count's per-position tallies (rungPairs).
+	rung rungScratch
 }
 
 // scratchPool recycles extend scratch between batches and runs: the
@@ -123,6 +194,7 @@ func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
 	for i := range sc.pair {
 		sc.pair[i].from = nil
 	}
+	clear(sc.rung.lists)
 	clear(sc.pairSets[:])
 	sc.out.Recycle()
 	sc.out, sc.outs, sc.gt = nil, nil, nil

@@ -28,9 +28,10 @@ type stageExec struct {
 	firstErr       error
 
 	countOp int // the operator that counts instead of materialising, 0 = none (Engine.countOp)
-	// byVertex marks a stage that counts K₂,ₖ wedges: each scanned vertex's
-	// rows must reach one counter, so its scan batches and its chunks are
-	// cut only between vertices (inter-machine steals move whole batches).
+	// byVertex marks a stage that counts K₂,ₖ at its wedge separator:
+	// each scanned vertex's rows must reach one counter, so its scan
+	// batches and its chunks are cut only between vertices (inter-machine
+	// steals move whole batches).
 	byVertex bool
 }
 
@@ -357,15 +358,16 @@ func (r *machineRun) runOp(op int) error {
 				// from where it starts, the final extension's without one.
 				var n uint64
 				var err error
-				if e.TwinWedge {
-					n, err = r.countWedges(e, b)
+				sep := op == 1 && st.Separator != dataflow.NoSeparator
+				if sep {
+					n, err = r.countSeparator(b)
 				} else {
 					n, err = r.countTail(st.Extends[op-1:], b)
 				}
 				if err != nil {
 					return err
 				}
-				if e.Tail > 0 {
+				if e.Tail > 0 || sep {
 					r.ex.eng.ex.Metrics.TailRows.Add(uint64(b.Rows()))
 				}
 				r.ex.eng.ex.Metrics.Results.Add(n)

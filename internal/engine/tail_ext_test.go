@@ -21,7 +21,7 @@ import (
 // targets drawing from different sets — the case counted by one merge.
 func pairTail(df *dataflow.Dataflow) bool {
 	ext := df.Stages[len(df.Stages)-1].Extends
-	if n := len(ext); n >= 2 && ext[n-2].Tail == 2 && !ext[n-2].TwinWedge {
+	if n := len(ext); n >= 2 && ext[n-2].Tail == 2 {
 		return !ext[n-2].SameCandidates(ext[n-1], len(ext[n-2].OutLayout)-1)
 	}
 	return false

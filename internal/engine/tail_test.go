@@ -89,3 +89,92 @@ func TestTailPairCount(t *testing.T) {
 		t.Fatalf("sweep missed a case: %d equal, %d empty, %d with prefix images", equal, empty, imaged)
 	}
 }
+
+// TestSeparatorRungPairs checks a rung's closed form (rungPairs) against
+// brute force on random rungs (a, b) over a small universe: P is built by
+// definition and its vertex-disjoint ordered pairs are enumerated. The
+// sweep must cover reversed pairs (the R term), a vertex that is an x in
+// one pair and a y in another (the Σc·d term), an empty P, a rung whose
+// sides share every vertex, and lists skewed enough for binary search.
+func TestSeparatorRungPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var reversed, mixed, empty, shared, skewed int
+	var s rungScratch
+	for i := 0; i < 3000; i++ {
+		n := 2 + rng.Intn(10)
+		if i%10 == 0 {
+			n = 40 + rng.Intn(40)
+		}
+		ids := rng.Perm(n) // vertex v is ids[v]: a = ids[0], b = ids[1]
+		a, b := graph.VertexID(ids[0]), graph.VertexID(ids[1])
+		allShared := i%7 == 0
+		edges := [][2]graph.VertexID{{a, b}}
+		for v := 2; v < n; v++ {
+			inA, inB := rng.Intn(2) == 0, rng.Intn(2) == 0
+			if allShared {
+				inA, inB = true, true
+			}
+			if i%10 == 0 && v > 4 {
+				inA = false // a short list against a long N(b)
+			}
+			if inA {
+				edges = append(edges, [2]graph.VertexID{a, graph.VertexID(ids[v])})
+			}
+			if inB {
+				edges = append(edges, [2]graph.VertexID{b, graph.VertexID(ids[v])})
+			}
+			for w := v + 1; w < n; w++ {
+				if rng.Intn(3) == 0 && i%11 != 0 {
+					edges = append(edges, [2]graph.VertexID{graph.VertexID(ids[v]), graph.VertexID(ids[w])})
+				}
+			}
+		}
+		g := graph.FromEdges(edges)
+		na, nb := g.Neighbors(a), g.Neighbors(b)
+		var P [][2]graph.VertexID
+		for _, x := range na {
+			for _, y := range nb {
+				if x != b && y != a && g.HasEdge(x, y) {
+					P = append(P, [2]graph.VertexID{x, y})
+				}
+			}
+		}
+		var want uint64
+		asX, asY := map[graph.VertexID]bool{}, map[graph.VertexID]bool{}
+		for _, p := range P {
+			asX[p[0]], asY[p[1]] = true, true
+			for _, q := range P {
+				if p[0] != q[0] && p[0] != q[1] && p[1] != q[0] && p[1] != q[1] {
+					want++
+				}
+				if p[0] == q[1] && p[1] == q[0] {
+					reversed++
+				}
+			}
+		}
+		for z := range asX {
+			if asY[z] {
+				mixed++
+			}
+		}
+		if len(P) == 0 {
+			empty++
+		}
+		if allShared && len(na) > 1 {
+			shared++
+		}
+		if len(na)*16 < len(nb) {
+			skewed++
+		}
+		s.lists = s.lists[:0]
+		for _, x := range na {
+			s.lists = append(s.lists, g.Neighbors(x))
+		}
+		if got := rungPairs(a, b, na, nb, &s); got != want {
+			t.Fatalf("rung (%d, %d), P = %v: %d disjoint pairs, want %d", a, b, P, got, want)
+		}
+	}
+	if reversed == 0 || mixed == 0 || empty == 0 || shared == 0 || skewed == 0 {
+		t.Fatalf("sweep missed a case: %d reversed, %d mixed, %d empty, %d shared, %d skewed", reversed, mixed, empty, shared, skewed)
+	}
+}

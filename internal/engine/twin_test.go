@@ -79,14 +79,18 @@ func twinHubGraph() *graph.Graph {
 }
 
 // twinDataflow translates q's wco plan and fails unless its sink stage
-// carries a twin-tail mark.
+// carries a twin-tail or a wedge separator mark.
 func twinDataflow(t *testing.T, q *query.Query) *dataflow.Dataflow {
 	t.Helper()
 	df, err := plan.Translate(plan.HugeWcoPlanStats(q, plan.GraphStats{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range df.Stages[len(df.Stages)-1].Extends {
+	st := df.Stages[len(df.Stages)-1]
+	if st.Separator == dataflow.WedgeSeparator {
+		return df
+	}
+	for _, e := range st.Extends {
 		if e.Tail > 0 {
 			return df
 		}
@@ -252,4 +256,63 @@ func TestTwinTailCompressOff(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSeparatorRungSweep counts q6 at its middle rung on the hub graph
+// across batch and queue sizes, worker and machine counts and load
+// balancing: every configuration counts exactly, counts each scanned rung
+// once, leaves no live tuple, and under a budget counts min(k, total).
+// Machines 2 and 3 pull rungs whose walked end is remote, and steal whole
+// batches whose scanned end is.
+func TestSeparatorRungSweep(t *testing.T) {
+	g := twinHubGraph()
+	q := query.Q6()
+	p := plan.Optimize(q, plan.Config{NumMachines: 2, GraphEdges: float64(g.NumEdges()), Card: plan.MomentEstimator(plan.ComputeStats(g))})
+	df, err := plan.TranslateCount(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if df.Stages[0].Separator != dataflow.RungSeparator {
+		t.Fatalf("q6 is not counted at its rung:\n%s", df)
+	}
+	want := baseline.GroundTruthCount(g, q)
+	scanned := scanRows(g, df.Stages[0].Scan)
+	var steals uint64
+	for _, batch := range []int{7, 64} {
+		for _, queue := range []int64{1, -1} {
+			for _, workers := range []int{1, 2} {
+				for _, lb := range []LoadBalance{LBSteal, LBStatic} {
+					for _, machines := range []int{1, 2, 3} {
+						id := fmt.Sprintf("batch=%d queue=%d workers=%d lb=%d machines=%d", batch, queue, workers, lb, machines)
+						ccfg := cluster.Config{NumMachines: machines, Workers: workers, CacheKind: cache.LRBU}
+						ex := cluster.New(g, ccfg).NewExec()
+						got, err := Run(context.Background(), ex, df, Config{BatchRows: batch, QueueRows: queue, LoadBalance: lb, Compress: true})
+						if err != nil {
+							t.Fatalf("%s: %v", id, err)
+						}
+						if got != want {
+							t.Errorf("%s: count %d, want %d", id, got, want)
+						}
+						if rows := ex.Metrics.TailRows.Load(); rows != scanned {
+							t.Errorf("%s: %d rungs counted, want the %d scanned", id, rows, scanned)
+						}
+						if live := ex.Metrics.LiveTuples(); live != 0 {
+							t.Errorf("%s: %d live tuples after the run", id, live)
+						}
+						steals += ex.Metrics.StealsInter.Load()
+						for _, k := range []uint64{1, want / 2, want + 1} {
+							got, err := Run(context.Background(), cluster.New(g, ccfg).NewExec(), df, Config{BatchRows: batch, QueueRows: 1, LoadBalance: lb, Compress: true, Budget: NewBudget(k)})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got != min(k, want) {
+								t.Errorf("%s limit %d: count %d, want %d", id, k, got, min(k, want))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d batches stolen between machines", steals)
 }

@@ -117,6 +117,29 @@ func TestFig9MemoryShape(t *testing.T) {
 	}
 }
 
+// TestFig9Enumerates guards the scheduler experiment: Figure 9 sweeps the
+// queue size on q6 without compression, so every setting must enumerate
+// every match — equal counts, the oracle's — and none may count at the
+// rung separator a CountOnly run of q6 takes.
+func TestFig9Enumerates(t *testing.T) {
+	e := tinyEnv()
+	g := e.Dataset("UK")
+	q := query.Q6()
+	want := baseline.GroundTruthCount(g, q)
+	for _, rows := range []int64{1, 1 << 10, 1 << 14, 1 << 18, -1} {
+		r := e.RunHUGE(g, q, HugeOpts{QueueRows: rows, BatchRows: 512})
+		if r.Err != nil {
+			t.Fatalf("queue %d: %v", rows, r.Err)
+		}
+		if r.Count != want {
+			t.Errorf("queue %d: count %d, want %d", rows, r.Count, want)
+		}
+		if r.Summary.TailRows != 0 {
+			t.Errorf("queue %d: %d rows counted in closed form, want 0", rows, r.Summary.TailRows)
+		}
+	}
+}
+
 // TestRunHUGEMatchesGroundTruth: the rig path (System.PlanFor or
 // FamilyPlan, then cluster + engine driven directly with the ablation
 // settings) must count exactly what the oracle counts, for every plan

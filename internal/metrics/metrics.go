@@ -49,8 +49,9 @@ type Metrics struct {
 	StealsIntra atomic.Uint64
 	StealsInter atomic.Uint64
 
-	// TailRows counts the prefix rows a marked tail of k ≥ 2 counted: each
-	// adds its k targets' picks in closed form instead of enumerating them.
+	// TailRows counts the prefix rows a marked tail of k ≥ 2 counted, and
+	// the scanned rows a separator count took: each adds its targets'
+	// picks in closed form instead of enumerating them.
 	TailRows atomic.Uint64
 
 	// PUSH-JOIN buffers that outgrew their in-memory threshold: sorted runs
@@ -187,7 +188,7 @@ type Summary struct {
 	StealsIntra, StealsInter uint64
 	Kernels                  graph.KernelCounts
 
-	// Prefix rows counted by a tail of k ≥ 2 (Metrics.TailRows).
+	// Rows counted by a tail of k ≥ 2 or a separator (Metrics.TailRows).
 	TailRows uint64
 
 	// PUSH-JOIN sorted runs spilled to disk, and their bytes.

@@ -12,9 +12,10 @@ import (
 
 // TestTranslateCountSwitch: across LJ, OR and EU at Machines 1 and 2, the
 // optimal plans of q1–q8 and the triangle translate for counting exactly as
-// Translate does, except q7's: its prefix SCAN(v3–v2) → v4 → v5 carries
-// v3 < v4, and the path ends v1, v6 are an unordered pair with no order
-// against the prefix. The plan tree is the one Optimize gave.
+// Translate does, except q7's and q6's. q7's prefix SCAN(v3–v2) → v4 → v5
+// carries v3 < v4, and the path ends v1, v6 are an unordered pair with no
+// order against the prefix. q6 is counted at its middle rung under
+// {v3 < v4, v1 < v5}. The plan tree is the one Optimize gave.
 func TestTranslateCountSwitch(t *testing.T) {
 	qs := append(query.Catalog(), query.Triangle())
 	for _, ds := range []string{"LJ", "OR", "EU"} {
@@ -36,13 +37,16 @@ func TestTranslateCountSwitch(t *testing.T) {
 				if treeString(p) != tree {
 					t.Errorf("%s×%d %s: TranslateCount changed the plan tree", ds, machines, q.Name())
 				}
-				if q.Name() != query.Q7().Name() {
+				switch q.Name() {
+				case query.Q7().Name():
+					checkQ7Count(t, ds, machines, got)
+				case query.Q6().Name():
+					checkQ6Count(t, ds, machines, got)
+				default:
 					if !reflect.DeepEqual(got, df) {
 						t.Errorf("%s×%d %s: counting translation differs from Translate:\n%s", ds, machines, q.Name(), got)
 					}
-					continue
 				}
-				checkQ7Count(t, ds, machines, got)
 			}
 		}
 	}
@@ -66,6 +70,21 @@ func checkQ7Count(t *testing.T, ds string, machines int, df *dataflow.Dataflow) 
 	}
 	if ext[2].Tail != 2 || ext[2].SameCandidates(ext[3], 4) {
 		t.Errorf("%s×%d q7: tail %d; want a pair of different sets", ds, machines, ext[2].Tail)
+	}
+}
+
+// checkQ6Count checks q6's counting translation: one stage, the middle
+// rung v3–v4 scanned under v3 < v4, the sides v1–v2 and v5–v6 extended
+// under v1 < v5 alone, and the rung separator marked.
+func checkQ6Count(t *testing.T, ds string, machines int, df *dataflow.Dataflow) {
+	t.Helper()
+	st := df.Stages[len(df.Stages)-1]
+	if len(df.Stages) != 1 || !slices.Equal(st.OutputLayout(), []int{2, 3, 0, 1, 4, 5}) || st.Separator != dataflow.RungSeparator {
+		t.Fatalf("%s×%d q6: not SCAN(v3–v4) → v1 → v2 → v5 → v6 at a rung separator:\n%s", ds, machines, df)
+	}
+	if !slices.Equal(st.Scan.Filters, []dataflow.OrderFilter{{SlotA: 0, SlotB: 1}}) ||
+		!slices.Equal(st.Extends[2].NewFilters, []dataflow.NewFilter{{Slot: 2, NewLess: false}}) {
+		t.Errorf("%s×%d q6: orders %v on the scan, %v on v5; want v3 < v4 and v5 > v1\n%s", ds, machines, st.Scan.Filters, st.Extends[2].NewFilters, df)
 	}
 }
 

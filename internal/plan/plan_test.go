@@ -350,7 +350,9 @@ func TestCostOfAgreesWithOptimize(t *testing.T) {
 // must scan a single edge and intersect the rest (at the parent commit the
 // tie between "edge ⋈ wedge" and "wedge ⋈ edge" fell to scanning the
 // wedge); q7 must be the 3-path v2–v5 with its ends v1 and v6 counted as
-// an ordered pair per row, not Exp-9's 3-path ⋈ 2-path PUSH-JOIN.
+// an ordered pair per row, not Exp-9's 3-path ⋈ 2-path PUSH-JOIN; q6 must
+// scan its middle rung and extend the sides beside it, the plan a counting
+// run counts at the rung.
 func TestOptimizePinnedPlans(t *testing.T) {
 	for _, ds := range []string{"LJ", "OR", "EU"} {
 		g := gen.ByName(ds, 1)
@@ -364,6 +366,9 @@ func TestOptimizePinnedPlans(t *testing.T) {
 		cfg.NumMachines = 2
 		if p := Optimize(query.Q7(), cfg); treeString(p) != q7TailTree {
 			t.Errorf("%s q7 plan changed:\n%swant\n%s", ds, p, q7TailTree)
+		}
+		if p := Optimize(query.Q6(), cfg); treeString(p) != q6RungTree {
+			t.Errorf("%s q6 plan changed:\n%swant\n%s", ds, p, q6RungTree)
 		}
 	}
 }

@@ -20,6 +20,25 @@ package plan
 // engine counts there when the run compresses. The cost model prices a
 // tail of two or more at its prefix (tailCost), and Optimize offers the
 // plans whose tail qualifies (tailCandidates).
+//
+// Two patterns are counted whole, at a separator: a pair of query vertices
+// whose removal leaves isomorphic sides of one or two vertices
+// (dataflow.Separator). Per image of the separator each side's
+// completions P are built once, and the sides' vertex-disjoint picks from
+// P are added in closed form, the same inclusion–exclusion over colliding
+// variables applied at a 2-vertex cut as ESCAPE does
+// (https://arxiv.org/abs/1610.09411):
+//
+//   - K₂,ₖ, cut at its non-adjacent pair (c1, c2): P = N(c1) ∩ N(c2),
+//     C(|P|, k);
+//   - the ladder q6, cut at its middle rung (a, b): P holds the pairs
+//     (x, y), x ∈ N(a)∖{b}, y ∈ N(b)∖{a}, x ~ y, and two completions
+//     collide only as the same pair or as one the other reversed, so the
+//     vertex-disjoint ordered pairs number
+//     |P|² + |P| + R − Σc² − Σd² − 2·Σc·d for c_z, d_z the pairs with z
+//     first or second and R the pairs whose reverse is in P. The rung's
+//     count is half that, under the break that orders the rung first
+//     (TranslateCount).
 
 import (
 	"math/bits"
@@ -92,14 +111,14 @@ func twinClass(q *query.Query, orders []query.Order, ts []int) bool {
 	return true
 }
 
-// markTail marks st's tail, if it has one of two or more: the K₂,ₖ shape
-// when the whole stage qualifies, else the longest run of final extends
-// that countable reports. The checks read the extends as translated —
-// operands, labels, old-edge restrictions and orders towards the prefix —
-// so delta flows qualify exactly as their rewriting leaves them.
+// markTail marks what st counts in closed form, if anything: a separator
+// when the whole stage is one (markSeparator), else the longest run of
+// final extends that countable reports, if it has two or more. The checks
+// read the extends as translated — operands, labels, old-edge restrictions
+// and orders towards the prefix — so delta flows qualify exactly as their
+// rewriting leaves them.
 func markTail(q *query.Query, orders []query.Order, st *dataflow.Stage) {
-	if k := wedgeTwins(q, orders, st); k > 0 {
-		st.Extends[0].Tail, st.Extends[0].TwinWedge = k, true
+	if markSeparator(q, orders, st) {
 		return
 	}
 	for s := 0; s+2 <= len(st.Extends); s++ {
@@ -129,36 +148,90 @@ func countable(q *query.Query, orders []query.Order, st *dataflow.Stage, k int) 
 	return len(tail) == 2 || twinClass(q, orders, ts)
 }
 
-// wedgeTwins returns k when st counts q = K₂,ₖ in the wedge shape
-// SCAN(c1–t) → EXTEND(t ⇒ c2) → EXTEND({c1, c2} ⇒ t′)…: c1 and c2
+// markSeparator marks st with the separator it counts at, if any, and
+// reports whether it did: the operators must have the shape the engine
+// relies on (dataflow.Stage.SeparatorShaped), and q and the orders the
+// shape's closed form.
+func markSeparator(q *query.Query, orders []query.Order, st *dataflow.Stage) bool {
+	if st.Separator = dataflow.WedgeSeparator; st.SeparatorShaped() && wedgeTwins(q, orders, st) {
+		return true
+	}
+	if st.Separator = dataflow.RungSeparator; st.SeparatorShaped() && ladderRung(q, orders, st) {
+		return true
+	}
+	st.Separator = dataflow.NoSeparator
+	return false
+}
+
+// wedgeTwins reports whether st, of the wedge shape SCAN(c1–t) →
+// EXTEND(t ⇒ c2) → EXTEND({c1, c2} ⇒ t′)…, counts q = K₂,ₖ: c1 and c2
 // non-adjacent, and the scanned t with every later target a twin class
-// over {c1, c2}. It returns 0 otherwise.
-func wedgeTwins(q *query.Query, orders []query.Order, st *dataflow.Stage) int {
+// over {c1, c2}.
+func wedgeTwins(q *query.Query, orders []query.Order, st *dataflow.Stage) bool {
 	ext := st.Extends
-	if st.Scan == nil || len(ext) < 2 || q.NumVertices() != len(ext)+2 {
-		return 0
+	if q.NumVertices() != len(ext)+2 {
+		return false
 	}
-	c1, t := st.SourceLayout[0], st.SourceLayout[1]
-	wedge := ext[0]
-	if wedge.IsVerify() || !slices.Equal(wedge.ExtSlots, []int{1}) || q.Degree(t) != 2 {
-		return 0
-	}
-	c2 := wedge.TargetQV
-	if q.HasEdge(c1, c2) || !q.HasEdge(t, c2) {
-		return 0
+	c1, t, c2 := st.SourceLayout[0], st.SourceLayout[1], ext[0].TargetQV
+	if q.Degree(t) != 2 || q.HasEdge(c1, c2) || !q.HasEdge(t, c2) {
+		return false
 	}
 	ts := []int{t}
 	for _, e := range ext[1:] {
-		if e.IsVerify() || len(e.OldEdgeSlots) > 0 || len(e.ExtSlots) != 2 ||
-			!slices.Contains(e.ExtSlots, 0) || !slices.Contains(e.ExtSlots, 2) {
-			return 0
-		}
 		ts = append(ts, e.TargetQV)
 	}
-	if !twinClass(q, orders, ts) {
-		return 0
+	return twinClass(q, orders, ts)
+}
+
+// ladderRung reports whether st, of the rung shape SCAN(a–b) → x1 → y1 →
+// x2 → y2, counts q: the unlabelled ladder with middle rung a–b and rails
+// x1–a–x2 and y1–b–y2, under two orders — the rung's and x1's against x2,
+// which the shape's filters then hold.
+func ladderRung(q *query.Query, orders []query.Order, st *dataflow.Stage) bool {
+	l := st.OutputLayout()
+	if _, _, ok := ladder(q); !ok || len(orders) != 2 {
+		return false
 	}
-	return len(ts)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {2, 3}, {3, 1}, {0, 4}, {4, 5}, {5, 1}} {
+		if !q.HasEdge(l[e[0]], l[e[1]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ladder reports whether q is the unlabelled 3-rung ladder and returns its
+// middle rung (a, b), a < b, and its sides (x, y), x ~ a and y ~ b, the
+// side with the smaller x first.
+func ladder(q *query.Query) (rung [2]int, sides [2][2]int, ok bool) {
+	if q.NumVertices() != 6 || q.NumEdges() != 7 || q.Labeled() || q.EdgeLabeled() {
+		return rung, sides, false
+	}
+	for _, e := range q.Edges() {
+		a, b := min(e[0], e[1]), max(e[0], e[1])
+		if q.Degree(a) != 3 || q.Degree(b) != 3 {
+			continue
+		}
+		n := 0
+		for _, x := range q.Adj(a) {
+			if x == b || q.Degree(x) != 2 {
+				continue
+			}
+			for _, y := range q.Adj(x) {
+				if y != a && y != b && q.Degree(y) == 2 && q.HasEdge(y, b) && n < 2 {
+					sides[n] = [2]int{x, y}
+					n++
+				}
+			}
+		}
+		if n == 2 && sides[0][1] != sides[1][1] {
+			if sides[1][0] < sides[0][0] {
+				sides[0], sides[1] = sides[1], sides[0]
+			}
+			return [2]int{a, b}, sides, true
+		}
+	}
+	return rung, sides, false
 }
 
 // tailCost prices a plan tree whose translated tail of two or more is made
@@ -171,10 +244,12 @@ func wedgeTwins(q *query.Query, orders []query.Order, st *dataflow.Stage) int {
 //   - a pair of different sets also builds both sets per prefix row, as
 //     extending the prefix by either target alone would: it adds
 //     |R(q'_prefix ∪ star(a))| + |R(q'_prefix ∪ star(b))|;
-//   - a K₂,ₖ tail costs its wedge join, cost(edge) + |R(wedge)| + k·|E_G|:
-//     each wedge bumps a counter instead of being produced, and the joins
-//     above it cost nothing.
+//   - a separator costs its first join, cost(edge) + |R(edge ⋈ star)| +
+//     k·|E_G|, and the joins above it nothing: K₂,ₖ's wedge c1–t–c2 bumps
+//     a counter instead of being produced, and the ladder's x–a–b is one
+//     intersection N(x) ∩ N(b) that adds the side completions through x.
 //
+// A ladder is priced as its counting translation marks it (rungBreak).
 // rec prices a subtree without tail pricing.
 func (c *Config) tailCost(p *Plan, rec func(*Node) subPlan) (float64, bool) {
 	if !c.tailPriced() {
@@ -184,10 +259,15 @@ func (c *Config) tailCost(p *Plan, rec func(*Node) subPlan) (float64, bool) {
 	if err != nil {
 		return 0, false
 	}
+	if alt := rungBreak(p, df); alt != nil {
+		df = alt
+	}
 	st := df.Stages[len(df.Stages)-1]
-	mark := slices.IndexFunc(st.Extends, func(e *dataflow.Extend) bool { return e.Tail > 0 })
-	if mark < 0 {
-		return 0, false
+	mark := 0
+	if st.Separator == dataflow.NoSeparator {
+		if mark = slices.IndexFunc(st.Extends, func(e *dataflow.Extend) bool { return e.Tail > 0 }); mark < 0 {
+			return 0, false
+		}
 	}
 	// Extend i of the stage's last n came from the (n-1-i)-th join down
 	// the tree's left spine, provided each of those is a pulling wco join.
@@ -204,7 +284,7 @@ func (c *Config) tailCost(p *Plan, rec func(*Node) subPlan) (float64, bool) {
 			node = node.Left
 		}
 	}
-	if tail[0].TwinWedge {
+	if st.Separator != dataflow.NoSeparator {
 		if !node.Left.IsLeaf() {
 			return 0, false
 		}
@@ -232,8 +312,10 @@ func (c *Config) tailPriced() bool {
 // each built on the optimal plan of its prefix (build): for every pair of
 // non-adjacent vertices and every twin class T whose neighbourhoods the
 // rest of q covers connectedly, that rest joined with one complete star
-// per member of T; and, when q is K₂,ₖ, the wedge shape for every scan
-// edge c1–t with c1 < t (the scan's root is an edge's smaller endpoint).
+// per member of T; when q is K₂,ₖ, the wedge shape for every scan edge
+// c1–t with c1 < t (the scan's root is an edge's smaller endpoint); and,
+// when q is the ladder, its middle rung a–b, a < b, then x1, y1, x2, y2
+// side by side.
 func tailCandidates(q *query.Query, connected func(uint32) bool, build func(uint32) *Node) []*Node {
 	n := q.NumVertices()
 	full := q.FullEdgeMask()
@@ -294,6 +376,14 @@ func tailCandidates(q *query.Query, connected func(uint32) bool, build func(uint
 				out = append(out, node)
 			}
 		}
+	}
+	if rung, sides, ok := ladder(q); ok {
+		a, b := rung[0], rung[1]
+		node := &Node{Edges: star(a, []int{b})}
+		for _, s := range sides {
+			node = extend(extend(node, s[0], []int{a}), s[1], []int{s[0], b})
+		}
+		out = append(out, node)
 	}
 	return out
 }

@@ -58,13 +58,13 @@ func TestTwinTailMarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, e := range df.Stages[len(df.Stages)-1].Extends {
+		st := df.Stages[len(df.Stages)-1]
+		if st.Separator == dataflow.WedgeSeparator {
+			return "wedge" + string(rune('0'+len(st.Extends)))
+		}
+		for i, e := range st.Extends {
 			if e.Tail > 0 {
-				kind := "tail"
-				if e.TwinWedge {
-					kind = "wedge"
-				}
-				return strings.Repeat(" ", i) + kind + string(rune('0'+e.Tail))
+				return strings.Repeat(" ", i) + "tail" + string(rune('0'+e.Tail))
 			}
 		}
 		return ""
@@ -116,8 +116,9 @@ func TestTwinTailMarks(t *testing.T) {
 // TestTwinTailPricing: a tail is priced at its prefix — the diamond's
 // chord-first plan at its chord scan plus the pulled adjacency, the
 // square's wedge shape at its wedge join, the 5-path's pair at its 3-path
-// plus the two sets it builds per row — while the baseline planners'
-// configs (IgnoreComm, Force*) never price it.
+// plus the two sets it builds per row, the ladder at its rung and the
+// side completions it builds — while the baseline planners' configs
+// (IgnoreComm, Force*) never price it.
 func TestTwinTailPricing(t *testing.T) {
 	stats := testStats(t)
 	cfg := Config{NumMachines: 2, GraphEdges: 12000, Card: MomentEstimator(stats)}
@@ -156,23 +157,37 @@ func TestTwinTailPricing(t *testing.T) {
 		t.Errorf("5-path: optimal plan costs %g, want its 3-path, the pulls and both ends' sets %g\n%s", p7.Cost, want, p7)
 	}
 
+	// q6 at its middle rung v3–v4: the rung scanned, plus one intersection
+	// N(x) ∩ N(b) per wedge v1–v3–v4.
+	q6 := query.Q6()
+	rung := uint32(1) << edgeIndex(q6, 2, 3)
+	p6 := Optimize(q6, cfg)
+	if want := cfg.Card(q6, rung) + cfg.Card(q6, rung|1<<edgeIndex(q6, 0, 2)) + comm; math.Abs(p6.Cost-want) > 1e-9*want {
+		t.Errorf("ladder: optimal plan costs %g, want its rung and the wedges x–a–b %g\n%s", p6.Cost, want, p6)
+	}
+
 	for _, base := range []Config{
 		{NumMachines: 1, Card: cfg.Card, IgnoreComm: true},
 		{NumMachines: 1, Card: cfg.Card, ForceAlg: new(JoinAlg), ForceComm: new(CommMode)},
 	} {
 		c := base.withDefaults()
-		if _, ok := c.tailCost(p2, nil); ok {
-			t.Errorf("%+v prices a twin tail", base)
+		for _, p := range []*Plan{p2, p1, p6} {
+			if _, ok := c.tailCost(p, nil); ok {
+				t.Errorf("%+v prices %s's tail or separator", base, p.Q.Name())
+			}
 		}
 	}
 }
 
 // TestTwinTailPlanPins pins the optimal plans of the tracked classes on LJ
 // statistics and the tails they translate to. Tail pricing leaves every
-// tree but q7's exactly as it was: the tailed square's plan now ends in a
-// pair (v4 and the pendant v5), which it counted by enumerating v5 before.
-// q7 leaves Exp-9's 3-path ⋈ 2-path PUSH-JOIN for the 3-path v2–v5 with
-// its two ends counted as an ordered pair.
+// tree but q7's and q6's exactly as it was: the tailed square's plan now
+// ends in a pair (v4 and the pendant v5), which it counted by enumerating
+// v5 before. q7 leaves Exp-9's 3-path ⋈ 2-path PUSH-JOIN for the 3-path
+// v2–v5 with its two ends counted as an ordered pair. q6 leaves the square
+// v3–v4–v6–v5 extended by v1 and counted at v2 for its middle rung and the
+// sides beside it, which a counting run counts at the rung (rungBreak); a
+// stream enumerates the same tree under q6's own orders, with no mark.
 func TestTwinTailPlanPins(t *testing.T) {
 	pins := map[*query.Query]struct{ tree, tail string }{
 		query.Triangle(): {`  join [wco, pulling] vmask=111
@@ -191,14 +206,7 @@ func TestTwinTailPlanPins(t *testing.T) {
       unit star(v4; v1,v3)
     unit star(v1; v5)
 `, "[tail 2]"},
-		query.Q6(): {`  join [wco, pulling] vmask=111111
-    join [wco, pulling] vmask=111101
-      join [wco, pulling] vmask=111100
-        unit star(v4; v3,v6)
-        unit star(v5; v3,v6)
-      unit star(v1; v3)
-    unit star(v2; v1,v4)
-`, ""},
+		query.Q6(): {q6RungTree, ""},
 		query.Q7(): {q7TailTree, "[tail 2]"},
 		query.Q8(): {`  join [wco, pulling] vmask=111111
     join [wco, pulling] vmask=111011
@@ -237,6 +245,22 @@ func TestTwinTailPlanPins(t *testing.T) {
 	}
 }
 
+// q6RungTree is q6's optimal plan on the LJ, OR and EU statistics: the
+// middle rung v3–v4 scanned, then the sides v1–v2 and v5–v6 beside it.
+// Against the square-first plan it replaced, CountOnly at Machines 2 and
+// Workers 1 went 135 → 26 ms on EU×1 and 56 → 1.4 s on LJ×1 (2 vCPUs,
+// min of 30 runs and of 2).
+const q6RungTree = `  join [wco, pulling] vmask=111111
+    join [wco, pulling] vmask=11111
+      join [wco, pulling] vmask=1111
+        join [wco, pulling] vmask=1101
+          unit star(v3; v4)
+          unit star(v1; v3)
+        unit star(v2; v1,v4)
+      unit star(v3; v5)
+    unit star(v6; v4,v5)
+`
+
 // q7TailTree is q7's optimal plan on the LJ, OR and EU statistics: the
 // 3-path v2–v5, then v1 and v6 as the pair tail.
 const q7TailTree = `  join [wco, pulling] vmask=111111
@@ -257,13 +281,11 @@ func TestTwinTailValidate(t *testing.T) {
 	}{
 		{"a tail of one", func(st *dataflow.Stage) { st.Extends[0].Tail = 1 }},
 		{"a tail running past the sink", func(st *dataflow.Stage) {
-			st.Extends[0].Tail, st.Extends[0].TwinWedge = 0, false
+			st.Separator = dataflow.NoSeparator
 			st.Extends[1].Tail = 2
 		}},
-		{"a wedge off the first extend", func(st *dataflow.Stage) {
-			st.Extends[0].Tail, st.Extends[0].TwinWedge = 0, false
-			st.Extends[1].Tail, st.Extends[1].TwinWedge = 2, true
-		}},
+		{"a wedge step off the scanned twin", func(st *dataflow.Stage) { st.Extends[0].ExtSlots = []int{0} }},
+		{"a rung separator on the square", func(st *dataflow.Stage) { st.Separator = dataflow.RungSeparator }},
 	} {
 		df, err := Translate(HugeWcoPlanStats(query.Q1(), GraphStats{}))
 		if err != nil {

@@ -48,10 +48,18 @@ func Translate(p *Plan) (*dataflow.Dataflow, error) {
 // prefix that the query's set already orders: which vertex a range filter
 // bounds decides its cost on a graph whose hubs have low IDs, and the cost
 // model does not see it.
+//
+// A ladder whose sink stage scans its middle rung is counted at the rung
+// (dataflow.RungSeparator) under the chain whose bases come first in the
+// sink's layout: on q6 that is {v3 < v4, v1 < v5}, the rung's order and
+// one between the sides (rungBreak).
 func TranslateCount(p *Plan) (*dataflow.Dataflow, error) {
 	df, err := Translate(p)
 	if err != nil {
 		return nil, err
+	}
+	if alt := rungBreak(p, df); alt != nil {
+		return alt, nil
 	}
 	sink := df.Stages[len(df.Stages)-1]
 	k, n := countedTail(sink)
@@ -77,6 +85,24 @@ func TranslateCount(p *Plan) (*dataflow.Dataflow, error) {
 	return longerTail(df, alt), nil
 }
 
+// rungBreak returns p translated under the stabiliser chain whose bases
+// come first in its sink stage's layout when that translation counts the
+// stage at a rung separator, and nil otherwise. A ladder's sink stage that
+// scans its middle rung gets the rung's order from the chain's first base
+// and one order between the sides from the second; the query's own orders
+// fall on the sides.
+func rungBreak(p *Plan, df *dataflow.Dataflow) *dataflow.Dataflow {
+	sink := df.Stages[len(df.Stages)-1]
+	if _, _, ok := ladder(p.Q); !ok || len(df.Stages) != 1 || sink.Scan == nil || sink.Separator != dataflow.NoSeparator {
+		return nil
+	}
+	alt, err := translate(p, p.Q.OrdersBy(sink.OutputLayout()))
+	if err != nil || alt.Stages[0].Separator != dataflow.RungSeparator {
+		return nil
+	}
+	return alt
+}
+
 // longerTail returns alt, the same plan translated under another symmetry
 // break, unless its sink counts a shorter tail than df's: a prefix halved
 // does not pay for a tail that enumerates where it used to count.
@@ -90,14 +116,14 @@ func longerTail(df, alt *dataflow.Dataflow) *dataflow.Dataflow {
 
 // countedTail returns where st's counted tail starts and how many extends
 // it counts: the marked tail, else the final extension alone, else (a
-// stage ending in a verify, or in none) n = 0. A K₂,ₖ wedge count also
-// reports n = 0: its scanned twin is both source and tail.
+// stage ending in a verify, or in none) n = 0. A stage counted at a
+// separator also reports n = 0: it has no prefix to break symmetry on.
 func countedTail(st *dataflow.Stage) (k, n int) {
+	if st.Separator != dataflow.NoSeparator {
+		return 0, 0
+	}
 	for i, e := range st.Extends {
 		if e.Tail > 0 {
-			if e.TwinWedge {
-				return 0, 0
-			}
 			return i, e.Tail
 		}
 	}

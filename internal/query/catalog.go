@@ -35,7 +35,11 @@ func Q5() *Query {
 }
 
 // Q6 is the 3-rung ladder (two squares sharing an edge, 6 vertices) — the
-// paper's long-running memory-crisis query.
+// paper's long-running memory-crisis query. Its middle rung v3–v4 is a
+// separator: a counting run scans the rung under {v3 < v4, v1 < v5}
+// (Query.OrdersBy) and adds, per rung, half the vertex-disjoint ordered
+// pairs of the side completions (x, y), x ~ v3 and y ~ v4, in closed form
+// (dataflow.RungSeparator) instead of enumerating the squares through it.
 func Q6() *Query {
 	return New("q6-ladder", [][2]int{{0, 1}, {2, 3}, {4, 5}, {0, 2}, {2, 4}, {1, 3}, {3, 5}})
 }
