@@ -8,10 +8,11 @@ import (
 	"repro/internal/baseline"
 )
 
-// TestTailQ7 counts q7 — a 3-path with its two ends counted as a pair per
-// row — through System.Exec: CountOnly and Limit(k) with CountOnly count
-// at the tail and push nothing (steal shipments are counted apart), a
-// group key on a path end falls back to enumerating, and every answer
+// TestTailQ7 counts q7 through System.Exec: CountOnly and Limit(k) with
+// CountOnly count at its middle edge (dataflow.PathSeparator) and push
+// nothing (steal shipments are counted apart); a grouped run keeps q7's
+// own orders, so a key on a middle vertex counts the path ends as a pair
+// tail and a key on a path end falls back to enumerating. Every answer
 // matches the oracle.
 func TestTailQ7(t *testing.T) {
 	g := testGraph(300, 3, 0, 61)

@@ -166,9 +166,10 @@ func (s *Stage) CountableTail(k int) bool {
 
 // SeparatorShaped reports whether the stage's operators have the shape its
 // Separator mark relies on: a sink stage scanning the separator's first
-// vertex, with the extends of that shape and nothing else — for a rung, no
-// label and no order but the rung's and x2's against x1. NoSeparator fits
-// any stage. The query's own shape is the planner's to check.
+// vertex, with the extends of that shape and nothing else — for a rung or
+// a path, no label and no order but the scanned edge's and, on a rung,
+// x2's against x1. NoSeparator fits any stage. The query's own shape is
+// the planner's to check.
 func (s *Stage) SeparatorShaped() bool {
 	ext := s.Extends
 	slotsAre := func(e *Extend, slots ...int) bool {
@@ -195,15 +196,26 @@ func (s *Stage) SeparatorShaped() bool {
 			}
 		}
 		return true
-	case RungSeparator:
+	case RungSeparator, PathSeparator:
 		if !s.Terminal.Sink || s.Scan == nil || len(s.Scan.Filters) != 1 || len(ext) != 4 ||
-			s.Scan.LabelA >= 0 || s.Scan.LabelB >= 0 || s.Scan.EdgeLabel >= 0 ||
-			!slotsAre(ext[0], 0) || !slotsAre(ext[1], 1, 2) || !slotsAre(ext[2], 0) || !slotsAre(ext[3], 1, 4) ||
-			len(ext[2].NewFilters) != 1 || ext[2].NewFilters[0].Slot != 2 {
+			s.Scan.LabelA >= 0 || s.Scan.LabelB >= 0 || s.Scan.EdgeLabel >= 0 {
 			return false
 		}
+		// The operand slots of each extend, and the one extend that holds
+		// an order (x2 > x1 on a rung; none on a path).
+		shape, ordered := [4][]int{{0}, {1, 2}, {0}, {1, 4}}, 2
+		if s.Separator == PathSeparator {
+			shape, ordered = [4][]int{{0}, {1}, {2}, {3}}, -1
+		}
 		for k, e := range ext {
-			if e.TargetLabel >= 0 || e.EdgeLabels != nil || len(e.OldEdgeSlots) > 0 || k != 2 && len(e.NewFilters) > 0 {
+			if !slotsAre(e, shape[k]...) || e.TargetLabel >= 0 || e.EdgeLabels != nil || len(e.OldEdgeSlots) > 0 {
+				return false
+			}
+			if k == ordered {
+				if len(e.NewFilters) != 1 || e.NewFilters[0].Slot != 2 {
+					return false
+				}
+			} else if len(e.NewFilters) > 0 {
 				return false
 			}
 		}
@@ -250,10 +262,12 @@ type Stage struct {
 	// Separator, when set, marks a sink stage whose whole pattern a
 	// counting run counts at a separator (plan.Translate sets it): a pair
 	// of query vertices whose removal leaves isomorphic sides of one or two
-	// vertices. Per image of the separator, each side's completions are
-	// built once and their vertex-disjoint, order-respecting combinations
-	// added in closed form; no extend runs and no row is produced. A run
-	// that needs the rows runs the stage as it stands.
+	// vertices — K₂,ₖ's non-adjacent pair, the ladder's middle rung, the
+	// 5-path's middle edge. Per image of the separator, each side's
+	// completions are built once and their vertex-disjoint,
+	// order-respecting combinations added in closed form; no extend runs
+	// and no row is produced. A run that needs the rows runs the stage as
+	// it stands.
 	Separator Separator
 }
 
@@ -278,6 +292,14 @@ const (
 	// P = {(x, y) : x ∈ N(a)∖{b}, y ∈ N(b)∖{a}, x ~ y}, and a counting run
 	// adds half the vertex-disjoint ordered pairs of P per scanned rung.
 	RungSeparator
+	// PathSeparator is the 5-path x′–x–a–b–y–y′: the stage scans its
+	// middle edge (a, b) under one order between a and b, and its four
+	// extends match x from a, y from b, x′ from x and y′ from y, with no
+	// other order. The separator is the middle edge and its two sides are
+	// the 2-paths a–x–x′ and b–y–y′; a counting run adds, per scanned edge,
+	// the pairs of sides that share no vertex, by inclusion–exclusion over
+	// the four ways a vertex of one side can meet one of the other.
+	PathSeparator
 )
 
 // OutputLayout returns the layout of tuples leaving the stage.
@@ -440,6 +462,8 @@ func (d *Dataflow) String() string {
 			fmt.Fprintf(&sb, " [wedge separator, %d sides]", len(s.Extends))
 		case RungSeparator:
 			sb.WriteString(" [rung separator, 2 sides]")
+		case PathSeparator:
+			sb.WriteString(" [path separator, 2 sides]")
 		}
 		if s.Terminal.Sink {
 			sb.WriteString(" -> SINK")

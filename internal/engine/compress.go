@@ -462,7 +462,7 @@ func acceptCandidate(pred *candPred, row []graph.VertexID, v graph.VertexID) boo
 
 // countSeparator counts a stage at its separator (dataflow.Separator): the
 // batch holds the scanned rows, and each image of the separator adds its
-// sides' vertex-disjoint, order-respecting picks from its completions P in
+// sides' vertex-disjoint, order-respecting picks from its completions in
 // closed form. No extend runs, and no row is built or queued. A budget is
 // claimed once per image; a group key reads the separator, never a side.
 //
@@ -471,13 +471,20 @@ func acceptCandidate(pred *candPred, row []graph.VertexID, v graph.VertexID) boo
 //     t's adjacency is pulled, exactly as EXTEND(t ⇒ c2) pulls it.
 //   - the ladder (rungImages): each scanned rung (a, b) is an image, and
 //     adds half its vertex-disjoint ordered pairs of P (rungPairs). Both
-//     ends' lists and every x's list, x ∈ N(a), are pulled (fetchRung).
+//     ends' lists and every x's list, x ∈ N(a), are pulled (fetchEnds).
+//   - the 5-path (pathImages): each scanned middle edge (a, b) is an
+//     image, and adds its pairs of 2-paths a–x–x′ and b–y–y′ that share no
+//     vertex (pathScratch.count). Both ends' lists and their neighbours'
+//     lists are pulled (fetchEnds).
 func (r *machineRun) countSeparator(b *dataflow.Batch) (uint64, error) {
 	st := r.ex.st
 	count := r.rungImages
+	if st.Separator == dataflow.PathSeparator {
+		count = r.pathImages
+	}
 	var keyer *groupKeyer
-	if st.Separator == dataflow.RungSeparator {
-		r.fetchRung(b)
+	if st.Separator != dataflow.WedgeSeparator {
+		r.fetchEnds(b)
 		defer r.m.Release()
 	} else {
 		e := st.Extends[0]
@@ -607,7 +614,7 @@ func (r *machineRun) rungImages(c *dataflow.Batch, sc *extendScratch) (uint64, e
 		a, b := rungEnds(g, c.Row(i))
 		if i == 0 || a != prev {
 			var err error
-			if na, err = r.rungSide(a, s); err != nil {
+			if na, err = r.sideLists(a, &s.lists); err != nil {
 				return total, err
 			}
 			prev = a
@@ -625,6 +632,157 @@ func (r *machineRun) rungImages(c *dataflow.Batch, sc *extendScratch) (uint64, e
 	return total, nil
 }
 
+// pathImages counts the 5-path on one chunk of scanned middle edges
+// (a, b): each row adds its images (pathScratch.count). The tally over
+// a's 2-hop is built once for the rows that share a, which arrive
+// together, and each row walks b's 2-hop; the scratch is clean again when
+// the chunk ends.
+func (r *machineRun) pathImages(c *dataflow.Batch, sc *extendScratch) (uint64, error) {
+	bud := r.ex.eng.cfg.Budget
+	g := r.m.Graph()
+	s := &sc.path
+	if n := g.NumVertices(); len(s.w) < n {
+		// Grown once per scratch, as the wedge counter is.
+		s.w = make([]uint32, n)
+	}
+	defer s.untally()
+	var total uint64
+	for i := 0; i < c.Rows(); i++ {
+		if bud != nil && bud.Exhausted() {
+			return total, nil
+		}
+		row := c.Row(i)
+		if i == 0 || row[0] != s.a {
+			s.untally()
+			na, err := r.sideLists(row[0], &s.lists)
+			if err != nil {
+				return total, err
+			}
+			s.tally(row[0], na, s.lists)
+		}
+		nb, err := r.sideLists(row[1], &s.lists)
+		if err != nil {
+			return total, err
+		}
+		n := s.count(g, row[1], nb, s.lists)
+		if bud != nil {
+			n = bud.Take(n)
+		}
+		total += n
+	}
+	return total, nil
+}
+
+// pathScratch holds a path count's dense per-vertex tally, sized to the
+// graph: the low bits of w[z] count z's neighbours in N(a) for the end a
+// tallied, pathInA marks z ∈ N(a) and pathInB z ∈ N(b) for the edge
+// (a, b) being counted. touched lists the entries tally set, da is
+// Σ_{x ∈ N(a)} deg x, and lists holds the lists of one end's neighbours.
+type pathScratch struct {
+	w       []uint32
+	touched []graph.VertexID
+	a       graph.VertexID
+	da      uint64
+	lists   [][]graph.VertexID
+}
+
+const (
+	pathInA       = 1 << 31
+	pathInB       = 1 << 30
+	pathTallyMask = pathInB - 1
+)
+
+// tally sets the tally of the end a, for na = N(a) and lists[i] =
+// N(na[i]): w[z] counts the x ∈ N(a) with z ∈ N(x), and N(a) is marked.
+func (s *pathScratch) tally(a graph.VertexID, na []graph.VertexID, lists [][]graph.VertexID) {
+	s.a, s.da = a, 0
+	for _, nx := range lists {
+		s.da += uint64(len(nx))
+		for _, z := range nx {
+			if s.w[z] == 0 {
+				s.touched = append(s.touched, z)
+			}
+			s.w[z]++
+		}
+	}
+	for _, x := range na {
+		if s.w[x] == 0 {
+			s.touched = append(s.touched, x)
+		}
+		s.w[x] |= pathInA
+	}
+}
+
+// untally clears what tally set.
+func (s *pathScratch) untally() {
+	for _, z := range s.touched {
+		s.w[z] = 0
+	}
+	s.touched = s.touched[:0]
+}
+
+// count returns the images of the 5-path x′–x–a–b–y–y′ at the middle
+// edge (a, b), a the end tallied, nb = N(b) and lists[i] = N(nb[i]): the
+// pairs of 2-paths a–x–x′ and b–y–y′, x ≠ b, y ≠ a, x′ and y′ not in
+// {a, b}, that share no vertex. With c(v) = |N(v)∖{a, b}|,
+// A = Σ_{x ∈ N(a)∖b} c(x) and B likewise for b, they number A·B less the
+// pairs where x = y, x = y′, x′ = y or x′ = y′, plus the two collisions
+// that can happen at once (x = y with x′ = y′, x = y′ with x′ = y):
+//
+//	A·B − Σ_{v ∈ N(a)∩N(b)} (deg v − 2)² − Σ_P c(x) − Σ_P c(y)
+//	    − Σ_{z ∉ {a,b}} w_a(z)·w_b(z) + Σ_{v ∈ N(a)∩N(b)} (deg v − 2) + |P|,
+//
+// P = {(x, y) : x ∈ N(a)∖b, y ∈ N(b)∖a, x ~ y} and w_a(z) =
+// |N(z) ∩ N(a)∖{b}|, w_b likewise. One walk over b's 2-hop, reading the
+// tally and the marks of N(a) and N(b), yields every term: a step y–z
+// adds w_a(z) to Σ w_a·w_b, and is a pair of P when z ∈ N(a). The sum is
+// taken positive terms first, so it never wraps.
+func (s *pathScratch) count(g *graph.Graph, b graph.VertexID, nb []graph.VertexID, lists [][]graph.VertexID) uint64 {
+	a, w := s.a, s.w
+	for _, y := range nb {
+		w[y] |= pathInB
+	}
+	// common = |N(a) ∩ N(b)|, and sq, lin the common vertices' c² and c;
+	// db = Σ_{y ∈ N(b)∖a} deg y; p = |P|, cx and cy the sums of c over
+	// P's x and y; ww = Σ w_a·w_b.
+	var common, sq, lin, db, p, cx, cy, ww uint64
+	for i, y := range nb {
+		if y == a {
+			continue
+		}
+		dy := uint64(len(lists[i]))
+		db += dy
+		c := dy - 1
+		if w[y]&pathInA != 0 {
+			c--
+			common++
+			sq += c * c
+			lin += c
+		}
+		var py uint64
+		for _, z := range lists[i] {
+			if z == a || z == b {
+				continue
+			}
+			v := w[z]
+			inB := uint64(v/pathInB) & 1
+			ww += uint64(v&pathTallyMask) - inB
+			if v&pathInA != 0 {
+				py++
+				cx += uint64(g.Degree(z)) - 1 - inB
+			}
+		}
+		p += py
+		cy += c * py
+	}
+	for _, y := range nb {
+		w[y] &^= pathInB
+	}
+	A := s.da - uint64(len(nb)) - uint64(g.Degree(a)-1) - common
+	B := db - uint64(len(nb)-1) - common
+	return A*B + lin + p - sq - cx - cy - ww
+}
+
 // rungEnds orders a scanned rung's ends (a, b), a the end whose
 // neighbours' lists a rung count walks: the scanned row[0], whose rows
 // arrive together and share those lists, unless its degree is more than
@@ -639,22 +797,23 @@ func rungEnds(g *graph.Graph, row []graph.VertexID) (a, b graph.VertexID) {
 	return row[0], row[1]
 }
 
-// rungSide resolves the rung end a's list and, into s.lists, each of its
-// members' lists: the candidates for x and their neighbourhoods.
-func (r *machineRun) rungSide(a graph.VertexID, s *rungScratch) ([]graph.VertexID, error) {
-	na, ok := r.m.Neighbors(a)
+// sideLists resolves v's list and, into lists, each of its members'
+// lists: a rung end's candidates for x and their neighbourhoods, or a
+// path end's 2-hop.
+func (r *machineRun) sideLists(v graph.VertexID, lists *[][]graph.VertexID) ([]graph.VertexID, error) {
+	nv, ok := r.m.Neighbors(v)
 	if !ok {
-		return nil, errUnfetched(a)
+		return nil, errUnfetched(v)
 	}
-	s.lists = s.lists[:0]
-	for _, x := range na {
+	*lists = (*lists)[:0]
+	for _, x := range nv {
 		nx, ok := r.m.Neighbors(x)
 		if !ok {
 			return nil, errUnfetched(x)
 		}
-		s.lists = append(s.lists, nx)
+		*lists = append(*lists, nx)
 	}
-	return na, nil
+	return nv, nil
 }
 
 // errUnfetched reports a list a separator count needs that its fetch stage

@@ -75,8 +75,9 @@ type Config struct {
 	// sets. A stage marked with a separator (dataflow.Separator) counts at
 	// its first extend, per separator image: Σ C(wedges, k) per scanned
 	// vertex for K₂,ₖ, half the vertex-disjoint pairs of side completions
-	// per scanned rung for the ladder. A group key that reads a vertex
-	// counted there leaves the final extend to count.
+	// per scanned rung for the ladder, the vertex-disjoint pairs of 2-paths
+	// per scanned middle edge for the 5-path. A group key that reads a
+	// vertex counted there leaves the final extend to count.
 	// Ignored when OnResult is set (rows must then exist).
 	Compress bool
 	// DeltaEdges is the pinned edge set of a delta-mode run: DeltaScan
@@ -226,7 +227,8 @@ func Run(ctx context.Context, ex *cluster.Exec, df *dataflow.Dataflow, cfg Confi
 // materialising them (compression [63]), or 0 when none may: the first
 // extend of a stage counted at its separator, or the start of a marked
 // tail, when the run's group key reads no vertex counted there (a rung
-// separator's key reads its sides, so a grouped run never counts at it);
+// or path separator's key reads its sides, so a grouped run never counts
+// at one);
 // else the final PULL-EXTEND before a counting SINK — the tail of one.
 func (e *Engine) countOp(st *dataflow.Stage) int {
 	last := len(st.Extends)
@@ -243,7 +245,7 @@ func (e *Engine) countOp(st *dataflow.Stage) int {
 		if !grouped || keyed(wedgeKeyLayout(st)) {
 			return 1
 		}
-	case dataflow.RungSeparator:
+	case dataflow.RungSeparator, dataflow.PathSeparator:
 		if !grouped {
 			return 1
 		}

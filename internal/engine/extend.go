@@ -65,34 +65,40 @@ func (r *machineRun) fetch(b *dataflow.Batch, exts ...*dataflow.Extend) {
 	r.finishFetch(start)
 }
 
-// fetchRung is the fetch stage of a rung separator's batch of scanned
-// rungs: it pulls both ends' lists and every list rungImages walks, those
-// of the neighbours of the end rungEnds picks. The scanning machine owns
-// row[0], so one Fetch serves the batch unless the end picked is remote
-// somewhere (the other end, or a stolen batch): its list must arrive
-// before it can name the lists to pull, in a second Fetch.
-func (r *machineRun) fetchRung(b *dataflow.Batch) {
+// fetchEnds is the fetch stage of a batch of scanned rungs or middle
+// edges: it pulls both ends' lists and the lists the count walks, those of
+// the neighbours of the end rungEnds picks on a rung and of both ends on a
+// path (walkedEnds). The scanning machine owns row[0], so one Fetch serves
+// the batch unless a walked end is remote somewhere (the other end, or a
+// stolen batch): its list must arrive before it can name the lists to
+// pull, in a second Fetch.
+func (r *machineRun) fetchEnds(b *dataflow.Batch) {
 	if len(r.ex.eng.ex.Machines) == 1 {
 		return
 	}
-	start := time.Now()
 	g := r.m.Graph()
-	r.startFetch()
+	path := r.ex.st.Separator == dataflow.PathSeparator
+	// walked[k] is the end whose neighbours were last wanted in the k-th
+	// place of walkedEnds; the first pass wants the owned ends' members.
+	walked := [2]graph.VertexID{graph.NoBound, graph.NoBound}
 	later := false
-	walked := graph.NoBound // the end whose x's were last wanted
+	start := time.Now()
+	r.startFetch()
 	for i := 0; i < b.Rows(); i++ {
 		row := b.Row(i)
 		if i == 0 || row[0] != b.Row(i - 1)[0] {
 			r.want(row[0])
 		}
 		r.want(row[1])
-		if a, _ := rungEnds(g, row); !r.m.Owns(a) {
-			later = true
-		} else if a != walked {
-			for _, x := range g.Neighbors(a) {
-				r.want(x)
+		for k, v := range walkedEnds(g, row, path) {
+			if !r.m.Owns(v) {
+				later = true
+			} else if v != walked[k] {
+				for _, x := range g.Neighbors(v) {
+					r.want(x)
+				}
+				walked[k] = v
 			}
-			walked = a
 		}
 	}
 	r.finishFetch(start)
@@ -102,16 +108,31 @@ func (r *machineRun) fetchRung(b *dataflow.Batch) {
 	start = time.Now()
 	r.startFetch()
 	for i := 0; i < b.Rows(); i++ {
-		if a, _ := rungEnds(g, b.Row(i)); !r.m.Owns(a) && a != walked {
-			// The first Fetch sealed a's list.
-			na, _ := r.m.Neighbors(a)
-			for _, x := range na {
-				r.want(x)
+		for k, v := range walkedEnds(g, b.Row(i), path) {
+			if !r.m.Owns(v) && v != walked[k] {
+				// The first Fetch sealed v's list.
+				nv, _ := r.m.Neighbors(v)
+				for _, x := range nv {
+					r.want(x)
+				}
+				walked[k] = v
 			}
-			walked = a
 		}
 	}
 	r.finishFetch(start)
+}
+
+// walkedEnds returns the ends of a scanned rung or middle edge whose
+// neighbours' lists a separator count walks: the one rungEnds picks on a
+// rung, both on a path.
+func walkedEnds(g *graph.Graph, row []graph.VertexID, path bool) []graph.VertexID {
+	if path {
+		return row[:2]
+	}
+	if a, _ := rungEnds(g, row); a != row[0] {
+		return row[1:2]
+	}
+	return row[:1]
 }
 
 // startFetch empties the fetch stage's set of remote vertices.
@@ -159,8 +180,10 @@ type extendScratch struct {
 	// the graph, and the entries it set (wedgeImages).
 	wedges  []uint32
 	touched []graph.VertexID
-	// rung holds a rung count's per-position tallies (rungPairs).
+	// rung holds a rung count's per-position tallies (rungPairs), path a
+	// path count's per-vertex tally (pathImages).
 	rung rungScratch
+	path pathScratch
 }
 
 // scratchPool recycles extend scratch between batches and runs: the
@@ -195,6 +218,7 @@ func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
 		sc.pair[i].from = nil
 	}
 	clear(sc.rung.lists)
+	clear(sc.path.lists)
 	clear(sc.pairSets[:])
 	sc.out.Recycle()
 	sc.out, sc.outs, sc.gt = nil, nil, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -176,5 +177,97 @@ func TestSeparatorRungPairs(t *testing.T) {
 	}
 	if reversed == 0 || mixed == 0 || empty == 0 || shared == 0 || skewed == 0 {
 		t.Fatalf("sweep missed a case: %d reversed, %d mixed, %d empty, %d shared, %d skewed", reversed, mixed, empty, shared, skewed)
+	}
+}
+
+// TestSeparatorPathCount checks a middle edge's closed form
+// (pathScratch.count) against brute force, which enumerates the pairs of
+// 2-paths a–x–x′ and b–y–y′ that share no vertex. Every ordered edge
+// (a, b) of each graph is counted, all of a's edges from one tally, and
+// untally must leave the scratch clean. The named graphs hold a triangle
+// through an edge, a 4-cycle through one (x = y′ with x′ = y), degree-1
+// ends, ends of more than twice the other's degree and ends whose only
+// neighbour is the other (an empty N(a)∖b); the seeded random graphs run
+// from sparse to dense.
+func TestSeparatorPathCount(t *testing.T) {
+	brute := func(g *graph.Graph, a, b graph.VertexID) uint64 {
+		var n uint64
+		for _, x := range g.Neighbors(a) {
+			for _, x2 := range g.Neighbors(x) {
+				for _, y := range g.Neighbors(b) {
+					for _, y2 := range g.Neighbors(y) {
+						if x != b && y != a && !slices.Contains([]graph.VertexID{a, b, y, y2}, x2) &&
+							!slices.Contains([]graph.VertexID{a, b, x}, y2) && x != y {
+							n++
+						}
+					}
+				}
+			}
+		}
+		return n
+	}
+	lists := func(g *graph.Graph, v graph.VertexID) ([]graph.VertexID, [][]graph.VertexID) {
+		var out [][]graph.VertexID
+		for _, x := range g.Neighbors(v) {
+			out = append(out, g.Neighbors(x))
+		}
+		return g.Neighbors(v), out
+	}
+	check := func(name string, g *graph.Graph) (images uint64) {
+		t.Helper()
+		s := pathScratch{w: make([]uint32, g.NumVertices())}
+		for a := graph.VertexID(0); int(a) < g.NumVertices(); a++ {
+			na, la := lists(g, a)
+			s.tally(a, na, la)
+			for _, b := range na {
+				nb, lb := lists(g, b)
+				got, want := s.count(g, b, nb, lb), brute(g, a, b)
+				if got != want {
+					t.Fatalf("%s: edge (%d, %d): %d images, want %d", name, a, b, got, want)
+				}
+				images += want
+			}
+			s.untally()
+			if i := slices.IndexFunc(s.w, func(w uint32) bool { return w != 0 }); i >= 0 {
+				t.Fatalf("%s: tally of %d left w[%d] = %#x", name, a, i, s.w[i])
+			}
+		}
+		return images
+	}
+	named := []struct {
+		name  string
+		edges [][2]graph.VertexID
+	}{
+		// 0–1 with 2 adjacent to both, each with a pendant path.
+		{"triangle", [][2]graph.VertexID{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 4}, {2, 5}, {3, 6}, {4, 7}, {5, 8}}},
+		// 0–2–3–1 closes a 4-cycle over 0–1: x = 2, y = 3 gives x = y′, x′ = y.
+		{"4-cycle", [][2]graph.VertexID{{0, 1}, {0, 2}, {2, 3}, {3, 1}, {2, 4}, {3, 5}, {0, 6}, {1, 7}}},
+		// Leaves 2..5 hang off 0 and 1; 6 has 1 as its only neighbour.
+		{"degree-1 ends", [][2]graph.VertexID{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {1, 5}, {2, 7}, {4, 8}, {1, 6}}},
+		// The hub 0 has degree 9 against 1's 3.
+		{"skewed", [][2]graph.VertexID{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7}, {0, 8}, {0, 9}, {1, 10}, {1, 11}, {2, 10}, {3, 12}, {10, 13}, {11, 12}}},
+		// 0 and 1 know only each other and one more vertex each.
+		{"empty side", [][2]graph.VertexID{{0, 1}, {2, 3}, {1, 2}, {3, 4}}},
+	}
+	for _, c := range named {
+		if check(c.name, graph.FromEdges(c.edges)) == 0 && c.name != "empty side" {
+			t.Errorf("%s: no image, the case is not exercised", c.name)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		n := 6 + rng.Intn(24)
+		p := 0.05 + 0.4*rng.Float64()
+		var edges [][2]graph.VertexID
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < p {
+					edges = append(edges, [2]graph.VertexID{graph.VertexID(u), graph.VertexID(v)})
+				}
+			}
+		}
+		if len(edges) > 0 {
+			check(fmt.Sprintf("random %d (n=%d, p=%.2f)", i, n, p), graph.FromEdges(edges))
+		}
 	}
 }

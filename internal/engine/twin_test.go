@@ -260,20 +260,33 @@ func TestTwinTailCompressOff(t *testing.T) {
 
 // TestSeparatorRungSweep counts q6 at its middle rung on the hub graph
 // across batch and queue sizes, worker and machine counts and load
-// balancing: every configuration counts exactly, counts each scanned rung
-// once, leaves no live tuple, and under a budget counts min(k, total).
-// Machines 2 and 3 pull rungs whose walked end is remote, and steal whole
-// batches whose scanned end is.
+// balancing (separatorSweep). Machines 2 and 3 pull rungs whose walked end
+// is remote, and steal whole batches whose scanned end is.
 func TestSeparatorRungSweep(t *testing.T) {
+	separatorSweep(t, query.Q6(), dataflow.RungSeparator)
+}
+
+// TestSeparatorPathSweep counts q7 at its middle edge on the hub graph
+// across the same settings (separatorSweep). Machines 2 and 3 pull edges
+// whose other end is remote, and steal whole batches whose scanned end is.
+func TestSeparatorPathSweep(t *testing.T) {
+	separatorSweep(t, query.Q7(), dataflow.PathSeparator)
+}
+
+// separatorSweep counts q, whose counting translation on the hub graph
+// must be marked sep, across batch and queue sizes, worker and machine
+// counts and load balancing: every configuration counts exactly, counts
+// each scanned edge once, leaves no live tuple, and under a budget counts
+// min(k, total).
+func separatorSweep(t *testing.T, q *query.Query, sep dataflow.Separator) {
 	g := twinHubGraph()
-	q := query.Q6()
 	p := plan.Optimize(q, plan.Config{NumMachines: 2, GraphEdges: float64(g.NumEdges()), Card: plan.MomentEstimator(plan.ComputeStats(g))})
 	df, err := plan.TranslateCount(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if df.Stages[0].Separator != dataflow.RungSeparator {
-		t.Fatalf("q6 is not counted at its rung:\n%s", df)
+	if df.Stages[0].Separator != sep {
+		t.Fatalf("%s is not counted at separator %d:\n%s", q.Name(), sep, df)
 	}
 	want := baseline.GroundTruthCount(g, q)
 	scanned := scanRows(g, df.Stages[0].Scan)
@@ -283,7 +296,7 @@ func TestSeparatorRungSweep(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				for _, lb := range []LoadBalance{LBSteal, LBStatic} {
 					for _, machines := range []int{1, 2, 3} {
-						id := fmt.Sprintf("batch=%d queue=%d workers=%d lb=%d machines=%d", batch, queue, workers, lb, machines)
+						id := fmt.Sprintf("%s batch=%d queue=%d workers=%d lb=%d machines=%d", q.Name(), batch, queue, workers, lb, machines)
 						ccfg := cluster.Config{NumMachines: machines, Workers: workers, CacheKind: cache.LRBU}
 						ex := cluster.New(g, ccfg).NewExec()
 						got, err := Run(context.Background(), ex, df, Config{BatchRows: batch, QueueRows: queue, LoadBalance: lb, Compress: true})
@@ -294,7 +307,7 @@ func TestSeparatorRungSweep(t *testing.T) {
 							t.Errorf("%s: count %d, want %d", id, got, want)
 						}
 						if rows := ex.Metrics.TailRows.Load(); rows != scanned {
-							t.Errorf("%s: %d rungs counted, want the %d scanned", id, rows, scanned)
+							t.Errorf("%s: %d separator images counted, want the %d scanned", id, rows, scanned)
 						}
 						if live := ex.Metrics.LiveTuples(); live != 0 {
 							t.Errorf("%s: %d live tuples after the run", id, live)
@@ -314,5 +327,5 @@ func TestSeparatorRungSweep(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d batches stolen between machines", steals)
+	t.Logf("%s: %d batches stolen between machines", q.Name(), steals)
 }

@@ -152,9 +152,11 @@ type HugeOpts struct {
 	LoadBalance engine.LoadBalance
 	Machines    int // 0 = Env.K
 	// Compress counts with the compression of Qiao et al. [63] — a tail
-	// counted in closed form, the final extension counted, not
-	// materialised — as a counting System.Exec does. Off, HUGE enumerates
-	// every match like the materialising baselines it is compared with.
+	// or a separator counted in closed form, the final extension counted,
+	// not materialised — as a counting System.Exec does, under the
+	// symmetry break it counts with (plan.TranslateCount). Off, HUGE
+	// enumerates every match like the materialising baselines it is
+	// compared with.
 	Compress bool
 }
 
@@ -222,7 +224,11 @@ func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 			return RunResult{Name: o.PlanName, Err: err}
 		}
 	}
-	df, err := plan.Translate(p)
+	translate := plan.Translate
+	if o.Compress {
+		translate = plan.TranslateCount
+	}
+	df, err := translate(p)
 	if err != nil {
 		return RunResult{Name: name, Err: err}
 	}

@@ -12,10 +12,10 @@ import (
 
 // TestTranslateCountSwitch: across LJ, OR and EU at Machines 1 and 2, the
 // optimal plans of q1–q8 and the triangle translate for counting exactly as
-// Translate does, except q7's and q6's. q7's prefix SCAN(v3–v2) → v4 → v5
-// carries v3 < v4, and the path ends v1, v6 are an unordered pair with no
-// order against the prefix. q6 is counted at its middle rung under
-// {v3 < v4, v1 < v5}. The plan tree is the one Optimize gave.
+// Translate does, except q7's and q6's, which are counted at a separator:
+// q7 at its middle edge under {v3 < v4}, q6 at its middle rung under
+// {v3 < v4, v1 < v5}. No plan of the grid takes the layout-chain switch.
+// The plan tree is the one Optimize gave.
 func TestTranslateCountSwitch(t *testing.T) {
 	qs := append(query.Catalog(), query.Triangle())
 	for _, ds := range []string{"LJ", "OR", "EU"} {
@@ -52,24 +52,21 @@ func TestTranslateCountSwitch(t *testing.T) {
 	}
 }
 
-// checkQ7Count checks q7's counting translation: one stage, layout v3 v2
-// v4 v5 v1 v6, v4 > v3 its only order, and an unordered pair tail.
+// checkQ7Count checks q7's counting translation: one stage, the middle
+// edge v3–v4 scanned under v3 < v4, then v2, v5, v1, v6 with no order, and
+// the path separator marked.
 func checkQ7Count(t *testing.T, ds string, machines int, df *dataflow.Dataflow) {
 	t.Helper()
 	st := df.Stages[len(df.Stages)-1]
-	ext := st.Extends
-	if len(df.Stages) != 1 || !slices.Equal(st.OutputLayout(), []int{2, 1, 3, 4, 0, 5}) || len(ext) != 4 {
-		t.Fatalf("%s×%d q7: not SCAN(v3–v2) → v4 → v5 → (v1, v6):\n%s", ds, machines, df)
+	if len(df.Stages) != 1 || !slices.Equal(st.OutputLayout(), []int{2, 3, 1, 4, 0, 5}) || st.Separator != dataflow.PathSeparator {
+		t.Fatalf("%s×%d q7: not SCAN(v3–v4) → v2 → v5 → v1 → v6 at a path separator:\n%s", ds, machines, df)
 	}
 	var filters []dataflow.NewFilter
-	for _, e := range ext {
+	for _, e := range st.Extends {
 		filters = append(filters, e.NewFilters...)
 	}
-	if len(st.Scan.Filters) != 0 || !slices.Equal(ext[0].NewFilters, []dataflow.NewFilter{{Slot: 0, NewLess: false}}) || len(filters) != 1 {
-		t.Errorf("%s×%d q7: orders %v on the scan, %v on the extends; want v4 > v3 alone", ds, machines, st.Scan.Filters, filters)
-	}
-	if ext[2].Tail != 2 || ext[2].SameCandidates(ext[3], 4) {
-		t.Errorf("%s×%d q7: tail %d; want a pair of different sets", ds, machines, ext[2].Tail)
+	if !slices.Equal(st.Scan.Filters, []dataflow.OrderFilter{{SlotA: 0, SlotB: 1}}) || len(filters) != 0 {
+		t.Errorf("%s×%d q7: orders %v on the scan, %v on the extends; want v3 < v4 alone\n%s", ds, machines, st.Scan.Filters, filters, df)
 	}
 }
 

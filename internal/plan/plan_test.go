@@ -349,8 +349,9 @@ func TestCostOfAgreesWithOptimize(t *testing.T) {
 // A pulling join does not pay for its right star, so triangle, q2 and q3
 // must scan a single edge and intersect the rest (at the parent commit the
 // tie between "edge ⋈ wedge" and "wedge ⋈ edge" fell to scanning the
-// wedge); q7 must be the 3-path v2–v5 with its ends v1 and v6 counted as
-// an ordered pair per row, not Exp-9's 3-path ⋈ 2-path PUSH-JOIN; q6 must
+// wedge); q7 must scan its middle edge and extend the 2-paths beside it,
+// the plan a counting run counts at that edge, not Exp-9's 3-path ⋈ 2-path
+// PUSH-JOIN; q6 must
 // scan its middle rung and extend the sides beside it, the plan a counting
 // run counts at the rung.
 func TestOptimizePinnedPlans(t *testing.T) {
@@ -364,8 +365,8 @@ func TestOptimizePinnedPlans(t *testing.T) {
 			}
 		}
 		cfg.NumMachines = 2
-		if p := Optimize(query.Q7(), cfg); treeString(p) != q7TailTree {
-			t.Errorf("%s q7 plan changed:\n%swant\n%s", ds, p, q7TailTree)
+		if p := Optimize(query.Q7(), cfg); treeString(p) != q7PathTree {
+			t.Errorf("%s q7 plan changed:\n%swant\n%s", ds, p, q7PathTree)
 		}
 		if p := Optimize(query.Q6(), cfg); treeString(p) != q6RungTree {
 			t.Errorf("%s q6 plan changed:\n%swant\n%s", ds, p, q6RungTree)

@@ -38,7 +38,16 @@ package plan
 //     |P|² + |P| + R − Σc² − Σd² − 2·Σc·d for c_z, d_z the pairs with z
 //     first or second and R the pairs whose reverse is in P. The rung's
 //     count is half that, under the break that orders the rung first
-//     (TranslateCount).
+//     (TranslateCount);
+//   - the 5-path q7, cut at its middle edge (a, b): each side is a 2-path
+//     a–x–x′ or b–y–y′, and a vertex of one side meets one of the other in
+//     four ways (x = y, x = y′, x′ = y, x′ = y′), of which only the pairs
+//     x = y with x′ = y′ and x = y′ with x′ = y can happen at once. With
+//     c(v) = |N(v)∖{a, b}|, A = Σ_{x ∈ N(a)∖b} c(x), B likewise for b, P
+//     the rung's pairs and w_a(z) = |N(z) ∩ N(a)∖{b}|, the edge's images
+//     number A·B − Σ_{x ∈ N(a)∩N(b)} (deg x − 2)² − Σ_P c(x) − Σ_P c(y)
+//     − Σ_{z ∉ {a,b}} w_a(z)·w_b(z) + Σ_{x ∈ N(a)∩N(b)} (deg x − 2) + |P|,
+//     under the break that orders the middle edge (TranslateCount).
 
 import (
 	"math/bits"
@@ -159,6 +168,9 @@ func markSeparator(q *query.Query, orders []query.Order, st *dataflow.Stage) boo
 	if st.Separator = dataflow.RungSeparator; st.SeparatorShaped() && ladderRung(q, orders, st) {
 		return true
 	}
+	if st.Separator = dataflow.PathSeparator; st.SeparatorShaped() && pathMiddle(q, orders, st) {
+		return true
+	}
 	st.Separator = dataflow.NoSeparator
 	return false
 }
@@ -234,6 +246,56 @@ func ladder(q *query.Query) (rung [2]int, sides [2][2]int, ok bool) {
 	return rung, sides, false
 }
 
+// pathMiddle reports whether st, of the path shape SCAN(a–b) → x → y →
+// x′ → y′, counts q: the unlabelled 5-path x′–x–a–b–y–y′ under one order,
+// the middle edge's, which the shape's scan filter then holds.
+func pathMiddle(q *query.Query, orders []query.Order, st *dataflow.Stage) bool {
+	l := st.OutputLayout()
+	if _, _, ok := fivePath(q); !ok || len(orders) != 1 {
+		return false
+	}
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}} {
+		if !q.HasEdge(l[e[0]], l[e[1]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fivePath reports whether q is the unlabelled 5-path and returns its
+// middle edge (a, b), a < b, and its sides (x, x′), x ~ a, and (y, y′),
+// y ~ b.
+func fivePath(q *query.Query) (mid [2]int, sides [2][2]int, ok bool) {
+	if q.NumVertices() != 6 || q.NumEdges() != 5 || q.Labeled() || q.EdgeLabeled() {
+		return mid, sides, false
+	}
+	path := []int{-1} // walked from an end: a path iff it reaches 6 vertices
+	for v := range 6 {
+		if q.Degree(v) == 1 {
+			path[0] = v
+		}
+	}
+	if path[0] < 0 {
+		return mid, sides, false
+	}
+	for prev := -1; len(path) < 6; {
+		v, next := path[len(path)-1], -1
+		for _, u := range q.Adj(v) {
+			if u != prev {
+				next = u
+			}
+		}
+		if next < 0 || q.Degree(v) > 2 || slices.Contains(path, next) {
+			return mid, sides, false
+		}
+		prev, path = v, append(path, next)
+	}
+	if path[2] > path[3] {
+		slices.Reverse(path)
+	}
+	return [2]int{path[2], path[3]}, [2][2]int{{path[1], path[0]}, {path[4], path[5]}}, true
+}
+
 // tailCost prices a plan tree whose translated tail of two or more is made
 // of complete-star joins (one extend each) at its prefix, and reports false
 // for any other tree. Nothing of the tail is materialised:
@@ -246,10 +308,12 @@ func ladder(q *query.Query) (rung [2]int, sides [2][2]int, ok bool) {
 //     |R(q'_prefix ∪ star(a))| + |R(q'_prefix ∪ star(b))|;
 //   - a separator costs its first join, cost(edge) + |R(edge ⋈ star)| +
 //     k·|E_G|, and the joins above it nothing: K₂,ₖ's wedge c1–t–c2 bumps
-//     a counter instead of being produced, and the ladder's x–a–b is one
-//     intersection N(x) ∩ N(b) that adds the side completions through x.
+//     a counter instead of being produced, the ladder's x–a–b is one
+//     intersection N(x) ∩ N(b) that adds the side completions through x,
+//     and the 5-path's x–a–b is one step of the tally over a's 2-hop.
 //
-// A ladder is priced as its counting translation marks it (rungBreak).
+// A ladder or a 5-path is priced as its counting translation marks it
+// (separatorBreak).
 // rec prices a subtree without tail pricing.
 func (c *Config) tailCost(p *Plan, rec func(*Node) subPlan) (float64, bool) {
 	if !c.tailPriced() {
@@ -259,7 +323,7 @@ func (c *Config) tailCost(p *Plan, rec func(*Node) subPlan) (float64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	if alt := rungBreak(p, df); alt != nil {
+	if alt := separatorBreak(p, df); alt != nil {
 		df = alt
 	}
 	st := df.Stages[len(df.Stages)-1]
@@ -313,9 +377,11 @@ func (c *Config) tailPriced() bool {
 // non-adjacent vertices and every twin class T whose neighbourhoods the
 // rest of q covers connectedly, that rest joined with one complete star
 // per member of T; when q is K₂,ₖ, the wedge shape for every scan edge
-// c1–t with c1 < t (the scan's root is an edge's smaller endpoint); and,
-// when q is the ladder, its middle rung a–b, a < b, then x1, y1, x2, y2
-// side by side.
+// c1–t with c1 < t (the scan's root is an edge's smaller endpoint); when
+// q is the ladder, its middle rung a–b, a < b, then x1, y1, x2, y2 side
+// by side; and, when q is the 5-path, its middle edge a–b, a < b, then x,
+// y, x′, y′ — both x's before the ends, so that a run enumerating this
+// tree under q's own orders still counts the ends x′, y′ as a pair tail.
 func tailCandidates(q *query.Query, connected func(uint32) bool, build func(uint32) *Node) []*Node {
 	n := q.NumVertices()
 	full := q.FullEdgeMask()
@@ -384,6 +450,11 @@ func tailCandidates(q *query.Query, connected func(uint32) bool, build func(uint
 			node = extend(extend(node, s[0], []int{a}), s[1], []int{s[0], b})
 		}
 		out = append(out, node)
+	}
+	if mid, sides, ok := fivePath(q); ok {
+		x, y := sides[0], sides[1]
+		node := extend(extend(&Node{Edges: star(mid[0], []int{mid[1]})}, x[0], mid[:1]), y[0], mid[1:])
+		out = append(out, extend(extend(node, x[1], x[:1]), y[1], y[:1]))
 	}
 	return out
 }

@@ -115,9 +115,9 @@ func TestTwinTailMarks(t *testing.T) {
 
 // TestTwinTailPricing: a tail is priced at its prefix — the diamond's
 // chord-first plan at its chord scan plus the pulled adjacency, the
-// square's wedge shape at its wedge join, the 5-path's pair at its 3-path
-// plus the two sets it builds per row, the ladder at its rung and the
-// side completions it builds — while the baseline planners' configs
+// square's wedge shape at its wedge join, the 5-path at its middle edge
+// and the 2-paths it tallies, the ladder at its rung and the side
+// completions it builds — while the baseline planners' configs
 // (IgnoreComm, Force*) never price it.
 func TestTwinTailPricing(t *testing.T) {
 	stats := testStats(t)
@@ -138,23 +138,13 @@ func TestTwinTailPricing(t *testing.T) {
 		t.Errorf("square: optimal plan costs %g, want its wedge join %g\n%s", p1.Cost, want, p1)
 	}
 
-	// q7's pair tail: the 3-path v2–v5 scanned and extended, plus both ends'
-	// sets built per row — the 4-paths v1–v5 and v2–v6.
+	// q7 at its middle edge v3–v4: the edge scanned, plus one tally step
+	// per 2-path v2–v3–v4.
 	q7 := query.Q7()
-	edges := func(es ...[2]int) uint32 {
-		var m uint32
-		for _, e := range es {
-			m |= 1 << edgeIndex(q7, e[0], e[1])
-		}
-		return m
-	}
-	path := edges([2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4})
+	mid := uint32(1) << edgeIndex(q7, 2, 3)
 	p7 := Optimize(q7, cfg)
-	mid := edges([2]int{1, 2}, [2]int{2, 3})
-	prefix := cfg.Card(q7, mid) + cfg.Card(q7, path) + comm // SCAN(v3; v2, v4) then EXTEND(v4 ⇒ v5)
-	sets := cfg.Card(q7, path|edges([2]int{0, 1})) + cfg.Card(q7, path|edges([2]int{4, 5}))
-	if want := prefix + comm + sets; math.Abs(p7.Cost-want) > 1e-9*want {
-		t.Errorf("5-path: optimal plan costs %g, want its 3-path, the pulls and both ends' sets %g\n%s", p7.Cost, want, p7)
+	if want := cfg.Card(q7, mid) + cfg.Card(q7, mid|1<<edgeIndex(q7, 1, 2)) + comm; math.Abs(p7.Cost-want) > 1e-9*want {
+		t.Errorf("5-path: optimal plan costs %g, want its middle edge and the 2-paths x–a–b %g\n%s", p7.Cost, want, p7)
 	}
 
 	// q6 at its middle rung v3–v4: the rung scanned, plus one intersection
@@ -171,7 +161,7 @@ func TestTwinTailPricing(t *testing.T) {
 		{NumMachines: 1, Card: cfg.Card, ForceAlg: new(JoinAlg), ForceComm: new(CommMode)},
 	} {
 		c := base.withDefaults()
-		for _, p := range []*Plan{p2, p1, p6} {
+		for _, p := range []*Plan{p2, p1, p7, p6} {
 			if _, ok := c.tailCost(p, nil); ok {
 				t.Errorf("%+v prices %s's tail or separator", base, p.Q.Name())
 			}
@@ -183,8 +173,10 @@ func TestTwinTailPricing(t *testing.T) {
 // statistics and the tails they translate to. Tail pricing leaves every
 // tree but q7's and q6's exactly as it was: the tailed square's plan now
 // ends in a pair (v4 and the pendant v5), which it counted by enumerating
-// v5 before. q7 leaves Exp-9's 3-path ⋈ 2-path PUSH-JOIN for the 3-path
-// v2–v5 with its two ends counted as an ordered pair. q6 leaves the square
+// v5 before. q7 leaves Exp-9's 3-path ⋈ 2-path PUSH-JOIN for its middle
+// edge v3–v4 and the 2-paths beside it, which a counting run counts at the
+// edge (separatorBreak) and a run under q7's own orders ends in the two
+// path ends as an ordered pair. q6 leaves the square
 // v3–v4–v6–v5 extended by v1 and counted at v2 for its middle rung and the
 // sides beside it, which a counting run counts at the rung (rungBreak); a
 // stream enumerates the same tree under q6's own orders, with no mark.
@@ -207,7 +199,7 @@ func TestTwinTailPlanPins(t *testing.T) {
     unit star(v1; v5)
 `, "[tail 2]"},
 		query.Q6(): {q6RungTree, ""},
-		query.Q7(): {q7TailTree, "[tail 2]"},
+		query.Q7(): {q7PathTree, "[tail 2]"},
 		query.Q8(): {`  join [wco, pulling] vmask=111111
     join [wco, pulling] vmask=111011
       join [wco, pulling] vmask=111001
@@ -261,12 +253,19 @@ const q6RungTree = `  join [wco, pulling] vmask=111111
     unit star(v6; v4,v5)
 `
 
-// q7TailTree is q7's optimal plan on the LJ, OR and EU statistics: the
-// 3-path v2–v5, then v1 and v6 as the pair tail.
-const q7TailTree = `  join [wco, pulling] vmask=111111
+// q7PathTree is q7's optimal plan on the LJ, OR and EU statistics: the
+// middle edge v3–v4 scanned, then v2 and v5 beside it, then the ends v1
+// and v6, which a counting run counts at the middle edge
+// (separatorBreak) and a run under q7's own orders counts as a pair tail.
+// Against the 3-path plan it replaced (v2–v5 with the ends counted per
+// row), CountOnly at Workers 1 on EU×1 went 308 → 22 ms at Machines 1 and
+// 193 → 41 ms at Machines 2 (2 vCPUs, min of 10 runs).
+const q7PathTree = `  join [wco, pulling] vmask=111111
     join [wco, pulling] vmask=11111
       join [wco, pulling] vmask=11110
-        unit star(v3; v2,v4)
+        join [wco, pulling] vmask=1110
+          unit star(v3; v4)
+          unit star(v2; v3)
         unit star(v4; v5)
       unit star(v1; v2)
     unit star(v5; v6)
@@ -294,6 +293,31 @@ func TestTwinTailValidate(t *testing.T) {
 		c.edit(df.Stages[0])
 		if df.Validate() == nil {
 			t.Errorf("%s: Validate accepted\n%s", c.name, df)
+		}
+	}
+	// A path separator takes its shape exactly: no label, no order beyond
+	// the scan's, each side's second vertex read from its first.
+	for _, c := range []struct {
+		name string
+		edit func(st *dataflow.Stage)
+	}{
+		{"a labelled end", func(st *dataflow.Stage) { st.Extends[2].TargetLabel = 1 }},
+		{"an order on an end", func(st *dataflow.Stage) {
+			st.Extends[3].NewFilters = []dataflow.NewFilter{{Slot: 4, NewLess: false}}
+		}},
+		{"an end read from the middle edge", func(st *dataflow.Stage) { st.Extends[2].ExtSlots = []int{0} }},
+		{"a path separator on the ladder's shape", func(st *dataflow.Stage) { st.Separator = dataflow.RungSeparator }},
+	} {
+		df, err := TranslateCount(Optimize(query.Q7(), Config{NumMachines: 2, GraphEdges: 12000, Card: MomentEstimator(testStats(t))}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if df.Stages[0].Separator != dataflow.PathSeparator {
+			t.Fatalf("q7's middle-edge tree is not counted at its path separator:\n%s", df)
+		}
+		c.edit(df.Stages[0])
+		if df.Validate() == nil {
+			t.Errorf("q7 %s: Validate accepted\n%s", c.name, df)
 		}
 	}
 	// A tail must read only its prefix, and beyond two targets draw from

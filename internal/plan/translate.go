@@ -41,24 +41,31 @@ func Translate(p *Plan) (*dataflow.Dataflow, error) {
 // translated with that set instead, provided its tail is no shorter. The
 // plan tree, and so the cost the optimiser priced, is unchanged.
 //
-// On q7 the query's set is {v1 < v6}, on the path ends that the tail
-// counts, and the chain along SCAN(v3–v2) → v4 → v5 → (v1, v6) gives
-// {v3 < v4}: the prefix enumerates each 3-path once instead of twice, and
-// the path ends become an unordered pair. The rule does not switch a
+// The query that needs the switch is a labelled q7 whose labels keep its
+// reversal (its ends labelled alike, say): no path separator counts it, so
+// its plan is the 3-path v2–v5 with the ends counted per row. Its set is
+// {v1 < v6}, on the path ends that the tail counts, and the chain along
+// SCAN(v3–v2) → v4 → v5 → (v1, v6) gives {v3 < v4}: the prefix
+// enumerates each 3-path once instead of twice, and the path ends become
+// an unordered pair. No unlabelled plan of q1–q8 or the triangle on the
+// LJ, OR and EU statistics takes the switch: the 5-path is counted at its
+// middle edge (below). The rule does not switch a
 // prefix that the query's set already orders: which vertex a range filter
 // bounds decides its cost on a graph whose hubs have low IDs, and the cost
 // model does not see it.
 //
-// A ladder whose sink stage scans its middle rung is counted at the rung
-// (dataflow.RungSeparator) under the chain whose bases come first in the
-// sink's layout: on q6 that is {v3 < v4, v1 < v5}, the rung's order and
-// one between the sides (rungBreak).
+// A ladder whose sink stage scans its middle rung, or a 5-path whose sink
+// stage scans its middle edge, is counted at that separator
+// (dataflow.RungSeparator, dataflow.PathSeparator) under the chain whose
+// bases come first in the sink's layout: {v3 < v4, v1 < v5} on q6, the
+// rung's order and one between the sides, and {v3 < v4} on q7
+// (separatorBreak).
 func TranslateCount(p *Plan) (*dataflow.Dataflow, error) {
 	df, err := Translate(p)
 	if err != nil {
 		return nil, err
 	}
-	if alt := rungBreak(p, df); alt != nil {
+	if alt := separatorBreak(p, df); alt != nil {
 		return alt, nil
 	}
 	sink := df.Stages[len(df.Stages)-1]
@@ -85,19 +92,27 @@ func TranslateCount(p *Plan) (*dataflow.Dataflow, error) {
 	return longerTail(df, alt), nil
 }
 
-// rungBreak returns p translated under the stabiliser chain whose bases
-// come first in its sink stage's layout when that translation counts the
-// stage at a rung separator, and nil otherwise. A ladder's sink stage that
-// scans its middle rung gets the rung's order from the chain's first base
-// and one order between the sides from the second; the query's own orders
-// fall on the sides.
-func rungBreak(p *Plan, df *dataflow.Dataflow) *dataflow.Dataflow {
+// separatorBreak returns p translated under the stabiliser chain whose
+// bases come first in its sink stage's layout when that translation counts
+// the stage at a rung or path separator, and nil otherwise. A sink stage
+// that scans a ladder's middle rung or a 5-path's middle edge gets that
+// edge's order from the chain's first base — and, on the ladder, one order
+// between the sides from the second; the query's own orders fall on the
+// sides. A stage that scans another edge is not translated again.
+func separatorBreak(p *Plan, df *dataflow.Dataflow) *dataflow.Dataflow {
 	sink := df.Stages[len(df.Stages)-1]
-	if _, _, ok := ladder(p.Q); !ok || len(df.Stages) != 1 || sink.Scan == nil || sink.Separator != dataflow.NoSeparator {
+	if len(df.Stages) != 1 || sink.Scan == nil || sink.Separator != dataflow.NoSeparator {
+		return nil
+	}
+	edge, _, ok := ladder(p.Q)
+	if !ok {
+		edge, _, ok = fivePath(p.Q)
+	}
+	if scan := [2]int{min(sink.Scan.QA, sink.Scan.QB), max(sink.Scan.QA, sink.Scan.QB)}; !ok || scan != edge {
 		return nil
 	}
 	alt, err := translate(p, p.Q.OrdersBy(sink.OutputLayout()))
-	if err != nil || alt.Stages[0].Separator != dataflow.RungSeparator {
+	if err != nil || alt.Stages[0].Separator == dataflow.NoSeparator {
 		return nil
 	}
 	return alt

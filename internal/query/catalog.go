@@ -45,11 +45,13 @@ func Q6() *Query {
 }
 
 // Q7 is the 5-path (6 vertices). Exp-9's hybrid plan joins a 3-path with a
-// 2-path via PUSH-JOIN; a counting run now enumerates the middle 3-path
-// and counts the two ends per row in closed form instead. Its orders are
-// {v1 < v6}, on those ends; a counting run breaks the same symmetry with
-// v3 < v4 on the 3-path instead (Query.OrdersBy), so it enumerates each
-// 3-path once and counts the ends as an unordered pair.
+// 2-path via PUSH-JOIN. Its middle edge v3–v4 is a separator: a counting
+// run scans that edge under {v3 < v4} (Query.OrdersBy) and adds, per edge,
+// the pairs of 2-paths v3–v2–v1 and v4–v5–v6 that share no vertex, in
+// closed form from degree, 2-hop and pair tallies
+// (dataflow.PathSeparator), with no 3-path row. Its own orders are
+// {v1 < v6}, on the ends: a run that enumerates extends v2 and v5 from the
+// edge and counts the ends per row as an ordered pair.
 func Q7() *Query {
 	return New("q7-5path", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
 }
