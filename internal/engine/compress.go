@@ -474,8 +474,8 @@ func acceptCandidate(pred *candPred, row []graph.VertexID, v graph.VertexID) boo
 //     ends' lists and every x's list, x ∈ N(a), are pulled (fetchEnds).
 //   - the 5-path (pathImages): each scanned middle edge (a, b) is an
 //     image, and adds its pairs of 2-paths a–x–x′ and b–y–y′ that share no
-//     vertex (pathScratch.count). Both ends' lists and their neighbours'
-//     lists are pulled (fetchEnds).
+//     vertex (extendScratch.countPath). Both ends' lists and their
+//     neighbours' lists are pulled (fetchEnds).
 func (r *machineRun) countSeparator(b *dataflow.Batch) (uint64, error) {
 	st := r.ex.st
 	count := r.rungImages
@@ -536,11 +536,7 @@ func (r *machineRun) wedgeImages(e *dataflow.Extend, c *dataflow.Batch, pred *ca
 	bud := r.ex.eng.cfg.Budget
 	g, trivial := pred.g, pred.trivial()
 	hubMin := g.HubMinDegree()
-	if n := g.NumVertices(); len(sc.wedges) < n {
-		// Grown once per scratch and reset through the touched list, so a
-		// pooled scratch counts every later run without allocating.
-		sc.wedges = make([]uint32, n)
-	}
+	sc.growWedges(g.NumVertices())
 	// perC2 keys each image's term by c2; otherwise every term of a c1
 	// lands in c1's group.
 	perC2 := keyer != nil && keyer.slot == 2
@@ -555,6 +551,9 @@ func (r *machineRun) wedgeImages(e *dataflow.Extend, c *dataflow.Batch, pred *ca
 			row := c.Row(i)
 			ok, err := r.gatherOperands(e, row, g, hubMin, sc)
 			if err != nil {
+				// Leave the counter clean for the scratch's next count.
+				sc.touched = touched
+				sc.clearWedges()
 				return total, err
 			}
 			if !ok {
@@ -614,7 +613,7 @@ func (r *machineRun) rungImages(c *dataflow.Batch, sc *extendScratch) (uint64, e
 		a, b := rungEnds(g, c.Row(i))
 		if i == 0 || a != prev {
 			var err error
-			if na, err = r.sideLists(a, &s.lists); err != nil {
+			if na, err = r.sideLists(a, &sc.lists); err != nil {
 				return total, err
 			}
 			prev = a
@@ -623,7 +622,7 @@ func (r *machineRun) rungImages(c *dataflow.Batch, sc *extendScratch) (uint64, e
 		if !ok {
 			return total, errUnfetched(b)
 		}
-		n := rungPairs(a, b, na, nb, s)
+		n := rungPairs(a, b, na, nb, sc.lists, s)
 		if n /= 2; bud != nil {
 			n = bud.Take(n)
 		}
@@ -633,38 +632,34 @@ func (r *machineRun) rungImages(c *dataflow.Batch, sc *extendScratch) (uint64, e
 }
 
 // pathImages counts the 5-path on one chunk of scanned middle edges
-// (a, b): each row adds its images (pathScratch.count). The tally over
-// a's 2-hop is built once for the rows that share a, which arrive
+// (a, b): each row adds its images (extendScratch.countPath). The tally
+// over a's 2-hop is built once for the rows that share a, which arrive
 // together, and each row walks b's 2-hop; the scratch is clean again when
 // the chunk ends.
 func (r *machineRun) pathImages(c *dataflow.Batch, sc *extendScratch) (uint64, error) {
 	bud := r.ex.eng.cfg.Budget
 	g := r.m.Graph()
-	s := &sc.path
-	if n := g.NumVertices(); len(s.w) < n {
-		// Grown once per scratch, as the wedge counter is.
-		s.w = make([]uint32, n)
-	}
-	defer s.untally()
+	sc.growWedges(g.NumVertices())
+	defer sc.clearWedges()
 	var total uint64
 	for i := 0; i < c.Rows(); i++ {
 		if bud != nil && bud.Exhausted() {
 			return total, nil
 		}
 		row := c.Row(i)
-		if i == 0 || row[0] != s.a {
-			s.untally()
-			na, err := r.sideLists(row[0], &s.lists)
+		if i == 0 || row[0] != sc.path.a {
+			sc.clearWedges()
+			na, err := r.sideLists(row[0], &sc.lists)
 			if err != nil {
 				return total, err
 			}
-			s.tally(row[0], na, s.lists)
+			sc.tallyPath(row[0], na, sc.lists)
 		}
-		nb, err := r.sideLists(row[1], &s.lists)
+		nb, err := r.sideLists(row[1], &sc.lists)
 		if err != nil {
 			return total, err
 		}
-		n := s.count(g, row[1], nb, s.lists)
+		n := sc.countPath(g, row[1], nb, sc.lists)
 		if bud != nil {
 			n = bud.Take(n)
 		}
@@ -673,17 +668,14 @@ func (r *machineRun) pathImages(c *dataflow.Batch, sc *extendScratch) (uint64, e
 	return total, nil
 }
 
-// pathScratch holds a path count's dense per-vertex tally, sized to the
-// graph: the low bits of w[z] count z's neighbours in N(a) for the end a
-// tallied, pathInA marks z ∈ N(a) and pathInB z ∈ N(b) for the edge
-// (a, b) being counted. touched lists the entries tally set, da is
-// Σ_{x ∈ N(a)} deg x, and lists holds the lists of one end's neighbours.
+// pathScratch holds the end a a path count has tallied and
+// da = Σ_{x ∈ N(a)} deg x. The tally itself is the worker's dense counter
+// (extendScratch.wedges): the low bits of wedges[z] count z's neighbours
+// in N(a), pathInA marks z ∈ N(a) and pathInB z ∈ N(b) for the edge
+// (a, b) being counted.
 type pathScratch struct {
-	w       []uint32
-	touched []graph.VertexID
-	a       graph.VertexID
-	da      uint64
-	lists   [][]graph.VertexID
+	a  graph.VertexID
+	da uint64
 }
 
 const (
@@ -692,36 +684,47 @@ const (
 	pathTallyMask = pathInB - 1
 )
 
-// tally sets the tally of the end a, for na = N(a) and lists[i] =
-// N(na[i]): w[z] counts the x ∈ N(a) with z ∈ N(x), and N(a) is marked.
-func (s *pathScratch) tally(a graph.VertexID, na []graph.VertexID, lists [][]graph.VertexID) {
-	s.a, s.da = a, 0
+// growWedges sizes the dense counter to a graph of n vertices. It grows
+// once per scratch and is reset through the touched list, so a pooled
+// scratch counts every later run without allocating.
+func (sc *extendScratch) growWedges(n int) {
+	if len(sc.wedges) < n {
+		sc.wedges = make([]uint32, n)
+	}
+}
+
+// clearWedges zeroes the counter entries the touched list names.
+func (sc *extendScratch) clearWedges() {
+	for _, z := range sc.touched {
+		sc.wedges[z] = 0
+	}
+	sc.touched = sc.touched[:0]
+}
+
+// tallyPath sets the counter to the tally of the end a, for na = N(a) and
+// lists[i] = N(na[i]): wedges[z] counts the x ∈ N(a) with z ∈ N(x), and
+// N(a) is marked. The counter must be clear.
+func (sc *extendScratch) tallyPath(a graph.VertexID, na []graph.VertexID, lists [][]graph.VertexID) {
+	w := sc.wedges
+	sc.path = pathScratch{a: a}
 	for _, nx := range lists {
-		s.da += uint64(len(nx))
+		sc.path.da += uint64(len(nx))
 		for _, z := range nx {
-			if s.w[z] == 0 {
-				s.touched = append(s.touched, z)
+			if w[z] == 0 {
+				sc.touched = append(sc.touched, z)
 			}
-			s.w[z]++
+			w[z]++
 		}
 	}
 	for _, x := range na {
-		if s.w[x] == 0 {
-			s.touched = append(s.touched, x)
+		if w[x] == 0 {
+			sc.touched = append(sc.touched, x)
 		}
-		s.w[x] |= pathInA
+		w[x] |= pathInA
 	}
 }
 
-// untally clears what tally set.
-func (s *pathScratch) untally() {
-	for _, z := range s.touched {
-		s.w[z] = 0
-	}
-	s.touched = s.touched[:0]
-}
-
-// count returns the images of the 5-path x′–x–a–b–y–y′ at the middle
+// countPath returns the images of the 5-path x′–x–a–b–y–y′ at the middle
 // edge (a, b), a the end tallied, nb = N(b) and lists[i] = N(nb[i]): the
 // pairs of 2-paths a–x–x′ and b–y–y′, x ≠ b, y ≠ a, x′ and y′ not in
 // {a, b}, that share no vertex. With c(v) = |N(v)∖{a, b}|,
@@ -737,8 +740,8 @@ func (s *pathScratch) untally() {
 // tally and the marks of N(a) and N(b), yields every term: a step y–z
 // adds w_a(z) to Σ w_a·w_b, and is a pair of P when z ∈ N(a). The sum is
 // taken positive terms first, so it never wraps.
-func (s *pathScratch) count(g *graph.Graph, b graph.VertexID, nb []graph.VertexID, lists [][]graph.VertexID) uint64 {
-	a, w := s.a, s.w
+func (sc *extendScratch) countPath(g *graph.Graph, b graph.VertexID, nb []graph.VertexID, lists [][]graph.VertexID) uint64 {
+	a, w := sc.path.a, sc.wedges
 	for _, y := range nb {
 		w[y] |= pathInB
 	}
@@ -778,7 +781,7 @@ func (s *pathScratch) count(g *graph.Graph, b graph.VertexID, nb []graph.VertexI
 	for _, y := range nb {
 		w[y] &^= pathInB
 	}
-	A := s.da - uint64(len(nb)) - uint64(g.Degree(a)-1) - common
+	A := sc.path.da - uint64(len(nb)) - uint64(g.Degree(a)-1) - common
 	B := db - uint64(len(nb)-1) - common
 	return A*B + lin + p - sq - cx - cy - ww
 }
@@ -826,18 +829,16 @@ func errUnfetched(v graph.VertexID) error {
 // the completions (na[i], y), d[j] those (x, nb[j]); inB[i] is one plus
 // the position in nb of a common neighbour na[i] (0 when it is not one),
 // inA[j] marks nb[j] common; pos holds one intersection's positions in nb.
-// lists holds N(na[i]) for the rung end a being counted.
 type rungScratch struct {
-	c, d  []uint32
-	inB   []int32
-	inA   []bool
-	pos   []int32
-	lists [][]graph.VertexID
+	c, d []uint32
+	inB  []int32
+	inA  []bool
+	pos  []int32
 }
 
 // rungPairs returns the vertex-disjoint ordered pairs of the side
 // completions P = {(x, y) : x ∈ N(a)∖{b}, y ∈ N(b)∖{a}, x ~ y} of the rung
-// (a, b), for na = N(a) and nb = N(b) ascending and s.lists[i] = N(na[i]).
+// (a, b), for na = N(a) and nb = N(b) ascending and lists[i] = N(na[i]).
 // Two completions collide in two ways only — the same pair, or one the
 // other reversed — so by inclusion–exclusion the pairs number
 //
@@ -848,7 +849,7 @@ type rungScratch struct {
 // intersection N(x) ∩ N(b) per x yields P and, through the positions in
 // nb, the tallies; c·d and R live on the common neighbours N(a) ∩ N(b),
 // found by one merge. The scratch is O(|na| + |nb|).
-func rungPairs(a, b graph.VertexID, na, nb []graph.VertexID, s *rungScratch) uint64 {
+func rungPairs(a, b graph.VertexID, na, nb []graph.VertexID, lists [][]graph.VertexID, s *rungScratch) uint64 {
 	s.c, s.inB = resize(s.c, len(na)), resize(s.inB, len(na))
 	s.d, s.inA = resize(s.d, len(nb)), resize(s.inA, len(nb))
 	for i, j := 0, 0; i < len(na) && j < len(nb); {
@@ -869,7 +870,7 @@ func rungPairs(a, b graph.VertexID, na, nb []graph.VertexID, s *rungScratch) uin
 			continue
 		}
 		xInB := s.inB[i] > 0
-		s.pos = positionsIn(s.lists[i], nb, s.pos[:0])
+		s.pos = positionsIn(lists[i], nb, s.pos[:0])
 		for _, j := range s.pos {
 			if nb[j] == a {
 				continue

@@ -176,12 +176,17 @@ type extendScratch struct {
 	// (countPair).
 	pairSets [2]graph.NbrList
 	pair     [2]pairSet
-	// wedges and touched are a wedge count's dense per-c2 counter, sized to
-	// the graph, and the entries it set (wedgeImages).
+	// wedges and touched are a dense per-vertex counter, sized to the
+	// graph, and the entries set: a wedge count's per-c2 counter
+	// (wedgeImages) or a path count's 2-hop tally (pathImages). Each
+	// leaves every entry zero when it finishes.
 	wedges  []uint32
 	touched []graph.VertexID
-	// rung holds a rung count's per-position tallies (rungPairs), path a
-	// path count's per-vertex tally (pathImages).
+	// lists holds the lists of one end's neighbours for a rung or path
+	// count (sideLists).
+	lists [][]graph.VertexID
+	// rung holds a rung count's per-position tallies (rungPairs), path the
+	// end a path count has tallied.
 	rung rungScratch
 	path pathScratch
 }
@@ -217,8 +222,7 @@ func (r *machineRun) release(sc *extendScratch) []*dataflow.Batch {
 	for i := range sc.pair {
 		sc.pair[i].from = nil
 	}
-	clear(sc.rung.lists)
-	clear(sc.path.lists)
+	clear(sc.lists)
 	clear(sc.pairSets[:])
 	sc.out.Recycle()
 	sc.out, sc.outs, sc.gt = nil, nil, nil

@@ -101,6 +101,7 @@ func TestSeparatorRungPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var reversed, mixed, empty, shared, skewed int
 	var s rungScratch
+	var lists [][]graph.VertexID
 	for i := 0; i < 3000; i++ {
 		n := 2 + rng.Intn(10)
 		if i%10 == 0 {
@@ -167,11 +168,11 @@ func TestSeparatorRungPairs(t *testing.T) {
 		if len(na)*16 < len(nb) {
 			skewed++
 		}
-		s.lists = s.lists[:0]
+		lists = lists[:0]
 		for _, x := range na {
-			s.lists = append(s.lists, g.Neighbors(x))
+			lists = append(lists, g.Neighbors(x))
 		}
-		if got := rungPairs(a, b, na, nb, &s); got != want {
+		if got := rungPairs(a, b, na, nb, lists, &s); got != want {
 			t.Fatalf("rung (%d, %d), P = %v: %d disjoint pairs, want %d", a, b, P, got, want)
 		}
 	}
@@ -181,10 +182,10 @@ func TestSeparatorRungPairs(t *testing.T) {
 }
 
 // TestSeparatorPathCount checks a middle edge's closed form
-// (pathScratch.count) against brute force, which enumerates the pairs of
-// 2-paths a–x–x′ and b–y–y′ that share no vertex. Every ordered edge
-// (a, b) of each graph is counted, all of a's edges from one tally, and
-// untally must leave the scratch clean. The named graphs hold a triangle
+// (extendScratch.countPath) against brute force, which enumerates the
+// pairs of 2-paths a–x–x′ and b–y–y′ that share no vertex. Every ordered
+// edge (a, b) of each graph is counted, all of a's edges from one tally,
+// and clearWedges must leave the counter clean. The named graphs hold a triangle
 // through an edge, a 4-cycle through one (x = y′ with x′ = y), degree-1
 // ends, ends of more than twice the other's degree and ends whose only
 // neighbour is the other (an empty N(a)∖b); the seeded random graphs run
@@ -215,21 +216,22 @@ func TestSeparatorPathCount(t *testing.T) {
 	}
 	check := func(name string, g *graph.Graph) (images uint64) {
 		t.Helper()
-		s := pathScratch{w: make([]uint32, g.NumVertices())}
+		var sc extendScratch
+		sc.growWedges(g.NumVertices())
 		for a := graph.VertexID(0); int(a) < g.NumVertices(); a++ {
 			na, la := lists(g, a)
-			s.tally(a, na, la)
+			sc.tallyPath(a, na, la)
 			for _, b := range na {
 				nb, lb := lists(g, b)
-				got, want := s.count(g, b, nb, lb), brute(g, a, b)
+				got, want := sc.countPath(g, b, nb, lb), brute(g, a, b)
 				if got != want {
 					t.Fatalf("%s: edge (%d, %d): %d images, want %d", name, a, b, got, want)
 				}
 				images += want
 			}
-			s.untally()
-			if i := slices.IndexFunc(s.w, func(w uint32) bool { return w != 0 }); i >= 0 {
-				t.Fatalf("%s: tally of %d left w[%d] = %#x", name, a, i, s.w[i])
+			sc.clearWedges()
+			if i := slices.IndexFunc(sc.wedges, func(w uint32) bool { return w != 0 }); i >= 0 {
+				t.Fatalf("%s: tally of %d left wedges[%d] = %#x", name, a, i, sc.wedges[i])
 			}
 		}
 		return images

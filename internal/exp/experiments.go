@@ -256,24 +256,32 @@ func (e *Env) Fig10() Table {
 // (EmptyHeaded, GraphFlow) on q7 and q8 over the GO stand-in. Every family
 // runs compressed: HUGE's optimiser prices a counted tail at its prefix,
 // so running its plan uncompressed would time a plan it did not choose.
+// The results column holds the count the families agree on, or
+// "DISAGREE" when they do not.
 func (e *Env) Table6() Table {
 	g := e.Dataset("GO")
 	t := Table{
 		Title:  "Table 6 (Exp-9): hybrid execution plans on GO stand-in",
-		Header: []string{"query", "HUGE-WCO", "HUGE-EH", "HUGE-GF", "HUGE"},
+		Header: []string{"query", "HUGE-WCO", "HUGE-EH", "HUGE-GF", "HUGE", "results"},
 	}
 	for _, qn := range []string{"q7", "q8"} {
 		q := query.ByName(qn)
 		row := []string{qn}
+		results := ""
 		for _, pn := range []string{"wco", "emptyheaded", "graphflow", "optimal"} {
 			r := e.RunHUGE(g, q, HugeOpts{PlanName: pn, Compress: true})
 			if r.Err != nil {
 				row = append(row, "ERR")
-			} else {
-				row = append(row, fmtDur(r.Elapsed))
+				continue
+			}
+			row = append(row, fmtDur(r.Elapsed))
+			if n := fmt.Sprintf("%d", r.Count); results == "" {
+				results = n
+			} else if n != results {
+				results = "DISAGREE"
 			}
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, append(row, results))
 	}
 	return t
 }

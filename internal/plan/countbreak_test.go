@@ -14,13 +14,24 @@ import (
 // optimal plans of q1–q8 and the triangle translate for counting exactly as
 // Translate does, except q7's and q6's, which are counted at a separator:
 // q7 at its middle edge under {v3 < v4}, q6 at its middle rung under
-// {v3 < v4, v1 < v5}. No plan of the grid takes the layout-chain switch.
+// {v3 < v4, v1 < v5}. No optimal plan of the grid takes the layout-chain
+// switch; q7's wco plan, which a Limit run counts with, does: its prefix
+// SCAN(v2–v3) → v4 → v5 gets {v2 < v5} in place of the ends' {v1 < v6}.
 // The plan tree is the one Optimize gave.
 func TestTranslateCountSwitch(t *testing.T) {
 	qs := append(query.Catalog(), query.Triangle())
 	for _, ds := range []string{"LJ", "OR", "EU"} {
 		g := gen.ByName(ds, 1)
-		cfg := Config{GraphEdges: float64(g.NumEdges()), Card: MomentEstimator(ComputeStats(g))}
+		stats := ComputeStats(g)
+		cfg := Config{GraphEdges: float64(g.NumEdges()), Card: MomentEstimator(stats)}
+		wco, err := TranslateCount(HugeWcoPlanStats(query.Q7(), stats))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := wco.Stages[len(wco.Stages)-1]; len(wco.Stages) != 1 || !slices.Equal(st.OutputLayout(), []int{1, 2, 3, 4, 0, 5}) ||
+			!slices.Equal(st.Extends[1].NewFilters, []dataflow.NewFilter{{Slot: 0, NewLess: false}}) || len(st.Extends[3].NewFilters) != 0 {
+			t.Errorf("%s q7: the wco plan's counting translation does not order v2 < v5 on its prefix:\n%s", ds, wco)
+		}
 		for _, machines := range []int{1, 2} {
 			cfg.NumMachines = machines
 			for _, q := range qs {

@@ -41,18 +41,19 @@ func Translate(p *Plan) (*dataflow.Dataflow, error) {
 // translated with that set instead, provided its tail is no shorter. The
 // plan tree, and so the cost the optimiser priced, is unchanged.
 //
-// The query that needs the switch is a labelled q7 whose labels keep its
-// reversal (its ends labelled alike, say): no path separator counts it, so
-// its plan is the 3-path v2–v5 with the ends counted per row. Its set is
-// {v1 < v6}, on the path ends that the tail counts, and the chain along
-// SCAN(v3–v2) → v4 → v5 → (v1, v6) gives {v3 < v4}: the prefix
-// enumerates each 3-path once instead of twice, and the path ends become
-// an unordered pair. No unlabelled plan of q1–q8 or the triangle on the
-// LJ, OR and EU statistics takes the switch: the 5-path is counted at its
-// middle edge (below). The rule does not switch a
-// prefix that the query's set already orders: which vertex a range filter
-// bounds decides its cost on a graph whose hubs have low IDs, and the cost
-// model does not see it.
+// The plan that needs the switch is q7's wco plan, SCAN(v2–v3) → v4 → v5
+// → (v1, v6), which a Limit run counts with (and the cluster benchmark
+// workload's plan-regret check): q7's set is {v1 < v6}, on the path ends
+// that the tail counts, and the chain along the layout gives {v2 < v5}, so
+// the prefix enumerates each 3-path once instead of in both directions
+// and the path ends become an unordered pair. A labelled q7 whose labels
+// keep its reversal (its ends labelled alike, say) takes it on its optimal
+// plan as well, since no path separator counts it. No optimal plan of
+// q1–q8 or the triangle on the LJ, OR and EU statistics takes the switch:
+// the 5-path is counted at its middle edge (below). The rule does not
+// switch a prefix that the query's set already orders: which vertex a
+// range filter bounds decides its cost on a graph whose hubs have low IDs,
+// and the cost model does not see it.
 //
 // A ladder whose sink stage scans its middle rung, or a 5-path whose sink
 // stage scans its middle edge, is counted at that separator
