@@ -840,3 +840,27 @@ func BenchmarkPushJoin(b *testing.B) {
 	b.Run("q7_count", q7(huge.CountOnly(), 0))
 	b.Run("q7_rows", q7(huge.OnMatch(func([]huge.VertexID) { delivered.Add(1) }), ref.Count))
 }
+
+// BenchmarkSeparatorLadder counts the ladder q6 on LJ×1 at its middle
+// rung (`CountOnly`, Workers 1) at Machines 1 and 2: one walk over the
+// smaller end's 2-hop per scanned rung. No tracked workload counts q6 at
+// this scale. Each run fails on a count other than LJ×1's 137,643,260.
+func BenchmarkSeparatorLadder(b *testing.B) {
+	const want = 137_643_260
+	g := huge.Generate("LJ", 1)
+	for _, machines := range []int{1, 2} {
+		b.Run(fmt.Sprintf("machines%d", machines), func(b *testing.B) {
+			sys := huge.NewSystem(g, huge.Options{Machines: machines, Workers: 1})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := sys.Exec(context.Background(), query.Q6(), huge.CountOnly()).Wait()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Count != want {
+					b.Fatalf("q6 on LJ×1 at Machines %d: %d matches, want %d", machines, res.Count, want)
+				}
+			}
+		})
+	}
+}

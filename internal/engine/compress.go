@@ -469,19 +469,17 @@ func acceptCandidate(pred *candPred, row []graph.VertexID, v graph.VertexID) boo
 //   - K₂,ₖ (wedgeImages): the separator (c1, c2) is found through the
 //     scanned rows (c1, t), and P = N(c1) ∩ N(c2) adds C(|P|, k). Only
 //     t's adjacency is pulled, exactly as EXTEND(t ⇒ c2) pulls it.
-//   - the ladder (rungImages): each scanned rung (a, b) is an image, and
-//     adds half its vertex-disjoint ordered pairs of P (rungPairs). Both
-//     ends' lists and every x's list, x ∈ N(a), are pulled (fetchEnds).
-//   - the 5-path (pathImages): each scanned middle edge (a, b) is an
-//     image, and adds its pairs of 2-paths a–x–x′ and b–y–y′ that share no
-//     vertex (extendScratch.countPath). Both ends' lists and their
-//     neighbours' lists are pulled (fetchEnds).
+//   - the ladder and the 5-path (edgeImages): each scanned edge (a, b) is
+//     an image. A rung adds half its vertex-disjoint ordered pairs of P
+//     (extendScratch.countRung), a middle edge its pairs of 2-paths
+//     a–x–x′ and b–y–y′ that share no vertex (extendScratch.countPath).
+//     Both count in one walk over an end's 2-hop on the dense counter
+//     K₂,ₖ uses. Both ends' lists and the walked ends' neighbours' lists
+//     are pulled (fetchEnds): one end's on a rung (rungEnds), both ends'
+//     on a path.
 func (r *machineRun) countSeparator(b *dataflow.Batch) (uint64, error) {
 	st := r.ex.st
-	count := r.rungImages
-	if st.Separator == dataflow.PathSeparator {
-		count = r.pathImages
-	}
+	count := r.edgeImages
 	var keyer *groupKeyer
 	if st.Separator != dataflow.WedgeSeparator {
 		r.fetchEnds(b)
@@ -592,74 +590,59 @@ func (r *machineRun) wedgeImages(e *dataflow.Extend, c *dataflow.Batch, pred *ca
 	return total, nil
 }
 
-// rungImages counts the ladder on one chunk of scanned rungs: each row
-// adds half its vertex-disjoint ordered pairs of side completions, which
-// are even in number (swapping the sides pairs them up), so that under the
-// order between the sides' x each match counts once. The count is
-// symmetric in the rung's ends, and it walks the lists of one end's
-// neighbours (rungEnds picks the end); rows that share that end resolve
-// its lists once.
-func (r *machineRun) rungImages(c *dataflow.Batch, sc *extendScratch) (uint64, error) {
-	bud := r.ex.eng.cfg.Budget
-	g := r.m.Graph()
-	s := &sc.rung
-	var na []graph.VertexID
-	var prev graph.VertexID
-	var total uint64
-	for i := 0; i < c.Rows(); i++ {
-		if bud != nil && bud.Exhausted() {
-			return total, nil
-		}
-		a, b := rungEnds(g, c.Row(i))
-		if i == 0 || a != prev {
-			var err error
-			if na, err = r.sideLists(a, &sc.lists); err != nil {
-				return total, err
-			}
-			prev = a
-		}
-		nb, ok := r.m.Neighbors(b)
-		if !ok {
-			return total, errUnfetched(b)
-		}
-		n := rungPairs(a, b, na, nb, sc.lists, s)
-		if n /= 2; bud != nil {
-			n = bud.Take(n)
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// pathImages counts the 5-path on one chunk of scanned middle edges
-// (a, b): each row adds its images (extendScratch.countPath). The tally
-// over a's 2-hop is built once for the rows that share a, which arrive
-// together, and each row walks b's 2-hop; the scratch is clean again when
+// edgeImages counts the ladder or the 5-path on one chunk of scanned
+// edges: each row adds its images at the edge (a, b), b the end whose
+// neighbours' lists the row walks. A rung adds half its pairs of side
+// completions, which swapping the sides pairs up, so that under the order
+// between the sides' x each match counts once; it marks both ends itself,
+// and rows that share the walked end (rungEnds) resolve its lists once. A
+// path row walks row[1] and reads the tally over row[0]'s 2-hop, built
+// once for the rows that share row[0]. The counter is clean again when
 // the chunk ends.
-func (r *machineRun) pathImages(c *dataflow.Batch, sc *extendScratch) (uint64, error) {
+func (r *machineRun) edgeImages(c *dataflow.Batch, sc *extendScratch) (uint64, error) {
 	bud := r.ex.eng.cfg.Budget
 	g := r.m.Graph()
+	path := r.ex.st.Separator == dataflow.PathSeparator
 	sc.growWedges(g.NumVertices())
 	defer sc.clearWedges()
+	// nb and sc.lists hold the walked end's lists, which a rung's rows
+	// that share it reuse; a path's tally overwrites them.
+	var nb []graph.VertexID
+	var walked graph.VertexID
 	var total uint64
 	for i := 0; i < c.Rows(); i++ {
 		if bud != nil && bud.Exhausted() {
 			return total, nil
 		}
 		row := c.Row(i)
-		if i == 0 || row[0] != sc.path.a {
+		a, b := row[0], row[1]
+		if !path {
+			a, b = rungEnds(g, row)
+		} else if i == 0 || a != sc.path.a {
 			sc.clearWedges()
-			na, err := r.sideLists(row[0], &sc.lists)
+			na, err := r.sideLists(a, &sc.lists)
 			if err != nil {
 				return total, err
 			}
-			sc.tallyPath(row[0], na, sc.lists)
+			sc.tallyPath(a, na, sc.lists)
 		}
-		nb, err := r.sideLists(row[1], &sc.lists)
-		if err != nil {
-			return total, err
+		if path || i == 0 || b != walked {
+			var err error
+			if nb, err = r.sideLists(b, &sc.lists); err != nil {
+				return total, err
+			}
+			walked = b
 		}
-		n := sc.countPath(g, row[1], nb, sc.lists)
+		var n uint64
+		if path {
+			n = sc.countPath(g, b, nb, sc.lists)
+		} else {
+			na, ok := r.m.Neighbors(a)
+			if !ok {
+				return total, errUnfetched(a)
+			}
+			n = sc.countRung(a, b, na, nb, sc.lists) / 2
+		}
 		if bud != nil {
 			n = bud.Take(n)
 		}
@@ -670,9 +653,10 @@ func (r *machineRun) pathImages(c *dataflow.Batch, sc *extendScratch) (uint64, e
 
 // pathScratch holds the end a a path count has tallied and
 // da = Σ_{x ∈ N(a)} deg x. The tally itself is the worker's dense counter
-// (extendScratch.wedges): the low bits of wedges[z] count z's neighbours
-// in N(a), pathInA marks z ∈ N(a) and pathInB z ∈ N(b) for the edge
-// (a, b) being counted.
+// (extendScratch.wedges), which both edge separators share: pathInA marks
+// z ∈ N(a) and pathInB z ∈ N(b) for the edge (a, b) being counted, and
+// the low bits of wedges[z] count z's neighbours in N(a) on a path, the
+// completions (z, y) on a rung (countRung).
 type pathScratch struct {
 	a  graph.VertexID
 	da uint64
@@ -786,23 +770,91 @@ func (sc *extendScratch) countPath(g *graph.Graph, b graph.VertexID, nb []graph.
 	return A*B + lin + p - sq - cx - cy - ww
 }
 
-// rungEnds orders a scanned rung's ends (a, b), a the end whose
+// countRung returns the vertex-disjoint ordered pairs of the side
+// completions P = {(x, y) : x ∈ N(a)∖{b}, y ∈ N(b)∖{a}, x ~ y} of the rung
+// (a, b), for na = N(a), nb = N(b) and lists[i] = N(nb[i]). Two
+// completions collide in two ways only — the same pair, or one the other
+// reversed — so by inclusion–exclusion the pairs number
+//
+//	|P|² + |P| + R − Σc² − Σd² − 2·Σ c·d,
+//
+// c_z and d_z the completions with z as x and as y, R those whose reverse
+// is in P. One walk over b's 2-hop, on the marks of N(a) and N(b), yields
+// every term: a step y–z with z ∈ N(a) is the completion (z, y), which
+// adds to c_z in z's low bits and to d_y. A common y ∈ N(a) ∩ N(b) is an
+// x too, with c_y its steps into N(b), and its steps to a common z are
+// the completions whose reverse is in P. The sum is taken positive terms
+// first, so it never wraps. The counter must be clear, and is clear again
+// on return.
+func (sc *extendScratch) countRung(a, b graph.VertexID, na, nb []graph.VertexID, lists [][]graph.VertexID) uint64 {
+	w := sc.wedges
+	for _, x := range na {
+		w[x] |= pathInA
+	}
+	for _, y := range nb {
+		w[y] |= pathInB
+	}
+	// p = |P|, rev = R, d2 = Σd², cd = Σc·d.
+	var p, rev, d2, cd uint64
+	for i, y := range nb {
+		if y == a {
+			continue
+		}
+		// d = d_y, and for a common y, c = c_y and both its steps to a
+		// common z.
+		var d, c, both uint64
+		for _, z := range lists[i] {
+			if z == a || z == b {
+				continue
+			}
+			v := w[z]
+			inB := uint64(v/pathInB) & 1
+			c += inB
+			if v&pathInA != 0 {
+				w[z]++
+				d++
+				both += inB
+			}
+		}
+		p += d
+		d2 += d * d
+		if w[y]&pathInA != 0 {
+			cd += c * d
+			rev += both
+		}
+	}
+	var c2 uint64
+	for _, x := range na {
+		c := uint64(w[x] & pathTallyMask)
+		c2 += c * c
+		w[x] = 0
+	}
+	for _, y := range nb {
+		w[y] = 0
+	}
+	return p*p + p + rev - c2 - d2 - 2*cd
+}
+
+// rungEnds orders a scanned rung's ends (a, b), b the end whose
 // neighbours' lists a rung count walks: the scanned row[0], whose rows
 // arrive together and share those lists, unless its degree is more than
-// twice the other end's. On LJ, where hubs have low IDs and so scan first,
-// walking the other end's lists takes q6 at Machines 1 from 3.9 s to
-// 2.5 s; on EU, of near-uniform degree, the shared lists win. Degrees,
-// like labels and hub bitsets, are index metadata every machine holds.
+// twice the other end's. On LJ, where hubs have low IDs and so scan
+// first, the exception keeps the walk off the hubs. Walking the smaller
+// end on every rung is faster at Machines 1 (OR×1 q6 2.1–2.5 s against
+// 2.7–3.5 s), but on EU×1, of near-uniform degree, the rows then stop sharing
+// the walked lists and their fetch: at Machines 2 it was slower than this
+// rule in 12 of 12 alternating rounds (median 28.6 against 25.0 ms).
+// Degrees, like labels and hub bitsets, are index metadata every machine
+// holds.
 func rungEnds(g *graph.Graph, row []graph.VertexID) (a, b graph.VertexID) {
 	if g.Degree(row[0]) > 2*g.Degree(row[1]) {
-		return row[1], row[0]
+		return row[0], row[1]
 	}
-	return row[0], row[1]
+	return row[1], row[0]
 }
 
 // sideLists resolves v's list and, into lists, each of its members'
-// lists: a rung end's candidates for x and their neighbourhoods, or a
-// path end's 2-hop.
+// lists: the 2-hop of a rung's walked end or of a path's end.
 func (r *machineRun) sideLists(v graph.VertexID, lists *[][]graph.VertexID) ([]graph.VertexID, error) {
 	nv, ok := r.m.Neighbors(v)
 	if !ok {
@@ -823,117 +875,6 @@ func (r *machineRun) sideLists(v graph.VertexID, lists *[][]graph.VertexID) ([]g
 // did not pull: the two-stage protocol makes it a bug.
 func errUnfetched(v graph.VertexID) error {
 	return fmt.Errorf("engine: vertex %d missing from cache during a separator count (two-stage protocol violated)", v)
-}
-
-// rungScratch holds one rung's tallies, indexed by position: c[i] counts
-// the completions (na[i], y), d[j] those (x, nb[j]); inB[i] is one plus
-// the position in nb of a common neighbour na[i] (0 when it is not one),
-// inA[j] marks nb[j] common; pos holds one intersection's positions in nb.
-type rungScratch struct {
-	c, d []uint32
-	inB  []int32
-	inA  []bool
-	pos  []int32
-}
-
-// rungPairs returns the vertex-disjoint ordered pairs of the side
-// completions P = {(x, y) : x ∈ N(a)∖{b}, y ∈ N(b)∖{a}, x ~ y} of the rung
-// (a, b), for na = N(a) and nb = N(b) ascending and lists[i] = N(na[i]).
-// Two completions collide in two ways only — the same pair, or one the
-// other reversed — so by inclusion–exclusion the pairs number
-//
-//	|P|² + |P| + R − Σc² − Σd² − 2·Σ c·d,
-//
-// c_z and d_z the completions with z as x and as y, R those whose reverse
-// is in P. The sum is taken positive terms first, so it never wraps. One
-// intersection N(x) ∩ N(b) per x yields P and, through the positions in
-// nb, the tallies; c·d and R live on the common neighbours N(a) ∩ N(b),
-// found by one merge. The scratch is O(|na| + |nb|).
-func rungPairs(a, b graph.VertexID, na, nb []graph.VertexID, lists [][]graph.VertexID, s *rungScratch) uint64 {
-	s.c, s.inB = resize(s.c, len(na)), resize(s.inB, len(na))
-	s.d, s.inA = resize(s.d, len(nb)), resize(s.inA, len(nb))
-	for i, j := 0, 0; i < len(na) && j < len(nb); {
-		switch {
-		case na[i] < nb[j]:
-			i++
-		case na[i] > nb[j]:
-			j++
-		default:
-			s.inB[i], s.inA[j] = int32(j+1), true
-			i++
-			j++
-		}
-	}
-	var p, rev uint64
-	for i, x := range na {
-		if x == b {
-			continue
-		}
-		xInB := s.inB[i] > 0
-		s.pos = positionsIn(lists[i], nb, s.pos[:0])
-		for _, j := range s.pos {
-			if nb[j] == a {
-				continue
-			}
-			s.c[i]++
-			s.d[j]++
-			p++
-			if xInB && s.inA[j] {
-				rev++ // (y, x) ∈ P: y ∈ N(a) and x ∈ N(b)
-			}
-		}
-	}
-	var c2, d2, cd uint64
-	for i, ci := range s.c {
-		c2 += uint64(ci) * uint64(ci)
-		if j := s.inB[i]; j > 0 {
-			cd += uint64(ci) * uint64(s.d[j-1])
-		}
-	}
-	for _, dj := range s.d {
-		d2 += uint64(dj) * uint64(dj)
-	}
-	return p*p + p + rev - c2 - d2 - 2*cd
-}
-
-// resize returns s with length n and every entry zero, reusing its array.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// positionsIn appends to out the positions in big, ascending, of the
-// vertices small and big share: one merge, or a binary search per vertex
-// of small when big is much the longer list.
-func positionsIn(small, big []graph.VertexID, out []int32) []int32 {
-	if len(small)*16 < len(big) {
-		lo := 0
-		for _, v := range small {
-			k, found := slices.BinarySearch(big[lo:], v)
-			if lo += k; found {
-				out = append(out, int32(lo))
-				lo++
-			}
-		}
-		return out
-	}
-	for i, j := 0, 0; i < len(small) && j < len(big); {
-		switch {
-		case small[i] < big[j]:
-			i++
-		case small[i] > big[j]:
-			j++
-		default:
-			out = append(out, int32(j))
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // binom returns the binomial coefficient C(n, k), exact whenever it fits in

@@ -129,7 +129,7 @@ func walkedEnds(g *graph.Graph, row []graph.VertexID, path bool) []graph.VertexI
 	if path {
 		return row[:2]
 	}
-	if a, _ := rungEnds(g, row); a != row[0] {
+	if _, b := rungEnds(g, row); b != row[0] {
 		return row[1:2]
 	}
 	return row[:1]
@@ -178,16 +178,15 @@ type extendScratch struct {
 	pair     [2]pairSet
 	// wedges and touched are a dense per-vertex counter, sized to the
 	// graph, and the entries set: a wedge count's per-c2 counter
-	// (wedgeImages) or a path count's 2-hop tally (pathImages). Each
-	// leaves every entry zero when it finishes.
+	// (wedgeImages), or an edge separator's marks of both ends' lists and
+	// its tallies over an end's 2-hop (edgeImages). Each leaves every
+	// entry zero when it finishes.
 	wedges  []uint32
 	touched []graph.VertexID
 	// lists holds the lists of one end's neighbours for a rung or path
 	// count (sideLists).
 	lists [][]graph.VertexID
-	// rung holds a rung count's per-position tallies (rungPairs), path the
-	// end a path count has tallied.
-	rung rungScratch
+	// path holds the end a path count has tallied.
 	path pathScratch
 }
 

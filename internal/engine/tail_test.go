@@ -91,17 +91,25 @@ func TestTailPairCount(t *testing.T) {
 	}
 }
 
-// TestSeparatorRungPairs checks a rung's closed form (rungPairs) against
-// brute force on random rungs (a, b) over a small universe: P is built by
-// definition and its vertex-disjoint ordered pairs are enumerated. The
-// sweep must cover reversed pairs (the R term), a vertex that is an x in
-// one pair and a y in another (the Σc·d term), an empty P, a rung whose
-// sides share every vertex, and lists skewed enough for binary search.
+// TestSeparatorRungPairs checks a rung's closed form
+// (extendScratch.countRung) against brute force on random rungs (a, b)
+// over a small universe: P is built by definition and its vertex-disjoint
+// ordered pairs are enumerated. Each rung is counted walking either end,
+// and the counter must be clean after each count. The sweep must cover
+// reversed pairs (the R term), a vertex that is an x in one pair and a y
+// in another (the Σc·d term), an empty P, a rung whose sides share every
+// vertex, and a short N(a) against a long N(b).
 func TestSeparatorRungPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var reversed, mixed, empty, shared, skewed int
-	var s rungScratch
-	var lists [][]graph.VertexID
+	var sc extendScratch
+	lists := func(g *graph.Graph, v graph.VertexID) [][]graph.VertexID {
+		var out [][]graph.VertexID
+		for _, x := range g.Neighbors(v) {
+			out = append(out, g.Neighbors(x))
+		}
+		return out
+	}
 	for i := 0; i < 3000; i++ {
 		n := 2 + rng.Intn(10)
 		if i%10 == 0 {
@@ -168,12 +176,15 @@ func TestSeparatorRungPairs(t *testing.T) {
 		if len(na)*16 < len(nb) {
 			skewed++
 		}
-		lists = lists[:0]
-		for _, x := range na {
-			lists = append(lists, g.Neighbors(x))
-		}
-		if got := rungPairs(a, b, na, nb, lists, &s); got != want {
-			t.Fatalf("rung (%d, %d), P = %v: %d disjoint pairs, want %d", a, b, P, got, want)
+		sc.growWedges(g.NumVertices())
+		for _, end := range [][2]graph.VertexID{{a, b}, {b, a}} {
+			u, v := end[0], end[1] // v is walked
+			if got := sc.countRung(u, v, g.Neighbors(u), g.Neighbors(v), lists(g, v)); got != want {
+				t.Fatalf("rung (%d, %d) walked from %d, P = %v: %d disjoint pairs, want %d", a, b, v, P, got, want)
+			}
+			if k := slices.IndexFunc(sc.wedges, func(w uint32) bool { return w != 0 }); k >= 0 {
+				t.Fatalf("rung (%d, %d) walked from %d left wedges[%d] = %#x", a, b, v, k, sc.wedges[k])
+			}
 		}
 	}
 	if reversed == 0 || mixed == 0 || empty == 0 || shared == 0 || skewed == 0 {

@@ -21,7 +21,7 @@ package plan
 // tail of two or more at its prefix (tailCost), and Optimize offers the
 // plans whose tail qualifies (tailCandidates).
 //
-// Two patterns are counted whole, at a separator: a pair of query vertices
+// Three patterns are counted whole, at a separator: a pair of query vertices
 // whose removal leaves isomorphic sides of one or two vertices
 // (dataflow.Separator). Per image of the separator each side's
 // completions P are built once, and the sides' vertex-disjoint picks from
@@ -48,6 +48,10 @@ package plan
 //     number A·B − Σ_{x ∈ N(a)∩N(b)} (deg x − 2)² − Σ_P c(x) − Σ_P c(y)
 //     − Σ_{z ∉ {a,b}} w_a(z)·w_b(z) + Σ_{x ∈ N(a)∩N(b)} (deg x − 2) + |P|,
 //     under the break that orders the middle edge (TranslateCount).
+//
+// The engine takes every term of the ladder's and the 5-path's forms from
+// one walk over an end's 2-hop per scanned edge, on marks of N(a) and
+// N(b); edgeSeparator recognises both.
 
 import (
 	"math/bits"
@@ -165,11 +169,10 @@ func markSeparator(q *query.Query, orders []query.Order, st *dataflow.Stage) boo
 	if st.Separator = dataflow.WedgeSeparator; st.SeparatorShaped() && wedgeTwins(q, orders, st) {
 		return true
 	}
-	if st.Separator = dataflow.RungSeparator; st.SeparatorShaped() && ladderRung(q, orders, st) {
-		return true
-	}
-	if st.Separator = dataflow.PathSeparator; st.SeparatorShaped() && pathMiddle(q, orders, st) {
-		return true
+	for _, sep := range []dataflow.Separator{dataflow.RungSeparator, dataflow.PathSeparator} {
+		if st.Separator = sep; st.SeparatorShaped() && edgeSeparator(q, orders, st) {
+			return true
+		}
 	}
 	st.Separator = dataflow.NoSeparator
 	return false
@@ -195,16 +198,26 @@ func wedgeTwins(q *query.Query, orders []query.Order, st *dataflow.Stage) bool {
 	return twinClass(q, orders, ts)
 }
 
-// ladderRung reports whether st, of the rung shape SCAN(a–b) → x1 → y1 →
-// x2 → y2, counts q: the unlabelled ladder with middle rung a–b and rails
-// x1–a–x2 and y1–b–y2, under two orders — the rung's and x1's against x2,
-// which the shape's filters then hold.
-func ladderRung(q *query.Query, orders []query.Order, st *dataflow.Stage) bool {
-	l := st.OutputLayout()
-	if _, _, ok := ladder(q); !ok || len(orders) != 2 {
+// edgeSeparator reports whether st, of the shape its Separator mark
+// relies on, counts q, whose shape the kind names:
+//
+//   - RungSeparator, SCAN(a–b) → x1 → y1 → x2 → y2: the unlabelled ladder
+//     with middle rung a–b and rails x1–a–x2 and y1–b–y2, under two
+//     orders — the rung's and x1's against x2, which the shape's filters
+//     then hold;
+//   - PathSeparator, SCAN(a–b) → x → y → x′ → y′: the unlabelled 5-path
+//     x′–x–a–b–y–y′ under one order, the middle edge's, which the shape's
+//     scan filter then holds.
+func edgeSeparator(q *query.Query, orders []query.Order, st *dataflow.Stage) bool {
+	shape, n, edges := ladder, 2, [][2]int{{0, 1}, {0, 2}, {2, 3}, {3, 1}, {0, 4}, {4, 5}, {5, 1}}
+	if st.Separator == dataflow.PathSeparator {
+		shape, n, edges = fivePath, 1, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}}
+	}
+	if _, _, ok := shape(q); !ok || len(orders) != n {
 		return false
 	}
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {2, 3}, {3, 1}, {0, 4}, {4, 5}, {5, 1}} {
+	l := st.OutputLayout()
+	for _, e := range edges {
 		if !q.HasEdge(l[e[0]], l[e[1]]) {
 			return false
 		}
@@ -244,22 +257,6 @@ func ladder(q *query.Query) (rung [2]int, sides [2][2]int, ok bool) {
 		}
 	}
 	return rung, sides, false
-}
-
-// pathMiddle reports whether st, of the path shape SCAN(a–b) → x → y →
-// x′ → y′, counts q: the unlabelled 5-path x′–x–a–b–y–y′ under one order,
-// the middle edge's, which the shape's scan filter then holds.
-func pathMiddle(q *query.Query, orders []query.Order, st *dataflow.Stage) bool {
-	l := st.OutputLayout()
-	if _, _, ok := fivePath(q); !ok || len(orders) != 1 {
-		return false
-	}
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}} {
-		if !q.HasEdge(l[e[0]], l[e[1]]) {
-			return false
-		}
-	}
-	return true
 }
 
 // fivePath reports whether q is the unlabelled 5-path and returns its
@@ -308,9 +305,8 @@ func fivePath(q *query.Query) (mid [2]int, sides [2][2]int, ok bool) {
 //     |R(q'_prefix ∪ star(a))| + |R(q'_prefix ∪ star(b))|;
 //   - a separator costs its first join, cost(edge) + |R(edge ⋈ star)| +
 //     k·|E_G|, and the joins above it nothing: K₂,ₖ's wedge c1–t–c2 bumps
-//     a counter instead of being produced, the ladder's x–a–b is one
-//     intersection N(x) ∩ N(b) that adds the side completions through x,
-//     and the 5-path's x–a–b is one step of the tally over a's 2-hop.
+//     a counter instead of being produced, and the ladder's and the
+//     5-path's x–a–b is one step of the walk over an end's 2-hop.
 //
 // A ladder or a 5-path is priced as its counting translation marks it
 // (separatorBreak).
