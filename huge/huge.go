@@ -635,7 +635,8 @@ func reindexed(df *dataflow.Dataflow, fn func([]VertexID)) func([]VertexID) {
 
 // newExec builds the execution context of one engine run — or of one delta
 // side's flows, run in turn — on g: the configured machines and workers,
-// fresh metrics, cold adjacency caches.
+// fresh metrics, cold adjacency caches. The caller closes it after its last
+// run, handing the cache tables back to their pool.
 func (s *System) newExec(g *Graph) *cluster.Exec {
 	return cluster.New(g, cluster.Config{NumMachines: s.opts.Machines, Workers: s.opts.Workers}).NewExec()
 }
@@ -666,6 +667,7 @@ func (s *System) runPlan(ctx context.Context, sn *snapshot, p *Plan, r run) (Res
 	// this query, so concurrent runs never observe each other. A governed
 	// run additionally feeds the system-wide live-tuple gauge.
 	ex := s.newExec(sn.g)
+	defer ex.Close()
 	r.h.attach(ex.Metrics)
 	start := time.Now()
 	count, err := engine.Run(ctx, ex, df, cfg)
@@ -737,6 +739,7 @@ func (s *System) runDeltaFlows(ctx context.Context, sn *snapshot, flows []*dataf
 		// cold caches, fresh metrics — per flow would cost more than most
 		// flows do, and the flows of one side read the same graph.
 		ex := s.newExec(g)
+		defer ex.Close()
 		side.h.attach(ex.Metrics)
 		var total uint64
 		for _, df := range flows {

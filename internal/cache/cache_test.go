@@ -1,10 +1,14 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -196,7 +200,8 @@ func TestKindString(t *testing.T) {
 // size accounting must stay consistent.
 func TestLRBURandomisedBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := newLRBU(600, false)
+	c := newTable(600, false)
+	defer Free(c)
 	for batch := 0; batch < 300; batch++ {
 		sealedNow := map[graph.VertexID]bool{}
 		for i := 0; i < 5; i++ {
@@ -215,8 +220,10 @@ func TestLRBURandomisedBatches(t *testing.T) {
 		}
 		c.Release()
 		var want uint64
-		for v := range c.m {
-			want += entryBytes(c.m[v].nbrs)
+		for _, e := range c.entries {
+			if e.stamp != 0 {
+				want += entryBytes(e.nbrs)
+			}
 		}
 		if c.SizeBytes() != want {
 			t.Fatalf("batch %d: size accounting drift: %d vs %d", batch, c.SizeBytes(), want)
@@ -224,36 +231,336 @@ func TestLRBURandomisedBatches(t *testing.T) {
 	}
 }
 
-// TestLRBUInsertAllocs: LRBU entries come from slabs and evicted ones are
-// reused, so a warm cache that evicts as much as it inserts allocates
-// nothing per Insert, and a cold one about one slab per maxSlab entries.
+// TestLRBUInsertAllocs: a warm table — its index, entries and ring grown —
+// that evicts as much as it inserts allocates nothing per batch, through
+// either protocol, and a cold one allocates only as its arrays double.
 func TestLRBUInsertAllocs(t *testing.T) {
 	list := nbrs(1, 2, 3, 4)
 	const perBatch = 64
-	c := New(LRBU, 64*entryBytes(list)) // 64 entries fit
+	c := newTable(64*entryBytes(list), false) // 64 entries fit
+	defer Free(c)
 	next := graph.VertexID(0)
-	batch := func() {
+	insert := func() {
 		for i := 0; i < perBatch; i++ {
 			c.Insert(next, list)
 			next++
 		}
 		c.Release()
 	}
+	var refs [perBatch]int32
+	want := func() {
+		for i := range refs {
+			_, refs[i] = c.Want(next)
+			c.Want(next) // a duplicate
+			next++
+		}
+		for _, e := range refs {
+			c.Fill(e, list)
+		}
+		c.Release()
+	}
 	for i := 0; i < 8; i++ {
-		batch() // warm: the cache is full and holds spare entries
+		insert() // warm: the cache is full and its arrays have grown
+		want()
 	}
-	if a := testing.AllocsPerRun(100, batch); a > 0 {
-		t.Errorf("a warm cache allocates %.1f times per batch of %d evicting inserts, want 0", a, perBatch)
+	if a := testing.AllocsPerRun(100, insert); a > 0 {
+		t.Errorf("a warm table allocates %.1f times per batch of %d evicting inserts, want 0", a, perBatch)
 	}
+	if a := testing.AllocsPerRun(100, want); a > 0 {
+		t.Errorf("a warm table allocates %.1f times per batch of %d evicting wants, want 0", a, perBatch)
+	}
+	const n = 1024
 	cold := func() {
-		c := New(LRBU, 1<<30)
-		for v := graph.VertexID(0); v < 4*maxSlab; v++ {
+		c := &table{}
+		c.index, c.shift, c.now, c.capacity = make([]slot, minIndex), 24, 1, 1<<30
+		for v := graph.VertexID(0); v < n; v++ {
 			c.Insert(v, list)
 		}
 	}
-	// The cache, its map and sealed list grow; the entries cost one
-	// object per slab (16, 16, 32, 64, 128, 256, 256, 256 for 1024).
-	if a := testing.AllocsPerRun(10, cold); a > 4*maxSlab/8 {
-		t.Errorf("a cold cache allocates %.0f times for %d inserts, want at most %d", a, 4*maxSlab, 4*maxSlab/8)
+	// The table, its first index, three more doublings of it, and the
+	// append growth of entries and ring: about log2(n) each.
+	if a := testing.AllocsPerRun(10, cold); a > 32 {
+		t.Errorf("a cold table allocates %.0f times for %d inserts, want at most 32", a, n)
 	}
 }
+
+// listOf gives every vertex a list of its own length; every fifth vertex
+// has none, and pulls arrive as nil for some of those.
+func listOf(v graph.VertexID) []graph.VertexID {
+	d := int(v % 5)
+	if d == 0 && v%2 == 0 {
+		return nil
+	}
+	return shared[:d:d]
+}
+
+var shared = make([]graph.VertexID, 8)
+
+// check compares t with the reference after a batch: the same vertices
+// cached, the same Len and SizeBytes, and a ring within twice the live
+// entries.
+func check(tb testing.TB, where string, t *table, ref *refLRBU, universe int) {
+	tb.Helper()
+	for v := graph.VertexID(0); v < graph.VertexID(universe); v++ {
+		if got, want := t.Contains(v), ref.Contains(v); got != want {
+			tb.Fatalf("%s: Contains(%d) = %v, reference %v", where, v, got, want)
+		}
+	}
+	if t.Len() != ref.Len() || t.SizeBytes() != ref.SizeBytes() {
+		tb.Fatalf("%s: Len %d SizeBytes %d, reference %d %d", where, t.Len(), t.SizeBytes(), ref.Len(), ref.SizeBytes())
+	}
+	if n := len(t.ring) - t.head; n > 2*t.Len() {
+		tb.Fatalf("%s: ring holds %d pairs for %d entries", where, n, t.Len())
+	}
+}
+
+// TestTableMatchesReference drives the table and the linked-list oracle
+// with the same seeded batch streams, at capacities from one that never
+// fits an entry (every fill overflows while all entries are sealed) to one
+// that never evicts (the ring must compact instead), through both
+// protocols, and requires the same cache after every batch. Phases over a
+// working set that fits alternate with phases over every vertex, so
+// eviction follows compaction. Each stream takes the table the previous
+// one handed back to the pool.
+//
+//   - Contains / Seal / Insert, the tracked benchmark's probe: both get
+//     the same calls in the same order.
+//   - Want / Fill, the machine's fetch stage: a batch runs one or two
+//     rounds (the second like fetchEnds' second Fetch, re-wanting some of
+//     the first round's vertices). A round wants its hits, then its
+//     misses, each with duplicates, then fills the misses; the reference
+//     seals the hits and inserts the misses in that order.
+func TestTableMatchesReference(t *testing.T) {
+	const universe = 120
+	for seed := int64(1); seed <= 60; seed++ {
+		for _, capacity := range []uint64{1, 300, 1200, 4000, 1 << 30} {
+			for _, wantFill := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(seed))
+				tab, ref := newTable(capacity, false), newRefLRBU(capacity)
+				if tab.Len() != 0 || tab.SizeBytes() != 0 {
+					t.Fatalf("seed %d: a pooled table comes back holding %d entries, %d bytes", seed, tab.Len(), tab.SizeBytes())
+				}
+				for batch := 0; batch < 80; batch++ {
+					where := fmt.Sprintf("seed %d capacity %d batch %d", seed, capacity, batch)
+					// Phases of 20 batches over a working set that fits
+					// compact the ring; the phases over every vertex
+					// that follow evict through the compacted ring.
+					size, span := 1+rng.Intn(30), universe
+					if batch/20%2 == 0 {
+						span = 20
+					}
+					if wantFill {
+						wanted := map[graph.VertexID]bool{}
+						for round := 0; round < 1+rng.Intn(2); round++ {
+							var hits, misses, dups []graph.VertexID
+							for i := 0; i < size; i++ {
+								v := graph.VertexID(rng.Intn(span))
+								switch {
+								case wanted[v]:
+									dups = append(dups, v)
+								case ref.Contains(v):
+									hits = append(hits, v)
+								default:
+									misses = append(misses, v)
+								}
+								wanted[v] = true
+							}
+							var refs []int32
+							for _, v := range hits {
+								if st, _ := tab.Want(v); st != Hit {
+									t.Fatalf("%s: Want(%d) = %d, want a hit", where, v, st)
+								}
+								ref.Seal(v)
+							}
+							for _, v := range misses {
+								st, e := tab.Want(v)
+								if st != Miss {
+									t.Fatalf("%s: Want(%d) = %d, want a miss", where, v, st)
+								}
+								refs = append(refs, e)
+							}
+							for _, v := range append(dups, hits...) {
+								if st, _ := tab.Want(v); st != Duplicate {
+									t.Fatalf("%s: Want(%d) = %d, want a duplicate", where, v, st)
+								}
+							}
+							for i, v := range misses {
+								tab.Fill(refs[i], listOf(v))
+								ref.Insert(v, listOf(v))
+							}
+							for v := range wanted {
+								if nb, ok := tab.Get(v); !ok || len(nb) != int(v%5) {
+									t.Fatalf("%s: sealed Get(%d) = %v %v", where, v, nb, ok)
+								}
+							}
+						}
+					} else {
+						for i := 0; i < size; i++ {
+							v := graph.VertexID(rng.Intn(span))
+							if tab.Contains(v) {
+								tab.Seal(v)
+								ref.Seal(v)
+							} else {
+								tab.Insert(v, listOf(v))
+								ref.Insert(v, listOf(v))
+							}
+						}
+					}
+					tab.Release()
+					ref.Release()
+					check(t, where, tab, ref, universe)
+				}
+				Free(tab)
+				for _, e := range tab.entries[:cap(tab.entries)] {
+					if e.nbrs != nil {
+						t.Fatalf("seed %d: a freed table still holds the list of %d", seed, e.v)
+					}
+				}
+				if slices.ContainsFunc(tab.index, func(s slot) bool { return s != slot{} }) {
+					t.Fatalf("seed %d: a freed table's index is not empty", seed)
+				}
+			}
+		}
+	}
+}
+
+// TestTableDegreeZero: an empty list is a real adjacency. A vertex with no
+// neighbours is cached, read back as present, and a hit in the next batch.
+func TestTableDegreeZero(t *testing.T) {
+	c := newTable(1<<20, false)
+	defer Free(c)
+	for _, nb := range [][]graph.VertexID{nil, {}} {
+		_, e := c.Want(7)
+		c.Fill(e, nb)
+		if got, ok := c.Get(7); !ok || len(got) != 0 || !c.Contains(7) {
+			t.Fatalf("degree-0 vertex filled with %v: Get = %v %v", nb, got, ok)
+		}
+		c.Release()
+		if st, _ := c.Want(7); st != Hit {
+			t.Fatalf("degree-0 vertex filled with %v: next batch's Want = %d, want a hit", nb, st)
+		}
+		c.Release()
+		c.evict(0)
+	}
+}
+
+// TestTableUnfilledMissDropped: a Miss that no Fill completed is not
+// cached: Release drops it, and the next batch misses again.
+func TestTableUnfilledMissDropped(t *testing.T) {
+	c := newTable(1<<20, false)
+	defer Free(c)
+	c.Want(3)
+	if _, ok := c.Get(3); ok || c.Contains(3) {
+		t.Fatal("a reserved entry reads as cached")
+	}
+	c.Release()
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d after releasing an unfilled miss", c.Len())
+	}
+	if st, _ := c.Want(3); st != Miss {
+		t.Fatalf("Want after an unfilled miss = %d, want a miss", st)
+	}
+}
+
+// TestTableRingCompacts: a run that never evicts re-stamps the same
+// entries batch after batch; the ring stays within twice of them.
+func TestTableRingCompacts(t *testing.T) {
+	c := newTable(1<<30, false)
+	defer Free(c)
+	batch := func() {
+		for v := graph.VertexID(0); v < 10; v++ {
+			c.Insert(v, nbrs(v))
+		}
+		c.Release()
+	}
+	for i := 0; i < 10; i++ {
+		batch()
+	}
+	grown := cap(c.ring)
+	for i := 0; i < 1000; i++ {
+		batch()
+		if len(c.ring) > 20 || cap(c.ring) != grown {
+			t.Fatalf("batch %d: ring holds %d pairs (capacity %d, was %d) for %d entries", i, len(c.ring), cap(c.ring), grown, c.Len())
+		}
+	}
+}
+
+// TestLRUWantDedups: the LRU kinds stamp a batch as the table does.
+func TestLRUWantDedups(t *testing.T) {
+	for _, k := range []Kind{LRUInf, LRBULock} {
+		c := New(k, 1<<20)
+		st1, e := c.Want(4)
+		st2, _ := c.Want(4)
+		c.Fill(e, nbrs(5))
+		c.Release()
+		st3, _ := c.Want(4)
+		st4, _ := c.Want(4)
+		if st1 != Miss || st2 != Duplicate || st3 != Hit || st4 != Duplicate {
+			t.Fatalf("%v: Want statuses %d %d %d %d, want miss, duplicate, hit, duplicate", k, st1, st2, st3, st4)
+		}
+		if nb, ok := c.Get(4); !ok || !slices.Equal(nb, nbrs(5)) {
+			t.Fatalf("%v: Get = %v %v", k, nb, ok)
+		}
+		Free(c)
+	}
+}
+
+// BenchmarkLRBU replays a degree-weighted vertex stream over LJ×1 (the
+// endpoints of random edges, like the remote vertices an extend touches)
+// through a table sized at 30 % of the graph, with the fetch stage's
+// protocol per 4096-vertex batch: want every vertex and fill the misses,
+// get every vertex, release. It reports ns per want, per fill and per get.
+func BenchmarkLRBU(b *testing.B) {
+	const batch, n = 4096, 1 << 18
+	g := gen.ByName("LJ", 1)
+	rng := rand.New(rand.NewSource(1))
+	stream := make([]graph.VertexID, n)
+	for i := range stream {
+		u := graph.VertexID(rng.Intn(g.NumVertices()))
+		if nb := g.Neighbors(u); len(nb) > 0 {
+			u = nb[rng.Intn(len(nb))]
+		}
+		stream[i] = u
+	}
+	var wantNs, fillNs, getNs time.Duration
+	var fills int
+	type miss struct {
+		v graph.VertexID
+		e int32
+	}
+	var misses []miss
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		c := New(LRBU, g.SizeBytes()*3/10)
+		for lo := 0; lo < n; lo += batch {
+			vs := stream[lo:min(lo+batch, n)]
+			t0 := time.Now()
+			misses = misses[:0]
+			for _, v := range vs {
+				if st, e := c.Want(v); st == Miss {
+					misses = append(misses, miss{v, e})
+				}
+			}
+			t1 := time.Now()
+			for _, m := range misses {
+				c.Fill(m.e, g.Neighbors(m.v))
+			}
+			t2 := time.Now()
+			for _, v := range vs {
+				nb, _ := c.Get(v)
+				sink += len(nb)
+			}
+			getNs += time.Since(t2)
+			fillNs += t2.Sub(t1)
+			wantNs += t1.Sub(t0)
+			fills += len(misses)
+			c.Release()
+		}
+		Free(c)
+	}
+	b.ReportMetric(float64(wantNs.Nanoseconds())/float64(b.N*n), "ns/want")
+	b.ReportMetric(float64(fillNs.Nanoseconds())/float64(max(fills, 1)), "ns/fill")
+	b.ReportMetric(float64(getNs.Nanoseconds())/float64(b.N*n), "ns/get")
+}
+
+var sink int

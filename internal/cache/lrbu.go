@@ -4,16 +4,26 @@
 // locking, an unbounded LRU, and a concurrent LRU that skips the two-stage
 // execution strategy.
 //
+// LRBU is one open-addressed vertex → entry table per machine. It also
+// dedups a batch's remote vertices: Want probes once and says whether v is
+// a duplicate of this batch, a hit (which seals it) or a miss (a reserved
+// entry that Fill completes after the RPC). Tables are pooled: Free hands
+// one back, cleared, and the next New takes it with its arrays grown.
+//
 // Contract for LRBU (mirroring the paper's lock-free design): Get and
-// Contains are read-only; Insert, Seal and Release mutate and must be
-// called by a single writer goroutine while no readers are active. The
-// engine's two-stage PULL-EXTEND guarantees this: all writes happen in the
-// fetch stage (one writer), all Gets happen in the intersect stage (many
-// readers, no writer), with a barrier between the stages establishing the
-// happens-before edge.
+// Contains are read-only; Want, Fill, Insert, Seal and Release mutate and
+// must be called by a single writer goroutine while no readers are active.
+// The engine's two-stage PULL-EXTEND guarantees this: all writes happen in
+// the fetch stage (one writer), all Gets happen in the intersect stage
+// (many readers, no writer), with a barrier between the stages
+// establishing the happens-before edge.
 package cache
 
 import (
+	"math/bits"
+	"slices"
+	"sync"
+
 	"repro/internal/graph"
 )
 
@@ -23,22 +33,40 @@ type Cache interface {
 	// returned slice aliases cache storage and is only valid until the next
 	// mutation (i.e. within the current intersect stage).
 	Get(v graph.VertexID) ([]graph.VertexID, bool)
-	// Contains reports presence without touching recency state (except in
-	// LRU variants, where it may).
-	Contains(v graph.VertexID) bool
-	// Insert stores the adjacency of v, evicting replaceable entries when
-	// over capacity. The entry starts sealed (in use by the current batch).
-	Insert(v graph.VertexID, nbrs []graph.VertexID)
-	// Seal pins v so it cannot be evicted during the current batch.
-	Seal(v graph.VertexID)
-	// Release unpins every sealed entry, giving them the freshest order
-	// (they belonged to the most recent batch).
+	// Want is the fetch stage's one probe for a remote vertex v of the
+	// current batch: Duplicate if the batch already wanted v, Hit if v was
+	// cached (it is sealed now), Miss if not — the returned reference then
+	// names the entry reserved for v, which Fill completes.
+	Want(v graph.VertexID) (Status, int32)
+	// Fill stores the pulled adjacency of a Miss's entry, evicting
+	// replaceable entries when over capacity.
+	Fill(ref int32, nbrs []graph.VertexID)
+	// Release unpins every entry the batch sealed or filled, giving them
+	// the freshest order (they belonged to the most recent batch).
 	Release()
 	// Len returns the number of cached entries.
 	Len() int
 	// SizeBytes returns the approximate heap footprint of cached values.
 	SizeBytes() uint64
+
+	// Contains, Seal and Insert are the fetch stage's older protocol, kept
+	// for the tracked benchmark's cache probe (bench/layers.go), which
+	// calls them: Contains reports presence (LRU variants may touch
+	// recency), Seal pins a cached v for the current batch, and Insert is
+	// Want plus Fill in one step.
+	Contains(v graph.VertexID) bool
+	Seal(v graph.VertexID)
+	Insert(v graph.VertexID, nbrs []graph.VertexID)
 }
+
+// Status is what Want found.
+type Status uint8
+
+const (
+	Duplicate Status = iota // wanted before in this batch
+	Hit                     // cached by an earlier batch, sealed now
+	Miss                    // not cached: pull it and Fill the reference
+)
 
 // Kind selects a cache implementation.
 type Kind int
@@ -74,15 +102,15 @@ func (k Kind) String() string {
 func (k Kind) TwoStage() bool { return k != CncrLRU }
 
 // New constructs a cache of the given kind with a capacity budget in bytes
-// (ignored by LRUInf).
+// (ignored by LRUInf). The LRBU kinds take a pooled table (see Free).
 func New(k Kind, capacityBytes uint64) Cache {
 	switch k {
 	case LRBU:
-		return newLRBU(capacityBytes, false)
+		return newTable(capacityBytes, false)
 	case LRBUCopy:
-		return newLRBU(capacityBytes, true)
+		return newTable(capacityBytes, true)
 	case LRBULock:
-		return &lockedCache{inner: newLRBU(capacityBytes, true)}
+		return &lockedCache{inner: newTable(capacityBytes, true)}
 	case LRUInf:
 		return newLRU(0, true) // concurrent intersect reads: self-locking recency
 	case CncrLRU:
@@ -91,159 +119,259 @@ func New(k Kind, capacityBytes uint64) Cache {
 	panic("cache: unknown kind")
 }
 
-// entry is one cached adjacency list plus its intrusive free-list links.
-type entry struct {
-	vid        graph.VertexID
-	nbrs       []graph.VertexID
-	prev, next *entry // free-list links; nil/nil when sealed
-	inFree     bool
-	sealed     bool
+// Free hands c back for a later New to reuse, once no Get of it is in
+// flight; c must not be used after. An LRBU table is cleared first — its
+// index zeroed and every list dropped, so a pooled table pins no graph —
+// and keeps its arrays. Other kinds are left to the collector.
+func Free(c Cache) {
+	switch c := c.(type) {
+	case *table:
+		c.clear()
+		tables.Put(c)
+	case *lockedCache:
+		Free(c.inner)
+	}
 }
 
-// lrbu implements Algorithm 3. The ordered set Ŝ_free is an intrusive
-// doubly-linked list: orders are assigned monotonically, so "insert with
-// the largest order" is an append at the tail and "pop smallest" removes
-// the head — giving O(1) for every operation.
-type lrbu struct {
-	m         map[graph.VertexID]*entry
-	freeHead  *entry
-	freeTail  *entry
-	sealed    []*entry
-	capacity  uint64
-	sizeBytes uint64
-	copyOnGet bool
-
-	// Entries come from slabs and evicted ones are reused through spare
-	// (linked by next), so a run that pulls many vertices allocates one
-	// object per slab rather than one per entry.
-	slab   []entry
-	spare  *entry
-	issued int // entries taken from slabs so far: the next slab's size
-}
-
-// maxSlab caps the entries of one slab; slabs start small and double up to
-// it, so a run that caches a handful of vertices allocates a handful.
-const maxSlab = 256
-
-func newLRBU(capacityBytes uint64, copyOnGet bool) *lrbu {
-	return &lrbu{m: make(map[graph.VertexID]*entry), capacity: capacityBytes, copyOnGet: copyOnGet}
-}
+var tables = sync.Pool{New: func() any { return new(table) }}
 
 func entryBytes(nbrs []graph.VertexID) uint64 { return uint64(len(nbrs))*4 + 48 }
 
-func (c *lrbu) Get(v graph.VertexID) ([]graph.VertexID, bool) {
-	e, ok := c.m[v]
-	if !ok {
+// noNbrs is the list of a filled entry whose vertex has no neighbours: a
+// nil list marks a reserved entry that no Fill has completed yet.
+var noNbrs = []graph.VertexID{}
+
+// table implements Algorithm 3. Every cached vertex has an entry in a
+// dense slice, so entry indices stay put while index slots move; the
+// index is linear-probing over {vertex, entry+1} slots (0 is empty) with a
+// multiplicative hash and backward-shift deletion.
+//
+// An entry's stamp is the batch that last wanted it: stamped with the
+// current batch it is sealed, any older stamp leaves it in Ŝ_free. Every
+// stamp appends an (entry, stamp) pair to the ring, so the ring holds
+// Ŝ_free in Algorithm 3's order — batch by batch, oldest first — followed
+// by the current batch's pairs. Eviction pops the ring's head and skips a
+// pair whose entry was stamped again since (lazy deletion); Release only
+// starts the next batch.
+type table struct {
+	index   []slot
+	shift   uint // 32 − log2(len(index))
+	entries []entry
+	free    []int32 // entries evicted and not yet reused
+	ring    []pair
+	head    int    // ring[head:] are the pairs not yet popped
+	now     uint32 // the current batch's stamp; 0 marks a free entry
+
+	reserved  int // Misses not yet filled
+	capacity  uint64
+	sizeBytes uint64
+	copyOnGet bool
+}
+
+type slot struct {
+	v graph.VertexID
+	e int32 // entry index + 1; 0 is an empty slot
+}
+
+type entry struct {
+	v     graph.VertexID
+	stamp uint32
+	nbrs  []graph.VertexID // nil while reserved
+}
+
+type pair struct {
+	e     int32
+	stamp uint32
+}
+
+// minIndex is a fresh table's slot count.
+const minIndex = 256
+
+func newTable(capacityBytes uint64, copyOnGet bool) *table {
+	t := tables.Get().(*table)
+	t.capacity, t.copyOnGet = capacityBytes, copyOnGet
+	if t.index == nil {
+		t.index = make([]slot, minIndex)
+		t.shift = 32 - uint(bits.TrailingZeros(minIndex))
+	}
+	t.now = 1
+	return t
+}
+
+// clear empties t for the pool, keeping its arrays' capacity.
+func (t *table) clear() {
+	clear(t.index)
+	clear(t.entries)
+	t.entries, t.free, t.ring = t.entries[:0], t.free[:0], t.ring[:0]
+	t.head, t.reserved, t.sizeBytes = 0, 0, 0
+}
+
+func (t *table) home(v graph.VertexID) uint32 { return (v * 0x9E3779B1) >> t.shift }
+
+// find returns v's slot and entry.
+func (t *table) find(v graph.VertexID) (i uint32, e int32, ok bool) {
+	mask := uint32(len(t.index) - 1)
+	for i = t.home(v); ; i = (i + 1) & mask {
+		s := t.index[i]
+		if s.e == 0 {
+			return i, 0, false
+		}
+		if s.v == v {
+			return i, s.e - 1, true
+		}
+	}
+}
+
+func (t *table) Get(v graph.VertexID) ([]graph.VertexID, bool) {
+	_, e, ok := t.find(v)
+	if !ok || t.entries[e].nbrs == nil {
 		return nil, false
 	}
-	if c.copyOnGet {
-		cp := make([]graph.VertexID, len(e.nbrs))
-		copy(cp, e.nbrs)
-		return cp, true
+	nbrs := t.entries[e].nbrs
+	if t.copyOnGet {
+		return slices.Clone(nbrs), true
 	}
-	return e.nbrs, true
+	return nbrs, true
 }
 
-func (c *lrbu) Contains(v graph.VertexID) bool {
-	_, ok := c.m[v]
-	return ok
+func (t *table) Want(v graph.VertexID) (Status, int32) {
+	i, e, ok := t.find(v)
+	if ok {
+		en := &t.entries[e]
+		if en.stamp == t.now {
+			return Duplicate, e
+		}
+		en.stamp = t.now
+		t.ring = append(t.ring, pair{e, t.now})
+		return Hit, e
+	}
+	if 2*(len(t.entries)-len(t.free)+1) > len(t.index) {
+		t.grow()
+		i, _, _ = t.find(v)
+	}
+	if n := len(t.free); n > 0 {
+		e = t.free[n-1]
+		t.free = t.free[:n-1]
+		t.entries[e] = entry{v: v, stamp: t.now}
+	} else {
+		e = int32(len(t.entries))
+		t.entries = append(t.entries, entry{v: v, stamp: t.now})
+	}
+	t.index[i] = slot{v, e + 1}
+	t.ring = append(t.ring, pair{e, t.now})
+	t.reserved++
+	return Miss, e
 }
 
-func (c *lrbu) Insert(v graph.VertexID, nbrs []graph.VertexID) {
-	if e, ok := c.m[v]; ok {
-		// Already present (possible when a steal re-fetches): just seal.
-		c.seal(e)
-		return
+func (t *table) Fill(e int32, nbrs []graph.VertexID) {
+	if nbrs == nil {
+		nbrs = noNbrs
 	}
 	need := entryBytes(nbrs)
-	for c.sizeBytes+need > c.capacity && c.freeHead != nil {
-		c.evictHead()
-	}
-	// If Ŝ_free is empty the insert proceeds regardless of capacity; the
-	// overflow is bounded by the remote vertices of one batch (Section 4.4).
-	e := c.newEntry()
-	*e = entry{vid: v, nbrs: nbrs, sealed: true}
-	c.m[v] = e
-	c.sizeBytes += need
-	c.sealed = append(c.sealed, e)
-}
-
-func (c *lrbu) evictHead() {
-	e := c.freeHead
-	c.freeHead = e.next
-	if c.freeHead != nil {
-		c.freeHead.prev = nil
-	} else {
-		c.freeTail = nil
-	}
-	delete(c.m, e.vid)
-	c.sizeBytes -= entryBytes(e.nbrs)
-	*e = entry{next: c.spare}
-	c.spare = e
-}
-
-// newEntry returns an evicted entry, else the next one of the current slab.
-func (c *lrbu) newEntry() *entry {
-	if e := c.spare; e != nil {
-		c.spare = e.next
-		return e
-	}
-	if len(c.slab) == 0 {
-		c.slab = make([]entry, min(max(c.issued, 16), maxSlab))
-	}
-	e := &c.slab[0]
-	c.slab = c.slab[1:]
-	c.issued++
-	return e
-}
-
-func (c *lrbu) Seal(v graph.VertexID) {
-	if e, ok := c.m[v]; ok {
-		c.seal(e)
-	}
-}
-
-func (c *lrbu) seal(e *entry) {
-	if e.sealed {
-		return
-	}
-	if e.inFree {
-		// Unlink from the free list.
-		if e.prev != nil {
-			e.prev.next = e.next
-		} else {
-			c.freeHead = e.next
+	for t.sizeBytes+need > t.capacity && t.head < len(t.ring) {
+		p := t.ring[t.head]
+		if p.stamp == t.now {
+			// The rest is the current batch, sealed: when Ŝ_free is empty
+			// the fill proceeds regardless of capacity; the overflow is
+			// bounded by the remote vertices of one batch (Section 4.4).
+			break
 		}
-		if e.next != nil {
-			e.next.prev = e.prev
-		} else {
-			c.freeTail = e.prev
+		t.head++
+		if t.entries[p.e].stamp == p.stamp {
+			t.evict(p.e)
 		}
-		e.prev, e.next, e.inFree = nil, nil, false
 	}
-	e.sealed = true
-	c.sealed = append(c.sealed, e)
+	t.entries[e].nbrs = nbrs
+	t.sizeBytes += need
+	t.reserved--
 }
 
-func (c *lrbu) Release() {
-	for _, e := range c.sealed {
-		if !e.sealed {
+// evict removes entry e from the index and frees it.
+func (t *table) evict(e int32) {
+	en := &t.entries[e]
+	i, _, _ := t.find(en.v)
+	mask := uint32(len(t.index) - 1)
+	// Backward shift: pull each later slot of the run into the hole unless
+	// its home lies cyclically after the hole.
+	for j := (i + 1) & mask; t.index[j].e != 0; j = (j + 1) & mask {
+		if (j-t.home(t.index[j].v))&mask >= (j-i)&mask {
+			t.index[i] = t.index[j]
+			i = j
+		}
+	}
+	t.index[i] = slot{}
+	if en.nbrs != nil {
+		t.sizeBytes -= entryBytes(en.nbrs)
+	}
+	*en = entry{}
+	t.free = append(t.free, e)
+}
+
+// grow doubles the index and re-inserts every entry.
+func (t *table) grow() {
+	t.index = make([]slot, 2*len(t.index))
+	t.shift--
+	mask := uint32(len(t.index) - 1)
+	for e, en := range t.entries {
+		if en.stamp == 0 {
 			continue
 		}
-		e.sealed = false
-		// Append at the tail: the largest order (least evictable).
-		e.prev = c.freeTail
-		e.next = nil
-		e.inFree = true
-		if c.freeTail != nil {
-			c.freeTail.next = e
-		} else {
-			c.freeHead = e
+		i := t.home(en.v)
+		for t.index[i].e != 0 {
+			i = (i + 1) & mask
 		}
-		c.freeTail = e
+		t.index[i] = slot{en.v, int32(e) + 1}
 	}
-	c.sealed = c.sealed[:0]
 }
 
-func (c *lrbu) Len() int          { return len(c.m) }
-func (c *lrbu) SizeBytes() uint64 { return c.sizeBytes }
+func (t *table) Release() {
+	if t.reserved > 0 {
+		// A Miss nobody filled has no list to serve: drop it, so no later
+		// batch takes its entry for a hit.
+		for k := len(t.ring) - 1; k >= t.head && t.ring[k].stamp == t.now; k-- {
+			if e := t.ring[k].e; t.entries[e].nbrs == nil {
+				t.evict(e)
+			}
+		}
+		t.reserved = 0
+	}
+	t.now++
+	// Keep the ring within twice the live entries: compact it once stale
+	// pairs outnumber live ones, else drop the popped prefix once it is
+	// longer than what follows it.
+	live, n := len(t.entries)-len(t.free), len(t.ring)-t.head
+	switch {
+	case n > 2*live:
+		k := 0
+		for _, p := range t.ring[t.head:] {
+			if t.entries[p.e].stamp == p.stamp {
+				t.ring[k] = p
+				k++
+			}
+		}
+		t.ring, t.head = t.ring[:k], 0
+	case t.head > n:
+		t.ring, t.head = t.ring[:copy(t.ring, t.ring[t.head:])], 0
+	}
+}
+
+func (t *table) Contains(v graph.VertexID) bool {
+	_, e, ok := t.find(v)
+	return ok && t.entries[e].nbrs != nil
+}
+
+func (t *table) Seal(v graph.VertexID) {
+	if _, e, ok := t.find(v); ok && t.entries[e].stamp != t.now {
+		t.entries[e].stamp = t.now
+		t.ring = append(t.ring, pair{e, t.now})
+	}
+}
+
+func (t *table) Insert(v graph.VertexID, nbrs []graph.VertexID) {
+	if st, e := t.Want(v); st == Miss {
+		t.Fill(e, nbrs)
+	}
+}
+
+func (t *table) Len() int          { return len(t.entries) - len(t.free) }
+func (t *table) SizeBytes() uint64 { return t.sizeBytes }

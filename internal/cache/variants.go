@@ -17,17 +17,31 @@ import (
 // avoid double-locking (which would skew the Exp-6 comparison).
 // Insert-vs-read exclusion for the bare variant is still the caller's job:
 // the two-stage engine inserts only in the fetch stage.
+//
+// Want and Fill dedup a batch as the LRBU table does: an entry carries the
+// batch that last wanted it, and a Miss reserves an entry, unlinked from
+// the recency list until Fill.
 type lru struct {
 	mu          sync.Mutex // guards the recency list and eviction (if selfLocking)
 	selfLocking bool
-	m           map[graph.VertexID]*entry
-	head, tail  *entry // head = most recent
+	m           map[graph.VertexID]*lruEntry
+	head, tail  *lruEntry // head = most recent
 	capacity    uint64
 	sizeBytes   uint64
+	now         uint32      // the current batch's stamp
+	reserved    []*lruEntry // this batch's Misses, by reference
+}
+
+// lruEntry is one cached adjacency list plus its recency links.
+type lruEntry struct {
+	vid        graph.VertexID
+	stamp      uint32
+	nbrs       []graph.VertexID // nil while reserved
+	prev, next *lruEntry
 }
 
 func newLRU(capacityBytes uint64, selfLocking bool) *lru {
-	return &lru{m: make(map[graph.VertexID]*entry), capacity: capacityBytes, selfLocking: selfLocking}
+	return &lru{m: make(map[graph.VertexID]*lruEntry), capacity: capacityBytes, selfLocking: selfLocking, now: 1}
 }
 
 func (c *lru) lock() {
@@ -42,7 +56,7 @@ func (c *lru) unlock() {
 	}
 }
 
-func (c *lru) touch(e *entry) {
+func (c *lru) touch(e *lruEntry) {
 	if c.head == e {
 		return
 	}
@@ -70,7 +84,7 @@ func (c *lru) touch(e *entry) {
 
 func (c *lru) Get(v graph.VertexID) ([]graph.VertexID, bool) {
 	e, ok := c.m[v]
-	if !ok {
+	if !ok || e.nbrs == nil {
 		return nil, false
 	}
 	c.lock()
@@ -84,8 +98,8 @@ func (c *lru) Get(v graph.VertexID) ([]graph.VertexID, bool) {
 }
 
 func (c *lru) Contains(v graph.VertexID) bool {
-	_, ok := c.m[v]
-	return ok
+	e, ok := c.m[v]
+	return ok && e.nbrs != nil
 }
 
 func (c *lru) Insert(v graph.VertexID, nbrs []graph.VertexID) {
@@ -94,6 +108,36 @@ func (c *lru) Insert(v graph.VertexID, nbrs []graph.VertexID) {
 		c.touch(e)
 		c.unlock()
 		return
+	}
+	e := &lruEntry{vid: v}
+	c.m[v] = e
+	c.fill(e, nbrs)
+}
+
+func (c *lru) Want(v graph.VertexID) (Status, int32) {
+	if e, ok := c.m[v]; ok {
+		if e.stamp == c.now {
+			return Duplicate, 0
+		}
+		e.stamp = c.now
+		c.lock()
+		c.touch(e)
+		c.unlock()
+		return Hit, 0
+	}
+	e := &lruEntry{vid: v, stamp: c.now}
+	c.m[v] = e
+	c.reserved = append(c.reserved, e)
+	return Miss, int32(len(c.reserved) - 1)
+}
+
+func (c *lru) Fill(ref int32, nbrs []graph.VertexID) { c.fill(c.reserved[ref], nbrs) }
+
+// fill gives e its list and links it as the most recent entry, evicting
+// from the tail while over a bounded capacity.
+func (c *lru) fill(e *lruEntry, nbrs []graph.VertexID) {
+	if nbrs == nil {
+		nbrs = noNbrs
 	}
 	c.lock()
 	defer c.unlock()
@@ -111,8 +155,7 @@ func (c *lru) Insert(v graph.VertexID, nbrs []graph.VertexID) {
 			c.sizeBytes -= entryBytes(t.nbrs)
 		}
 	}
-	e := &entry{vid: v, nbrs: nbrs}
-	c.m[v] = e
+	e.nbrs = nbrs
 	c.sizeBytes += need
 	e.next = c.head
 	if c.head != nil {
@@ -124,9 +167,19 @@ func (c *lru) Insert(v graph.VertexID, nbrs []graph.VertexID) {
 	}
 }
 
-// Seal and Release are no-ops: LRU has no batch pinning.
+// LRU has no batch pinning: Seal does nothing, and Release only starts the
+// next batch, dropping any Miss nobody filled.
 func (c *lru) Seal(graph.VertexID) {}
-func (c *lru) Release()            {}
+
+func (c *lru) Release() {
+	for _, e := range c.reserved {
+		if e.nbrs == nil {
+			delete(c.m, e.vid)
+		}
+	}
+	c.reserved = c.reserved[:0]
+	c.now++
+}
 
 func (c *lru) Len() int          { return len(c.m) }
 func (c *lru) SizeBytes() uint64 { return c.sizeBytes }
@@ -154,6 +207,18 @@ func (c *lockedCache) Insert(v graph.VertexID, nbrs []graph.VertexID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.inner.Insert(v, nbrs)
+}
+
+func (c *lockedCache) Want(v graph.VertexID) (Status, int32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.inner.Want(v)
+}
+
+func (c *lockedCache) Fill(ref int32, nbrs []graph.VertexID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.inner.Fill(ref, nbrs)
 }
 
 func (c *lockedCache) Seal(v graph.VertexID) {

@@ -8,12 +8,14 @@
 //     nothing is built per graph), and the configuration. It is safe for
 //     concurrent use and holds no per-query state.
 //   - Exec is one query's isolated execution context: a fresh metrics sink
-//     and a fresh per-machine adjacency cache. Concurrent engine runs each
+//     and a cold per-machine adjacency cache. Concurrent engine runs each
 //     use their own Exec (NewExec), so they never share mutable state; one
-//     Exec may carry several runs in sequence.
+//     Exec may carry several runs in sequence. A machine takes its cache
+//     table and fetch buffers from pools on its first Want, and Close
+//     hands them back cleared, so a run grows neither.
 //
 // MachineExec is the one contract between the engine and a machine (Graph,
-// Owns, Fetch, Neighbors, Release): the adjacency-cache protocol of
+// Owns, Want, Fetch, Neighbors, Release): the adjacency-cache protocol of
 // Algorithm 4 lives behind it, not in the engine. Machines communicate
 // only through the accounted RPC layer (GetNbrs, StealWork) and the router
 // (pushed shuffles), so communication volume —
@@ -23,6 +25,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -84,7 +88,8 @@ func (c *Cluster) Owner(v graph.VertexID) int { return c.P.Owner(v) }
 // Exec is the execution context of a run, or of several runs in sequence:
 // everything one query execution mutates lives here (metrics, adjacency
 // caches), so concurrent runs on the same Cluster, each on its own Exec,
-// are fully isolated. Create one with NewExec.
+// are fully isolated. Create one with NewExec; Close it after its last run
+// to hand its cache tables back (an Exec never closed is collected).
 type Exec struct {
 	Metrics  *metrics.Metrics
 	Machines []*MachineExec
@@ -93,11 +98,11 @@ type Exec struct {
 
 // MachineExec is one machine's view of the data graph for one query
 // execution, and the whole contract between the engine and a machine:
-// Graph and Owns for what is replicated or local, Fetch / Neighbors /
-// Release for adjacency (Algorithm 4's protocol over the run-private
+// Graph and Owns for what is replicated or local, Want / Fetch / Neighbors
+// / Release for adjacency (Algorithm 4's protocol over the run-private
 // cache), GetNbrs for the accounted RPC underneath. The cache's
 // single-writer contract is scoped to one run, which is what makes
-// concurrent queries race-free: Fetch and Release are called by one
+// concurrent queries race-free: Want, Fetch and Release are called by one
 // goroutine with no Neighbors call in flight.
 type MachineExec struct {
 	ID int
@@ -106,25 +111,53 @@ type MachineExec struct {
 	g        *graph.Graph
 	p        graph.Partitioner
 	twoStage bool
-	cache    cache.Cache
-	exec     *Exec
+	// cache and buf are nil until a two-stage machine's first Want.
+	cache cache.Cache
+	buf   *fetchBuf
+	hits  uint64 // counted by Want since the last Fetch
+	exec  *Exec
 }
+
+// fetchBuf is a two-stage machine's fetch-stage state, reused from batch
+// to batch and, through fetchBufs, from run to run: the batch's misses by
+// owner, each v<<32 | the entry the cache reserved for v, and the request
+// and response of one RPC.
+type fetchBuf struct {
+	misses [][]uint64
+	vids   []graph.VertexID
+	resp   [][]graph.VertexID
+}
+
+var fetchBufs = sync.Pool{New: func() any { return new(fetchBuf) }}
 
 // NewExec creates a fresh execution context with zeroed metrics and cold
 // per-machine caches.
 func (c *Cluster) NewExec() *Exec {
 	x := &Exec{Metrics: &metrics.Metrics{}, c: c, Machines: make([]*MachineExec, c.Cfg.NumMachines)}
 	for i := range x.Machines {
-		x.Machines[i] = &MachineExec{
-			ID:       i,
-			g:        c.Graph,
-			p:        c.P,
-			twoStage: c.Cfg.CacheKind.TwoStage(),
-			cache:    cache.New(c.Cfg.CacheKind, c.Cfg.CacheBytes),
-			exec:     x,
+		m := &MachineExec{ID: i, g: c.Graph, p: c.P, twoStage: c.Cfg.CacheKind.TwoStage(), exec: x}
+		if !m.twoStage {
+			// Neighbors fills it from every worker at once: it cannot
+			// wait for a first Want.
+			m.cache = cache.New(c.Cfg.CacheKind, c.Cfg.CacheBytes)
 		}
+		x.Machines[i] = m
 	}
 	return x
+}
+
+// Close hands every machine's cache table and fetch buffers back to their
+// pools, cleared. It must follow the last run on x; a run after it starts
+// from cold caches.
+func (x *Exec) Close() {
+	for _, m := range x.Machines {
+		if m.buf != nil {
+			cache.Free(m.cache)
+			clear(m.buf.resp[:cap(m.buf.resp)]) // pin no graph
+			fetchBufs.Put(m.buf)
+			m.cache, m.buf = nil, nil
+		}
+	}
 }
 
 // Cfg returns the deployment configuration.
@@ -171,20 +204,20 @@ func (m *MachineExec) Owns(v graph.VertexID) bool { return m.p.Owner(v) == m.ID 
 const maxRPCBatch = 8192
 
 // GetNbrs is the pulling RPC (Section 4.1): machine m requests the
-// adjacency lists of vertices owned by machine target. It panics for a
-// vertex target does not own — adjacency is stored on exactly one machine,
-// and a read that bypasses the owner would go unaccounted. The response
-// slices alias the target's CSR storage (the in-process analogue of a
-// received buffer); byte and time accounting covers both directions.
-func (m *MachineExec) GetNbrs(target int, vids []graph.VertexID) [][]graph.VertexID {
-	out := make([][]graph.VertexID, len(vids))
+// adjacency lists of vertices owned by machine target, and the response,
+// one list per vertex, is appended to dst. It panics for a vertex target
+// does not own — adjacency is stored on exactly one machine, and a read
+// that bypasses the owner would go unaccounted. The response slices alias
+// the target's CSR storage (the in-process analogue of a received buffer);
+// byte and time accounting covers both directions.
+func (m *MachineExec) GetNbrs(dst [][]graph.VertexID, target int, vids []graph.VertexID) [][]graph.VertexID {
 	respBytes := uint64(0)
-	for i, v := range vids {
+	for _, v := range vids {
 		if m.p.Owner(v) != target {
 			panic(fmt.Sprintf("cluster: GetNbrs(%d) for vertex %d, which machine %d owns", target, v, m.p.Owner(v)))
 		}
 		nb := m.g.Neighbors(v)
-		out[i] = nb
+		dst = append(dst, nb)
 		respBytes += uint64(len(nb)) * 4
 	}
 	reqBytes := uint64(len(vids)) * 4
@@ -192,56 +225,89 @@ func (m *MachineExec) GetNbrs(target int, vids []graph.VertexID) [][]graph.Verte
 	x.Metrics.RPCCalls.Add(1)
 	x.Metrics.BytesPulled.Add(reqBytes + respBytes)
 	x.sleep(reqBytes + respBytes)
-	return out
+	return dst
 }
 
-// Fetch is the fetch stage of PULL-EXTEND (lines 1-9 of Algorithm 4) for
-// one batch: remote holds the batch's remote vertices, each once, in
-// ascending order. Cached ones are sealed (a hit); the rest (misses) are
-// grouped by owner, pulled in bulk — owners and vertices in ascending
-// order — and inserted. Under a cache kind that skips the two-stage
-// protocol (Cncr-LRU) Fetch does nothing and Neighbors pulls on demand.
-// Fetch writes the cache: no Neighbors call may run concurrently.
-func (m *MachineExec) Fetch(remote []graph.VertexID) {
-	if !m.twoStage || len(remote) == 0 {
+// Want adds a remote vertex v to the current batch's fetch stage (lines
+// 1-9 of Algorithm 4): one probe of the cache seals v if it is cached (a
+// hit) or reserves its entry for Fetch (a miss); a vertex the batch wanted
+// before costs nothing more. Under a cache kind that skips the two-stage
+// protocol (Cncr-LRU) Want does nothing and Neighbors pulls on demand.
+func (m *MachineExec) Want(v graph.VertexID) {
+	if !m.twoStage {
 		return
 	}
-	x := m.exec
-	byOwner := make([][]graph.VertexID, m.p.NumMachines())
-	for _, v := range remote {
-		if m.cache.Contains(v) {
-			x.Metrics.CacheHits.Add(1)
-			m.cache.Seal(v)
-		} else {
-			x.Metrics.CacheMisses.Add(1)
-			o := m.p.Owner(v)
-			byOwner[o] = append(byOwner[o], v)
+	if m.buf == nil {
+		cfg := m.exec.c.Cfg
+		m.cache = cache.New(cfg.CacheKind, cfg.CacheBytes)
+		m.buf = fetchBufs.Get().(*fetchBuf)
+		if k := cfg.NumMachines; len(m.buf.misses) < k {
+			m.buf.misses = append(m.buf.misses, make([][]uint64, k-len(m.buf.misses))...)
 		}
 	}
-	for owner, vids := range byOwner {
-		for len(vids) > 0 {
-			chunk := vids[:min(len(vids), maxRPCBatch)]
-			vids = vids[len(chunk):]
-			for i, nb := range m.GetNbrs(owner, chunk) {
-				m.cache.Insert(chunk[i], nb)
+	switch st, ref := m.cache.Want(v); st {
+	case cache.Hit:
+		m.hits++
+	case cache.Miss:
+		o := m.p.Owner(v)
+		m.buf.misses[o] = append(m.buf.misses[o], uint64(v)<<32|uint64(ref))
+	}
+}
+
+// Fetch pulls what the Wants since the last Fetch missed and fills their
+// entries: owner by owner, each owner's misses in vertex order, so
+// requests are reproducible, in bulk, up to maxRPCBatch vertices per RPC.
+// A cache hit is one distinct remote vertex of a batch that was already
+// cached, a miss one that was not; both are booked here. Fetch writes the
+// cache: no Neighbors call may run concurrently. Once the pooled buffers
+// have grown it allocates nothing.
+func (m *MachineExec) Fetch() {
+	b, x := m.buf, m.exec
+	if b == nil {
+		return
+	}
+	if m.hits > 0 {
+		x.Metrics.CacheHits.Add(m.hits)
+		m.hits = 0
+	}
+	for owner, ms := range b.misses {
+		if len(ms) == 0 {
+			continue
+		}
+		x.Metrics.CacheMisses.Add(uint64(len(ms)))
+		slices.Sort(ms) // by vertex
+		for lo := 0; lo < len(ms); lo += maxRPCBatch {
+			chunk := ms[lo:min(lo+maxRPCBatch, len(ms))]
+			b.vids = b.vids[:0]
+			for _, key := range chunk {
+				b.vids = append(b.vids, graph.VertexID(key>>32))
+			}
+			b.resp = m.GetNbrs(b.resp[:0], owner, b.vids)
+			for i, nb := range b.resp {
+				m.cache.Fill(int32(chunk[i]), nb)
 			}
 		}
+		b.misses[owner] = ms[:0]
 	}
 }
 
 // Neighbors resolves the adjacency of v during the intersect stage: the
 // local graph when m owns v, else the sealed cache entry Fetch left —
-// ok=false then means v was never fetched, which the two-stage protocol
-// makes impossible, so callers treat it as a bug. Hits and misses were
-// counted by Fetch, not here. Under Cncr-LRU (the Exp-6 ablation) a remote
-// vertex is instead looked up under the cache's own lock, pulled by a
-// one-vertex RPC on a miss and inserted, and ok is always true.
+// ok=false then means v was never wanted and fetched, which the two-stage
+// protocol makes impossible, so callers treat it as a bug. Hits and
+// misses were counted by Fetch, not here. Under Cncr-LRU (the Exp-6
+// ablation) a remote vertex is instead looked up under the cache's own
+// lock, pulled by a one-vertex RPC on a miss and inserted, and ok is
+// always true.
 func (m *MachineExec) Neighbors(v graph.VertexID) (nbrs []graph.VertexID, ok bool) {
 	owner := m.p.Owner(v)
 	if owner == m.ID {
 		return m.g.Neighbors(v), true
 	}
 	if m.twoStage {
+		if m.cache == nil {
+			return nil, false
+		}
 		return m.cache.Get(v)
 	}
 	if nb, ok := m.cache.Get(v); ok {
@@ -249,11 +315,15 @@ func (m *MachineExec) Neighbors(v graph.VertexID) (nbrs []graph.VertexID, ok boo
 		return nb, true
 	}
 	m.exec.Metrics.CacheMisses.Add(1)
-	nb := m.GetNbrs(owner, []graph.VertexID{v})[0]
+	nb := m.GetNbrs(nil, owner, []graph.VertexID{v})[0]
 	m.cache.Insert(v, nb)
 	return nb, true
 }
 
-// Release unseals what Fetch sealed or inserted for the batch. It is a
-// cache write: it runs after the intersect stage's barrier.
-func (m *MachineExec) Release() { m.cache.Release() }
+// Release unseals what the batch's Wants sealed or reserved. It is a cache
+// write: it runs after the intersect stage's barrier.
+func (m *MachineExec) Release() {
+	if m.cache != nil {
+		m.cache.Release()
+	}
+}

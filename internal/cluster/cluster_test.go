@@ -47,7 +47,7 @@ func TestGetNbrsAccounting(t *testing.T) {
 	if !found {
 		t.Skip("no suitable vertex")
 	}
-	nbrs := x.Machines[0].GetNbrs(1, []graph.VertexID{v})
+	nbrs := x.Machines[0].GetNbrs(nil, 1, []graph.VertexID{v})
 	if len(nbrs) != 1 || len(nbrs[0]) != c.Graph.Degree(v) {
 		t.Fatalf("GetNbrs returned %v", nbrs)
 	}
@@ -72,7 +72,7 @@ func TestLatencyInjected(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	x.Machines[0].GetNbrs(1, []graph.VertexID{v})
+	x.Machines[0].GetNbrs(nil, 1, []graph.VertexID{v})
 	if time.Since(start) < 2*time.Millisecond {
 		t.Fatal("latency not injected")
 	}
@@ -156,12 +156,12 @@ func TestGetNbrsRemoteVertexPanics(t *testing.T) {
 			t.Fatal("the refused request was accounted as an RPC")
 		}
 	}()
-	x.Machines[1].GetNbrs(0, []graph.VertexID{v})
+	x.Machines[1].GetNbrs(nil, 0, []graph.VertexID{v})
 }
 
 // TestNeighborsTwoStage: under a two-stage cache kind a remote vertex is
-// readable only between Fetch and the eviction that may follow Release,
-// and its traffic is counted once, by Fetch.
+// readable only between Want plus Fetch and the eviction that may follow
+// Release, and its traffic is counted once, by Fetch.
 func TestNeighborsTwoStage(t *testing.T) {
 	c := testCluster(t, 2, LatencyModel{})
 	x := c.NewExec()
@@ -182,7 +182,9 @@ func TestNeighborsTwoStage(t *testing.T) {
 	if s := x.Metrics.Snapshot(); s.RPCCalls+s.CacheHits+s.CacheMisses != 0 {
 		t.Fatalf("un-fetched read was accounted: %+v", s)
 	}
-	m0.Fetch([]graph.VertexID{remote})
+	m0.Want(remote)
+	m0.Want(remote) // a duplicate: one miss, one pull
+	m0.Fetch()
 	nb, ok := m0.Neighbors(remote)
 	if !ok || !slices.Equal(nb, c.Graph.Neighbors(remote)) {
 		t.Fatalf("fetched Neighbors(%d) = %v %v, want the owner's list", remote, nb, ok)
@@ -192,7 +194,8 @@ func TestNeighborsTwoStage(t *testing.T) {
 		t.Fatalf("first fetch: %+v, want one RPC and one miss", s)
 	}
 	// The next batch finds it cached: a hit, sealed, no RPC.
-	m0.Fetch([]graph.VertexID{remote})
+	m0.Want(remote)
+	m0.Fetch()
 	if _, ok := m0.Neighbors(remote); !ok {
 		t.Fatal("cached vertex unreadable after the second Fetch")
 	}
@@ -216,7 +219,10 @@ func TestFetchGroupsByOwner(t *testing.T) {
 			owners[c.Owner(v)] = true
 		}
 	}
-	m0.Fetch(remote)
+	for _, v := range slices.Backward(remote) {
+		m0.Want(v)
+	}
+	m0.Fetch()
 	if s := x.Metrics.Snapshot(); int(s.RPCCalls) != len(owners) || int(s.CacheMisses) != len(remote) {
 		t.Fatalf("%d remote vertices of %d owners: %+v", len(remote), len(owners), s)
 	}
@@ -228,15 +234,16 @@ func TestFetchGroupsByOwner(t *testing.T) {
 }
 
 // TestNeighborsPullsOnDemandCncrLRU: the Exp-6 ablation skips the
-// two-stage protocol — Fetch does nothing, Neighbors pulls a missing
-// vertex itself and the second read is a hit.
+// two-stage protocol — Want and Fetch do nothing, Neighbors pulls a
+// missing vertex itself and the second read is a hit.
 func TestNeighborsPullsOnDemandCncrLRU(t *testing.T) {
 	g := gen.PowerLaw(200, 3, 1)
 	c := New(g, Config{NumMachines: 2, Workers: 1, CacheKind: cache.CncrLRU})
 	x := c.NewExec()
 	m0 := x.Machines[0]
 	remote := remoteOf(t, c, m0)
-	m0.Fetch([]graph.VertexID{remote})
+	m0.Want(remote)
+	m0.Fetch()
 	if s := x.Metrics.Snapshot(); s.RPCCalls+s.CacheHits+s.CacheMisses != 0 {
 		t.Fatalf("Fetch is not a no-op under Cncr-LRU: %+v", s)
 	}
@@ -261,12 +268,19 @@ func TestNeighborsPullsOnDemandCncrLRU(t *testing.T) {
 }
 
 // TestExecIsolation is the concurrency contract of the refactor: execution
-// contexts on one cluster never share metrics or caches.
+// contexts on one cluster never share metrics or caches, and many of them
+// at once take cache tables from the pool and hand them back (validated
+// under -race: the pooled tables are the state Execs share over time).
 func TestExecIsolation(t *testing.T) {
 	c := testCluster(t, 2, LatencyModel{})
 	x1, x2 := c.NewExec(), c.NewExec()
 	if x1.Metrics == x2.Metrics {
 		t.Fatal("execs share a metrics sink")
+	}
+	v := remoteOf(t, c, x1.Machines[0])
+	for _, x := range []*Exec{x1, x2} {
+		x.Machines[0].Want(v)
+		x.Machines[0].Fetch()
 	}
 	if x1.Machines[0].cache == x2.Machines[0].cache {
 		t.Fatal("execs share a cache")
@@ -275,22 +289,67 @@ func TestExecIsolation(t *testing.T) {
 	if x2.Metrics.BytesPushed.Load() != 0 {
 		t.Fatal("metrics leaked across execs")
 	}
-	// Concurrent traffic on independent execs must be race-free (validated
-	// under -race): hammer Fetch/Neighbors from many execs at once.
+	x1.Close()
+	x2.Close()
+	// Hammer Want/Fetch/Neighbors from many execs at once, each run to
+	// Close and followed by another on a table the pool hands back.
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m := c.NewExec().Machines[0]
-			for u := 0; u < c.Graph.NumVertices(); u++ {
-				if v := graph.VertexID(u); !m.Owns(v) {
-					m.Fetch([]graph.VertexID{v})
-					m.Neighbors(v)
-					m.Release()
+			for run := 0; run < 3; run++ {
+				x := c.NewExec()
+				for _, m := range x.Machines {
+					for u := 0; u < c.Graph.NumVertices(); u++ {
+						if v := graph.VertexID(u); !m.Owns(v) {
+							m.Want(v)
+							m.Fetch()
+							if nb, ok := m.Neighbors(v); !ok || !slices.Equal(nb, c.Graph.Neighbors(v)) {
+								t.Errorf("Neighbors(%d) = %v %v", v, nb, ok)
+								return
+							}
+							m.Release()
+						}
+					}
 				}
+				if s := x.Metrics.Snapshot(); s.CacheHits != 0 {
+					t.Errorf("a fresh exec hit %d times on vertices it wanted once", s.CacheHits)
+				}
+				x.Close()
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestExecCachesColdPerExec: a vertex cached by one Exec is a miss in the
+// next, though the next takes the first one's table from the pool, and a
+// closed Exec's tables hold no list.
+func TestExecCachesColdPerExec(t *testing.T) {
+	c := testCluster(t, 2, LatencyModel{})
+	x := c.NewExec()
+	m := x.Machines[0]
+	v := remoteOf(t, c, m)
+	m.Want(v)
+	m.Fetch()
+	m.Release()
+	table := m.cache
+	if table.Len() != 1 {
+		t.Fatalf("Len = %d after one fetch", table.Len())
+	}
+	x.Close()
+	if _, ok := table.Get(v); ok || table.Len() != 0 || table.SizeBytes() != 0 {
+		t.Fatalf("a closed exec's table still serves %d: Len %d, %d bytes", v, table.Len(), table.SizeBytes())
+	}
+	if _, ok := m.Neighbors(v); ok {
+		t.Fatal("a closed exec still reads its cache")
+	}
+	y := c.NewExec()
+	y.Machines[0].Want(v)
+	y.Machines[0].Fetch()
+	if s := y.Metrics.Snapshot(); s.CacheHits != 0 || s.CacheMisses != 1 || s.RPCCalls != 1 {
+		t.Fatalf("the next exec's first fetch: %+v, want one miss and one RPC", s)
+	}
+	y.Close()
 }

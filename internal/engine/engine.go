@@ -13,7 +13,7 @@
 // number of runs may proceed concurrently on one cluster.Cluster, each on
 // its own Exec (an Exec carries runs one after another, never two at
 // once). A MachineExec is all the engine knows of a machine: which
-// vertices it owns, the graph, and Fetch / Neighbors / Release for
+// vertices it owns, the graph, and Want / Fetch / Neighbors / Release for
 // adjacency; the cache and its protocol are the machine's business.
 package engine
 

@@ -12,9 +12,9 @@ import (
 )
 
 // processExtend runs one PULL-EXTEND over one batch, following Algorithm 4:
-// a fetch stage that bulk-pulls the batch's remote vertices into the
-// machine's cache, then a parallel intersect stage reading it lock-free
-// and zero-copy, and a final Release.
+// a fetch stage that wants the batch's remote vertices from the machine's
+// cache table and bulk-pulls its misses, then a parallel intersect stage
+// reading it lock-free and zero-copy, and a final Release.
 func (r *machineRun) processExtend(e *dataflow.Extend, b *dataflow.Batch) ([]*dataflow.Batch, error) {
 	r.fetch(b, e)
 	// Release is a cache write; forChunks has joined its workers by then,
@@ -29,13 +29,12 @@ func (r *machineRun) processExtend(e *dataflow.Extend, b *dataflow.Batch) ([]*da
 	})
 }
 
-// fetch is the engine's half of the fetch stage: it collects the batch's
-// remote vertices that the extends read — each once, ascending, so the
-// machine's requests are reproducible — and hands them to the machine,
-// which owns the cache protocol. A one-machine run owns every vertex:
-// there is nothing to scan for. Rows arrive in runs that share their
-// leading slots, so a slot holding the vertex it held in the row before is
-// not looked up again.
+// fetch is the engine's half of the fetch stage: it wants every remote
+// vertex that the extends read, and the machine, which owns the cache
+// protocol, dedups them in its table and pulls the misses. A one-machine
+// run owns every vertex: there is nothing to scan for. Rows arrive in runs
+// that share their leading slots, so a slot holding the vertex it held in
+// the row before is not looked up again.
 func (r *machineRun) fetch(b *dataflow.Batch, exts ...*dataflow.Extend) {
 	if len(r.ex.eng.ex.Machines) == 1 {
 		return
@@ -51,7 +50,6 @@ func (r *machineRun) fetch(b *dataflow.Batch, exts ...*dataflow.Extend) {
 			}
 		}
 	}
-	r.startFetch()
 	var prev []graph.VertexID
 	for i := 0; i < b.Rows(); i++ {
 		row := b.Row(i)
@@ -71,7 +69,8 @@ func (r *machineRun) fetch(b *dataflow.Batch, exts ...*dataflow.Extend) {
 // path (walkedEnds). The scanning machine owns row[0], so one Fetch serves
 // the batch unless a walked end is remote somewhere (the other end, or a
 // stolen batch): its list must arrive before it can name the lists to
-// pull, in a second Fetch.
+// pull, in a second Fetch. A vertex the first Fetch brought in is a
+// duplicate to the second: the batch's table stamp says so.
 func (r *machineRun) fetchEnds(b *dataflow.Batch) {
 	if len(r.ex.eng.ex.Machines) == 1 {
 		return
@@ -83,7 +82,6 @@ func (r *machineRun) fetchEnds(b *dataflow.Batch) {
 	walked := [2]graph.VertexID{graph.NoBound, graph.NoBound}
 	later := false
 	start := time.Now()
-	r.startFetch()
 	for i := 0; i < b.Rows(); i++ {
 		row := b.Row(i)
 		if i == 0 || row[0] != b.Row(i - 1)[0] {
@@ -106,7 +104,6 @@ func (r *machineRun) fetchEnds(b *dataflow.Batch) {
 		return
 	}
 	start = time.Now()
-	r.startFetch()
 	for i := 0; i < b.Rows(); i++ {
 		for k, v := range walkedEnds(g, b.Row(i), path) {
 			if !r.m.Owns(v) && v != walked[k] {
@@ -135,30 +132,17 @@ func walkedEnds(g *graph.Graph, row []graph.VertexID, path bool) []graph.VertexI
 	return row[:1]
 }
 
-// startFetch empties the fetch stage's set of remote vertices.
-func (r *machineRun) startFetch() {
-	if r.seen == nil {
-		r.seen = map[graph.VertexID]struct{}{}
-	}
-	clear(r.seen)
-	r.remote = r.remote[:0]
-}
-
-// want adds v to the fetch stage's set unless the machine owns it.
+// want adds v to the fetch stage unless the machine owns it.
 func (r *machineRun) want(v graph.VertexID) {
 	if !r.m.Owns(v) {
-		// One hash per occurrence: the set grew iff v is new.
-		if r.seen[v] = struct{}{}; len(r.seen) > len(r.remote) {
-			r.remote = append(r.remote, v)
-		}
+		r.m.Want(v)
 	}
 }
 
-// finishFetch hands the set to the machine, ascending, and books the
+// finishFetch has the machine pull what the stage wanted, and books the
 // fetch stage's time from start.
 func (r *machineRun) finishFetch(start time.Time) {
-	slices.Sort(r.remote)
-	r.m.Fetch(r.remote)
+	r.m.Fetch()
 	r.ex.eng.ex.Metrics.FetchNs.Add(int64(time.Since(start)))
 }
 

@@ -99,11 +99,6 @@ type machineRun struct {
 	// terminal, reused from batch to batch.
 	slabs [][]graph.VertexID
 
-	// seen and remote are the fetch stage's set and sorted list of a
-	// batch's remote vertices, reused from batch to batch.
-	seen   map[graph.VertexID]struct{}
-	remote []graph.VertexID
-
 	// fan and fanWG are forChunks' per-worker slots and its barrier.
 	fan   []chunkWorker
 	fanWG sync.WaitGroup

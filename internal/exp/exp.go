@@ -239,6 +239,7 @@ func (e *Env) RunHUGE(g *graph.Graph, q *query.Query, o HugeOpts) RunResult {
 		CacheBytes:  o.CacheBytes,
 		Latency:     e.latency(),
 	}).NewExec()
+	defer ex.Close()
 	start := time.Now()
 	count, err := engine.Run(context.Background(), ex, df, engine.Config{
 		BatchRows:   o.BatchRows,

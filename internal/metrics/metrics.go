@@ -25,6 +25,10 @@ type Metrics struct {
 
 	Results atomic.Uint64
 
+	// A cache hit is one distinct remote vertex of a batch that was
+	// already cached when the batch wanted it, a miss one that was not and
+	// was pulled. A vertex a batch wants again (say in its second fetch)
+	// is neither. Cncr-LRU, which pulls on demand, counts every read.
 	CacheHits   atomic.Uint64
 	CacheMisses atomic.Uint64
 
